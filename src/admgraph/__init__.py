@@ -79,7 +79,6 @@ from .hyperelliptic import (
     EdgeKind,
     HyperellipticGraph,
     Involution,
-    classify_edges,
     component_structures,
     contract_classes,
     divisor_is_invariant,

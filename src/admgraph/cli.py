@@ -18,7 +18,7 @@ from .errors import AdmGraphError, SchemaError
 from .graph import Divisor, validate_graph
 from .hyperelliptic import graph_size, nu_counts, validate_hyperelliptic
 from .polynomials import Strategy
-from .rationals import INFINITY, format_rational
+from .rationals import INFINITY, as_fraction, format_rational
 
 
 class _UsageError(Exception):
@@ -94,7 +94,15 @@ def _divisor(doc: documents.GraphDocument, override: Optional[str]) -> Divisor:
             raise SchemaError([("--divisor", f"malformed JSON: {exc}")]) from exc
         if not isinstance(raw, dict):
             raise SchemaError([("--divisor", "must be an object of rational strings")])
-        return Divisor({v: str(c) for v, c in raw.items()})
+        coefficients, problems = {}, []
+        for v, c in raw.items():
+            try:
+                coefficients[v] = as_fraction(c)
+            except (TypeError, ValueError) as exc:
+                problems.append((f"--divisor.{v}", str(exc)))
+        if problems:
+            raise SchemaError(problems)
+        return Divisor(coefficients)
     d = doc.to_divisor()
     if d is None:
         raise SchemaError([("divisor", "no divisor in the document and no --divisor given")])

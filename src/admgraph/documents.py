@@ -117,7 +117,7 @@ def parse_graph_document(data) -> GraphDocument:
             problems.append((f"{path}.id", f"duplicate vertex id {vid!r}"))
         vertex_ids.add(vid)
         genus = item.get("genus")
-        if genus is not None and (not isinstance(genus, int) or genus < 0):
+        if genus is not None and (type(genus) is not int or genus < 0):
             problems.append((f"{path}.genus", "genus must be a nonnegative integer"))
             genus = None
         extra = set(item) - {"id", "genus"}

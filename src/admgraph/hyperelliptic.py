@@ -212,11 +212,6 @@ def validate_hyperelliptic(g: MetrizedGraph, inv: Involution) -> HyperellipticGr
     )
 
 
-def classify_edges(h: HyperellipticGraph) -> Dict[str, EdgeKind]:
-    """Total partition of the edges into disjoint / one-jointed / two-jointed."""
-    return dict(h.edge_kinds)
-
-
 def contract_classes(
     h: HyperellipticGraph, class_names: Iterable[str]
 ) -> Tuple[MetrizedGraph, Involution, Dict[str, str]]:
@@ -296,14 +291,16 @@ def is_simple(h: HyperellipticGraph) -> bool:
 
 def graph_size(h: HyperellipticGraph) -> int:
     """sz(G): 1 for a simple component, #one-jointed classes - 1 otherwise,
-    summed over irreducible components."""
-    total = 0
-    for comp in component_structures(h):
-        if is_simple(comp):
-            total += 1
-        else:
-            total += len(comp.classes_of_kind(EdgeKind.ONE_JOINTED)) - 1
-    return total
+    summed over irreducible components; this is b1 = #fixed vertices - 1.
+
+    With F fixed and N non-fixed quotient vertices, |V| = F + 2N and, by
+    axioms 2 and 4, |E| = 2(F + N - 1), so b1 = F - 1.  A simple component
+    has b1 = 1.  In any other component each fixed vertex carries exactly
+    one one-jointed class (a second would make it a cut vertex) and each
+    such class meets one fixed vertex, so there too sz = b1 (the count
+    above, applied to the component); b1 is additive over components.
+    """
+    return len(h.fixed_vertices) - 1
 
 
 def nu_counts(h: HyperellipticGraph, v: str) -> Tuple[int, int, int]:

@@ -283,7 +283,10 @@ def _max_classes(override: Optional[int]) -> int:
     if override is not None:
         return override
     env = os.environ.get(ENV_MAX_CLASSES)
-    return int(env) if env else DEFAULT_MAX_CLASSES
+    try:
+        return int(env) if env else DEFAULT_MAX_CLASSES
+    except ValueError:
+        raise EnumerationCapError(f"{ENV_MAX_CLASSES} must be an integer, got {env!r}") from None
 
 
 def _check_cap(h: HyperellipticGraph, max_classes: Optional[int]) -> None:

@@ -12,11 +12,14 @@ output: on each edge g'' equals the measure's density, at each vertex the
 outgoing slopes sum to mu({v}) - [v = source], and every property is
 asserted post-hoc (a violation raises SolverFaultError, never returns).
 
-On an edge of length l parameterized by arc length s from its first end,
-g(s) = (density/2) s^2 + beta s + g(start), so the only true unknowns are
-the vertex values; flux balance gives a weighted-Laplacian system whose rows
-sum to zero exactly, and the normalization integral replaces the redundant
-row.  Everything is solved by plain rational Gaussian elimination with
+One linear system serves everything: the weighted Laplacian with the last
+vertex grounded (its row and column removed), solved for current-injection
+columns.  Cross resistances and the canonical density come from the
+resistance across each edge.  On an edge of length l, at arc
+length s from its first end, g(s) = (density/2) s^2 + beta s + g(start), so
+the only unknowns are the vertex values: flux balance is a grounded solve,
+and a constant shift then makes the integral against mu vanish.
+Everything is solved by plain rational Gaussian elimination with
 first-nonzero pivoting (no tolerances exist; arithmetic is exact).
 """
 
@@ -74,20 +77,36 @@ def solve_linear(matrix: List[List[Fraction]], rhs: List[List[Fraction]]) -> Lis
     return b
 
 
-def _laplacian(g: MetrizedGraph, order: Tuple[str, ...]) -> List[List[Fraction]]:
-    """Weighted graph Laplacian with conductance 1/length per edge."""
+def _grounded_solve(
+    g: MetrizedGraph, columns: List[Mapping[str, Fraction]]
+) -> List[Dict[str, Fraction]]:
+    """Vertex potentials for current injections, in one elimination.
+
+    Each column maps vertices to injected current and must sum to zero.  The
+    weighted Laplacian (conductance 1/length) is solved with the last vertex
+    grounded: its row and column are removed and its potential is 0.
+    """
+    order = g.vertices
+    n = len(order) - 1
     index = {v: i for i, v in enumerate(order)}
-    n = len(order)
     lap = [[ZERO] * n for _ in range(n)]
     for e in g.edges:
-        u, w = e.ends
         c = ONE / e.length
-        iu, iw = index[u], index[w]
-        lap[iu][iu] += c
-        lap[iw][iw] += c
-        lap[iu][iw] -= c
-        lap[iw][iu] -= c
-    return lap
+        iu, iw = index[e.ends[0]], index[e.ends[1]]
+        for a, b in ((iu, iw), (iw, iu)):
+            if a < n:
+                lap[a][a] += c
+                if b < n:
+                    lap[a][b] -= c
+    rhs = [[col.get(v, ZERO) for col in columns] for v in order[:n]]
+    x = solve_linear(lap, rhs) + [[ZERO] * len(columns)]
+    return [{v: x[i][j] for i, v in enumerate(order)} for j in range(len(columns))]
+
+
+def _resistances(g: MetrizedGraph, pairs: List[Tuple[str, str]]) -> List[Fraction]:
+    """Effective resistance between each pair of distinct vertices."""
+    potentials = _grounded_solve(g, [{p: ONE, q: -ONE} for p, q in pairs])
+    return [x[p] - x[q] for x, (p, q) in zip(potentials, pairs)]
 
 
 def effective_resistance(g: MetrizedGraph, p: str, q: str) -> Fraction:
@@ -98,32 +117,22 @@ def effective_resistance(g: MetrizedGraph, p: str, q: str) -> Fraction:
     g.require_analytic()
     if p == q:
         return ZERO
-    order = g.vertices
-    index = {v: i for i, v in enumerate(order)}
-    lap = _laplacian(g, order)
-    n = len(order)
-    # ground the last vertex: replace its row by x_ground = 0
-    lap[n - 1] = [ZERO] * n
-    lap[n - 1][n - 1] = ONE
-    rhs = [[ZERO] for _ in range(n)]
-    rhs[index[p]][0] += ONE
-    rhs[index[q]][0] -= ONE
-    rhs[n - 1][0] = ZERO  # the grounded row reads x_ground = 0
-    x = solve_linear(lap, rhs)
-    return x[index[p]][0] - x[index[q]][0]
+    return _resistances(g, [(p, q)])[0]
 
 
 def cross_resistance(g: MetrizedGraph, edge_id: str):
     """Resistance across an edge's ends with its open interior removed.
 
-    INFINITY exactly when the edge is a bridge.
+    The edge (length l) is in parallel with that resistance r, so the
+    resistance R across its ends with the edge in place gives
+    r = l R / (l - R).  INFINITY exactly when R = l, i.e. the edge is a bridge.
     """
     e = g.edge(edge_id)
     g.require_analytic()
-    rest = MetrizedGraph(g.vertices, [x for x in g.edges if x.id != edge_id])
-    if not rest.is_connected():
+    across = _resistances(g, [e.ends])[0]
+    if across == e.length:
         return INFINITY
-    return effective_resistance(rest, e.ends[0], e.ends[1])
+    return e.length * across / (e.length - across)
 
 
 class Measure:
@@ -172,10 +181,9 @@ def canonical_measure(g: MetrizedGraph) -> Measure:
     (0 on bridges, the r_e -> infinity limit).  Total mass is exactly 1."""
     g.require_analytic()
     masses = {v: ONE - Fraction(g.valence(v), 2) for v in g.vertices}
-    densities = {}
-    for e in g.edges:
-        r = cross_resistance(g, e.id)
-        densities[e.id] = ZERO if r is INFINITY else ONE / (e.length + r)
+    # 1/(l + r) with r = l R / (l - R) is (l - R) / l^2, which is 0 on bridges
+    resistances = _resistances(g, [e.ends for e in g.edges])
+    densities = {e.id: (e.length - r) / e.length**2 for e, r in zip(g.edges, resistances)}
     mu = Measure(masses, densities)
     if mu.total_mass(g) != 1:
         raise SolverFaultError("canonical measure mass != 1")
@@ -255,49 +263,28 @@ def _green_vertex_values(
 ) -> Dict[str, Dict[str, Fraction]]:
     """Vertex values of g(source, .) for several sources in one elimination.
 
-    Rows: flux balance at every vertex but the last (their sum is zero
-    exactly, so one is redundant), plus the normalization integral.
+    weights[v], mu({v}) plus half of density * length per incident edge, is
+    the constant flux at v and the coefficient of g(source, v) in the
+    integral against mu; the weights sum to mu's mass 1, so shifting a
+    grounded solution by a constant shifts its integral by the same.
     """
-    order = g.vertices
-    index = {v: i for i, v in enumerate(order)}
-    n = len(order)
-    lap = _laplacian(g, order)
-
-    # constant part of the flux right-hand side: mu({v}) + sum of alpha*l
-    # over incident edge ends (from the curvature of g on each edge)
-    base = [mu.mass_at(v) for v in order]
-    for e in g.edges:
-        contrib = mu.density_on(e.id) * e.length / 2
-        base[index[e.ends[0]]] += contrib
-        base[index[e.ends[1]]] += contrib
-
-    matrix = [lap[i][:] for i in range(n - 1)]
-
-    # normalization row: integral of g against mu as a linear form in the
-    # vertex values (the curvature term is a known constant, moved to rhs)
-    norm_row = [mu.mass_at(v) for v in order]
-    const = ZERO
+    weights = {v: mu.mass_at(v) for v in g.vertices}
+    const = ZERO  # the part of the integral not linear in the vertex values
     for e in g.edges:
         dens = mu.density_on(e.id)
         half = dens * e.length / 2
-        norm_row[index[e.ends[0]]] += half
-        norm_row[index[e.ends[1]]] += half
+        weights[e.ends[0]] += half
+        weights[e.ends[1]] += half
         const += -dens * dens / 2 * e.length**3 / 6
-    matrix.append(norm_row)
 
-    # flux balance: (L f)_v = [v = source] - mu({v}) - sum of alpha*l at v
-    rhs = []
-    for i in range(n - 1):
-        row = []
-        for src in sources:
-            row.append((ONE if order[i] == src else ZERO) - base[i])
-        rhs.append(row)
-    rhs.append([-const for _ in sources])
-
-    solution = solve_linear(matrix, rhs)
+    # flux balance: (L f)_v = [v = source] - weights[v]
+    columns = [
+        {v: (ONE if v == src else ZERO) - w for v, w in weights.items()} for src in sources
+    ]
     out: Dict[str, Dict[str, Fraction]] = {}
-    for j, src in enumerate(sources):
-        out[src] = {order[i]: solution[i][j] for i in range(n)}
+    for src, values in zip(sources, _grounded_solve(g, columns)):
+        shift = -const - sum((weights[v] * x for v, x in values.items()), ZERO)
+        out[src] = {v: x + shift for v, x in values.items()}
     return out
 
 

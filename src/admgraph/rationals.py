@@ -36,10 +36,6 @@ class Infinity:
 INFINITY = Infinity()
 
 
-def is_infinite(value) -> bool:
-    return value is INFINITY
-
-
 def as_fraction(value) -> Fraction:
     """Coerce an int, Fraction, or rational string to Fraction.
 

@@ -61,6 +61,13 @@ class TestParse:
             parse_graph_document(b"{not json")
         assert "malformed JSON" in str(err.value)
 
+    def test_bool_genus_rejected(self):
+        bad = json.loads(SG_DOC)
+        bad["vertices"][1]["genus"] = True
+        with pytest.raises(ag.SchemaError) as err:
+            parse_graph_document(json.dumps(bad))
+        assert [path for path, _ in err.value.problems] == ["vertices[1].genus"]
+
     def test_all_problems_collected(self):
         bad = json.loads(SG_DOC)
         bad["edges"][0]["length"] = "x"
@@ -229,3 +236,19 @@ class TestCli:
         code, out = run(capsys, ["epsilon", str(path)])
         assert code == 1
         assert out["error"]["code"] == "schema-error"
+
+    @pytest.mark.parametrize("value", ["0.5", "true"])
+    def test_non_rational_divisor_override_is_schema_error(self, capsys, sg_file, value):
+        code = run_command(["epsilon", sg_file, "--divisor", '{"P": %s}' % value])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.err == ""
+        out = json.loads(captured.out)
+        assert out["error"]["code"] == "schema-error"
+        assert [p["path"] for p in out["error"]["problems"]] == ["--divisor.P"]
+
+    def test_non_integer_class_cap_is_domain_error(self, capsys, sg_file, monkeypatch):
+        monkeypatch.setenv("ADMGRAPH_MAX_CLASSES", "abc")
+        code, out = run(capsys, ["lpoly", sg_file])
+        assert code == 1
+        assert out["error"]["code"] == "enumeration-cap"
+        assert "ADMGRAPH_MAX_CLASSES" in out["error"]["message"]

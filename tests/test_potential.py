@@ -84,6 +84,33 @@ class TestCrossResistance:
     def test_unit_triangle_series(self):
         assert ag.cross_resistance(unit_triangle(), "a") == 2
 
+    def test_matches_spanning_tree_oracle(self, corpus):
+        # a triangle with a pendant edge, so that a bridge occurs
+        pendant = ag.MetrizedGraph(
+            ["A", "B", "C", "D"],
+            [
+                ("a", ("A", "B"), 1),
+                ("b", ("B", "C"), F(1, 2)),
+                ("c", ("C", "A"), 3),
+                ("d", ("C", "D"), F(2, 3)),
+            ],
+        )
+        graphs = [h.graph for h in corpus if len(h.graph.edges) <= 12] + [pendant]
+        bridges = 0
+        for g in graphs:
+            mu = ag.canonical_measure(g)
+            for e in g.edges:
+                rest = ag.MetrizedGraph(g.vertices, [x for x in g.edges if x.id != e.id])
+                r = ag.cross_resistance(g, e.id)
+                if not rest.is_connected():
+                    bridges += 1
+                    assert r is ag.INFINITY
+                    assert mu.density_on(e.id) == 0
+                else:
+                    assert r == tree_resistance(rest, *e.ends)
+                    assert mu.density_on(e.id) == 1 / (e.length + r)
+        assert bridges == 1
+
 
 class TestCanonicalMeasure:
     def test_unit_triangle(self):
