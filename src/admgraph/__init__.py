@@ -30,6 +30,7 @@ from .documents import (
 )
 from .errors import (
     AdmGraphError,
+    ArcLengthRangeError,
     AxiomViolationError,
     ConstancyViolationError,
     DegreeMinusTwoError,
@@ -43,6 +44,7 @@ from .errors import (
     MissingInvolutionError,
     NotHyperellipticConfigurationError,
     NotMultilinearError,
+    NotTypeZeroError,
     NotSimpleRestrictionError,
     PolarizationShapeError,
     SchemaError,

@@ -29,6 +29,7 @@ from .errors import (
     InvalidGraphError,
     MissingInvolutionError,
     NotHyperellipticConfigurationError,
+    NotTypeZeroError,
     UnexpectedComponentCountError,
 )
 from .graph import Divisor, MetrizedGraph, contract, push_divisor, subdivide_edge
@@ -138,7 +139,7 @@ def node_subtype(cfg: FiberConfiguration, node_id: str) -> int:
     take the smaller arithmetic genus."""
     inv = cfg.require_involution()
     if node_type(cfg, node_id) != 0:
-        raise ValueError(f"node {node_id!r} is not of type 0")
+        raise NotTypeZeroError(f"node {node_id!r} is not of type 0")
     partner = inv.edge(node_id)
     if partner == node_id:
         return 0
@@ -189,6 +190,8 @@ class InvariantCounts:
         xi: Optional[Mapping[int, int]] = None,
         delta: Optional[Mapping[int, int]] = None,
     ) -> "InvariantCounts":
+        if genus < 2:
+            raise GenusRangeError("counts are defined for genus >= 2")
         xi = dict(xi or {})
         delta = dict(delta or {})
         jmax = (genus - 1) // 2

@@ -55,14 +55,12 @@ def _build_parser() -> _Parser:
     p = graph_command("green", "Green's function slice from a source vertex", divisor=True)
     p.add_argument("source", help="source vertex id")
     graph_command("epsilon", "admissible constant by the exact solver", divisor=True)
-    graph_command(
-        "epsilon-closed", "admissible constant by the closed form", divisor=True, strategy=True
-    )
+    graph_command("epsilon-closed", "admissible constant by the closed form", divisor=True)
     graph_command("lpoly", "the L polynomial", strategy=True)
     graph_command("mpoly", "the M polynomial", strategy=True)
     graph_command("classify-edges", "edge classification and size")
     graph_command("classify-nodes", "node types and invariant counts of a fiber")
-    graph_command("compare", "closed form vs exact solver", divisor=True, strategy=True)
+    graph_command("compare", "closed form vs exact solver", divisor=True)
 
     p = sub.add_parser("bound", help="effective lower bound from invariant counts")
     p.add_argument("--genus", type=int, required=True)
@@ -197,9 +195,7 @@ def _run(args) -> Dict:
     if args.command == "epsilon-closed":
         doc = _load_document(args.graph)
         h = _hyperelliptic(doc)
-        eps = polynomials.epsilon_closed_form(
-            h, _divisor(doc, args.divisor), strategy=Strategy(args.strategy)
-        )
+        eps = polynomials.epsilon_closed_form(h, _divisor(doc, args.divisor))
         return {"epsilon": format_rational(eps)}
 
     if args.command in ("lpoly", "mpoly"):
@@ -248,7 +244,7 @@ def _run(args) -> Dict:
         h = _hyperelliptic(doc)
         d = _divisor(doc, args.divisor)
         eps_num, _ = potential.epsilon_numeric(h.graph, d)
-        eps_closed = polynomials.epsilon_closed_form(h, d, strategy=Strategy(args.strategy))
+        eps_closed = polynomials.epsilon_closed_form(h, d)
         return {
             "epsilon_numeric": format_rational(eps_num),
             "epsilon_closed": format_rational(eps_closed),

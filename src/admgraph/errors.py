@@ -27,6 +27,12 @@ class DisconnectedGraphError(InvalidGraphError):
     code = "disconnected-graph"
 
 
+class ArcLengthRangeError(AdmGraphError, ValueError):
+    """An arc length lies outside the edge it is measured along."""
+
+    code = "arc-length-range"
+
+
 class DegreeMinusTwoError(AdmGraphError):
     """deg(D) = -2: the admissible measure and Green's function do not exist."""
 
@@ -87,6 +93,12 @@ class PolarizationShapeError(AdmGraphError):
 
 class MissingInvolutionError(AdmGraphError):
     code = "missing-involution"
+
+
+class NotTypeZeroError(AdmGraphError, ValueError):
+    """Node subtypes are defined for type-0 nodes only."""
+
+    code = "not-type-zero"
 
 
 class UnexpectedComponentCountError(AdmGraphError):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Tuple
 
-from .errors import DisconnectedGraphError, InvalidGraphError, UnknownIdError
+from .errors import ArcLengthRangeError, DisconnectedGraphError, InvalidGraphError, UnknownIdError
 from .rationals import as_fraction, format_rational
 
 
@@ -410,7 +410,7 @@ def subdivide_edge(
     e = g.edge(edge_id)
     t = as_fraction(t)
     if not (0 < t < e.length):
-        raise ValueError(f"t out of range: need 0 < {t} < {e.length}")
+        raise ArcLengthRangeError(f"t out of range: need 0 < {t} < {e.length}")
     mid = new_vertex if new_vertex is not None else f"{edge_id}.m"
     first, second = new_edge_ids if new_edge_ids is not None else (f"{edge_id}.a", f"{edge_id}.b")
     if mid in set(g.vertices):

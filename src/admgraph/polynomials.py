@@ -21,8 +21,12 @@ coefficient nu(v) - 2 at every non-fixed vertex is
           + (2/3) q * M/L,       q = deg/(deg + 2),
 
 with w(e) the smaller pushed coefficient on the simple restriction to the
-class.  Subset enumeration is capped (default 24 classes; override with the
-ADMGRAPH_MAX_CLASSES environment variable or the max_classes argument).
+class.  ``epsilon_closed_form`` needs only the value of M/L, which it takes
+from Kirchhoff (spanning-tree) determinants, one per non-fixed vertex pair,
+with no subset enumeration and no class cap.  The symbolic L, M and
+``epsilon_rational_fn`` enumerate class subsets; that enumeration is capped
+(default 24 classes; override with the ADMGRAPH_MAX_CLASSES environment
+variable or the max_classes argument).
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ import os
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .errors import (
@@ -485,16 +490,63 @@ def epsilon_rational_fn(
     return RationalFn(linear * lpoly + MultiPoly.constant(q) * mpoly, lpoly)
 
 
+def _kirchhoff_determinant(
+    h: HyperellipticGraph, lengths: Mapping[str, Fraction], merge: Tuple[str, ...] = ()
+) -> Fraction:
+    """kappa: the determinant of the weighted Laplacian of h's graph with one
+    vertex grounded, conductance 1/X on each edge of a class of length X.
+
+    The vertices in ``merge`` are identified first; an edge between two of
+    them becomes a loop, which adds no conductance.  Exact and fraction-free:
+    the conductances are scaled to integers by the lcm N of the length
+    numerators, the integer determinant is taken by Bareiss elimination, and
+    the result is divided by N^rows.  No pivoting is needed: the matrix is
+    positive semidefinite, so a vanishing leading minor makes it singular.
+    """
+    scale = lcm(*(x.numerator for x in lengths.values()))
+    kept = [v for v in h.graph.vertices if v not in merge[1:]]
+    index = {v: k for k, v in enumerate(kept)}
+    index.update((v, index[merge[0]]) for v in merge[1:])
+    n = len(kept) - 1  # the last kept vertex is grounded
+    a = [[0] * n for _ in range(n)]
+    for e in h.graph.edges:
+        i, j = index[e.ends[0]], index[e.ends[1]]
+        if i == j:
+            continue
+        x = lengths[h.class_of[e.id]]
+        c = x.denominator * (scale // x.numerator)
+        for p, r in ((i, j), (j, i)):
+            if p < n:
+                a[p][p] += c
+                if r < n:
+                    a[p][r] -= c
+    prev = 1
+    for k in range(n):
+        pivot, row_k = a[k][k], a[k]
+        if pivot == 0:
+            return ZERO
+        for row in a[k + 1 :]:
+            factor = row[k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pivot - factor * row_k[j]) // prev
+        prev = pivot
+    return Fraction(prev, scale**n)
+
+
 def epsilon_closed_form(
     h: HyperellipticGraph,
     d: Divisor,
     lengths: Optional[Mapping[str, object]] = None,
-    strategy: Strategy = Strategy.DEFINITION,
-    *,
-    max_classes: Optional[int] = None,
 ) -> Fraction:
     """Evaluate the closed form at given class lengths (default: the lengths
-    carried by the graph).  Exact; equal to the potential-theory value."""
+    carried by the graph).  Exact; equal to the potential-theory value.
+
+    By the matrix-tree theorem, L = 2^-g Psi_G and M = 2^-(g+1) times the sum
+    over non-fixed pairs {v, iota v} of (val v - 2) Psi_{G/(v~iota v)}, with
+    Psi the dual Kirchhoff polynomial.  The product of the lengths cancels,
+    so M/L = (1/2) sum (val v - 2) kappa(G/(v~iota v)) / kappa(G): one
+    determinant per pair and no subset enumeration.
+    """
     if lengths is None:
         assignment = {c: h.class_length(c) for c in h.classes()}
     else:
@@ -502,5 +554,18 @@ def epsilon_closed_form(
     for cname, value in assignment.items():
         if value <= 0:
             raise PolarizationShapeError(f"length of class {cname!r} must be positive")
-    fn = epsilon_rational_fn(h, d, strategy, max_classes=max_classes)
-    return fn.evaluate(assignment)
+    deg = _theorem_shape_check(h, d)
+    q = Fraction(2, 3) * deg / (deg + 2)
+    kappa = _kirchhoff_determinant(h, assignment)
+    if kappa == 0:
+        raise SolverFaultError("Kirchhoff determinant vanished on a valid hyperelliptic graph")
+    pairs = ZERO
+    for v in sorted(h.nonfixed_vertices):
+        partner = h.involution.vertex(v)
+        if v < partner:
+            pairs += (h.graph.valence(v) - 2) * _kirchhoff_determinant(h, assignment, (v, partner))
+    total = q * pairs / (2 * kappa)
+    for cname, x in assignment.items():
+        w = w_weight(h, d, cname)
+        total += (q + w * (deg - w) / (deg + 2)) * x
+    return total

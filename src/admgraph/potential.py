@@ -30,6 +30,7 @@ from fractions import Fraction
 from typing import Dict, List, Mapping, Tuple
 
 from .errors import (
+    ArcLengthRangeError,
     ConstancyViolationError,
     DegreeMinusTwoError,
     SolverFaultError,
@@ -236,7 +237,7 @@ class PiecewisePotential:
         e = self.graph.edge(edge_id)
         s = as_fraction(s)
         if not (0 <= s <= e.length):
-            raise ValueError("arc length outside the edge")
+            raise ArcLengthRangeError("arc length outside the edge")
         alpha = self.second_derivatives[edge_id] / 2
         beta = self.slopes_at_start[edge_id]
         return alpha * s * s + beta * s + self.vertex_values[e.ends[0]]

@@ -5,14 +5,21 @@
   trees and F_pq over spanning 2-forests separating p from q.  Brute-force
   subset enumeration; only for small graphs.
 
+* The dual Kirchhoff polynomial Psi_G = sum over spanning trees T of the
+  product of the variables of the edges outside T, by the same subset
+  enumeration; MultiPoly is used only as the container to compare with.
+
 * Green values by a different linear formulation: unknowns are the per-edge
   slope and offset (the curvature is fixed by the measure), constrained by
   endpoint continuity, vertex flux, and the vanishing integral, solved by a
   local reduced-row-echelon routine with a consistency check.
 """
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+
+from admgraph import MultiPoly
 
 ZERO = Fraction(0)
 
@@ -60,6 +67,19 @@ def tree_resistance(graph, p, q):
     for subset in combinations(edges, n - 2):
         forests += _spanning_weight(vertices, edges, subset, forbidden_pair=(p, q))
     return forests / trees
+
+
+def kirchhoff_polynomial(vertices, edges):
+    """Psi over edge variables: ``edges`` is a list of ((u, w), variable).
+    A loop (u == w) is never in a tree, so its variable divides Psi."""
+    unit = [(k, ends, 1) for k, (ends, _) in enumerate(edges)]
+    terms = Counter()
+    for subset in combinations(unit, len(vertices) - 1):
+        if _spanning_weight(vertices, unit, subset):
+            inside = {k for k, _, _ in subset}
+            outside = Counter(var for k, (_, var) in enumerate(edges) if k not in inside)
+            terms[tuple(sorted(outside.items()))] += 1
+    return MultiPoly(terms)
 
 
 def _rref_solve(rows, rhs):

@@ -123,8 +123,10 @@ class TestNodeSubtype:
             ag.node_subtype(cfg, "l")
 
     def test_positive_node_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as err:
             ag.node_subtype(tail_with_positive_node(), "n")
+        assert isinstance(err.value, ag.AdmGraphError)
+        assert err.value.code == "not-type-zero"
 
     def test_unexpected_component_count(self):
         # swapped pair on a theta-like graph: deleting both edges keeps

@@ -138,7 +138,7 @@ class TestCli:
     def test_epsilon_closed_and_compare(self, capsys, sg_file):
         code, out = run(capsys, ["epsilon-closed", sg_file])
         assert (code, out["epsilon"]) == (0, "7/12")
-        code, out = run(capsys, ["compare", sg_file, "--strategy", "symmetric"])
+        code, out = run(capsys, ["compare", sg_file])
         assert code == 0 and out["agree"] is True
 
     def test_bound(self, capsys):
@@ -221,6 +221,32 @@ class TestCli:
     def test_bound_rejects_out_of_range_index(self, capsys):
         # genus 5 allows xi_j only for j <= 2
         assert run_command(["bound", "--genus", "5", "--xi", "3=1"]) == 2
+
+    @pytest.mark.parametrize("genus", ["0", "-1"])
+    def test_bound_genus_below_two_is_domain_error(self, capsys, genus):
+        code = run_command(["bound", "--genus", genus])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.err == ""
+        assert json.loads(captured.out)["error"]["code"] == "genus-range"
+
+    def test_class_cap_applies_only_to_symbolic_commands(self, capsys, tmp_path, monkeypatch):
+        h = ag.elementary_graph(2)
+        d = ag.random_polarization(h, 0)
+        path = tmp_path / "g2.json"
+        path.write_text(serialize_document(document_from(h.graph, h.involution, d)))
+        monkeypatch.setenv("ADMGRAPH_MAX_CLASSES", "2")
+        code, out = run(capsys, ["epsilon-closed", str(path)])
+        assert code == 0 and "epsilon" in out
+        code, out = run(capsys, ["compare", str(path)])
+        assert code == 0 and out["agree"] is True
+        code, out = run(capsys, ["lpoly", str(path)])
+        assert code == 1 and out["error"]["code"] == "enumeration-cap"
+
+    def test_strategy_flag_removed_from_value_commands(self, capsys, sg_file):
+        for command in ("epsilon-closed", "compare"):
+            assert run_command([command, sg_file, "--strategy", "symmetric"]) == 2
+        code, _ = run(capsys, ["lpoly", sg_file, "--strategy", "symmetric"])
+        assert code == 0
 
     def test_missing_divisor_is_domain_error(self, capsys, tmp_path):
         h = ag.elementary_graph(2)

@@ -218,8 +218,10 @@ class TestSubdivide:
 
     def test_boundary_rejected(self):
         g = ag.MetrizedGraph(["P", "Q"], [("e", ("P", "Q"), 1)])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as err:
             ag.subdivide_edge(g, "e", 1)
+        assert isinstance(err.value, ag.AdmGraphError)
+        assert err.value.code == "arc-length-range"
 
     def test_triangle_length_preserved(self):
         s = ag.subdivide_edge(triangle(), "a", 1)

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import admgraph as ag
+from _oracles import kirchhoff_polynomial
 from admgraph import EdgeKind, MultiPoly, Strategy
 
 F = Fraction
@@ -203,6 +204,99 @@ class TestClosedForm:
                 h2 = ag.validate_hyperelliptic(g2, inv2)
                 d2 = ag.push_divisor(d, vmap)
                 assert fn.substitute_zero(cname) == ag.epsilon_rational_fn(h2, d2)
+
+
+def ladder_polarization(h):
+    """nu - 2 at non-fixed vertices (the closed form's shape), 1 at fixed."""
+    coeffs = {v: ag.nu_counts(h, v)[2] - 2 for v in h.nonfixed_vertices}
+    coeffs.update({v: 1 for v in h.fixed_vertices})
+    return ag.Divisor(coeffs)
+
+
+def psi(h, merge=()):
+    """Psi of h's graph over class variables, with the vertices in
+    ``merge`` identified first."""
+    rename = {v: merge[0] for v in merge}
+    vertices = sorted({rename.get(v, v) for v in h.graph.vertices})
+    edges = [
+        (tuple(rename.get(x, x) for x in e.ends), h.class_of[e.id]) for e in h.graph.edges
+    ]
+    return kirchhoff_polynomial(vertices, edges)
+
+
+def nonfixed_pairs(h):
+    return [
+        (v, h.involution.vertex(v))
+        for v in sorted(h.nonfixed_vertices)
+        if v < h.involution.vertex(v)
+    ]
+
+
+class TestKirchhoff:
+    """L and M are spanning-tree polynomials, which is what lets the closed
+    form be evaluated by determinants."""
+
+    def test_l_and_m_are_kirchhoff_polynomials(self, corpus):
+        for h in corpus:
+            if len(h.graph.edges) > 14:
+                continue
+            g = h.graph.first_betti_number()
+            assert 2**g * ag.l_polynomial(h, Strategy.DEFINITION) == psi(h)
+            merged = MultiPoly()
+            for v, w in nonfixed_pairs(h):
+                merged = merged + (h.graph.valence(v) - 2) * psi(h, (v, w))
+            assert 2 ** (g + 1) * ag.m_polynomial(h, Strategy.DEFINITION) == merged
+
+    def test_m_over_l_is_resistance_sum(self, corpus):
+        for k, h in enumerate(corpus):
+            h2 = ag.with_lengths(h, ag.random_lengths(h, 300 + k))
+            lengths = h2.lengths()
+            ratio = ag.m_polynomial(h2).evaluate(lengths) / ag.l_polynomial(h2).evaluate(lengths)
+            resistances = sum(
+                (
+                    (h2.graph.valence(v) - 2) * ag.effective_resistance(h2.graph, v, w)
+                    for v, w in nonfixed_pairs(h2)
+                ),
+                F(0),
+            )
+            assert ratio == resistances / 2
+
+    def test_matches_rational_function_at_given_lengths(self, corpus):
+        for k, h in enumerate(corpus):
+            d = ag.random_polarization(h, 600 + k)
+            lengths = ag.random_lengths(h, 600 + k)
+            expect = ag.epsilon_rational_fn(h, d).evaluate(lengths)
+            assert ag.epsilon_closed_form(h, d, lengths) == expect
+
+    def test_nonpositive_length_rejected(self):
+        h = ag.elementary_graph(2)
+        d = ladder_polarization(h)
+        lengths = dict(h.lengths(), **{h.classes()[0]: 0})
+        with pytest.raises(ag.PolarizationShapeError):
+            ag.epsilon_closed_form(h, d, lengths)
+
+    def test_independent_of_the_solver(self, corpus, monkeypatch):
+        cases = []
+        for k, h in enumerate(corpus):
+            d = ag.random_polarization(h, 800 + k)
+            cases.append((h, d, ag.epsilon_numeric(h.graph, d)[0]))
+
+        def no_solver(*args, **kwargs):
+            raise AssertionError("the closed form must not call the solver")
+
+        monkeypatch.setattr(ag.potential, "solve_linear", no_solver)
+        with pytest.raises(AssertionError):
+            ag.epsilon_numeric(cases[0][0].graph, cases[0][1])
+        for h, d, numeric in cases:
+            assert ag.epsilon_closed_form(h, d) == numeric
+
+    def test_no_class_cap(self, monkeypatch):
+        h = ag.ladder_graph(13)
+        assert len(h.class_members) == 27
+        d = ladder_polarization(h)
+        numeric, _ = ag.epsilon_numeric(h.graph, d)
+        monkeypatch.setenv("ADMGRAPH_MAX_CLASSES", "2")
+        assert ag.epsilon_closed_form(h, d) == numeric
 
 
 class TestInequalities:

@@ -181,6 +181,9 @@ class TestGreenFunction:
         e = sg().edge("e1")
         assert pot.value_on_edge("e1", F(0)) == pot.value_at_vertex("P")
         assert pot.value_on_edge("e1", e.length) == pot.value_at_vertex("Q")
+        with pytest.raises(ag.ArcLengthRangeError) as err:
+            pot.value_on_edge("e1", e.length + 1)
+        assert err.value.code == "arc-length-range"
 
     def test_interior_evaluation_matches_subdivision(self):
         # interior values are honest: subdividing at the point and reading
