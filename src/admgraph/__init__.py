@@ -39,6 +39,7 @@ from .errors import (
     FixedVertexError,
     GenusBelowThreeError,
     GenusRangeError,
+    InvalidCountsError,
     InvalidGraphError,
     InvolutionMalformedError,
     MissingInvolutionError,

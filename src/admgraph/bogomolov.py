@@ -26,6 +26,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 from .errors import (
     GenusBelowThreeError,
     GenusRangeError,
+    InvalidCountsError,
     InvalidGraphError,
     MissingInvolutionError,
     NotHyperellipticConfigurationError,
@@ -153,6 +154,19 @@ def node_subtype(cfg: FiberConfiguration, node_id: str) -> int:
     return min(_side_genus(cfg, a, removed), _side_genus(cfg, b, removed))
 
 
+# Counts are dense vectors of about genus/2 entries each, and the formulas sum
+# exact Fractions over them: the bound takes well under a second at this
+# genus, but at genus 10^8 building the vectors alone runs for minutes.
+MAX_GENUS = 10_000
+
+
+def _require_count_genus(genus: int) -> None:
+    if genus < 2:
+        raise GenusRangeError("counts are defined for genus >= 2")
+    if genus > MAX_GENUS:
+        raise GenusRangeError(f"counts are defined for genus <= {MAX_GENUS}")
+
+
 class InvariantCounts:
     """xi and delta vectors for one fiber or a whole family (the counts are
     additive over fibers)."""
@@ -161,20 +175,19 @@ class InvariantCounts:
 
     def __init__(self, genus: int, xi, delta, delta0: Optional[int] = None):
         genus = int(genus)
-        if genus < 2:
-            raise GenusRangeError("counts are defined for genus >= 2")
+        _require_count_genus(genus)
         xi = tuple(int(x) for x in xi)
         delta = tuple(int(x) for x in delta)
         if len(xi) != (genus - 1) // 2 + 1:
-            raise ValueError(f"xi must have entries for j = 0 .. {(genus - 1) // 2}")
+            raise InvalidCountsError(f"xi must have entries for j = 0 .. {(genus - 1) // 2}")
         if len(delta) != genus // 2:
-            raise ValueError(f"delta must have entries for i = 1 .. {genus // 2}")
+            raise InvalidCountsError(f"delta must have entries for i = 1 .. {genus // 2}")
         if any(x < 0 for x in xi) or any(x < 0 for x in delta):
-            raise ValueError("counts are nonnegative")
+            raise InvalidCountsError("counts are nonnegative")
         if delta0 is not None:
             delta0 = int(delta0)
             if delta0 != xi[0] + 2 * sum(xi[1:]):
-                raise ValueError("delta0 must equal xi0 + 2 * sum_{j>=1} xi_j")
+                raise InvalidCountsError("delta0 must equal xi0 + 2 * sum_{j>=1} xi_j")
         object.__setattr__(self, "genus", genus)
         object.__setattr__(self, "xi", xi)
         object.__setattr__(self, "delta", delta)
@@ -190,16 +203,15 @@ class InvariantCounts:
         xi: Optional[Mapping[int, int]] = None,
         delta: Optional[Mapping[int, int]] = None,
     ) -> "InvariantCounts":
-        if genus < 2:
-            raise GenusRangeError("counts are defined for genus >= 2")
+        _require_count_genus(genus)
         xi = dict(xi or {})
         delta = dict(delta or {})
         jmax = (genus - 1) // 2
         imax = genus // 2
         if any(j < 0 or j > jmax for j in xi):
-            raise ValueError(f"xi indices must lie in [0, {jmax}]")
+            raise InvalidCountsError(f"xi indices must lie in [0, {jmax}]")
         if any(i < 1 or i > imax for i in delta):
-            raise ValueError(f"delta indices must lie in [1, {imax}]")
+            raise InvalidCountsError(f"delta indices must lie in [1, {imax}]")
         xvec = [xi.get(j, 0) for j in range(jmax + 1)]
         dvec = [delta.get(i, 0) for i in range(1, imax + 1)]
         delta0 = xvec[0] + 2 * sum(xvec[1:])

@@ -256,10 +256,7 @@ def _run(args) -> Dict:
         if args.xi0:
             xi[0] = xi.get(0, 0) + args.xi0
         delta = _parse_indexed(args.delta, "--delta")
-        try:
-            counts = bogomolov.InvariantCounts.from_maps(args.genus, xi, delta)
-        except ValueError as exc:
-            raise _UsageError(str(exc)) from exc
+        counts = bogomolov.InvariantCounts.from_maps(args.genus, xi, delta)
         radicand, report = bogomolov.pairing_radicand(counts)
         return {
             "r0": format_rational(bogomolov.r0_bound(counts)),

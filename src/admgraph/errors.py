@@ -111,6 +111,13 @@ class GenusRangeError(AdmGraphError):
     code = "genus-range"
 
 
+class InvalidCountsError(AdmGraphError, ValueError):
+    """Node counts that no fiber has: a negative count, a vector of the
+    wrong length, an index out of range or an inconsistent delta_0."""
+
+    code = "invalid-counts"
+
+
 class GenusBelowThreeError(GenusRangeError):
     """The bounds start at genus 3; genus 2 is covered by prior work and is
     deliberately out of scope here."""

@@ -19,14 +19,17 @@ resistance across each edge.  On an edge of length l, at arc
 length s from its first end, g(s) = (density/2) s^2 + beta s + g(start), so
 the only unknowns are the vertex values: flux balance is a grounded solve,
 and a constant shift then makes the integral against mu vanish.
-Everything is solved by plain rational Gaussian elimination with
-first-nonzero pivoting (no tolerances exist; arithmetic is exact).
+Everything is solved by fraction-free (Bareiss) elimination in integers
+with first-nonzero pivoting: each row is scaled to integers, every division
+is exact, and Fractions appear only in the solution (no tolerances exist;
+arithmetic is exact).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Dict, List, Mapping, Tuple
 
 from .errors import (
@@ -46,36 +49,41 @@ ONE = Fraction(1)
 def solve_linear(matrix: List[List[Fraction]], rhs: List[List[Fraction]]) -> List[List[Fraction]]:
     """Solve A X = B exactly for square A; B holds one column per solve.
 
-    Gaussian elimination, pivot = first row with a nonzero entry in column
-    order, so the elimination path is deterministic.
+    Fraction-free (Bareiss) elimination in Python ints.  Each row of [A | B]
+    is scaled to integers by the lcm of its denominators, which leaves X
+    unchanged.  Forward elimination divides exactly by the previous pivot,
+    so the last pivot is the determinant det of the scaled, row-swapped A.
+    Back-substitution then yields det * X in integers (each division is
+    exact by Cramer's rule), and Fractions are built only at the end.
+    Pivot = first row with a nonzero entry in column order, so the
+    elimination path is deterministic.
     """
     n = len(matrix)
-    a = [row[:] for row in matrix]
-    b = [row[:] for row in rhs]
+    a = []
+    for row in (list(ar) + list(br) for ar, br in zip(matrix, rhs)):
+        scale = lcm(*(x.denominator for x in row))
+        a.append([x.numerator * (scale // x.denominator) for x in row])
+    prev = 1
     for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+        pivot = next((r for r in range(col, n) if a[r][col]), None)
         if pivot is None:
             raise SolverFaultError("singular linear system")
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            b[col], b[pivot] = b[pivot], b[col]
-        inv = a[col][col]
-        for r in range(col + 1, n):
-            factor = a[r][col] / inv
-            if factor == 0:
-                continue
-            for c in range(col, n):
-                a[r][c] -= factor * a[col][c]
-            for c in range(len(b[r])):
-                b[r][c] -= factor * b[col][c]
+        a[col], a[pivot] = a[pivot], a[col]
+        top = a[col]
+        lead = top[col]
+        for row in a[col + 1 :]:
+            factor = row[col]
+            for c in range(col + 1, len(row)):
+                row[c] = (row[c] * lead - factor * top[c]) // prev
+        prev = lead
+    scaled: List[List[int]] = [[] for _ in range(n)]  # det * X, row by row
     for col in range(n - 1, -1, -1):
-        inv = a[col][col]
-        for c in range(len(b[col])):
-            acc = b[col][c]
-            for k in range(col + 1, n):
-                acc -= a[col][k] * b[k][c]
-            b[col][c] = acc / inv
-    return b
+        row = a[col]
+        scaled[col] = [
+            (prev * b - sum(row[k] * scaled[k][c] for k in range(col + 1, n))) // row[col]
+            for c, b in enumerate(row[n:])
+        ]
+    return [[Fraction(y, prev) for y in ys] for ys in scaled]
 
 
 def _grounded_solve(

@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 import admgraph as ag
+from admgraph.bogomolov import MAX_GENUS
 
 F = Fraction
 
@@ -169,6 +170,34 @@ class TestCounts:
         cfg = fiber(["v"], {"v": 2}, [], {"v": "v"}, {})
         counts = ag.count_invariants(cfg)
         assert not counts.any_positive()
+
+    @pytest.mark.parametrize(
+        "genus, xi, delta, delta0",
+        [
+            (5, (1, 0), (0, 0), None),  # xi needs entries for j = 0 .. 2
+            (5, (1, 0, 0), (0,), None),  # delta needs entries for i = 1 .. 2
+            (5, (1, -1, 0), (0, 0), None),
+            (5, (1, 0, 0), (0, -1), None),
+            (5, (1, 1, 0), (0, 0), 1),  # delta0 = 1 + 2 * 1
+        ],
+    )
+    def test_malformed_counts_rejected(self, genus, xi, delta, delta0):
+        with pytest.raises(ag.InvalidCountsError) as err:
+            ag.InvariantCounts(genus, xi, delta, delta0)
+        assert isinstance(err.value, ValueError)
+        assert err.value.code == "invalid-counts"
+
+    def test_genus_cap_checked_before_any_vector_is_built(self):
+        def never():
+            raise AssertionError("vector consumed before the genus check")
+            yield
+
+        for genus in (MAX_GENUS + 1, 10**8):
+            with pytest.raises(ag.GenusRangeError):
+                ag.InvariantCounts(genus, never(), never())
+            with pytest.raises(ag.GenusRangeError):
+                ag.InvariantCounts.from_maps(genus, {0: 1})
+        assert ag.InvariantCounts.from_maps(MAX_GENUS, {0: 1}).xi_j(0) == 1
 
 
 class TestFormulas:

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import admgraph as ag
+from admgraph.bogomolov import MAX_GENUS
 from admgraph.cli import run_command
 from admgraph.documents import (
     document_from,
@@ -220,7 +221,36 @@ class TestCli:
 
     def test_bound_rejects_out_of_range_index(self, capsys):
         # genus 5 allows xi_j only for j <= 2
-        assert run_command(["bound", "--genus", "5", "--xi", "3=1"]) == 2
+        code, out = run(capsys, ["bound", "--genus", "5", "--xi", "3=1"])
+        assert code == 1 and out["error"]["code"] == "invalid-counts"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--genus", "3", "--xi0", "-1"],
+            ["--genus", "5", "--xi", "1=-2"],
+            ["--genus", "5", "--delta", "2=-1"],
+            ["--genus", "5", "--xi=-1=1"],
+            ["--genus", "5", "--delta", "0=1"],
+            ["--genus", "5", "--delta", "3=1"],
+        ],
+    )
+    def test_bound_invalid_counts_is_domain_error(self, capsys, argv):
+        code = run_command(["bound", *argv])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.err == ""
+        assert json.loads(captured.out)["error"]["code"] == "invalid-counts"
+
+    @pytest.mark.parametrize("genus", ["10001", "100000000"])
+    def test_bound_genus_above_cap_is_domain_error(self, capsys, genus):
+        code, out = run(capsys, ["bound", "--genus", genus, "--xi0", "1"])
+        assert code == 1 and out["error"]["code"] == "genus-range"
+
+    def test_bound_genus_cap_bounds(self, capsys):
+        code, out = run(capsys, ["bound", "--genus", str(MAX_GENUS), "--xi0", "1"])
+        assert code == 0 and Fraction(out["r0"]) > 0
+        code, out = run(capsys, ["bound", "--genus", "2", "--xi0", "1"])
+        assert code == 1 and out["error"]["code"] == "genus-below-three"
 
     @pytest.mark.parametrize("genus", ["0", "-1"])
     def test_bound_genus_below_two_is_domain_error(self, capsys, genus):

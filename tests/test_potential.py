@@ -10,9 +10,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import admgraph as ag
 from _oracles import green_values_oracle, tree_resistance
+from admgraph.potential import solve_linear
 
 F = Fraction
 
@@ -34,6 +37,84 @@ def single_edge(length=1):
 
 
 D_PQ = ag.Divisor({"P": 1, "Q": 1})
+
+
+def _reference_solve(matrix, rhs):
+    """Plain rational Gaussian elimination with first-nonzero pivoting: the
+    reference the fraction-free solve_linear must reproduce exactly."""
+    n = len(matrix)
+    a = [row[:] for row in matrix]
+    b = [row[:] for row in rhs]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if pivot is None:
+            raise ag.SolverFaultError("singular linear system")
+        a[col], a[pivot] = a[pivot], a[col]
+        b[col], b[pivot] = b[pivot], b[col]
+        for r in range(col + 1, n):
+            factor = a[r][col] / a[col][col]
+            for c in range(col, n):
+                a[r][c] -= factor * a[col][c]
+            for c in range(len(b[r])):
+                b[r][c] -= factor * b[col][c]
+    for col in range(n - 1, -1, -1):
+        for c in range(len(b[col])):
+            acc = b[col][c] - sum(a[col][k] * b[k][c] for k in range(col + 1, n))
+            b[col][c] = acc / a[col][col]
+    return b
+
+
+# zeros are frequent, so leading entries vanish and rows get swapped; the
+# last choice gives denominators up to 10^30
+RATIONALS = st.one_of(
+    st.just(F(0)),
+    st.fractions(min_value=-9, max_value=9, max_denominator=12),
+    st.builds(F, st.integers(-(10**12), 10**12), st.integers(1, 10**30)),
+)
+
+
+@st.composite
+def linear_systems(draw):
+    n = draw(st.integers(1, 6))
+    width = draw(st.integers(1, 4))
+    matrix = draw(st.lists(st.lists(RATIONALS, min_size=n, max_size=n), min_size=n, max_size=n))
+    rhs = draw(st.lists(st.lists(RATIONALS, min_size=width, max_size=width), min_size=n, max_size=n))
+    return matrix, rhs
+
+
+class TestSolveLinear:
+    @settings(max_examples=200, deadline=None)
+    @given(linear_systems())
+    def test_matches_rational_elimination(self, system):
+        matrix, rhs = system
+        try:
+            expected = _reference_solve(matrix, rhs)
+        except ag.SolverFaultError:
+            with pytest.raises(ag.SolverFaultError):
+                solve_linear(matrix, rhs)
+            return
+        assert solve_linear(matrix, rhs) == expected
+
+    def test_zero_leading_entries_swap_rows(self):
+        matrix = [[F(0), F(0), F(2)], [F(0), F(3, 7), F(1)], [F(5, 2), F(1), F(0)]]
+        rhs = [[F(1), F(0)], [F(0), F(1, 10**20)], [F(-1, 3), F(4)]]
+        x = solve_linear(matrix, rhs)
+        assert x == _reference_solve(matrix, rhs)
+        for i in range(3):
+            for c in range(2):
+                assert sum(matrix[i][k] * x[k][c] for k in range(3)) == rhs[i][c]
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            [[F(0)]],
+            [[F(1, 2), F(1, 3)], [F(3, 2), F(1)]],
+            [[F(0), F(1), F(2)], [F(0), F(3), F(4)], [F(0), F(5), F(7, 9)]],
+        ],
+    )
+    def test_singular_raises(self, matrix):
+        with pytest.raises(ag.SolverFaultError, match="singular linear system"):
+            solve_linear(matrix, [[F(1)] for _ in matrix])
 
 
 class TestResistance:
