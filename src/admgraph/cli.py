@@ -3,7 +3,8 @@
 One batch tool over JSON graph documents; every number in the output is an
 exact rational string.  Exit codes: 0 success, 1 domain error (reported as
 {"error": {"code", "message"}} on stdout), 2 usage error (bad arguments,
-unreadable file).
+unreadable file).  Every invocation prints exactly one JSON object; -h and
+--help print {"help": text} and exit 0.
 """
 
 from __future__ import annotations
@@ -25,9 +26,16 @@ class _UsageError(Exception):
     pass
 
 
+class _HelpRequested(Exception):
+    pass
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
+
+    def print_help(self, file=None):
+        raise _HelpRequested(self.format_help())
 
 
 def _build_parser() -> _Parser:
@@ -282,6 +290,9 @@ def run_command(argv) -> int:
     try:
         args = parser.parse_args(argv)
         result = _run(args)
+    except _HelpRequested as exc:
+        print(json.dumps({"help": str(exc)}))
+        return 0
     except _UsageError as exc:
         print(json.dumps({"error": {"code": "usage", "message": str(exc)}}), file=sys.stderr)
         return 2

@@ -11,6 +11,10 @@ solver fixes all sign conventions by *requiring* these properties of its
 output: on each edge g'' equals the measure's density, at each vertex the
 outgoing slopes sum to mu({v}) - [v = source], and every property is
 asserted post-hoc (a violation raises SolverFaultError, never returns).
+The Green self-checks (flux at every vertex, the integral, symmetry and
+constancy) run in integers: every slice g(x, .) is kept as integer vertex
+values over one common denominator from the solve to the public boundary,
+and Fractions are built only for returned values.
 
 One linear system serves everything: the weighted Laplacian with the last
 vertex grounded (its row and column removed), solved for current-injection
@@ -30,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, Iterable, List, Mapping, Tuple
 
 from .errors import (
     ArcLengthRangeError,
@@ -267,15 +271,28 @@ class PiecewisePotential:
         return total
 
 
-def _green_vertex_values(
+def _denominator_lcm(*groups: Iterable[Fraction]) -> int:
+    """The lcm of the denominators of all the fractions in the groups."""
+    return lcm(*(x.denominator for xs in groups for x in xs))
+
+
+def _scaled(xs: Iterable[Fraction], scale: int) -> List[int]:
+    """x * scale for each x; scale must be a multiple of every denominator."""
+    return [x.numerator * (scale // x.denominator) for x in xs]
+
+
+def _green_values(
     g: MetrizedGraph, mu: Measure, sources: Tuple[str, ...]
-) -> Dict[str, Dict[str, Fraction]]:
-    """Vertex values of g(source, .) for several sources in one elimination.
+) -> Tuple[int, Dict[str, Dict[str, int]]]:
+    """Vertex values of g(source, .) for several sources in one elimination,
+    as integers over one common denominator n: g(source, v) = X / n.
 
     weights[v], mu({v}) plus half of density * length per incident edge, is
     the constant flux at v and the coefficient of g(source, v) in the
     integral against mu; the weights sum to mu's mass 1, so shifting a
-    grounded solution by a constant shifts its integral by the same.
+    grounded solution by a constant shifts its integral by the same.  With d
+    the lcm of the solution denominators and w that of the weights and the
+    constant term, n = d * w and the shift is exact integer arithmetic.
     """
     weights = {v: mu.mass_at(v) for v in g.vertices}
     const = ZERO  # the part of the integral not linear in the vertex values
@@ -290,44 +307,85 @@ def _green_vertex_values(
     columns = [
         {v: (ONE if v == src else ZERO) - w for v, w in weights.items()} for src in sources
     ]
-    out: Dict[str, Dict[str, Fraction]] = {}
-    for src, values in zip(sources, _grounded_solve(g, columns)):
-        shift = -const - sum((weights[v] * x for v, x in values.items()), ZERO)
-        out[src] = {v: x + shift for v, x in values.items()}
-    return out
+    solved = _grounded_solve(g, columns)
+    d = _denominator_lcm(*(values.values() for values in solved))
+    w = _denominator_lcm([const], weights.values())
+    int_const, *int_weights = _scaled([const, *weights.values()], w)
+    out: Dict[str, Dict[str, int]] = {}
+    for src, values in zip(sources, solved):
+        xs = _scaled(values.values(), d)
+        shift = -int_const * d - sum(a * x for a, x in zip(int_weights, xs))
+        out[src] = {v: x * w + shift for v, x in zip(values, xs)}
+    return d * w, out
 
 
-def _build_potential(
-    g: MetrizedGraph, mu: Measure, source: str, values: Mapping[str, Fraction]
-) -> PiecewisePotential:
-    second = {}
-    slopes = {}
-    for e in g.edges:
-        dens = mu.density_on(e.id)
-        u, w = e.ends
-        second[e.id] = dens
-        slopes[e.id] = (values[w] - values[u]) / e.length - dens * e.length / 2
-    pot = PiecewisePotential(g, source, dict(values), second, slopes)
-    _assert_green_properties(g, mu, pot)
-    return pot
+def _assert_green_values(
+    g: MetrizedGraph, mu: Measure, n: int, slices: Mapping[str, Mapping[str, int]]
+) -> None:
+    """Certify slices g(source, v) = X / n of a Green's function, in integers.
+
+    Computed from the values alone.  On edge (u, w) of length l and density
+    rho the slope at u is beta = (X_w - X_u) / (n l) - rho l / 2.  The
+    outgoing slopes at every vertex, the grounded one included, must sum to
+    mu({v}) - [v = source], and the integral against mu,
+    sum m_v X_v / n + sum rho (rho l^3 / 6 + beta l^2 / 2 + X_u l / n),
+    must vanish; violations are internal faults.  Flux is scaled by k n and
+    the integral by j n, with k and j the lcms of their coefficients'
+    denominators, so each slice costs O(V + E) integer multiply-adds.
+    """
+    order = g.vertices
+    index = {v: i for i, v in enumerate(order)}
+    masses = [mu.mass_at(v) for v in order]
+    lengths = [e.length for e in g.edges]
+    rho = [mu.density_on(e.id) for e in g.edges]
+    conductances = [ONE / l for l in lengths]
+    halves = [r * l / 2 for r, l in zip(rho, lengths)]
+    k = _denominator_lcm(masses, conductances, halves)
+    # the integral's slope term takes beta * k * n as the flux computes it
+    slope_terms = [r * l * l / (2 * k) for r, l in zip(rho, lengths)]
+    value_terms = [r * l for r, l in zip(rho, lengths)]
+    const = sum((r * r * l**3 / 6 for r, l in zip(rho, lengths)), ZERO)
+    j = _denominator_lcm([const], masses, slope_terms, value_terms)
+    k_masses = _scaled(masses, k)
+    j_const, *j_masses = _scaled([const, *masses], j)
+    edges = [
+        (index[e.ends[0]], index[e.ends[1]], c, n * h, 2 * n * h, p, q)
+        for e, c, h, p, q in zip(
+            g.edges,
+            _scaled(conductances, k),
+            _scaled(halves, k),
+            _scaled(slope_terms, j),
+            _scaled(value_terms, j),
+        )
+    ]
+    for src, values in slices.items():
+        x = [values[v] for v in order]
+        excess = [-n * a for a in k_masses]  # k n (flux - mu({v}) + [v = source])
+        excess[index[src]] += k * n
+        total = n * j_const + sum(a * y for a, y in zip(j_masses, x))  # j n integral
+        for iu, iw, c, nh, n2h, p, q in edges:
+            xu = x[iu]
+            beta = (x[iw] - xu) * c - nh  # k n beta
+            excess[iu] += beta
+            excess[iw] -= n2h + beta
+            total += p * beta + q * xu
+        for v, off in zip(order, excess):
+            if off:
+                raise SolverFaultError(f"flux balance fails at {v!r}")
+        if total:
+            raise SolverFaultError("integral of g against mu is nonzero")
 
 
-def _assert_green_properties(g: MetrizedGraph, mu: Measure, pot: PiecewisePotential) -> None:
-    # Laplacian property at every vertex (including the row dropped by the
-    # solver) and the vanishing integral; violations are internal faults.
-    flux = {v: ZERO for v in g.vertices}
-    for e in g.edges:
-        u, w = e.ends
-        beta = pot.slopes_at_start[e.id]
-        dens = pot.second_derivatives[e.id]
-        flux[u] += beta
-        flux[w] += -(dens * e.length + beta)
-    for v in g.vertices:
-        expected = mu.mass_at(v) - (ONE if v == pot.source else ZERO)
-        if flux[v] != expected:
-            raise SolverFaultError(f"flux balance fails at {v!r}")
-    if pot.integral_against(mu) != 0:
-        raise SolverFaultError("integral of g against mu is nonzero")
+def _checked_green_matrix(g: MetrizedGraph, d: Divisor) -> Tuple[int, Dict[str, Dict[str, int]]]:
+    """Every slice g(x, .) as integers over one denominator, certified and
+    checked to be exactly symmetric."""
+    g.require_analytic()
+    mu = admissible_measure(g, d)
+    n, values = _green_values(g, mu, g.vertices)
+    _assert_green_values(g, mu, n, values)
+    if any(values[x][y] != values[y][x] for x in g.vertices for y in g.vertices):
+        raise SolverFaultError("Green matrix is not symmetric")
+    return n, values
 
 
 def green_function(g: MetrizedGraph, d: Divisor, source: str) -> PiecewisePotential:
@@ -335,8 +393,15 @@ def green_function(g: MetrizedGraph, d: Divisor, source: str) -> PiecewisePotent
     g.require_vertex(source)
     g.require_analytic()
     mu = admissible_measure(g, d)
-    values = _green_vertex_values(g, mu, (source,))[source]
-    return _build_potential(g, mu, source, values)
+    n, slices = _green_values(g, mu, (source,))
+    _assert_green_values(g, mu, n, slices)
+    values = {v: Fraction(x, n) for v, x in slices[source].items()}
+    second = {e.id: mu.density_on(e.id) for e in g.edges}
+    slopes = {
+        e.id: (values[e.ends[1]] - values[e.ends[0]]) / e.length - second[e.id] * e.length / 2
+        for e in g.edges
+    }
+    return PiecewisePotential(g, source, values, second, slopes)
 
 
 def green_pairing(g: MetrizedGraph, d: Divisor, p: str, q: str) -> Fraction:
@@ -348,16 +413,8 @@ def green_pairing(g: MetrizedGraph, d: Divisor, p: str, q: str) -> Fraction:
 def green_matrix(g: MetrizedGraph, d: Divisor) -> Dict[str, Dict[str, Fraction]]:
     """All vertex pair values g(x, y) from a single elimination; the matrix
     is checked to be exactly symmetric."""
-    g.require_analytic()
-    mu = admissible_measure(g, d)
-    values = _green_vertex_values(g, mu, g.vertices)
-    for src in g.vertices:
-        _build_potential(g, mu, src, values[src])
-    for x in g.vertices:
-        for y in g.vertices:
-            if values[x][y] != values[y][x]:
-                raise SolverFaultError("Green matrix is not symmetric")
-    return values
+    n, values = _checked_green_matrix(g, d)
+    return {x: {y: Fraction(v, n) for y, v in row.items()} for x, row in values.items()}
 
 
 def epsilon_numeric(g: MetrizedGraph, d: Divisor) -> Tuple[Fraction, Fraction]:
@@ -372,16 +429,15 @@ def epsilon_numeric(g: MetrizedGraph, d: Divisor) -> Tuple[Fraction, Fraction]:
         raise DegreeMinusTwoError("admissible constant undefined for deg(D) = -2")
     for v in d.support():
         g.require_vertex(v)
-    values = green_matrix(g, d)
-    cs = []
-    for y in g.vertices:
-        g_d_y = sum((a * values[x][y] for x, a in d.coefficients.items()), ZERO)
-        cs.append(g_d_y + values[y][y])
-    c = cs[0]
-    if any(x != c for x in cs):
+    n, values = _checked_green_matrix(g, d)
+    # D scaled to integer coefficients a, so s n c = sum_x a_x X[x][y] + s X[y][y]
+    s = _denominator_lcm(d.coefficients.values())
+    a = dict(zip(d.coefficients, _scaled(d.coefficients.values(), s)))
+    cs = [sum(b * values[x][y] for x, b in a.items()) + s * values[y][y] for y in g.vertices]
+    if any(x != cs[0] for x in cs):
         raise ConstancyViolationError("g(D,y) + g(y,y) differs between vertices")
-    g_d_d = ZERO
-    for x, a in d.coefficients.items():
-        for y, b in d.coefficients.items():
-            g_d_d += a * b * values[x][y]
+    c = Fraction(cs[0], s * n)
+    g_d_d = Fraction(
+        sum(b * b2 * values[x][y] for x, b in a.items() for y, b2 in a.items()), s * s * n
+    )
     return 2 * deg * c - g_d_d, c

@@ -64,9 +64,27 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(num, den)
 
 
+_CHUNK_DIGITS = 1000
+_CHUNK = 10**_CHUNK_DIGITS
+
+
+def _decimal(n: int) -> str:
+    """str(n) for an int of any size.  CPython refuses str() of ints longer
+    than sys.get_int_max_str_digits() (4300 by default), so long ones are
+    written in chunks of _CHUNK_DIGITS digits."""
+    if -_CHUNK < n < _CHUNK:
+        return str(n)
+    rest, chunks = abs(n), []
+    while rest >= _CHUNK:
+        rest, low = divmod(rest, _CHUNK)
+        chunks.append(str(low).zfill(_CHUNK_DIGITS))
+    return ("-" if n < 0 else "") + str(rest) + "".join(reversed(chunks))
+
+
 def format_rational(value: Fraction) -> str:
-    """Canonical string form: "p" for integers, "p/q" otherwise."""
+    """Canonical string form: "p" for integers, "p/q" otherwise; exact at
+    any size."""
     value = Fraction(value)
     if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+        return _decimal(value.numerator)
+    return f"{_decimal(value.numerator)}/{_decimal(value.denominator)}"

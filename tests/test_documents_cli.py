@@ -98,6 +98,14 @@ class TestSerialize:
         text = serialize_document(document_from(h.graph, h.involution))
         assert "0.3" not in text and "e-0" not in text
 
+    def test_format_rational_past_the_int_string_limit(self):
+        # str(int) refuses more than 4300 digits by default
+        n = 10**5000 + 7
+        assert ag.format_rational(n) == "1" + "0" * 4999 + "7"
+        assert ag.format_rational(Fraction(-n, 3)) == "-1" + "0" * 4999 + "7/3"
+        assert ag.format_rational(Fraction(3, 5 * 10**4500)) == "3/5" + "0" * 4500
+        assert ag.format_rational(Fraction(-123, 7)) == "-123/7"
+
     def test_polynomial_serialization_order(self):
         h = ag.elementary_graph(2)
         terms = serialize_polynomial(ag.l_polynomial(h))
@@ -131,6 +139,12 @@ def run(capsys, argv):
 
 
 class TestCli:
+    @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["epsilon", "--help"], ["bound", "-h"]])
+    def test_help_is_one_json_object(self, capsys, argv):
+        code, out = run(capsys, argv)
+        assert code == 0
+        assert list(out) == ["help"] and out["help"].startswith("usage: admgraph")
+
     def test_epsilon(self, capsys, sg_file):
         code, out = run(capsys, ["epsilon", sg_file])
         assert code == 0

@@ -7,6 +7,7 @@ independent oracles in _oracles.py.
 """
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,8 @@ from hypothesis import strategies as st
 
 import admgraph as ag
 from _oracles import green_values_oracle, tree_resistance
-from admgraph.potential import solve_linear
+from admgraph import potential
+from admgraph.potential import _assert_green_values, _green_values, solve_linear
 
 F = Fraction
 
@@ -115,6 +117,123 @@ class TestSolveLinear:
     def test_singular_raises(self, matrix):
         with pytest.raises(ag.SolverFaultError, match="singular linear system"):
             solve_linear(matrix, [[F(1)] for _ in matrix])
+
+
+def _reference_green_check(g, mu, source, values):
+    """The Green self-check in Fractions: slopes from the vertex values, flux
+    balance at every vertex, then the integral against mu.  The integer
+    checker in potential must raise exactly when this does, with the same
+    message."""
+    second = {e.id: mu.density_on(e.id) for e in g.edges}
+    slopes = {
+        e.id: (values[e.ends[1]] - values[e.ends[0]]) / e.length - second[e.id] * e.length / 2
+        for e in g.edges
+    }
+    pot = ag.PiecewisePotential(g, source, dict(values), second, slopes)
+    flux = {v: F(0) for v in g.vertices}
+    for e in g.edges:
+        u, w = e.ends
+        flux[u] += slopes[e.id]
+        flux[w] += -(second[e.id] * e.length + slopes[e.id])
+    for v in g.vertices:
+        if flux[v] != mu.mass_at(v) - (1 if v == source else 0):
+            raise ag.SolverFaultError(f"flux balance fails at {v!r}")
+    if pot.integral_against(mu) != 0:
+        raise ag.SolverFaultError("integral of g against mu is nonzero")
+
+
+@pytest.fixture(scope="module")
+def green_cases(corpus):
+    """(graph, admissible measure, n, integer slices) for small corpus graphs."""
+    cases = []
+    for k, h in enumerate(corpus):
+        g = h.graph
+        if len(g.edges) > 12:
+            continue
+        mu = ag.admissible_measure(g, ag.random_polarization(h, 500 + k))
+        n, slices = _green_values(g, mu, g.vertices)
+        cases.append((g, mu, n, slices))
+    return cases
+
+
+def _shifted(n, values, t):
+    """(n', values') representing values / n + t."""
+    return n * t.denominator, {v: x * t.denominator + t.numerator * n for v, x in values.items()}
+
+
+def _assert_checks_agree(g, mu, source, n, values):
+    try:
+        _reference_green_check(g, mu, source, {v: F(x, n) for v, x in values.items()})
+    except ag.SolverFaultError as err:
+        with pytest.raises(ag.SolverFaultError, match=re.escape(str(err))):
+            _assert_green_values(g, mu, n, {source: values})
+        return False
+    _assert_green_values(g, mu, n, {source: values})
+    return True
+
+
+NONZERO = st.fractions(min_value=-5, max_value=5, max_denominator=50).filter(lambda t: t != 0)
+
+
+class TestGreenCheck:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_integer_check_agrees_with_reference(self, green_cases, data):
+        g, mu, n, slices = data.draw(st.sampled_from(green_cases))
+        source = data.draw(st.sampled_from(g.vertices))
+        values = slices[source]
+        kind = data.draw(st.sampled_from(["none", "entry", "shift", "grounded mass"]))
+        if kind == "entry":
+            # g(source, v) + sign/k; the grounded last vertex is drawn too
+            v = data.draw(st.sampled_from(g.vertices))
+            k = data.draw(st.integers(1, 10**6))
+            sign = data.draw(st.sampled_from([1, -1]))
+            n, values = n * k, {u: x * k for u, x in values.items()}
+            values[v] += sign * n
+        elif kind == "shift":
+            n, values = _shifted(n, values, data.draw(NONZERO))
+        elif kind == "grounded mass":
+            # extra mass at the grounded vertex, the slice re-centred so its
+            # integral still vanishes: only that vertex's flux can tell
+            last = g.vertices[-1]
+            delta = data.draw(NONZERO.filter(lambda t: t != -1))
+            masses = dict(mu.vertex_masses)
+            masses[last] = mu.mass_at(last) + delta
+            mu = ag.Measure(masses, mu.edge_densities)
+            n, values = _shifted(n, values, -delta * F(values[last], n) / (1 + delta))
+        assert _assert_checks_agree(g, mu, source, n, values) == (kind == "none")
+
+    def test_each_kind_is_caught_by_its_check(self, green_cases):
+        for g, mu, n, slices in green_cases:
+            source, last = g.vertices[0], g.vertices[-1]
+            moved = dict(slices[source])
+            moved[last] += 1
+            with pytest.raises(ag.SolverFaultError, match="flux balance"):
+                _assert_green_values(g, mu, n, {source: moved})
+            shifted = {v: x + 1 for v, x in slices[source].items()}
+            with pytest.raises(ag.SolverFaultError, match="integral"):
+                _assert_green_values(g, mu, n, {source: shifted})
+            masses = dict(mu.vertex_masses)
+            masses[last] = mu.mass_at(last) + 1
+            heavier = ag.Measure(masses, mu.edge_densities)
+            n2, recentred = _shifted(n, slices[source], -F(slices[source][last], 2 * n))
+            with pytest.raises(ag.SolverFaultError, match=re.escape(f"flux balance fails at {last!r}")):
+                _assert_green_values(g, heavier, n2, {source: recentred})
+
+    def test_corrupted_matrix_entry_raises(self, monkeypatch):
+        h = ag.ladder_graph(6)
+        g, d = h.graph, ag.random_polarization(h, 6)
+        n, slices = _green_values(g, ag.admissible_measure(g, d), g.vertices)
+        rng = random.Random(6)
+        for _ in range(40):
+            x, y = rng.choice(g.vertices), rng.choice(g.vertices)
+            bad = {s: dict(row) for s, row in slices.items()}
+            bad[x][y] += rng.choice([-1, 1]) * rng.randint(1, n)
+            monkeypatch.setattr(potential, "_green_values", lambda *args: (n, bad))
+            with pytest.raises(ag.SolverFaultError):
+                ag.green_matrix(g, d)
+            with pytest.raises(ag.SolverFaultError):
+                ag.epsilon_numeric(g, d)
 
 
 class TestResistance:
