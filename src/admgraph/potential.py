@@ -11,30 +11,32 @@ solver fixes all sign conventions by *requiring* these properties of its
 output: on each edge g'' equals the measure's density, at each vertex the
 outgoing slopes sum to mu({v}) - [v = source], and every property is
 asserted post-hoc (a violation raises SolverFaultError, never returns).
-The Green self-checks (flux at every vertex, the integral, symmetry and
-constancy) run in integers: every slice g(x, .) is kept as integer vertex
-values over one common denominator from the solve to the public boundary,
-and Fractions are built only for returned values.
 
-One linear system serves everything: the weighted Laplacian with the last
-vertex grounded (its row and column removed), solved for current-injection
-columns.  Cross resistances and the canonical density come from the
-resistance across each edge.  On an edge of length l, at arc
-length s from its first end, g(s) = (density/2) s^2 + beta s + g(start), so
-the only unknowns are the vertex values: flux balance is a grounded solve,
-and a constant shift then makes the integral against mu vanish.
-Everything is solved by fraction-free (Bareiss) elimination in integers
-with first-nonzero pivoting: each row is scaled to integers, every division
-is exact, and Fractions appear only in the solution (no tolerances exist;
-arithmetic is exact).
+One factorization per graph serves everything.  The weighted Laplacian L
+(conductance 1/length) with the last vertex grounded (its row and column
+removed) is scaled to integers by one global scale S, the lcm of the length
+numerators, and K = S L is eliminated once, fraction-free (Bareiss, every
+division exact, first-nonzero pivoting), against the identity: that gives
+Y = det K^-1 in integers, so L^-1 = S Y / det.  The resistance across each
+edge, the canonical and admissible measures (as integers over one
+denominator) and every Green slice are read off Y; effective and cross
+resistance eliminate against e_p - e_q columns instead.  On an edge of
+length l, at arc length s from its first end, g(s) = (density/2) s^2 +
+beta s + g(start), so the only unknowns are the vertex values: flux balance
+is a grounded solve, and a constant shift then makes the integral against
+mu vanish.  Every slice g(x, .) is kept as integer vertex values over one
+common denominator up to the public boundary, the self-checks (both masses,
+flux at every vertex, the integral, symmetry and constancy) run in
+integers, and Fractions are built only for returned values (no tolerances
+exist; arithmetic is exact).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from typing import Dict, Iterable, List, Mapping, Tuple
+from math import gcd, lcm
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple
 
 from .errors import (
     ArcLengthRangeError,
@@ -47,79 +49,122 @@ from .graph import Divisor, MetrizedGraph
 from .rationals import INFINITY, as_fraction
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
+
+# (S, det, Y) from _factor: L^-1 = S Y / det for the grounded Laplacian L
+_Factorization = Tuple[int, int, List[List[int]]]
+
+
+def _denominator_lcm(*groups: Iterable[Fraction]) -> int:
+    """The lcm of the denominators of all the fractions in the groups."""
+    return lcm(*(x.denominator for xs in groups for x in xs))
+
+
+def _scaled(xs: Iterable[Fraction], scale: int) -> List[int]:
+    """x * scale for each x; scale must be a multiple of every denominator."""
+    return [x.numerator * (scale // x.denominator) for x in xs]
+
+
+def _eliminate(a: List[List[int]], b: List[List[int]]) -> Tuple[int, List[List[int]]]:
+    """Solve a Y = det * b in integers for square a; b holds one column per
+    solve.  Returns (det, Y).
+
+    Fraction-free (Bareiss) elimination: forward elimination divides exactly
+    by the previous pivot, so the last pivot is the determinant det of the
+    row-swapped a.  Back-substitution then yields Y = det * a^-1 b in
+    integers (each division is exact by Cramer's rule).  Pivot = first row
+    with a nonzero entry in column order, so the elimination path is
+    deterministic.
+    """
+    n = len(a)
+    rows = [ar + br for ar, br in zip(a, b)]
+    prev = 1
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if rows[r][col]), None)
+        if pivot is None:
+            raise SolverFaultError("singular linear system")
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        top = rows[col]
+        lead = top[col]
+        for row in rows[col + 1 :]:
+            factor = row[col]
+            for c in range(col + 1, len(row)):
+                row[c] = (row[c] * lead - factor * top[c]) // prev
+        prev = lead
+    y: List[List[int]] = [[] for _ in range(n)]
+    for col in range(n - 1, -1, -1):
+        row = rows[col]
+        y[col] = [
+            (prev * v - sum(row[k] * y[k][c] for k in range(col + 1, n))) // row[col]
+            for c, v in enumerate(row[n:])
+        ]
+    return prev, y
 
 
 def solve_linear(matrix: List[List[Fraction]], rhs: List[List[Fraction]]) -> List[List[Fraction]]:
     """Solve A X = B exactly for square A; B holds one column per solve.
 
-    Fraction-free (Bareiss) elimination in Python ints.  Each row of [A | B]
-    is scaled to integers by the lcm of its denominators, which leaves X
-    unchanged.  Forward elimination divides exactly by the previous pivot,
-    so the last pivot is the determinant det of the scaled, row-swapped A.
-    Back-substitution then yields det * X in integers (each division is
-    exact by Cramer's rule), and Fractions are built only at the end.
-    Pivot = first row with a nonzero entry in column order, so the
-    elimination path is deterministic.
+    Each row of [A | B] is scaled to integers by the lcm of its
+    denominators, which leaves X unchanged; the integer elimination gives
+    det * X, and Fractions are built only at the end.
     """
     n = len(matrix)
-    a = []
+    a, b = [], []
     for row in (list(ar) + list(br) for ar, br in zip(matrix, rhs)):
-        scale = lcm(*(x.denominator for x in row))
-        a.append([x.numerator * (scale // x.denominator) for x in row])
-    prev = 1
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col]), None)
-        if pivot is None:
-            raise SolverFaultError("singular linear system")
-        a[col], a[pivot] = a[pivot], a[col]
-        top = a[col]
-        lead = top[col]
-        for row in a[col + 1 :]:
-            factor = row[col]
-            for c in range(col + 1, len(row)):
-                row[c] = (row[c] * lead - factor * top[c]) // prev
-        prev = lead
-    scaled: List[List[int]] = [[] for _ in range(n)]  # det * X, row by row
-    for col in range(n - 1, -1, -1):
-        row = a[col]
-        scaled[col] = [
-            (prev * b - sum(row[k] * scaled[k][c] for k in range(col + 1, n))) // row[col]
-            for c, b in enumerate(row[n:])
-        ]
-    return [[Fraction(y, prev) for y in ys] for ys in scaled]
+        ints = _scaled(row, lcm(*(x.denominator for x in row)))
+        a.append(ints[:n])
+        b.append(ints[n:])
+    det, y = _eliminate(a, b)
+    return [[Fraction(v, det) for v in ys] for ys in y]
 
 
-def _grounded_solve(
-    g: MetrizedGraph, columns: List[Mapping[str, Fraction]]
-) -> List[Dict[str, Fraction]]:
-    """Vertex potentials for current injections, in one elimination.
+def _factor(g: MetrizedGraph, pairs: Optional[List[Tuple[str, str]]] = None) -> _Factorization:
+    """(S, det, Y) from one elimination of the grounded Laplacian.
 
-    Each column maps vertices to injected current and must sum to zero.  The
-    weighted Laplacian (conductance 1/length) is solved with the last vertex
-    grounded: its row and column are removed and its potential is 0.
+    K = S L is the weighted Laplacian (conductance 1/length) scaled to
+    integers by S, the lcm of the length numerators, with the last vertex
+    grounded (its row and column removed).  K Y = det B, where B is the
+    identity, or the column e_p - e_q for each pair when pairs are given;
+    det and Y are the elimination's determinant and det K^-1 B divided by
+    their common factor, which is large when the lengths are.  Y has a row
+    per vertex, the grounded one 0; with B the identity it also has a
+    column per vertex, the grounded one 0.  So L^-1 = S Y / det.
     """
     order = g.vertices
     n = len(order) - 1
     index = {v: i for i, v in enumerate(order)}
-    lap = [[ZERO] * n for _ in range(n)]
+    scale = lcm(*(e.length.numerator for e in g.edges))
+    k = [[0] * n for _ in range(n)]
     for e in g.edges:
-        c = ONE / e.length
+        c = e.length.denominator * (scale // e.length.numerator)
         iu, iw = index[e.ends[0]], index[e.ends[1]]
         for a, b in ((iu, iw), (iw, iu)):
             if a < n:
-                lap[a][a] += c
+                k[a][a] += c
                 if b < n:
-                    lap[a][b] -= c
-    rhs = [[col.get(v, ZERO) for col in columns] for v in order[:n]]
-    x = solve_linear(lap, rhs) + [[ZERO] * len(columns)]
-    return [{v: x[i][j] for i, v in enumerate(order)} for j in range(len(columns))]
+                    k[a][b] -= c
+    if pairs is None:
+        columns = [[int(i == j) for j in range(n)] for i in range(n)]
+    else:
+        columns = [[(v == p) - (v == q) for p, q in pairs] for v in order[:n]]
+    det, y = _eliminate(k, columns)
+    common = gcd(det, *(x for row in y for x in row))
+    if common > 1:
+        det //= common
+        y = [[x // common for x in row] for row in y]
+    if pairs is None:
+        y = [row + [0] for row in y] + [[0] * (n + 1)]
+    else:
+        y.append([0] * len(pairs))
+    return scale, det, y
 
 
 def _resistances(g: MetrizedGraph, pairs: List[Tuple[str, str]]) -> List[Fraction]:
     """Effective resistance between each pair of distinct vertices."""
-    potentials = _grounded_solve(g, [{p: ONE, q: -ONE} for p, q in pairs])
-    return [x[p] - x[q] for x, (p, q) in zip(potentials, pairs)]
+    scale, det, y = _factor(g, pairs)
+    index = {v: i for i, v in enumerate(g.vertices)}
+    return [
+        Fraction(scale * (y[index[p]][j] - y[index[q]][j]), det) for j, (p, q) in enumerate(pairs)
+    ]
 
 
 def effective_resistance(g: MetrizedGraph, p: str, q: str) -> Fraction:
@@ -189,18 +234,77 @@ class Measure:
         ) == nonzero(other.edge_densities)
 
 
+class _Weights(NamedTuple):
+    """A measure as integers over one denominator: mu({v}) = masses[i] / den
+    for the i-th vertex, and the mass density * length on the j-th edge is
+    edge_masses[j] / den (vertex and edge order of the graph)."""
+
+    den: int
+    masses: List[int]
+    edge_masses: List[int]
+
+
+def _require_polarization(g: MetrizedGraph, d: Divisor) -> None:
+    if d.degree == -2:
+        raise DegreeMinusTwoError("admissible measure undefined for deg(D) = -2")
+    for v in d.support():
+        g.require_vertex(v)
+
+
+def _weights(g: MetrizedGraph, fac: _Factorization, d: Divisor) -> _Weights:
+    """The admissible measure (delta_D + 2 * canonical) / (deg D + 2) in
+    integers; D = 0 gives the canonical measure.
+
+    The canonical measure has mass 1 - valence/2 at each vertex and, with R
+    the resistance across an edge of length l, density (l - R) / l^2, so
+    mass density * length = 1 - R / l = (det - c r) / det on the edge, where
+    c = S / l is its scaled conductance and r = Y_uu + Y_ww - 2 Y_uw.  Both
+    measures are checked to have total mass exactly 1.
+    """
+    scale, det, y = fac
+    index = {v: i for i, v in enumerate(g.vertices)}
+    twice = [2 * det] * len(index)  # 2 det (1 - valence/2) at each vertex
+    edge_masses = []
+    for e in g.edges:
+        iu, iw = index[e.ends[0]], index[e.ends[1]]
+        twice[iu] -= det
+        twice[iw] -= det
+        r = y[iu][iu] + y[iw][iw] - 2 * y[iu][iw]
+        edge_masses.append(det - e.length.denominator * (scale // e.length.numerator) * r)
+    if sum(twice) + 2 * sum(edge_masses) != 2 * det:
+        raise SolverFaultError("canonical measure mass != 1")
+    # D = a / s with integer a: mu({v}) = (a_v det + s twice_v) / ((sum a + 2 s) det)
+    s = _denominator_lcm(d.coefficients.values())
+    a = [0] * len(index)
+    for v, x in d.coefficients.items():
+        a[index[v]] = x.numerator * (s // x.denominator)
+    den = (sum(a) + 2 * s) * det
+    masses = [x * det + s * t for x, t in zip(a, twice)]
+    edge_masses = [2 * s * t for t in edge_masses]
+    common = gcd(den, *masses, *edge_masses)
+    if den < 0:
+        common = -common
+    mu = _Weights(den // common, [x // common for x in masses], [x // common for x in edge_masses])
+    if sum(mu.masses) + sum(mu.edge_masses) != mu.den:
+        raise SolverFaultError("admissible measure mass != 1")
+    return mu
+
+
+def _measure(g: MetrizedGraph, mu: _Weights) -> Measure:
+    return Measure(
+        {v: Fraction(m, mu.den) for v, m in zip(g.vertices, mu.masses)},
+        {
+            e.id: Fraction(t * e.length.denominator, mu.den * e.length.numerator)
+            for e, t in zip(g.edges, mu.edge_masses)
+        },
+    )
+
+
 def canonical_measure(g: MetrizedGraph) -> Measure:
     """Mass 1 - valence/2 at each vertex, density 1/(l_e + r_e) on each edge
     (0 on bridges, the r_e -> infinity limit).  Total mass is exactly 1."""
     g.require_analytic()
-    masses = {v: ONE - Fraction(g.valence(v), 2) for v in g.vertices}
-    # 1/(l + r) with r = l R / (l - R) is (l - R) / l^2, which is 0 on bridges
-    resistances = _resistances(g, [e.ends for e in g.edges])
-    densities = {e.id: (e.length - r) / e.length**2 for e, r in zip(g.edges, resistances)}
-    mu = Measure(masses, densities)
-    if mu.total_mass(g) != 1:
-        raise SolverFaultError("canonical measure mass != 1")
-    return mu
+    return _measure(g, _weights(g, _factor(g), Divisor()))
 
 
 def admissible_measure(g: MetrizedGraph, d: Divisor) -> Measure:
@@ -209,19 +313,9 @@ def admissible_measure(g: MetrizedGraph, d: Divisor) -> Measure:
     Built from the canonical measure (rather than from the L-polynomial
     form) so it applies to every connected graph, trees included.
     """
-    deg = d.degree
-    if deg == -2:
-        raise DegreeMinusTwoError("admissible measure undefined for deg(D) = -2")
-    for v in d.support():
-        g.require_vertex(v)
-    can = canonical_measure(g)
-    scale = ONE / (deg + 2)
-    masses = {v: (d.coefficient(v) + 2 * can.mass_at(v)) * scale for v in g.vertices}
-    densities = {e.id: 2 * can.density_on(e.id) * scale for e in g.edges}
-    mu = Measure(masses, densities)
-    if mu.total_mass(g) != 1:
-        raise SolverFaultError("admissible measure mass != 1")
-    return mu
+    _require_polarization(g, d)
+    g.require_analytic()
+    return _measure(g, _weights(g, _factor(g), d))
 
 
 @dataclass(frozen=True)
@@ -271,104 +365,103 @@ class PiecewisePotential:
         return total
 
 
-def _denominator_lcm(*groups: Iterable[Fraction]) -> int:
-    """The lcm of the denominators of all the fractions in the groups."""
-    return lcm(*(x.denominator for xs in groups for x in xs))
-
-
-def _scaled(xs: Iterable[Fraction], scale: int) -> List[int]:
-    """x * scale for each x; scale must be a multiple of every denominator."""
-    return [x.numerator * (scale // x.denominator) for x in xs]
-
-
 def _green_values(
-    g: MetrizedGraph, mu: Measure, sources: Tuple[str, ...]
+    g: MetrizedGraph, fac: _Factorization, mu: _Weights, sources: Tuple[str, ...]
 ) -> Tuple[int, Dict[str, Dict[str, int]]]:
-    """Vertex values of g(source, .) for several sources in one elimination,
-    as integers over one common denominator n: g(source, v) = X / n.
+    """Vertex values of g(source, .) for several sources from one
+    factorization, as integers over one common denominator n:
+    g(source, v) = X / n.
 
-    weights[v], mu({v}) plus half of density * length per incident edge, is
-    the constant flux at v and the coefficient of g(source, v) in the
-    integral against mu; the weights sum to mu's mass 1, so shifting a
-    grounded solution by a constant shifts its integral by the same.  With d
-    the lcm of the solution denominators and w that of the weights and the
-    constant term, n = d * w and the shift is exact integer arithmetic.
+    weights[v], mu({v}) plus half the mass of each incident edge, is the
+    constant flux at v; the integral of g(source, .) against mu is
+    sum_v weights[v] g(source, v) - c with c = sum rho^2 l^3 / 12 over the
+    edges, and the weights sum to mu's mass 1.  With W / w the weights over
+    their lcm w and L^-1 = (S / det) Y, flux balance (L f)_v = [v = source]
+    - weights[v] gives f_source[v] = (S / det) (Y[v][source] - (Y W)[v] / w),
+    and adding c - sum_u weights[u] f_source[u] makes the integral vanish.
+    So g(s, v) = (S / det) Y[v][s] - p[v] - r[s] + k0 with
+    p = (S / det) Y W / w, r = (S / det) W^T Y / w and k0 = c + W . p / w,
+    the only Fractions built; n is the lcm of their denominators and that
+    of S / det.
     """
-    weights = {v: mu.mass_at(v) for v in g.vertices}
-    const = ZERO  # the part of the integral not linear in the vertex values
-    for e in g.edges:
-        dens = mu.density_on(e.id)
-        half = dens * e.length / 2
-        weights[e.ends[0]] += half
-        weights[e.ends[1]] += half
-        const += -dens * dens / 2 * e.length**3 / 6
-
-    # flux balance: (L f)_v = [v = source] - weights[v]
-    columns = [
-        {v: (ONE if v == src else ZERO) - w for v, w in weights.items()} for src in sources
-    ]
-    solved = _grounded_solve(g, columns)
-    d = _denominator_lcm(*(values.values() for values in solved))
-    w = _denominator_lcm([const], weights.values())
-    int_const, *int_weights = _scaled([const, *weights.values()], w)
+    scale, det, y = fac
+    index = {v: i for i, v in enumerate(g.vertices)}
+    flux = [2 * m for m in mu.masses]
+    for e, t in zip(g.edges, mu.edge_masses):
+        flux[index[e.ends[0]]] += t
+        flux[index[e.ends[1]]] += t
+    w = 2 * mu.den
+    common = gcd(w, *flux)
+    w //= common
+    flux = [x // common for x in flux]
+    # c = sum (rho l)^2 l / 12 = sum (edge mass)^2 l / (12 den^2)
+    lb = lcm(*(e.length.denominator for e in g.edges))
+    c = Fraction(
+        sum(
+            t * t * e.length.numerator * (lb // e.length.denominator)
+            for e, t in zip(g.edges, mu.edge_masses)
+        ),
+        12 * mu.den * mu.den * lb,
+    )
+    ratio = Fraction(scale, det)
+    sigma, delta = ratio.numerator, ratio.denominator
+    yw = [sum(x * f for x, f in zip(row, flux)) for row in y]
+    p = [Fraction(sigma * x, delta * w) for x in yw]
+    columns = [index[src] for src in sources]
+    r = [Fraction(sigma * sum(f * row[s] for f, row in zip(flux, y)), delta * w) for s in columns]
+    k0 = Fraction(sigma * sum(f * x for f, x in zip(flux, yw)), delta * w * w) + c
+    n = lcm(delta, _denominator_lcm([k0], p, r))
+    step = sigma * (n // delta)
+    ps = _scaled(p, n)
     out: Dict[str, Dict[str, int]] = {}
-    for src, values in zip(sources, solved):
-        xs = _scaled(values.values(), d)
-        shift = -int_const * d - sum(a * x for a, x in zip(int_weights, xs))
-        out[src] = {v: x * w + shift for v, x in zip(values, xs)}
-    return d * w, out
+    for src, s, shift in zip(sources, columns, _scaled((k0 - x for x in r), n)):
+        out[src] = {v: step * row[s] - pv + shift for v, row, pv in zip(index, y, ps)}
+    return n, out
 
 
 def _assert_green_values(
-    g: MetrizedGraph, mu: Measure, n: int, slices: Mapping[str, Mapping[str, int]]
+    g: MetrizedGraph, mu: _Weights, n: int, slices: Mapping[str, Mapping[str, int]]
 ) -> None:
     """Certify slices g(source, v) = X / n of a Green's function, in integers.
 
-    Computed from the values alone.  On edge (u, w) of length l and density
-    rho the slope at u is beta = (X_w - X_u) / (n l) - rho l / 2.  The
-    outgoing slopes at every vertex, the grounded one included, must sum to
-    mu({v}) - [v = source], and the integral against mu,
+    Computed from the values alone.  On edge (u, w) of length l and mass
+    density rho the slope at u is beta = (X_w - X_u) / (n l) - rho l / 2.
+    The outgoing slopes at every vertex, the grounded one included, must sum
+    to mu({v}) - [v = source], and the integral against mu,
     sum m_v X_v / n + sum rho (rho l^3 / 6 + beta l^2 / 2 + X_u l / n),
     must vanish; violations are internal faults.  Flux is scaled by k n and
-    the integral by j n, with k and j the lcms of their coefficients'
+    the integral by j n, with k and j multiples of their coefficients'
     denominators, so each slice costs O(V + E) integer multiply-adds.
     """
     order = g.vertices
     index = {v: i for i, v in enumerate(order)}
-    masses = [mu.mass_at(v) for v in order]
-    lengths = [e.length for e in g.edges]
-    rho = [mu.density_on(e.id) for e in g.edges]
-    conductances = [ONE / l for l in lengths]
-    halves = [r * l / 2 for r, l in zip(rho, lengths)]
-    k = _denominator_lcm(masses, conductances, halves)
-    # the integral's slope term takes beta * k * n as the flux computes it
-    slope_terms = [r * l * l / (2 * k) for r, l in zip(rho, lengths)]
-    value_terms = [r * l for r, l in zip(rho, lengths)]
-    const = sum((r * r * l**3 / 6 for r, l in zip(rho, lengths)), ZERO)
-    j = _denominator_lcm([const], masses, slope_terms, value_terms)
-    k_masses = _scaled(masses, k)
-    j_const, *j_masses = _scaled([const, *masses], j)
-    edges = [
-        (index[e.ends[0]], index[e.ends[1]], c, n * h, 2 * n * h, p, q)
-        for e, c, h, p, q in zip(
-            g.edges,
-            _scaled(conductances, k),
-            _scaled(halves, k),
-            _scaled(slope_terms, j),
-            _scaled(value_terms, j),
-        )
-    ]
+    q = mu.den
+    # rho l = t / q and 1 / l = b / a on an edge of length a / b
+    k = lcm(2 * q, *(e.length.numerator for e in g.edges))
+    j = lcm(6 * q * q, 2 * q * k) * lcm(*(e.length.denominator for e in g.edges))
+    k_masses = [m * (k // q) for m in mu.masses]
+    j_masses = [m * (j // q) for m in mu.masses]
+    j_const = 0  # j sum rho^2 l^3 / 6
+    edges = []
+    for e, t in zip(g.edges, mu.edge_masses):
+        a, b = e.length.numerator, e.length.denominator
+        half = t * (k // (2 * q))  # k rho l / 2
+        j_const += t * t * a * (j // (6 * q * q * b))
+        # the integral's slope term takes beta * k * n as the flux computes it
+        p = t * a * (j // (2 * q * k * b))
+        ends = index[e.ends[0]], index[e.ends[1]]
+        edges.append((*ends, b * (k // a), n * half, 2 * n * half, p, t * (j // q)))
     for src, values in slices.items():
         x = [values[v] for v in order]
         excess = [-n * a for a in k_masses]  # k n (flux - mu({v}) + [v = source])
         excess[index[src]] += k * n
         total = n * j_const + sum(a * y for a, y in zip(j_masses, x))  # j n integral
-        for iu, iw, c, nh, n2h, p, q in edges:
+        for iu, iw, c, nh, n2h, p, qx in edges:
             xu = x[iu]
             beta = (x[iw] - xu) * c - nh  # k n beta
             excess[iu] += beta
             excess[iw] -= n2h + beta
-            total += p * beta + q * xu
+            total += p * beta + qx * xu
         for v, off in zip(order, excess):
             if off:
                 raise SolverFaultError(f"flux balance fails at {v!r}")
@@ -376,27 +469,29 @@ def _assert_green_values(
             raise SolverFaultError("integral of g against mu is nonzero")
 
 
-def _checked_green_matrix(g: MetrizedGraph, d: Divisor) -> Tuple[int, Dict[str, Dict[str, int]]]:
-    """Every slice g(x, .) as integers over one denominator, certified and
-    checked to be exactly symmetric."""
-    g.require_analytic()
-    mu = admissible_measure(g, d)
-    n, values = _green_values(g, mu, g.vertices)
+def _checked_green(
+    g: MetrizedGraph, d: Divisor, sources: Tuple[str, ...]
+) -> Tuple[_Weights, int, Dict[str, Dict[str, int]]]:
+    """The admissible measure and the slices g(source, .) for the sources,
+    as integers over one denominator, from one factorization; certified,
+    and checked to be exactly symmetric where both orders are present."""
+    fac = _factor(g)
+    mu = _weights(g, fac, d)
+    n, values = _green_values(g, fac, mu, sources)
     _assert_green_values(g, mu, n, values)
-    if any(values[x][y] != values[y][x] for x in g.vertices for y in g.vertices):
+    if any(values[x][y] != values[y][x] for x in sources for y in sources):
         raise SolverFaultError("Green matrix is not symmetric")
-    return n, values
+    return mu, n, values
 
 
 def green_function(g: MetrizedGraph, d: Divisor, source: str) -> PiecewisePotential:
     """The unique piecewise-quadratic y -> g(source, y); exact rational solve."""
     g.require_vertex(source)
     g.require_analytic()
-    mu = admissible_measure(g, d)
-    n, slices = _green_values(g, mu, (source,))
-    _assert_green_values(g, mu, n, slices)
+    _require_polarization(g, d)
+    mu, n, slices = _checked_green(g, d, (source,))
     values = {v: Fraction(x, n) for v, x in slices[source].items()}
-    second = {e.id: mu.density_on(e.id) for e in g.edges}
+    second = _measure(g, mu).edge_densities
     slopes = {
         e.id: (values[e.ends[1]] - values[e.ends[0]]) / e.length - second[e.id] * e.length / 2
         for e in g.edges
@@ -413,7 +508,9 @@ def green_pairing(g: MetrizedGraph, d: Divisor, p: str, q: str) -> Fraction:
 def green_matrix(g: MetrizedGraph, d: Divisor) -> Dict[str, Dict[str, Fraction]]:
     """All vertex pair values g(x, y) from a single elimination; the matrix
     is checked to be exactly symmetric."""
-    n, values = _checked_green_matrix(g, d)
+    g.require_analytic()
+    _require_polarization(g, d)
+    _, n, values = _checked_green(g, d, g.vertices)
     return {x: {y: Fraction(v, n) for y, v in row.items()} for x, row in values.items()}
 
 
@@ -427,9 +524,9 @@ def epsilon_numeric(g: MetrizedGraph, d: Divisor) -> Tuple[Fraction, Fraction]:
     deg = d.degree
     if deg == -2:
         raise DegreeMinusTwoError("admissible constant undefined for deg(D) = -2")
-    for v in d.support():
-        g.require_vertex(v)
-    n, values = _checked_green_matrix(g, d)
+    _require_polarization(g, d)
+    g.require_analytic()
+    _, n, values = _checked_green(g, d, g.vertices)
     # D scaled to integer coefficients a, so s n c = sum_x a_x X[x][y] + s X[y][y]
     s = _denominator_lcm(d.coefficients.values())
     a = dict(zip(d.coefficients, _scaled(d.coefficients.values(), s)))

@@ -8,6 +8,7 @@ extended value, arising only as the cross-edge resistance of a bridge.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
 _RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
@@ -53,10 +54,23 @@ def as_fraction(value) -> Fraction:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p", "-p", or "p/q" with q > 0.  Anything else is an error."""
+    """Parse "p", "-p", or "p/q" with q > 0.  Anything else is an error.
+
+    p and q may have at most as many digits as CPython converts from a
+    string (sys.get_int_max_str_digits(), 4300 by default); longer literals
+    are rejected with a message naming that limit.  Results may be longer
+    than that, since format_rational writes any length.
+    """
     m = _RATIONAL_RE.match(text.strip())
     if not m:
         raise ValueError(f"bad rational literal: {text!r}")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    digits = max(len(m.group(1).lstrip("-")), len(m.group(2) or ""))
+    if limit and digits > limit:
+        raise ValueError(
+            f"rational literal too long: an integer of {digits} digits, "
+            f"more than the {limit} digits admgraph reads per integer"
+        )
     num = int(m.group(1))
     den = int(m.group(2)) if m.group(2) is not None else 1
     if den == 0:

@@ -322,3 +322,49 @@ class TestCli:
         assert code == 1
         assert out["error"]["code"] == "enumeration-cap"
         assert "ADMGRAPH_MAX_CLASSES" in out["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "length",
+        ["9" * 4301, "1/" + "7" * 4301, "-" + "3" * 5000],
+        ids=["numerator", "denominator", "negative"],
+    )
+    def test_overlong_literal_names_the_limit(self, capsys, tmp_path, length):
+        doc = json.loads(SG_DOC)
+        doc["edges"][0]["length"] = length
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(doc))
+        code, out = run(capsys, ["epsilon", str(path)])
+        assert code == 1 and out["error"]["code"] == "schema-error"
+        [problem] = out["error"]["problems"]
+        assert problem["path"] == "edges[0].length"
+        assert "4300 digits" in problem["message"]
+        assert "set_int_max_str_digits" not in problem["message"]
+
+    def test_overlong_divisor_literal_names_the_limit(self, capsys, sg_file):
+        code, out = run(capsys, ["epsilon", sg_file, "--divisor", '{"P": "%s"}' % ("1" * 4400)])
+        assert code == 1 and out["error"]["code"] == "schema-error"
+        message = out["error"]["problems"][0]["message"]
+        assert "4300 digits" in message and "set_int_max_str_digits" not in message
+
+
+class TestLongNumbers:
+    def test_800_digit_ladder3_matches_the_closed_form(self, capsys, tmp_path):
+        # lengths alternate by class between an 800-digit integer and the
+        # reciprocal of another; epsilon's denominator has about 5600 digits
+        h = ag.ladder_graph(3)
+        lengths = {
+            c: Fraction(int("9" * 800)) if k % 2 == 0 else Fraction(1, int("7" * 800))
+            for k, c in enumerate(h.classes())
+        }
+        h = ag.with_lengths(h, lengths)
+        coeffs = {v: ag.nu_counts(h, v)[2] - 2 for v in h.nonfixed_vertices}
+        coeffs.update({v: 1 for v in h.fixed_vertices})
+        d = ag.Divisor(coeffs)
+        path = tmp_path / "ladder3-long.json"
+        path.write_text(serialize_document(document_from(h.graph, h.involution, d)))
+        closed = ag.format_rational(ag.epsilon_closed_form(h, d))
+        code, out = run(capsys, ["epsilon", str(path)])
+        assert code == 0 and out["epsilon"] == closed
+        code, out = run(capsys, ["compare", str(path)])
+        assert code == 0 and out["agree"] is True
+        assert out["epsilon_numeric"] == out["epsilon_closed"] == closed

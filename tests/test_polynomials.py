@@ -284,9 +284,17 @@ class TestKirchhoff:
         def no_solver(*args, **kwargs):
             raise AssertionError("the closed form must not call the solver")
 
-        monkeypatch.setattr(ag.potential, "solve_linear", no_solver)
-        with pytest.raises(AssertionError):
-            ag.epsilon_numeric(cases[0][0].graph, cases[0][1])
+        # every route of potential runs through this one elimination
+        monkeypatch.setattr(ag.potential, "_eliminate", no_solver)
+        g, d = cases[0][0].graph, cases[0][1]
+        for call in (
+            lambda: ag.epsilon_numeric(g, d),
+            lambda: ag.green_matrix(g, d),
+            lambda: ag.admissible_measure(g, d),
+            lambda: ag.effective_resistance(g, g.vertices[0], g.vertices[-1]),
+        ):
+            with pytest.raises(AssertionError):
+                call()
         for h, d, numeric in cases:
             assert ag.epsilon_closed_form(h, d) == numeric
 

@@ -9,6 +9,7 @@ independent oracles in _oracles.py.
 import random
 import re
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,14 @@ from hypothesis import strategies as st
 import admgraph as ag
 from _oracles import green_values_oracle, tree_resistance
 from admgraph import potential
-from admgraph.potential import _assert_green_values, _green_values, solve_linear
+from admgraph.potential import (
+    _Weights,
+    _assert_green_values,
+    _factor,
+    _green_values,
+    _weights,
+    solve_linear,
+)
 
 F = Fraction
 
@@ -142,6 +150,25 @@ def _reference_green_check(g, mu, source, values):
         raise ag.SolverFaultError("integral of g against mu is nonzero")
 
 
+def _integer_weights(g, mu):
+    """A Measure as the integer form the checker takes: masses and the mass
+    on each edge (density * length) over one denominator."""
+    edge_masses = [mu.density_on(e.id) * e.length for e in g.edges]
+    masses = [mu.mass_at(v) for v in g.vertices]
+    den = lcm(*(x.denominator for x in masses + edge_masses))
+    return _Weights(
+        den,
+        [x.numerator * (den // x.denominator) for x in masses],
+        [x.numerator * (den // x.denominator) for x in edge_masses],
+    )
+
+
+def _green_slices(g, d):
+    """(n, integer slices) of every source from the library's factorization."""
+    fac = _factor(g)
+    return _green_values(g, fac, _weights(g, fac, d), g.vertices)
+
+
 @pytest.fixture(scope="module")
 def green_cases(corpus):
     """(graph, admissible measure, n, integer slices) for small corpus graphs."""
@@ -150,9 +177,9 @@ def green_cases(corpus):
         g = h.graph
         if len(g.edges) > 12:
             continue
-        mu = ag.admissible_measure(g, ag.random_polarization(h, 500 + k))
-        n, slices = _green_values(g, mu, g.vertices)
-        cases.append((g, mu, n, slices))
+        d = ag.random_polarization(h, 500 + k)
+        n, slices = _green_slices(g, d)
+        cases.append((g, ag.admissible_measure(g, d), n, slices))
     return cases
 
 
@@ -166,9 +193,9 @@ def _assert_checks_agree(g, mu, source, n, values):
         _reference_green_check(g, mu, source, {v: F(x, n) for v, x in values.items()})
     except ag.SolverFaultError as err:
         with pytest.raises(ag.SolverFaultError, match=re.escape(str(err))):
-            _assert_green_values(g, mu, n, {source: values})
+            _assert_green_values(g, _integer_weights(g, mu), n, {source: values})
         return False
-    _assert_green_values(g, mu, n, {source: values})
+    _assert_green_values(g, _integer_weights(g, mu), n, {source: values})
     return True
 
 
@@ -204,7 +231,8 @@ class TestGreenCheck:
         assert _assert_checks_agree(g, mu, source, n, values) == (kind == "none")
 
     def test_each_kind_is_caught_by_its_check(self, green_cases):
-        for g, mu, n, slices in green_cases:
+        for g, measure, n, slices in green_cases:
+            mu = _integer_weights(g, measure)
             source, last = g.vertices[0], g.vertices[-1]
             moved = dict(slices[source])
             moved[last] += 1
@@ -213,9 +241,9 @@ class TestGreenCheck:
             shifted = {v: x + 1 for v, x in slices[source].items()}
             with pytest.raises(ag.SolverFaultError, match="integral"):
                 _assert_green_values(g, mu, n, {source: shifted})
-            masses = dict(mu.vertex_masses)
-            masses[last] = mu.mass_at(last) + 1
-            heavier = ag.Measure(masses, mu.edge_densities)
+            masses = dict(measure.vertex_masses)
+            masses[last] = measure.mass_at(last) + 1
+            heavier = _integer_weights(g, ag.Measure(masses, measure.edge_densities))
             n2, recentred = _shifted(n, slices[source], -F(slices[source][last], 2 * n))
             with pytest.raises(ag.SolverFaultError, match=re.escape(f"flux balance fails at {last!r}")):
                 _assert_green_values(g, heavier, n2, {source: recentred})
@@ -223,7 +251,7 @@ class TestGreenCheck:
     def test_corrupted_matrix_entry_raises(self, monkeypatch):
         h = ag.ladder_graph(6)
         g, d = h.graph, ag.random_polarization(h, 6)
-        n, slices = _green_values(g, ag.admissible_measure(g, d), g.vertices)
+        n, slices = _green_slices(g, d)
         rng = random.Random(6)
         for _ in range(40):
             x, y = rng.choice(g.vertices), rng.choice(g.vertices)
@@ -234,6 +262,147 @@ class TestGreenCheck:
                 ag.green_matrix(g, d)
             with pytest.raises(ag.SolverFaultError):
                 ag.epsilon_numeric(g, d)
+
+
+def _reference_laplacian(g):
+    """The weighted Laplacian (conductance 1/length) in Fractions, with the
+    last vertex grounded: its row and column removed."""
+    order = g.vertices
+    n = len(order) - 1
+    index = {v: i for i, v in enumerate(order)}
+    lap = [[F(0)] * n for _ in range(n)]
+    for e in g.edges:
+        c = 1 / e.length
+        iu, iw = index[e.ends[0]], index[e.ends[1]]
+        for a, b in ((iu, iw), (iw, iu)):
+            if a < n:
+                lap[a][a] += c
+                if b < n:
+                    lap[a][b] -= c
+    return lap
+
+
+def _reference_grounded_solve(g, columns):
+    """Vertex potentials for current injections (one mapping per column,
+    summing to zero) by the per-row solve_linear, last vertex at 0."""
+    order = g.vertices
+    rhs = [[col.get(v, F(0)) for col in columns] for v in order[:-1]]
+    x = solve_linear(_reference_laplacian(g), rhs) + [[F(0)] * len(columns)]
+    return [{v: x[i][j] for i, v in enumerate(order)} for j in range(len(columns))]
+
+
+def _reference_resistances(g, pairs):
+    """Every pair's resistance from one solve with a column per pair."""
+    potentials = _reference_grounded_solve(g, [{p: F(1), q: F(-1)} for p, q in pairs])
+    return [x[p] - x[q] for x, (p, q) in zip(potentials, pairs)]
+
+
+def _reference_canonical(g):
+    """(vertex masses, edge densities): mass 1 - valence/2, density
+    (l - R) / l^2 with R the resistance across the edge (m-column solve)."""
+    masses = {v: 1 - F(g.valence(v), 2) for v in g.vertices}
+    resistances = _reference_resistances(g, [e.ends for e in g.edges])
+    densities = {e.id: (e.length - r) / e.length**2 for e, r in zip(g.edges, resistances)}
+    return masses, densities
+
+
+def _reference_admissible(g, d):
+    masses, densities = _reference_canonical(g)
+    scale = 1 / (d.degree + 2)
+    return (
+        {v: (d.coefficient(v) + 2 * m) * scale for v, m in masses.items()},
+        {e: 2 * x * scale for e, x in densities.items()},
+    )
+
+
+def _reference_green_matrix(g, d):
+    """g(s, v) from one V-column flux solve, each column shifted so that its
+    integral against the admissible measure vanishes."""
+    masses, densities = _reference_admissible(g, d)
+    weights = dict(masses)
+    const = F(0)  # the part of the integral not linear in the vertex values
+    for e in g.edges:
+        half = densities[e.id] * e.length / 2
+        weights[e.ends[0]] += half
+        weights[e.ends[1]] += half
+        const -= densities[e.id] ** 2 * e.length**3 / 12
+    columns = [{v: (1 if v == s else 0) - w for v, w in weights.items()} for s in g.vertices]
+    out = {}
+    for s, f in zip(g.vertices, _reference_grounded_solve(g, columns)):
+        shift = -const - sum(weights[v] * f[v] for v in g.vertices)
+        out[s] = {v: f[v] + shift for v in g.vertices}
+    return out
+
+
+def _reference_epsilon(g, d):
+    values = _reference_green_matrix(g, d)
+    coeffs = d.coefficients
+    (c,) = {sum(b * values[x][y] for x, b in coeffs.items()) + values[y][y] for y in g.vertices}
+    g_d_d = sum(b * b2 * values[x][y] for x, b in coeffs.items() for y, b2 in coeffs.items())
+    return 2 * d.degree * c - g_d_d, c
+
+
+# small lengths, long numerators over short denominators, and the reverse
+LENGTHS = st.one_of(
+    st.fractions(min_value=F(1, 12), max_value=9, max_denominator=12),
+    st.builds(F, st.integers(1, 10**40), st.integers(1, 10**6)),
+    st.builds(F, st.integers(1, 10**6), st.integers(1, 10**40)),
+)
+
+
+@pytest.fixture(scope="module")
+def small_graphs(corpus):
+    return [h for h in corpus if len(h.graph.edges) <= 12]
+
+
+class TestFactorization:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_reference_route(self, small_graphs, data):
+        h = data.draw(st.sampled_from(small_graphs))
+        g = ag.MetrizedGraph(
+            h.graph.vertices, [(e.id, e.ends, data.draw(LENGTHS)) for e in h.graph.edges]
+        )
+        d = ag.random_polarization(h, data.draw(st.integers(0, 10**6)))
+        pairs = [e.ends for e in g.edges]
+        assert [ag.effective_resistance(g, p, q) for p, q in pairs] == _reference_resistances(
+            g, pairs
+        )
+        can = ag.canonical_measure(g)
+        assert (can.vertex_masses, can.edge_densities) == _reference_canonical(g)
+        adm = ag.admissible_measure(g, d)
+        assert (adm.vertex_masses, adm.edge_densities) == _reference_admissible(g, d)
+        green = _reference_green_matrix(g, d)
+        assert ag.green_matrix(g, d) == green
+        source = data.draw(st.sampled_from(g.vertices))
+        assert ag.green_function(g, d, source).vertex_values == green[source]
+        assert ag.epsilon_numeric(g, d) == _reference_epsilon(g, d)
+
+    def test_one_elimination_per_call(self, monkeypatch):
+        h = ag.ladder_graph(3)
+        g, d = h.graph, ag.random_polarization(h, 3)
+        e = g.edges[0]
+        rows = []
+        eliminate = potential._eliminate
+
+        def counted(a, b):
+            rows.append(len(a))
+            return eliminate(a, b)
+
+        monkeypatch.setattr(potential, "_eliminate", counted)
+        calls = [
+            lambda: ag.epsilon_numeric(g, d),
+            lambda: ag.green_function(g, d, g.vertices[0]),
+            lambda: ag.green_matrix(g, d),
+            lambda: ag.admissible_measure(g, d),
+            lambda: ag.canonical_measure(g),
+            lambda: ag.effective_resistance(g, *e.ends),
+            lambda: ag.cross_resistance(g, e.id),
+        ]
+        for call in calls:
+            rows.clear()
+            call()
+            assert rows == [len(g.vertices) - 1]
 
 
 class TestResistance:
