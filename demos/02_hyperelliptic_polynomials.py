@@ -8,6 +8,7 @@ closed form matches the exact potential-theory solver.
 """
 
 from fractions import Fraction
+from itertools import combinations
 
 import admgraph as ag
 
@@ -20,20 +21,22 @@ print("kinds:", {e: k.value for e, k in sorted(h.edge_kinds.items())})
 print("size:", ag.graph_size(h))
 print("nu at the hub:", ag.nu_counts(h, "Q+"))
 
-# L and M by two independent constructions: enumeration of semisimple
-# restrictions, and the elementary-symmetric expression.
-L = ag.l_polynomial(h, ag.Strategy.DEFINITION)
-M = ag.m_polynomial(h, ag.Strategy.SYMMETRIC)
-print("L =", L)  # sigma_2 on the three classes
-print("M =", M)  # sigma_3
-assert L == ag.l_polynomial(h, ag.Strategy.SYMMETRIC)
-assert M == ag.m_polynomial(h, ag.Strategy.DEFINITION)
+# L and M from the spanning trees of the graph: each monomial is the set of
+# classes outside one tree.  On G_2 they are the elementary symmetric
+# polynomials sigma_2 and sigma_3 of the three classes.
+L = ag.l_polynomial(h)
+M = ag.m_polynomial(h)
+print("L =", L)
+print("M =", M)
+sigma_2 = sum(ag.MultiPoly.monomial(pair) for pair in combinations(h.classes(), 2))
+assert L == sigma_2
+assert M == ag.MultiPoly.monomial(h.classes())
 
 # Setting a class to zero in L is the same as contracting it.
 cname = h.classes()[0]
 contracted, inv, vmap = ag.contract_classes(h, [cname])
 h_contracted = ag.validate_hyperelliptic(contracted, inv)
-assert ag.specialize_zero(L, cname) == ag.l_polynomial(h_contracted)
+assert L.substitute_zero(cname) == ag.l_polynomial(h_contracted)
 print("L(X=0) == L of contraction: ok")
 
 # The hyperelliptic polarization: nu - 2 at non-fixed vertices, anything

@@ -96,13 +96,10 @@ from .hyperelliptic import (
 from .polynomials import (
     MultiPoly,
     RationalFn,
-    Strategy,
-    coefficient_poly,
     epsilon_closed_form,
     epsilon_rational_fn,
     l_polynomial,
     m_polynomial,
-    specialize_zero,
 )
 from .potential import (
     Measure,

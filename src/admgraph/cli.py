@@ -18,7 +18,6 @@ from . import bogomolov, documents, generators, polynomials, potential
 from .errors import AdmGraphError, SchemaError
 from .graph import Divisor, validate_graph
 from .hyperelliptic import graph_size, nu_counts, validate_hyperelliptic
-from .polynomials import Strategy
 from .rationals import INFINITY, as_fraction, format_rational
 
 
@@ -42,17 +41,11 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="admgraph", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def graph_command(name, help_text, divisor=False, strategy=False):
+    def graph_command(name, help_text, divisor=False):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("graph", help="graph document (JSON file)")
         if divisor:
             p.add_argument("--divisor", help="inline JSON divisor override")
-        if strategy:
-            p.add_argument(
-                "--strategy",
-                choices=[s.value for s in Strategy],
-                default=Strategy.DEFINITION.value,
-            )
         return p
 
     graph_command("validate", "check graph (and hyperelliptic) invariants")
@@ -64,8 +57,8 @@ def _build_parser() -> _Parser:
     p.add_argument("source", help="source vertex id")
     graph_command("epsilon", "admissible constant by the exact solver", divisor=True)
     graph_command("epsilon-closed", "admissible constant by the closed form", divisor=True)
-    graph_command("lpoly", "the L polynomial", strategy=True)
-    graph_command("mpoly", "the M polynomial", strategy=True)
+    graph_command("lpoly", "the L polynomial")
+    graph_command("mpoly", "the M polynomial")
     graph_command("classify-edges", "edge classification and size")
     graph_command("classify-nodes", "node types and invariant counts of a fiber")
     graph_command("compare", "closed form vs exact solver", divisor=True)
@@ -210,7 +203,7 @@ def _run(args) -> Dict:
         doc = _load_document(args.graph)
         h = _hyperelliptic(doc)
         fn = polynomials.l_polynomial if args.command == "lpoly" else polynomials.m_polynomial
-        poly = fn(h, Strategy(args.strategy))
+        poly = fn(h)
         return {"size": graph_size(h), "polynomial": documents.serialize_polynomial(poly)}
 
     if args.command == "classify-edges":

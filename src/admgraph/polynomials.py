@@ -9,10 +9,15 @@ in the edge-class indeterminates govern the admissible constant:
   non-fixed vertex class, weighted by (valence - 2) of that vertex; zero on
   semisimple graphs.
 
-Both admit a second expression on irreducible graphs through elementary
-symmetric polynomials of the one-jointed classes meeting each non-fixed
-vertex, summed over subsets of the disjoint classes; the two constructions
-are kept as independent strategies and must agree.
+The library does not enumerate these subsets.  Fix one edge e-_c in every
+class and let E- be the set of them: the monomials of L are exactly the
+classes outside a spanning tree of G/E- (the dual Kirchhoff polynomial of
+G/E- in the class variables), and M sums the same polynomial of
+G/(E- + v~iota v), weighted by val v - 2, over the non-fixed pairs.  For L
+this follows from 2^g L = Psi_G; for M it is observed (the tests hold it
+against the subset definition and the elementary-symmetric construction,
+kept as oracles).  The trees are listed directly, so the cost follows the
+number of terms, not the number of class subsets.
 
 The closed form of the admissible constant for a polarization with
 coefficient nu(v) - 2 at every non-fixed vertex is
@@ -23,18 +28,15 @@ coefficient nu(v) - 2 at every non-fixed vertex is
 with w(e) the smaller pushed coefficient on the simple restriction to the
 class.  ``epsilon_closed_form`` needs only the value of M/L, which it takes
 from Kirchhoff (spanning-tree) determinants, one per non-fixed vertex pair,
-with no subset enumeration and no class cap.  The symbolic L, M and
-``epsilon_rational_fn`` enumerate class subsets; that enumeration is capped
-(default 24 classes; override with the ADMGRAPH_MAX_CLASSES environment
-variable or the max_classes argument).
+with no enumeration and no class cap.  The symbolic L, M and
+``epsilon_rational_fn`` are capped (default 24 classes; override with the
+ADMGRAPH_MAX_CLASSES environment variable or the max_classes argument).
 """
 
 from __future__ import annotations
 
 import os
-from enum import Enum
 from fractions import Fraction
-from itertools import combinations
 from math import lcm
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
@@ -46,19 +48,7 @@ from .errors import (
     SolverFaultError,
 )
 from .graph import Divisor
-from .hyperelliptic import (
-    EdgeKind,
-    HyperellipticGraph,
-    component_structures,
-    contract_classes,
-    divisor_is_invariant,
-    graph_size,
-    is_semisimple_of_size,
-    is_simple,
-    nu_counts,
-    restrict_classes,
-    w_weight,
-)
+from .hyperelliptic import HyperellipticGraph, divisor_is_invariant, nu_counts, w_weight
 from .rationals import as_fraction
 
 ZERO = Fraction(0)
@@ -97,6 +87,14 @@ class MultiPoly:
             if coeff != 0:
                 clean[_monomial(mono)] = coeff
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _trusted(cls, terms: Mapping[Monomial, Fraction]) -> "MultiPoly":
+        """From canonical monomials and Fraction coefficients, as built by
+        the methods below: only zero coefficients are dropped."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "terms", {m: c for m, c in terms.items() if c})
+        return poly
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
@@ -138,12 +136,12 @@ class MultiPoly:
         terms = dict(self.terms)
         for mono, coeff in other.terms.items():
             terms[mono] = terms.get(mono, ZERO) + coeff
-        return MultiPoly(terms)
+        return MultiPoly._trusted(terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly({mono: -coeff for mono, coeff in self.terms.items()})
+        return MultiPoly._trusted({mono: -coeff for mono, coeff in self.terms.items()})
 
     def __sub__(self, other):
         other = other if isinstance(other, MultiPoly) else MultiPoly.constant(other)
@@ -154,13 +152,14 @@ class MultiPoly:
 
     def __mul__(self, other):
         if not isinstance(other, MultiPoly):
-            return MultiPoly({mono: coeff * as_fraction(other) for mono, coeff in self.terms.items()})
+            factor = as_fraction(other)
+            return MultiPoly._trusted({mono: coeff * factor for mono, coeff in self.terms.items()})
         terms: Dict[Monomial, Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                mono = _monomial(list(m1) + list(m2))
+                mono = _monomial(m1 + m2)
                 terms[mono] = terms.get(mono, ZERO) + c1 * c2
-        return MultiPoly(terms)
+        return MultiPoly._trusted(terms)
 
     __rmul__ = __mul__
 
@@ -197,7 +196,7 @@ class MultiPoly:
 
     def substitute_zero(self, variable: str) -> "MultiPoly":
         """Set one variable to zero: drop every monomial containing it."""
-        return MultiPoly(
+        return MultiPoly._trusted(
             {mono: c for mono, c in self.terms.items() if all(v != variable for v, _ in mono)}
         )
 
@@ -210,7 +209,7 @@ class MultiPoly:
                 raise ValueError(f"not divisible by {variable!r}")
             exps[variable] -= 1
             terms[tuple(sorted((v, e) for v, e in exps.items() if e))] = coeff
-        return MultiPoly(terms)
+        return MultiPoly._trusted(terms)
 
     def coefficient_of(self, variable: str) -> "MultiPoly":
         """P with self = X*P + (terms free of X); requires multilinearity in X."""
@@ -223,7 +222,7 @@ class MultiPoly:
                 raise NotMultilinearError(f"not multilinear in {variable!r}")
             rest = tuple((v, e) for v, e in mono if v != variable)
             terms[rest] = coeff
-        return MultiPoly(terms)
+        return MultiPoly._trusted(terms)
 
 
 class RationalFn:
@@ -279,11 +278,6 @@ class RationalFn:
         return f"RationalFn({self.numerator!r} / {self.denominator!r})"
 
 
-class Strategy(Enum):
-    DEFINITION = "definition"
-    SYMMETRIC = "symmetric"
-
-
 def _max_classes(override: Optional[int]) -> int:
     if override is not None:
         return override
@@ -304,153 +298,101 @@ def _check_cap(h: HyperellipticGraph, max_classes: Optional[int]) -> None:
         )
 
 
-def _l_by_definition(h: HyperellipticGraph) -> MultiPoly:
-    n = graph_size(h)
+def _connects(label: List[int], parts: int, edges) -> bool:
+    """Do the edges join the ``parts`` distinct labels into one?"""
+    parent = {}
+    joins = 0
+    for a, b, _ in edges:
+        ra, rb = label[a], label[b]
+        while ra in parent:
+            ra = parent[ra]
+        while rb in parent:
+            rb = parent[rb]
+        if ra != rb:
+            parent[ra] = rb
+            joins += 1
+            if joins == parts - 1:
+                return True
+    return parts == 1
+
+
+def _cotrees(h: HyperellipticGraph, merge: Tuple[str, ...] = ()) -> List[Monomial]:
+    """The monomials of the dual Kirchhoff polynomial of G/(E- + merge).
+
+    E- holds e-_c = class_members[c][0] of every class c.  It is a forest:
+    a cycle in E-, or a path from v to iota v, would project to a closed
+    walk in the quotient tree that uses each class once.  So with F fixed
+    vertices and N non-fixed pairs it has (F + 2N) - (F + N - 1) = N + 1
+    components, and merging a pair leaves N.  On the components, the edges
+    e+_c span a multigraph; each spanning tree T gives the monomial of the
+    classes whose e+ is outside T.
+
+    Trees are listed by deletion-contraction over the e+ edges in class
+    order, so monomials come out sorted.  An edge that has become a loop is
+    always outside; an edge is left out only when the rest still connects
+    (bridge pruning), so every branch ends in a tree, and each tree costs at
+    most one connectivity check per class.
+    """
+    index = {v: k for k, v in enumerate(h.graph.vertices)}
+    parent = list(range(len(index)))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
     classes = h.classes()
-    terms = {}
-    for subset in combinations(classes, n):
-        restricted, rinv, _ = restrict_classes(h, subset)
-        if is_semisimple_of_size(restricted, rinv, n):
-            terms[tuple((c, 1) for c in subset)] = ONE
-    return MultiPoly(terms)
+    joins = [h.graph.edge(h.class_members[c][0]).ends for c in classes]
+    joins += [(merge[0], w) for w in merge[1:]]
+    for a, b in joins:
+        parent[find(index[a])] = find(index[b])
+    roots: Dict[int, int] = {}
+    part = [roots.setdefault(find(x), len(roots)) for x in range(len(index))]
+    edges = []
+    for c in classes:
+        a, b = h.graph.edge(h.class_members[c][1]).ends
+        edges.append((part[index[a]], part[index[b]], ((c, 1),)))
+    out: List[Monomial] = []
+
+    def grow(i: int, label: List[int], parts: int, outside: Monomial) -> None:
+        while parts > 1:
+            a, b, var = edges[i]
+            i += 1
+            la, lb = label[a], label[b]
+            if la != lb:
+                grow(i, [la if x == lb else x for x in label], parts - 1, outside)
+                if not _connects(label, parts, edges[i:]):
+                    return
+            outside += var
+        for _, _, var in edges[i:]:
+            outside += var
+        out.append(outside)
+
+    grow(0, list(range(len(roots))), len(roots), ())
+    return out
 
 
-def _m_by_definition(h: HyperellipticGraph) -> MultiPoly:
-    n = graph_size(h)
-    classes = h.classes()
-    terms = {}
-    for subset in combinations(classes, n + 1):
-        restricted, rinv, _ = restrict_classes(h, subset)
-        nonfixed_classes = {
-            min(v, rinv.vertex(v)) for v in restricted.vertices if rinv.vertex(v) != v
-        }
-        if len(nonfixed_classes) != 1:
-            continue
-        rep = min(nonfixed_classes)
-        coeff = restricted.valence(rep) - 2
-        if coeff:
-            terms[tuple((c, 1) for c in subset)] = Fraction(coeff)
-    return MultiPoly(terms)
-
-
-def _elementary_symmetric(variables: List[str], k: int) -> MultiPoly:
-    if k < 0:
-        return MultiPoly()
-    terms = {tuple((v, 1) for v in subset): ONE for subset in combinations(sorted(variables), k)}
-    return MultiPoly(terms)
-
-
-def _symmetric_data(h: HyperellipticGraph, kept_disjoint: Tuple[str, ...]):
-    """Per non-fixed vertex class of G' = contract(disjoint classes not
-    kept): the one-jointed classes at the vertex and its total valence."""
-    disjoint = h.classes_of_kind(EdgeKind.DISJOINT)
-    to_contract = [c for c in disjoint if c not in set(kept_disjoint)]
-    contracted, cinv, _ = contract_classes(h, to_contract)
-    data = []
-    seen = set()
-    for v in contracted.vertices:
-        if cinv.vertex(v) == v or v in seen:
-            continue
-        seen.add(v)
-        seen.add(cinv.vertex(v))
-        one_jointed_at_v = []
-        for e in contracted.edges:
-            if v not in e.ends:
-                continue
-            partner = contracted.edge(cinv.edge(e.id))
-            shared = set(e.ends) & set(partner.ends)
-            if len(shared) == 1:
-                one_jointed_at_v.append(min(e.id, partner.id))
-        data.append((sorted(set(one_jointed_at_v)), contracted.valence(v)))
-    return data
-
-
-def _l_symmetric_irreducible(h: HyperellipticGraph) -> MultiPoly:
-    if is_simple(h):
-        return MultiPoly.variable(h.classes()[0])
-    disjoint = h.classes_of_kind(EdgeKind.DISJOINT)
-    total = MultiPoly()
-    for k in range(len(disjoint) + 1):
-        for kept in combinations(disjoint, k):
-            product = MultiPoly.monomial(kept)
-            for classes_at_v, _ in _symmetric_data(h, kept):
-                product = product * _elementary_symmetric(classes_at_v, len(classes_at_v) - 1)
-            total = total + product
-    return total
-
-
-def _m_symmetric_irreducible(h: HyperellipticGraph) -> MultiPoly:
-    if is_simple(h):
-        return MultiPoly()
-    disjoint = h.classes_of_kind(EdgeKind.DISJOINT)
-    total = MultiPoly()
-    for k in range(len(disjoint) + 1):
-        for kept in combinations(disjoint, k):
-            data = _symmetric_data(h, kept)
-            inner = MultiPoly()
-            for i, (classes_at_v, valence) in enumerate(data):
-                piece = MultiPoly.constant(valence - 2) * _elementary_symmetric(
-                    classes_at_v, len(classes_at_v)
-                )
-                for j, (other_classes, _) in enumerate(data):
-                    if j != i:
-                        piece = piece * _elementary_symmetric(
-                            other_classes, len(other_classes) - 1
-                        )
-                inner = inner + piece
-            total = total + inner * MultiPoly.monomial(kept)
-    return total
-
-
-def l_polynomial(
-    h: HyperellipticGraph,
-    strategy: Strategy = Strategy.DEFINITION,
-    *,
-    max_classes: Optional[int] = None,
-) -> MultiPoly:
+def l_polynomial(h: HyperellipticGraph, *, max_classes: Optional[int] = None) -> MultiPoly:
     """L: homogeneous multilinear of degree sz(G); multiplicative over
-    one-point-sums."""
+    one-point-sums.  The sum of the co-tree monomials of G/E-."""
     _check_cap(h, max_classes)
-    if strategy is Strategy.DEFINITION:
-        return _l_by_definition(h)
-    result = MultiPoly.constant(1)
-    for comp in component_structures(h):
-        result = result * _l_symmetric_irreducible(comp)
-    return result
+    return MultiPoly._trusted({mono: ONE for mono in _cotrees(h)})
 
 
-def m_polynomial(
-    h: HyperellipticGraph,
-    strategy: Strategy = Strategy.DEFINITION,
-    *,
-    max_classes: Optional[int] = None,
-) -> MultiPoly:
+def m_polynomial(h: HyperellipticGraph, *, max_classes: Optional[int] = None) -> MultiPoly:
     """M: homogeneous multilinear of degree sz(G) + 1; M/L is additive over
-    one-point-sums and M = 0 on semisimple graphs."""
+    one-point-sums and M = 0 on semisimple graphs.  The sum over non-fixed
+    pairs {v, iota v} of (val v - 2) times the co-tree monomials of
+    G/(E- + v~iota v)."""
     _check_cap(h, max_classes)
-    if strategy is Strategy.DEFINITION:
-        return _m_by_definition(h)
-    comps = component_structures(h)
-    ls = [_l_symmetric_irreducible(c) for c in comps]
-    total = MultiPoly()
-    for i, comp in enumerate(comps):
-        piece = _m_symmetric_irreducible(comp)
-        for j, lpoly in enumerate(ls):
-            if j != i:
-                piece = piece * lpoly
-        total = total + piece
-    return total
-
-
-def specialize_zero(p: MultiPoly, class_name: str) -> MultiPoly:
-    """Substitute 0 for an edge class; for L/M this is the polynomial of the
-    contracted graph."""
-    return p.substitute_zero(class_name)
-
-
-def coefficient_poly(p: MultiPoly, class_name: str) -> MultiPoly:
-    """The coefficient P of X in p = X*P + (terms free of X)."""
-    return p.coefficient_of(class_name)
+    terms: Dict[Monomial, Fraction] = {}
+    for v in sorted(h.nonfixed_vertices):
+        partner = h.involution.vertex(v)
+        if v < partner:
+            weight = Fraction(h.graph.valence(v) - 2)
+            for mono in _cotrees(h, (v, partner)):
+                terms[mono] = terms.get(mono, ZERO) + weight
+    return MultiPoly._trusted(terms)
 
 
 def _theorem_shape_check(h: HyperellipticGraph, d: Divisor) -> Fraction:
@@ -471,15 +413,14 @@ def _theorem_shape_check(h: HyperellipticGraph, d: Divisor) -> Fraction:
 def epsilon_rational_fn(
     h: HyperellipticGraph,
     d: Divisor,
-    strategy: Strategy = Strategy.DEFINITION,
     *,
     max_classes: Optional[int] = None,
 ) -> RationalFn:
     """The admissible constant as a rational function of the class lengths."""
     deg = _theorem_shape_check(h, d)
     q = Fraction(2, 3) * deg / (deg + 2)
-    lpoly = l_polynomial(h, strategy, max_classes=max_classes)
-    mpoly = m_polynomial(h, strategy, max_classes=max_classes)
+    lpoly = l_polynomial(h, max_classes=max_classes)
+    mpoly = m_polynomial(h, max_classes=max_classes)
     if lpoly.is_zero():
         raise SolverFaultError("L vanished on a valid hyperelliptic graph")
     linear = MultiPoly()

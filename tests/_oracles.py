@@ -9,6 +9,19 @@
   product of the variables of the edges outside T, by the same subset
   enumeration; MultiPoly is used only as the container to compare with.
 
+* L and M by their definition: one restriction G^S per class subset S of
+  size sz(G) (resp. sz(G) + 1), kept when it is semisimple of full size
+  (resp. has one non-fixed vertex pair, weighted by its valence - 2).
+
+* L and M by elementary symmetric polynomials on irreducible graphs: over
+  each subset of the disjoint classes kept, a product over the non-fixed
+  vertex pairs of the contracted graph of symmetric polynomials in the
+  one-jointed classes meeting the vertex; multiplicative (L) and additive
+  for M/L over one-point sums.
+
+The L/M oracles use the restriction and contraction of ``hyperelliptic``
+but no code of ``polynomials``.
+
 * Green values by a different linear formulation: unknowns are the per-edge
   slope and offset (the curvature is fixed by the measure), constrained by
   endpoint continuity, vertex flux, and the vanishing integral, solved by a
@@ -19,7 +32,16 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
-from admgraph import MultiPoly
+from admgraph import (
+    EdgeKind,
+    MultiPoly,
+    component_structures,
+    contract_classes,
+    graph_size,
+    is_simple,
+    restrict_classes,
+)
+from admgraph.hyperelliptic import is_semisimple_of_size
 
 ZERO = Fraction(0)
 
@@ -80,6 +102,110 @@ def kirchhoff_polynomial(vertices, edges):
             outside = Counter(var for k, (_, var) in enumerate(edges) if k not in inside)
             terms[tuple(sorted(outside.items()))] += 1
     return MultiPoly(terms)
+
+
+def l_by_definition(h):
+    n = graph_size(h)
+    terms = {}
+    for subset in combinations(h.classes(), n):
+        restricted, rinv, _ = restrict_classes(h, subset)
+        if is_semisimple_of_size(restricted, rinv, n):
+            terms[tuple((c, 1) for c in subset)] = 1
+    return MultiPoly(terms)
+
+
+def m_by_definition(h):
+    n = graph_size(h)
+    terms = {}
+    for subset in combinations(h.classes(), n + 1):
+        restricted, rinv, _ = restrict_classes(h, subset)
+        nonfixed = {min(v, rinv.vertex(v)) for v in restricted.vertices if rinv.vertex(v) != v}
+        if len(nonfixed) == 1:
+            terms[tuple((c, 1) for c in subset)] = restricted.valence(min(nonfixed)) - 2
+    return MultiPoly(terms)
+
+
+def _elementary_symmetric(variables, k):
+    if k < 0:
+        return MultiPoly()
+    return MultiPoly({tuple((v, 1) for v in subset): 1 for subset in combinations(sorted(variables), k)})
+
+
+def _symmetric_data(h, kept_disjoint):
+    """Per non-fixed vertex class of G' = contract(disjoint classes not
+    kept): the one-jointed classes at the vertex and its total valence."""
+    to_contract = [c for c in h.classes_of_kind(EdgeKind.DISJOINT) if c not in kept_disjoint]
+    contracted, cinv, _ = contract_classes(h, to_contract)
+    data = []
+    seen = set()
+    for v in contracted.vertices:
+        if cinv.vertex(v) == v or v in seen:
+            continue
+        seen.update((v, cinv.vertex(v)))
+        one_jointed_at_v = set()
+        for e in contracted.edges:
+            if v not in e.ends:
+                continue
+            partner = contracted.edge(cinv.edge(e.id))
+            if len(set(e.ends) & set(partner.ends)) == 1:
+                one_jointed_at_v.add(min(e.id, partner.id))
+        data.append((sorted(one_jointed_at_v), contracted.valence(v)))
+    return data
+
+
+def _kept_subsets(h):
+    disjoint = h.classes_of_kind(EdgeKind.DISJOINT)
+    for k in range(len(disjoint) + 1):
+        yield from combinations(disjoint, k)
+
+
+def _l_symmetric_irreducible(h):
+    if is_simple(h):
+        return MultiPoly.variable(h.classes()[0])
+    total = MultiPoly()
+    for kept in _kept_subsets(h):
+        product = MultiPoly.monomial(kept)
+        for classes_at_v, _ in _symmetric_data(h, kept):
+            product = product * _elementary_symmetric(classes_at_v, len(classes_at_v) - 1)
+        total = total + product
+    return total
+
+
+def _m_symmetric_irreducible(h):
+    if is_simple(h):
+        return MultiPoly()
+    total = MultiPoly()
+    for kept in _kept_subsets(h):
+        data = _symmetric_data(h, kept)
+        inner = MultiPoly()
+        for i, (classes_at_v, valence) in enumerate(data):
+            piece = (valence - 2) * _elementary_symmetric(classes_at_v, len(classes_at_v))
+            for j, (other_classes, _) in enumerate(data):
+                if j != i:
+                    piece = piece * _elementary_symmetric(other_classes, len(other_classes) - 1)
+            inner = inner + piece
+        total = total + inner * MultiPoly.monomial(kept)
+    return total
+
+
+def l_symmetric(h):
+    result = MultiPoly.constant(1)
+    for comp in component_structures(h):
+        result = result * _l_symmetric_irreducible(comp)
+    return result
+
+
+def m_symmetric(h):
+    comps = component_structures(h)
+    ls = [_l_symmetric_irreducible(c) for c in comps]
+    total = MultiPoly()
+    for i, comp in enumerate(comps):
+        piece = _m_symmetric_irreducible(comp)
+        for j, lpoly in enumerate(ls):
+            if j != i:
+                piece = piece * lpoly
+        total = total + piece
+    return total
 
 
 def _rref_solve(rows, rhs):

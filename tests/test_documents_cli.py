@@ -287,10 +287,11 @@ class TestCli:
         assert code == 1 and out["error"]["code"] == "enumeration-cap"
 
     def test_strategy_flag_removed_from_value_commands(self, capsys, sg_file):
-        for command in ("epsilon-closed", "compare"):
+        for command in ("epsilon-closed", "compare", "lpoly", "mpoly"):
             assert run_command([command, sg_file, "--strategy", "symmetric"]) == 2
-        code, _ = run(capsys, ["lpoly", sg_file, "--strategy", "symmetric"])
-        assert code == 0
+        capsys.readouterr()
+        code, out = run(capsys, ["lpoly", sg_file])
+        assert code == 0 and out["size"] == 1
 
     def test_missing_divisor_is_domain_error(self, capsys, tmp_path):
         h = ag.elementary_graph(2)

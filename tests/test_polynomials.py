@@ -3,10 +3,19 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import admgraph as ag
-from _oracles import kirchhoff_polynomial
-from admgraph import EdgeKind, MultiPoly, Strategy
+from _oracles import (
+    kirchhoff_polynomial,
+    l_by_definition,
+    l_symmetric,
+    m_by_definition,
+    m_symmetric,
+)
+from admgraph import EdgeKind, MultiPoly
+from admgraph.generators import double_cover, random_cover_spec
 
 F = Fraction
 
@@ -87,7 +96,7 @@ class TestLPolynomial:
                 if h.class_kind(cname) is EdgeKind.TWO_JOINTED:
                     continue  # size drops; the identity is for size-preserving classes
                 h2 = ag.validate_hyperelliptic(g2, inv2)
-                assert ag.specialize_zero(lpoly, cname) == ag.l_polynomial(h2)
+                assert lpoly.substitute_zero(cname) == ag.l_polynomial(h2)
 
     def test_homogeneous_multilinear(self, corpus):
         for h in corpus:
@@ -133,14 +142,56 @@ class TestMPolynomial:
 
 
 class TestStrategyAgreement:
+    """The co-tree route of the library against the restriction definition
+    and the elementary-symmetric construction, both kept as oracles."""
+
     def test_on_corpus(self, corpus):
         for h in corpus:
-            assert ag.l_polynomial(h, Strategy.DEFINITION) == ag.l_polynomial(
-                h, Strategy.SYMMETRIC
-            )
-            assert ag.m_polynomial(h, Strategy.DEFINITION) == ag.m_polynomial(
-                h, Strategy.SYMMETRIC
-            )
+            lpoly, mpoly = ag.l_polynomial(h), ag.m_polynomial(h)
+            assert lpoly == l_by_definition(h) == l_symmetric(h)
+            assert mpoly == m_by_definition(h) == m_symmetric(h)
+
+
+class TestCoTrees:
+    """L and M are listed from the spanning trees of G/E- (and of
+    G/(E- + v~iota v) for M).  For M the identity is observed, not proved,
+    so it is checked against both oracles on generated covers."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(min_value=0, max_value=100_000))
+    def test_matches_both_oracles_on_covers(self, seed):
+        h = double_cover(random_cover_spec(seed, max_vertices=12))
+        assert len(h.class_members) <= 11
+        assert ag.l_polynomial(h) == l_by_definition(h) == l_symmetric(h)
+        assert ag.m_polynomial(h) == m_by_definition(h) == m_symmetric(h)
+
+    def test_ladder_l_term_counts_are_fibonacci(self):
+        fib = [0, 1]
+        while len(fib) < 23:
+            fib.append(fib[-1] + fib[-2])
+        for n in range(2, 11):
+            lpoly = ag.l_polynomial(ag.ladder_graph(n))
+            assert len(lpoly.terms) == fib[2 * n + 2]
+            assert set(lpoly.terms.values()) == {1}
+
+    # term counts and coefficient sums of M, as the definition oracle gives them
+    LADDER_M = {
+        2: (5, 6),
+        3: (19, 25),
+        4: (65, 90),
+        5: (210, 300),
+        6: (654, 954),
+        7: (1985, 2939),
+        8: (5911, 8850),
+    }
+
+    def test_ladder_m_counts_and_sums(self):
+        for n, (count, total) in self.LADDER_M.items():
+            h = ag.ladder_graph(n)
+            mpoly = ag.m_polynomial(h)
+            assert (len(mpoly.terms), sum(mpoly.terms.values())) == (count, total)
+            if n <= 6:
+                assert mpoly == m_by_definition(h)
 
 
 class TestEnumerationCap:
@@ -241,11 +292,13 @@ class TestKirchhoff:
             if len(h.graph.edges) > 14:
                 continue
             g = h.graph.first_betti_number()
-            assert 2**g * ag.l_polynomial(h, Strategy.DEFINITION) == psi(h)
+            assert 2**g * ag.l_polynomial(h) == psi(h)
+            assert 2**g * l_by_definition(h) == psi(h)
             merged = MultiPoly()
             for v, w in nonfixed_pairs(h):
                 merged = merged + (h.graph.valence(v) - 2) * psi(h, (v, w))
-            assert 2 ** (g + 1) * ag.m_polynomial(h, Strategy.DEFINITION) == merged
+            assert 2 ** (g + 1) * ag.m_polynomial(h) == merged
+            assert 2 ** (g + 1) * m_by_definition(h) == merged
 
     def test_m_over_l_is_resistance_sum(self, corpus):
         for k, h in enumerate(corpus):
