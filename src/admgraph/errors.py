@@ -126,6 +126,9 @@ class GenusBelowThreeError(GenusRangeError):
 
 
 class EnumerationCapError(AdmGraphError):
+    """A symbolic L or M would list more spanning trees than
+    ``polynomials.MAX_TREES``; the value paths have no such limit."""
+
     code = "enumeration-cap"
 
 

@@ -194,9 +194,7 @@ def random_cover_spec(seed: int, max_vertices: int = 7) -> CoverSpec:
     return CoverSpec(vertices=tuple(labels), edges=edges, seed=seed)
 
 
-def random_hyperelliptic(
-    seed: int, min_size: int = 1, max_size: int = 5, max_classes: int = 24
-) -> HyperellipticGraph:
+def random_hyperelliptic(seed: int, min_size: int = 1, max_size: int = 5) -> HyperellipticGraph:
     """Seeded random hyperelliptic graph with size in [min_size, max_size].
 
     Same seed, same graph; distinct attempts derive sub-seeds so the draw
@@ -204,7 +202,7 @@ def random_hyperelliptic(
     for attempt in range(200):
         spec = random_cover_spec(seed * 1000 + attempt)
         h = double_cover(spec)
-        if min_size <= graph_size(h) <= max_size and len(h.class_members) <= max_classes:
+        if min_size <= graph_size(h) <= max_size:
             return h
     raise InvalidGraphError(f"no graph within the size bounds after 200 draws (seed {seed})")
 

@@ -28,14 +28,13 @@ coefficient nu(v) - 2 at every non-fixed vertex is
 with w(e) the smaller pushed coefficient on the simple restriction to the
 class.  ``epsilon_closed_form`` needs only the value of M/L, which it takes
 from Kirchhoff (spanning-tree) determinants, one per non-fixed vertex pair,
-with no enumeration and no class cap.  The symbolic L, M and
-``epsilon_rational_fn`` are capped (default 24 classes; override with the
-ADMGRAPH_MAX_CLASSES environment variable or the max_classes argument).
+with no enumeration and no limit.  The symbolic L, M and
+``epsilon_rational_fn`` list at most MAX_TREES spanning trees for each of L
+and M, counted as they are listed, and raise EnumerationCapError past it.
 """
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from math import lcm
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
@@ -54,8 +53,10 @@ from .rationals import as_fraction
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-DEFAULT_MAX_CLASSES = 24
-ENV_MAX_CLASSES = "ADMGRAPH_MAX_CLASSES"
+# The trees one l_polynomial or m_polynomial call may list: each becomes a
+# stored monomial, so this bounds time and memory by the output.  ladder11's
+# M (221016 trees) fits; ladder12's M (632916) does not.
+MAX_TREES = 1 << 18
 
 Monomial = Tuple[Tuple[str, int], ...]
 
@@ -278,26 +279,6 @@ class RationalFn:
         return f"RationalFn({self.numerator!r} / {self.denominator!r})"
 
 
-def _max_classes(override: Optional[int]) -> int:
-    if override is not None:
-        return override
-    env = os.environ.get(ENV_MAX_CLASSES)
-    try:
-        return int(env) if env else DEFAULT_MAX_CLASSES
-    except ValueError:
-        raise EnumerationCapError(f"{ENV_MAX_CLASSES} must be an integer, got {env!r}") from None
-
-
-def _check_cap(h: HyperellipticGraph, max_classes: Optional[int]) -> None:
-    cap = _max_classes(max_classes)
-    count = len(h.class_members)
-    if count > cap:
-        raise EnumerationCapError(
-            f"{count} edge classes exceeds the enumeration cap {cap}; "
-            f"raise it explicitly (max_classes= or {ENV_MAX_CLASSES})"
-        )
-
-
 def _connects(label: List[int], parts: int, edges) -> bool:
     """Do the edges join the ``parts`` distinct labels into one?"""
     parent = {}
@@ -316,7 +297,7 @@ def _connects(label: List[int], parts: int, edges) -> bool:
     return parts == 1
 
 
-def _cotrees(h: HyperellipticGraph, merge: Tuple[str, ...] = ()) -> List[Monomial]:
+def _cotrees(h: HyperellipticGraph, budget: int, merge: Tuple[str, ...] = ()) -> List[Monomial]:
     """The monomials of the dual Kirchhoff polynomial of G/(E- + merge).
 
     E- holds e-_c = class_members[c][0] of every class c.  It is a forest:
@@ -331,7 +312,8 @@ def _cotrees(h: HyperellipticGraph, merge: Tuple[str, ...] = ()) -> List[Monomia
     order, so monomials come out sorted.  An edge that has become a loop is
     always outside; an edge is left out only when the rest still connects
     (bridge pruning), so every branch ends in a tree, and each tree costs at
-    most one connectivity check per class.
+    most one connectivity check per class.  Listing one tree past
+    ``budget`` raises EnumerationCapError.
     """
     index = {v: k for k, v in enumerate(h.graph.vertices)}
     parent = list(range(len(index)))
@@ -366,31 +348,37 @@ def _cotrees(h: HyperellipticGraph, merge: Tuple[str, ...] = ()) -> List[Monomia
             outside += var
         for _, _, var in edges[i:]:
             outside += var
+        if len(out) == budget:
+            raise EnumerationCapError(
+                f"more than {MAX_TREES} spanning trees to list; "
+                "the symbolic L and M are limited to that many"
+            )
         out.append(outside)
 
     grow(0, list(range(len(roots))), len(roots), ())
     return out
 
 
-def l_polynomial(h: HyperellipticGraph, *, max_classes: Optional[int] = None) -> MultiPoly:
+def l_polynomial(h: HyperellipticGraph) -> MultiPoly:
     """L: homogeneous multilinear of degree sz(G); multiplicative over
     one-point-sums.  The sum of the co-tree monomials of G/E-."""
-    _check_cap(h, max_classes)
-    return MultiPoly._trusted({mono: ONE for mono in _cotrees(h)})
+    return MultiPoly._trusted({mono: ONE for mono in _cotrees(h, MAX_TREES)})
 
 
-def m_polynomial(h: HyperellipticGraph, *, max_classes: Optional[int] = None) -> MultiPoly:
+def m_polynomial(h: HyperellipticGraph) -> MultiPoly:
     """M: homogeneous multilinear of degree sz(G) + 1; M/L is additive over
     one-point-sums and M = 0 on semisimple graphs.  The sum over non-fixed
     pairs {v, iota v} of (val v - 2) times the co-tree monomials of
-    G/(E- + v~iota v)."""
-    _check_cap(h, max_classes)
+    G/(E- + v~iota v).  The tree limit covers all pairs together."""
+    budget = MAX_TREES
     terms: Dict[Monomial, Fraction] = {}
     for v in sorted(h.nonfixed_vertices):
         partner = h.involution.vertex(v)
         if v < partner:
             weight = Fraction(h.graph.valence(v) - 2)
-            for mono in _cotrees(h, (v, partner)):
+            trees = _cotrees(h, budget, (v, partner))
+            budget -= len(trees)
+            for mono in trees:
                 terms[mono] = terms.get(mono, ZERO) + weight
     return MultiPoly._trusted(terms)
 
@@ -410,17 +398,12 @@ def _theorem_shape_check(h: HyperellipticGraph, d: Divisor) -> Fraction:
     return deg
 
 
-def epsilon_rational_fn(
-    h: HyperellipticGraph,
-    d: Divisor,
-    *,
-    max_classes: Optional[int] = None,
-) -> RationalFn:
+def epsilon_rational_fn(h: HyperellipticGraph, d: Divisor) -> RationalFn:
     """The admissible constant as a rational function of the class lengths."""
     deg = _theorem_shape_check(h, d)
     q = Fraction(2, 3) * deg / (deg + 2)
-    lpoly = l_polynomial(h, max_classes=max_classes)
-    mpoly = m_polynomial(h, max_classes=max_classes)
+    lpoly = l_polynomial(h)
+    mpoly = m_polynomial(h)
     if lpoly.is_zero():
         raise SolverFaultError("L vanished on a valid hyperelliptic graph")
     linear = MultiPoly()

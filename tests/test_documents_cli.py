@@ -278,13 +278,14 @@ class TestCli:
         d = ag.random_polarization(h, 0)
         path = tmp_path / "g2.json"
         path.write_text(serialize_document(document_from(h.graph, h.involution, d)))
-        monkeypatch.setenv("ADMGRAPH_MAX_CLASSES", "2")
+        monkeypatch.setattr(ag.polynomials, "MAX_TREES", 0)
         code, out = run(capsys, ["epsilon-closed", str(path)])
         assert code == 0 and "epsilon" in out
         code, out = run(capsys, ["compare", str(path)])
         assert code == 0 and out["agree"] is True
-        code, out = run(capsys, ["lpoly", str(path)])
-        assert code == 1 and out["error"]["code"] == "enumeration-cap"
+        for command in ("lpoly", "mpoly"):
+            code, out = run(capsys, [command, str(path)])
+            assert code == 1 and out["error"]["code"] == "enumeration-cap"
 
     def test_strategy_flag_removed_from_value_commands(self, capsys, sg_file):
         for command in ("epsilon-closed", "compare", "lpoly", "mpoly"):
@@ -316,13 +317,6 @@ class TestCli:
         out = json.loads(captured.out)
         assert out["error"]["code"] == "schema-error"
         assert [p["path"] for p in out["error"]["problems"]] == ["--divisor.P"]
-
-    def test_non_integer_class_cap_is_domain_error(self, capsys, sg_file, monkeypatch):
-        monkeypatch.setenv("ADMGRAPH_MAX_CLASSES", "abc")
-        code, out = run(capsys, ["lpoly", sg_file])
-        assert code == 1
-        assert out["error"]["code"] == "enumeration-cap"
-        assert "ADMGRAPH_MAX_CLASSES" in out["error"]["message"]
 
     @pytest.mark.parametrize(
         "length",

@@ -167,9 +167,9 @@ class TestCoTrees:
 
     def test_ladder_l_term_counts_are_fibonacci(self):
         fib = [0, 1]
-        while len(fib) < 23:
+        while len(fib) < 27:
             fib.append(fib[-1] + fib[-2])
-        for n in range(2, 11):
+        for n in range(2, 13):
             lpoly = ag.l_polynomial(ag.ladder_graph(n))
             assert len(lpoly.terms) == fib[2 * n + 2]
             assert set(lpoly.terms.values()) == {1}
@@ -195,18 +195,30 @@ class TestCoTrees:
 
 
 class TestEnumerationCap:
-    def test_cap_raises(self):
-        h = ag.elementary_graph(3)
-        with pytest.raises(ag.EnumerationCapError):
-            ag.l_polynomial(h, max_classes=2)
-
-    def test_env_override(self, monkeypatch):
-        h = ag.elementary_graph(3)
-        monkeypatch.setenv("ADMGRAPH_MAX_CLASSES", "2")
-        with pytest.raises(ag.EnumerationCapError):
+    def test_l_budget_counts_trees(self, monkeypatch):
+        h = ag.ladder_graph(3)
+        monkeypatch.setattr(ag.polynomials, "MAX_TREES", 21)
+        assert len(ag.l_polynomial(h).terms) == 21
+        monkeypatch.setattr(ag.polynomials, "MAX_TREES", 20)
+        with pytest.raises(ag.EnumerationCapError, match="more than 20 spanning trees"):
             ag.l_polynomial(h)
-        monkeypatch.setenv("ADMGRAPH_MAX_CLASSES", "30")
-        assert not ag.l_polynomial(h).is_zero()
+
+    def test_class_count_does_not_decide(self, monkeypatch):
+        h = ag.ladder_graph(30)
+        assert len(h.class_members) == 61
+        monkeypatch.setattr(ag.polynomials, "MAX_TREES", 1000)
+        for symbolic in (ag.l_polynomial, ag.m_polynomial):
+            with pytest.raises(ag.EnumerationCapError):
+                symbolic(h)
+
+    def test_m_budget_covers_all_pairs(self, monkeypatch):
+        # ladder3's three non-fixed pairs list 8, 9 and 8 trees
+        h = ag.ladder_graph(3)
+        monkeypatch.setattr(ag.polynomials, "MAX_TREES", 25)
+        assert len(ag.m_polynomial(h).terms) == 19
+        monkeypatch.setattr(ag.polynomials, "MAX_TREES", 24)
+        with pytest.raises(ag.EnumerationCapError):
+            ag.m_polynomial(h)
 
 
 class TestClosedForm:
@@ -351,12 +363,11 @@ class TestKirchhoff:
         for h, d, numeric in cases:
             assert ag.epsilon_closed_form(h, d) == numeric
 
-    def test_no_class_cap(self, monkeypatch):
+    def test_no_class_cap(self):
         h = ag.ladder_graph(13)
         assert len(h.class_members) == 27
         d = ladder_polarization(h)
         numeric, _ = ag.epsilon_numeric(h.graph, d)
-        monkeypatch.setenv("ADMGRAPH_MAX_CLASSES", "2")
         assert ag.epsilon_closed_form(h, d) == numeric
 
 
