@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Dict, List, Optional
 
@@ -276,19 +277,17 @@ def _run(args) -> Dict:
     raise _UsageError(f"unknown command {args.command!r}")
 
 
-def run_command(argv) -> int:
-    """Execute one invocation; prints JSON to stdout and returns the exit
-    code (0 ok, 1 domain error, 2 usage error)."""
+def _outcome(argv):
+    """Run one invocation without printing: (exit code, JSON text, the
+    stream it belongs on)."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
         result = _run(args)
     except _HelpRequested as exc:
-        print(json.dumps({"help": str(exc)}))
-        return 0
+        return 0, json.dumps({"help": str(exc)}), sys.stdout
     except _UsageError as exc:
-        print(json.dumps({"error": {"code": "usage", "message": str(exc)}}), file=sys.stderr)
-        return 2
+        return 2, json.dumps({"error": {"code": "usage", "message": str(exc)}}), sys.stderr
     except SchemaError as exc:
         payload = {
             "error": {
@@ -297,19 +296,34 @@ def run_command(argv) -> int:
                 "problems": [{"path": p, "message": m} for p, m in exc.problems],
             }
         }
-        print(json.dumps(payload))
-        return 1
+        return 1, json.dumps(payload), sys.stdout
     except AdmGraphError as exc:
-        print(json.dumps({"error": {"code": exc.code, "message": str(exc)}}))
-        return 1
-    print(json.dumps(result))
-    if args.command == "compare" and not result.get("agree", True):
-        return 1
-    return 0
+        return 1, json.dumps({"error": {"code": exc.code, "message": str(exc)}}), sys.stdout
+    code = 1 if args.command == "compare" and not result.get("agree", True) else 0
+    return code, json.dumps(result), sys.stdout
+
+
+def run_command(argv) -> int:
+    """Execute one invocation; prints JSON to stdout and returns the exit
+    code (0 ok, 1 domain error, 2 usage error)."""
+    code, text, stream = _outcome(argv)
+    print(text, file=stream)
+    return code
 
 
 def main() -> None:
-    sys.exit(run_command(sys.argv[1:]))
+    code, text, stream = _outcome(sys.argv[1:])
+    try:
+        print(text, file=stream)
+        stream.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe (e.g. `| head`).  Point the stream at
+        # the null device so the interpreter's final flush stays silent, as
+        # the SIGPIPE note of the Python docs suggests, and keep the code.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stream.fileno())
+        os.close(devnull)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

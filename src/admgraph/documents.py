@@ -44,11 +44,7 @@ class GraphDocument:
         return self.involution_vertices is not None
 
     def to_graph(self, *, allow_loops: bool = False) -> MetrizedGraph:
-        return MetrizedGraph(
-            [v for v, _ in self.vertices],
-            [(eid, ends, length) for eid, ends, length in self.edges],
-            allow_loops=allow_loops,
-        )
+        return MetrizedGraph([v for v, _ in self.vertices], self.edges, allow_loops=allow_loops)
 
     def to_involution(self) -> Optional[Involution]:
         if not self.has_involution():

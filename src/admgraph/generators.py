@@ -66,13 +66,16 @@ class CoverSpec:
             raise InvalidGraphError("duplicate quotient vertex ids")
         if len(self.edges) != len(ids) - 1:
             raise InvalidGraphError("the quotient must be a tree")
+        degree = dict.fromkeys(ids, 0)
         for _, u, w, _ in self.edges:
             if u not in fixed or w not in fixed:
                 raise InvalidGraphError("quotient edge references unknown vertex")
             if u == w:
                 raise InvalidGraphError("the quotient must have no loops")
+            degree[u] += 1
+            degree[w] += 1
         for v, is_fixed in self.vertices:
-            if not is_fixed and self.degree(v) < 3:
+            if not is_fixed and degree[v] < 3:
                 raise InvalidGraphError(
                     f"non-fixed quotient vertex {v!r} needs degree >= 3"
                 )
@@ -87,35 +90,30 @@ def double_cover(spec: CoverSpec) -> HyperellipticGraph:
     spec.seed."""
     spec.validate()
     rng = random.Random(spec.seed)
-    fixed = dict(spec.vertices)
     vertices = []
     vmap: Dict[str, str] = {}
+    lifts: Dict[str, Tuple[str, str]] = {}  # quotient vertex -> (its "+" lift, its "-" lift)
     for v, is_fixed in spec.vertices:
         if is_fixed:
+            lifts[v] = (v, v)
             vertices.append(v)
             vmap[v] = v
         else:
-            vertices += [f"{v}+", f"{v}-"]
-            vmap[f"{v}+"] = f"{v}-"
-            vmap[f"{v}-"] = f"{v}+"
+            plus, minus = f"{v}+", f"{v}-"
+            lifts[v] = (plus, minus)
+            vertices += [plus, minus]
+            vmap[plus] = minus
+            vmap[minus] = plus
     edges = []
     emap: Dict[str, str] = {}
     for eid, u, w, length in spec.edges:
         plus, minus = f"{eid}+", f"{eid}-"
-        if fixed[u] and fixed[w]:
-            ends_plus, ends_minus = (u, w), (u, w)
-        elif fixed[u]:
-            ends_plus, ends_minus = (u, f"{w}+"), (u, f"{w}-")
-        elif fixed[w]:
-            ends_plus, ends_minus = (f"{u}+", w), (f"{u}-", w)
-        else:
-            crossed = rng.random() < 0.5
-            if crossed:
-                ends_plus, ends_minus = (f"{u}+", f"{w}-"), (f"{u}-", f"{w}+")
-            else:
-                ends_plus, ends_minus = (f"{u}+", f"{w}+"), (f"{u}-", f"{w}-")
-        edges.append((plus, ends_plus, length))
-        edges.append((minus, ends_minus, length))
+        u_plus, u_minus = lifts[u]
+        w_plus, w_minus = lifts[w]
+        if u_plus != u_minus and w_plus != w_minus and rng.random() < 0.5:
+            w_plus, w_minus = w_minus, w_plus  # the crossed lift
+        edges.append((plus, (u_plus, w_plus), length))
+        edges.append((minus, (u_minus, w_minus), length))
         emap[plus] = minus
         emap[minus] = plus
     graph = MetrizedGraph(vertices, edges)

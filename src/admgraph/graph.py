@@ -11,6 +11,14 @@ Self-loops are rejected at construction for analytic use.  Contraction may
 create them; such "loop markers" are retained (the result is built with
 ``allow_loops=True``) and may only be consumed by combinatorial code, never
 by the potential-theory solver.
+
+Construction checks each edge once.  A graph keeps its vertex set and edge
+index from construction and builds its incidence lists on first use, so
+``valence`` is O(1) and ``incident_edges`` O(deg v) after one linear pass.
+Graphs derived inside the package from a checked graph (contractions,
+irreducible blocks, the hyperelliptic quotient) are built without the
+checks that hold by construction; input from outside always goes through
+the checking constructor.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from .errors import ArcLengthRangeError, DisconnectedGraphError, InvalidGraphErr
 from .rationals import as_fraction, format_rational
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edge:
     id: str
     ends: Tuple[str, str]
@@ -40,6 +48,20 @@ class Edge:
     def is_loop(self) -> bool:
         return self.ends[0] == self.ends[1]
 
+    @classmethod
+    def _trusted(cls, id: str, ends: Tuple[str, str], length: Fraction) -> "Edge":
+        """An Edge from values already in normal form (a pair of ends, a
+        Fraction length), set through the slots without the frozen
+        dataclass's ``__init__``."""
+        e = object.__new__(cls)
+        _set_id(e, id)
+        _set_ends(e, ends)
+        _set_length(e, length)
+        return e
+
+
+_set_id, _set_ends, _set_length = (Edge.__dict__[f].__set__ for f in ("id", "ends", "length"))
+
 
 class MetrizedGraph:
     """Immutable multigraph with rational edge lengths.
@@ -52,36 +74,65 @@ class MetrizedGraph:
     :meth:`require_analytic` before doing any work.
     """
 
-    __slots__ = ("vertices", "edges", "_edge_by_id", "allow_loops")
+    __slots__ = ("vertices", "edges", "allow_loops", "_vertex_set", "_edge_by_id", "_incidence")
 
     def __init__(self, vertices: Iterable[str], edges: Iterable, *, allow_loops: bool = False):
         verts = tuple(sorted(vertices))
         if not verts:
             raise InvalidGraphError("a graph needs at least one vertex")
-        if len(set(verts)) != len(verts):
-            raise InvalidGraphError("duplicate vertex ids")
         vertex_set = frozenset(verts)
+        if len(vertex_set) != len(verts):
+            raise InvalidGraphError("duplicate vertex ids")
 
         normalized: List[Edge] = []
+        by_id: Dict[str, Edge] = {}
         for item in edges:
             if isinstance(item, Edge):
-                e = Edge(item.id, (item.ends[0], item.ends[1]), as_fraction(item.length))
+                eid, ends, length = item.id, item.ends, item.length
             else:
                 eid, ends, length = item
-                e = Edge(str(eid), (ends[0], ends[1]), as_fraction(length))
-            if e.ends[0] not in vertex_set or e.ends[1] not in vertex_set:
-                raise UnknownIdError(f"edge {e.id!r} references an unknown vertex")
-            if e.is_loop() and not allow_loops:
-                raise InvalidGraphError(f"edge {e.id!r} is a self-loop")
+                eid = str(eid)
+            u, w = ends[0], ends[1]
+            if type(length) is not Fraction:
+                length = as_fraction(length)
+            if u not in vertex_set or w not in vertex_set:
+                raise UnknownIdError(f"edge {eid!r} references an unknown vertex")
+            if u == w and not allow_loops:
+                raise InvalidGraphError(f"edge {eid!r} is a self-loop")
+            if (
+                type(item) is Edge
+                and length is item.length
+                and type(ends) is tuple
+                and len(ends) == 2
+            ):
+                e = item  # already in normal form, and immutable
+            else:
+                e = Edge._trusted(eid, (u, w), length)
             normalized.append(e)
-        ids = [e.id for e in normalized]
-        if len(set(ids)) != len(ids):
+            by_id[eid] = e
+        if len(by_id) != len(normalized):
             raise InvalidGraphError("duplicate edge ids")
+        self._set(verts, tuple(normalized), allow_loops, vertex_set, by_id)
 
-        object.__setattr__(self, "vertices", verts)
-        object.__setattr__(self, "edges", tuple(normalized))
-        object.__setattr__(self, "_edge_by_id", {e.id: e for e in normalized})
-        object.__setattr__(self, "allow_loops", allow_loops)
+    @classmethod
+    def _trusted(
+        cls, vertices: Tuple[str, ...], edges: Tuple[Edge, ...], allow_loops: bool
+    ) -> "MetrizedGraph":
+        """A graph from a sorted vertex tuple and Edge values with unique ids
+        and ends among the vertices (loops only with ``allow_loops``), with
+        no checks: only for graphs derived from a checked one."""
+        g = object.__new__(cls)
+        g._set(vertices, edges, allow_loops, frozenset(vertices), {e.id: e for e in edges})
+        return g
+
+    def _set(self, vertices, edges, allow_loops, vertex_set, edge_by_id) -> None:
+        init = object.__setattr__
+        init(self, "vertices", vertices)
+        init(self, "edges", edges)
+        init(self, "allow_loops", allow_loops)
+        init(self, "_vertex_set", vertex_set)
+        init(self, "_edge_by_id", edge_by_id)
+        init(self, "_incidence", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("MetrizedGraph is immutable")
@@ -103,10 +154,10 @@ class MetrizedGraph:
             raise UnknownIdError(f"unknown edge {edge_id!r}") from None
 
     def has_vertex(self, v: str) -> bool:
-        return v in set(self.vertices)
+        return v in self._vertex_set
 
     def require_vertex(self, v: str) -> None:
-        if not self.has_vertex(v):
+        if v not in self._vertex_set:
             raise UnknownIdError(f"unknown vertex {v!r}")
 
     def edge_ids(self) -> Tuple[str, ...]:
@@ -126,13 +177,26 @@ class MetrizedGraph:
             adj[v].sort()
         return adj
 
+    def _incident(self) -> Dict[str, List[Edge]]:
+        table = self._incidence
+        if table is None:
+            table = {v: [] for v in self.vertices}
+            for e in self.edges:
+                u, w = e.ends
+                table[u].append(e)
+                table[w].append(e)
+            object.__setattr__(self, "_incidence", table)
+        return table
+
+    def incident_edges(self, v: str) -> Tuple[Edge, ...]:
+        """The edges with an end at v, in edge order; a loop is listed twice."""
+        self.require_vertex(v)
+        return tuple(self._incident()[v])
+
     def valence(self, v: str) -> int:
         """Number of edge ends at v (a loop counts twice)."""
         self.require_vertex(v)
-        count = 0
-        for e in self.edges:
-            count += (e.ends[0] == v) + (e.ends[1] == v)
-        return count
+        return len(self._incident()[v])
 
     def loops(self) -> Tuple[Edge, ...]:
         return tuple(e for e in self.edges if e.is_loop())
@@ -141,15 +205,18 @@ class MetrizedGraph:
         return sum((e.length for e in self.edges), Fraction(0))
 
     def is_connected(self) -> bool:
-        seen = {self.vertices[0]}
-        stack = [self.vertices[0]]
-        adj = self.adjacency()
+        incident = self._incident()
+        start = self.vertices[0]
+        seen = {start}
+        stack = [start]
         while stack:
             v = stack.pop()
-            for w, _ in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
+            for e in incident[v]:
+                u, w = e.ends
+                x = w if u == v else u
+                if x not in seen:
+                    seen.add(x)
+                    stack.append(x)
         return len(seen) == len(self.vertices)
 
     def first_betti_number(self) -> int:
@@ -276,13 +343,15 @@ def contract(g: MetrizedGraph, edge_ids: Iterable[str]) -> Tuple[MetrizedGraph, 
         if not e.is_loop():
             uf.union(*e.ends)
     vmap = {v: uf.find(v) for v in g.vertices}
-    new_vertices = sorted(set(vmap.values()))
-    new_edges = [
-        Edge(e.id, (vmap[e.ends[0]], vmap[e.ends[1]]), e.length)
-        for e in g.edges
-        if e.id not in ids
-    ]
-    return MetrizedGraph(new_vertices, new_edges, allow_loops=True), vmap
+    new_edges = []
+    for e in g.edges:
+        if e.id in ids:
+            continue
+        u, w = e.ends
+        ends = (vmap[u], vmap[w])
+        new_edges.append(e if ends == e.ends else Edge._trusted(e.id, ends, e.length))
+    new_vertices = tuple(sorted(set(vmap.values())))
+    return MetrizedGraph._trusted(new_vertices, tuple(new_edges), True), vmap
 
 
 def restrict(g: MetrizedGraph, edge_ids: Iterable[str]) -> Tuple[MetrizedGraph, Dict[str, str]]:
@@ -385,10 +454,10 @@ def irreducible_decomposition(g: MetrizedGraph) -> List[MetrizedGraph]:
 
     result = []
     for comp in blocks:
-        edges = [g.edge(eid) for eid in comp]
-        verts = sorted({v for e in edges for v in e.ends})
+        edges = tuple(g.edge(eid) for eid in comp)
+        verts = tuple(sorted({v for e in edges for v in e.ends}))
         loops = any(e.is_loop() for e in edges)
-        result.append(MetrizedGraph(verts, edges, allow_loops=loops))
+        result.append(MetrizedGraph._trusted(verts, edges, loops))
     result.sort(key=lambda b: (b.vertices[0], b.vertices, min(b.edge_ids())))
     return result
 

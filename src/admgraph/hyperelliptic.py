@@ -11,6 +11,14 @@ forming a simple component).  Edge classes {e, iota(e)} are named by the
 lexicographically smaller member id so polynomial variables and documents
 are deterministic.
 
+``validate_hyperelliptic`` is linear in the size of the graph: after the
+connectivity and length checks, one pass over the edges checks the
+involution edge by edge, finds loops (axiom 1) and fixed edges (axiom 2)
+and derives the edge kinds and classes; one pass over the vertices checks
+valences (axiom 3) and derives the quotient's vertices, and the quotient
+tree test (axiom 4) runs over the classes.  ``check_involution`` shares
+the involution checks.
+
 ``normalize_fiber`` turns the dual graph of a semistable fiber (where
 iota-fixed edges and loops are allowed) into an honest hyperelliptic graph:
 fixed edges are split at their midpoint (the new vertex is fixed, the two
@@ -43,7 +51,6 @@ from .graph import (
     contract,
     irreducible_decomposition,
     push_divisor,
-    validate_graph,
 )
 
 
@@ -82,34 +89,79 @@ class Involution:
         return Involution({v: v for v in g.vertices}, {e: e for e in g.edge_ids()})
 
 
-def check_involution(g: MetrizedGraph, inv: Involution, *, allow_fixed_edges: bool = False) -> None:
-    """Structural validation: permutations squaring to the identity that are
-    endpoint- and length-compatible.  Raises InvolutionMalformedError."""
-    vset, eset = set(g.vertices), set(g.edge_ids())
-    if set(inv.vertex_map) != vset or set(inv.vertex_map.values()) != vset:
-        raise InvolutionMalformedError("vertex map is not a permutation of the vertex set")
-    if set(inv.edge_map) != eset or set(inv.edge_map.values()) != eset:
-        raise InvolutionMalformedError("edge map is not a permutation of the edge set")
-    for v in g.vertices:
-        if inv.vertex(inv.vertex(v)) != v:
-            raise InvolutionMalformedError(f"vertex map does not square to identity at {v!r}")
-    for e in g.edges:
-        partner_id = inv.edge(e.id)
-        if inv.edge(partner_id) != e.id:
-            raise InvolutionMalformedError(f"edge map does not square to identity at {e.id!r}")
-        partner = g.edge(partner_id)
-        if {inv.vertex(x) for x in e.ends} != set(partner.ends):
-            raise InvolutionMalformedError(f"edge map incompatible with endpoints at {e.id!r}")
-        if partner.length != e.length:
-            raise InvolutionMalformedError(f"lengths differ within the orbit of {e.id!r}")
-        if not allow_fixed_edges and partner_id == e.id:
-            raise InvolutionMalformedError(f"edge {e.id!r} is fixed by the involution")
-
-
 class EdgeKind(Enum):
     DISJOINT = "disjoint"
     ONE_JOINTED = "one-jointed"
     TWO_JOINTED = "two-jointed"
+
+
+# |e . iota(e)| -> kind, for an edge e that is not a loop
+_KIND_BY_SHARED_ENDS = (EdgeKind.DISJOINT, EdgeKind.ONE_JOINTED, EdgeKind.TWO_JOINTED)
+
+
+def _check_permutations(
+    g: MetrizedGraph, vmap: Mapping[str, str], emap: Mapping[str, str]
+) -> None:
+    """The maps are permutations of the vertex and edge ids, and the vertex
+    map squares to the identity.  Raises InvolutionMalformedError."""
+    vset = g._vertex_set
+    if vmap.keys() != vset or set(vmap.values()) != vset:
+        raise InvolutionMalformedError("vertex map is not a permutation of the vertex set")
+    eset = g._edge_by_id.keys()
+    if emap.keys() != eset or set(emap.values()) != eset:
+        raise InvolutionMalformedError("edge map is not a permutation of the edge set")
+    for v in g.vertices:
+        if vmap[vmap[v]] != v:
+            raise InvolutionMalformedError(f"vertex map does not square to identity at {v!r}")
+
+
+def _edge_pass(
+    g: MetrizedGraph, vmap: Mapping[str, str], emap: Mapping[str, str], allow_fixed_edges: bool
+):
+    """One pass over the edges, after :func:`_check_permutations`.
+
+    Raises InvolutionMalformedError at the first edge where the edge map
+    does not square to the identity, breaks endpoints or lengths, or fixes
+    the edge when that is not allowed.  Returns the first loop and the first
+    fixed edge (or None), and the edge kinds, the class of each edge and the
+    members of each class, in edge order."""
+    edge_by_id = g._edge_by_id
+    loop = fixed_edge = None
+    kinds: Dict[str, EdgeKind] = {}
+    class_of: Dict[str, str] = {}
+    members: Dict[str, Tuple[str, ...]] = {}
+    for e in g.edges:
+        eid = e.id
+        partner_id = emap[eid]
+        partner = edge_by_id[partner_id]
+        if emap[partner_id] != eid:
+            raise InvolutionMalformedError(f"edge map does not square to identity at {eid!r}")
+        u, w = e.ends
+        a, b = vmap[u], vmap[w]
+        x, y = partner.ends
+        if not ((a == x and b == y) or (a == y and b == x)):
+            raise InvolutionMalformedError(f"edge map incompatible with endpoints at {eid!r}")
+        if partner.length is not e.length and partner.length != e.length:
+            raise InvolutionMalformedError(f"lengths differ within the orbit of {eid!r}")
+        if partner_id == eid:
+            if not allow_fixed_edges:
+                raise InvolutionMalformedError(f"edge {eid!r} is fixed by the involution")
+            if fixed_edge is None:
+                fixed_edge = eid
+        if u == w and loop is None:
+            loop = eid
+        kinds[eid] = _KIND_BY_SHARED_ENDS[(u == x or u == y) + (w == x or w == y)]
+        pair = (eid, partner_id) if eid < partner_id else (partner_id, eid)
+        class_of[eid] = pair[0]
+        members.setdefault(pair[0], pair)
+    return loop, fixed_edge, kinds, class_of, members
+
+
+def check_involution(g: MetrizedGraph, inv: Involution, *, allow_fixed_edges: bool = False) -> None:
+    """Structural validation: permutations squaring to the identity that are
+    endpoint- and length-compatible.  Raises InvolutionMalformedError."""
+    _check_permutations(g, inv.vertex_map, inv.edge_map)
+    _edge_pass(g, inv.vertex_map, inv.edge_map, allow_fixed_edges)
 
 
 def class_name(inv: Involution, edge_id: str) -> str:
@@ -145,70 +197,63 @@ class HyperellipticGraph:
         return {c: self.class_length(c) for c in self.classes()}
 
 
-def _edge_kind(g: MetrizedGraph, inv: Involution, e: Edge) -> EdgeKind:
-    partner = g.edge(inv.edge(e.id))
-    shared = set(e.ends) & set(partner.ends)
-    if len(shared) == 0:
-        return EdgeKind.DISJOINT
-    if len(shared) == 1:
-        return EdgeKind.ONE_JOINTED
-    return EdgeKind.TWO_JOINTED
-
-
 def validate_hyperelliptic(g: MetrizedGraph, inv: Involution) -> HyperellipticGraph:
     """Check the four axioms and return the graph with derived data.
 
     Raises AxiomViolationError(n) naming the failed clause, or
-    InvolutionMalformedError if the involution itself is broken.
+    InvolutionMalformedError if the involution itself is broken.  When
+    several checks fail, the one raised is the first in this order:
+    connectivity, positive lengths, :func:`check_involution` (fixed edges
+    allowed), axioms (1) to (4).
     """
-    report = validate_graph(g)
-    if any("not connected" in p for p in report.problems):
+    if not g.is_connected():
         raise DisconnectedGraphError("hyperelliptic graphs are connected")
-    if any("nonpositive" in p for p in report.problems):
+    if any(e.length.numerator <= 0 for e in g.edges):  # denominators are positive
         raise AxiomViolationError(1, "edge lengths must be positive")
-    check_involution(g, inv, allow_fixed_edges=True)
+    vmap, emap = inv.vertex_map, inv.edge_map
+    _check_permutations(g, vmap, emap)
+    loop, fixed_edge, kinds, class_of, members = _edge_pass(g, vmap, emap, True)
+    if loop is not None:
+        raise AxiomViolationError(1, f"edge {loop!r} is not a closed interval")
+    if fixed_edge is not None:
+        raise AxiomViolationError(2, f"iota fixes edge {fixed_edge!r}")
 
-    if g.loops():
-        raise AxiomViolationError(1, f"edge {g.loops()[0].id!r} is not a closed interval")
-    for e in g.edges:
-        if inv.fixes_edge(e.id):
-            raise AxiomViolationError(2, f"iota fixes edge {e.id!r}")
-    fixed = frozenset(v for v in g.vertices if inv.fixes_vertex(v))
-    nonfixed = frozenset(g.vertices) - fixed
-    for v in sorted(nonfixed):
-        if g.valence(v) < 3:
+    fixed = []
+    vclass: Dict[str, str] = {}
+    qvertices = []
+    for v in g.vertices:
+        w = vmap[v]
+        if w == v:
+            fixed.append(v)
+        elif g.valence(v) < 3:
             raise AxiomViolationError(3, f"non-fixed vertex {v!r} has fewer than three edges")
+        if v <= w:
+            vclass[v] = v
+            qvertices.append(v)
+        else:
+            vclass[v] = w
 
-    kinds = {e.id: _edge_kind(g, inv, e) for e in g.edges}
-    members: Dict[str, Tuple[str, ...]] = {}
-    class_of: Dict[str, str] = {}
-    for e in g.edges:
-        cname = class_name(inv, e.id)
-        class_of[e.id] = cname
-        members.setdefault(cname, tuple())
-    for cname in members:
-        pair = sorted({cname, inv.edge(cname)})
-        members[cname] = tuple(pair)
-
-    vclass = {v: min(v, inv.vertex(v)) for v in g.vertices}
-    qvertices = sorted(set(vclass.values()))
     qedges = []
-    for cname, pair in sorted(members.items()):
-        e = g.edge(pair[0])
-        qedges.append((cname, (vclass[e.ends[0]], vclass[e.ends[1]]), e.length))
-    quotient = MetrizedGraph(qvertices, qedges, allow_loops=True)
-    if quotient.loops() or len(qedges) != len(qvertices) - 1:
+    quotient_loop = False
+    for cname in sorted(members):
+        e = g._edge_by_id[cname]
+        u, w = e.ends
+        ends = (vclass[u], vclass[w])
+        quotient_loop = quotient_loop or ends[0] == ends[1]
+        qedges.append(Edge._trusted(cname, ends, e.length))
+    if quotient_loop or len(qedges) != len(qvertices) - 1:
         raise AxiomViolationError(4, "the quotient by iota has a loop (it must be a tree)")
 
+    fixed_set = frozenset(fixed)
     return HyperellipticGraph(
         graph=g,
         involution=inv,
-        fixed_vertices=fixed,
-        nonfixed_vertices=nonfixed,
+        fixed_vertices=fixed_set,
+        nonfixed_vertices=g._vertex_set - fixed_set,
         edge_kinds=kinds,
         class_members=members,
         class_of=class_of,
-        quotient=quotient,
+        quotient=MetrizedGraph._trusted(tuple(qvertices), tuple(qedges), True),
     )
 
 
@@ -310,9 +355,7 @@ def nu_counts(h: HyperellipticGraph, v: str) -> Tuple[int, int, int]:
     if v in h.fixed_vertices:
         raise FixedVertexError(f"vertex {v!r} is fixed; nu is defined on non-fixed vertices")
     nu0 = nu1 = 0
-    for e in h.graph.edges:
-        if v not in e.ends:
-            continue
+    for e in h.graph.incident_edges(v):
         kind = h.edge_kinds[e.id]
         if kind is EdgeKind.DISJOINT:
             nu0 += 1

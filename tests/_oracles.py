@@ -26,6 +26,14 @@ but no code of ``polynomials``.
   slope and offset (the curvature is fixed by the measure), constrained by
   endpoint continuity, vertex flux, and the vanishing integral, solved by a
   local reduced-row-echelon routine with a consistency check.
+
+* Graph construction and the hyperelliptic checks check by check, each as
+  its own scan: the graph constructor, ``validate_graph`` with a sorted
+  adjacency walk, ``check_involution`` with set comparisons, the four
+  axioms with a valence scan per vertex, the quotient through the checking
+  constructor, and ``CoverSpec.validate`` with a degree scan per vertex.
+  They raise the library's exceptions with the library's messages, so
+  the library's one-pass versions must agree with them exactly.
 """
 
 from collections import Counter
@@ -33,10 +41,18 @@ from fractions import Fraction
 from itertools import combinations
 
 from admgraph import (
+    AxiomViolationError,
+    DisconnectedGraphError,
+    Edge,
     EdgeKind,
+    InvalidGraphError,
+    InvolutionMalformedError,
     MultiPoly,
+    UnknownIdError,
+    as_fraction,
     component_structures,
     contract_classes,
+    format_rational,
     graph_size,
     is_simple,
     restrict_classes,
@@ -317,3 +333,171 @@ def green_values_oracle(graph, masses, densities, source):
         r, c = end_value_row(e, 0 if e.ends[0] == v else 1)
         values[v] = sum(a * x for a, x in zip(r, solution)) + c
     return values
+
+
+# -- construction and validation, check by check ------------------------
+
+
+def graph_fields(vertices, edges, allow_loops=False):
+    """(sorted vertices, edges) of MetrizedGraph(vertices, edges), or its
+    exception."""
+    verts = tuple(sorted(vertices))
+    if not verts:
+        raise InvalidGraphError("a graph needs at least one vertex")
+    if len(set(verts)) != len(verts):
+        raise InvalidGraphError("duplicate vertex ids")
+    vertex_set = frozenset(verts)
+    normalized = []
+    for item in edges:
+        if isinstance(item, Edge):
+            e = Edge(item.id, (item.ends[0], item.ends[1]), as_fraction(item.length))
+        else:
+            eid, ends, length = item
+            e = Edge(str(eid), (ends[0], ends[1]), as_fraction(length))
+        if e.ends[0] not in vertex_set or e.ends[1] not in vertex_set:
+            raise UnknownIdError(f"edge {e.id!r} references an unknown vertex")
+        if e.is_loop() and not allow_loops:
+            raise InvalidGraphError(f"edge {e.id!r} is a self-loop")
+        normalized.append(e)
+    ids = [e.id for e in normalized]
+    if len(set(ids)) != len(ids):
+        raise InvalidGraphError("duplicate edge ids")
+    return verts, tuple(normalized)
+
+
+def valence(g, v):
+    return sum((e.ends[0] == v) + (e.ends[1] == v) for e in g.edges)
+
+
+def is_connected(g):
+    adj = {v: [] for v in g.vertices}
+    for e in g.edges:
+        u, w = e.ends
+        adj[u].append((w, e.id))
+        adj[w].append((u, e.id))
+    for v in adj:
+        adj[v].sort()
+    seen = {g.vertices[0]}
+    stack = [g.vertices[0]]
+    while stack:
+        for w, _ in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == len(g.vertices)
+
+
+def graph_problems(g):
+    """The problems ``validate_graph`` reports, in its order."""
+    problems = []
+    for e in g.edges:
+        if e.length <= 0:
+            problems.append(f"edge {e.id!r}: nonpositive length {format_rational(e.length)}")
+        if e.is_loop():
+            problems.append(f"edge {e.id!r}: self-loop at {e.ends[0]!r}")
+    if not is_connected(g):
+        problems.append("graph is not connected")
+    return problems
+
+
+def check_involution(g, inv, allow_fixed_edges=False):
+    vset, eset = set(g.vertices), set(g.edge_ids())
+    if set(inv.vertex_map) != vset or set(inv.vertex_map.values()) != vset:
+        raise InvolutionMalformedError("vertex map is not a permutation of the vertex set")
+    if set(inv.edge_map) != eset or set(inv.edge_map.values()) != eset:
+        raise InvolutionMalformedError("edge map is not a permutation of the edge set")
+    for v in g.vertices:
+        if inv.vertex(inv.vertex(v)) != v:
+            raise InvolutionMalformedError(f"vertex map does not square to identity at {v!r}")
+    for e in g.edges:
+        partner_id = inv.edge(e.id)
+        if inv.edge(partner_id) != e.id:
+            raise InvolutionMalformedError(f"edge map does not square to identity at {e.id!r}")
+        partner = g.edge(partner_id)
+        if {inv.vertex(x) for x in e.ends} != set(partner.ends):
+            raise InvolutionMalformedError(f"edge map incompatible with endpoints at {e.id!r}")
+        if partner.length != e.length:
+            raise InvolutionMalformedError(f"lengths differ within the orbit of {e.id!r}")
+        if not allow_fixed_edges and partner_id == e.id:
+            raise InvolutionMalformedError(f"edge {e.id!r} is fixed by the involution")
+
+
+_KINDS = {0: EdgeKind.DISJOINT, 1: EdgeKind.ONE_JOINTED, 2: EdgeKind.TWO_JOINTED}
+
+
+def hyperelliptic_fields(g, inv):
+    """What ``validate_hyperelliptic(g, inv)`` derives, as plain values
+    (dicts as lists of items, in order), or its exception."""
+    problems = graph_problems(g)
+    if "graph is not connected" in problems:
+        raise DisconnectedGraphError("hyperelliptic graphs are connected")
+    if any(e.length <= 0 for e in g.edges):
+        raise AxiomViolationError(1, "edge lengths must be positive")
+    check_involution(g, inv, allow_fixed_edges=True)
+    loops = [e for e in g.edges if e.is_loop()]
+    if loops:
+        raise AxiomViolationError(1, f"edge {loops[0].id!r} is not a closed interval")
+    for e in g.edges:
+        if inv.edge(e.id) == e.id:
+            raise AxiomViolationError(2, f"iota fixes edge {e.id!r}")
+    fixed = frozenset(v for v in g.vertices if inv.vertex(v) == v)
+    nonfixed = frozenset(g.vertices) - fixed
+    for v in sorted(nonfixed):
+        if valence(g, v) < 3:
+            raise AxiomViolationError(3, f"non-fixed vertex {v!r} has fewer than three edges")
+
+    kinds = {}
+    for e in g.edges:
+        partner = g.edge(inv.edge(e.id))
+        kinds[e.id] = _KINDS[len(set(e.ends) & set(partner.ends))]
+    members, class_of = {}, {}
+    for e in g.edges:
+        cname = min(e.id, inv.edge(e.id))
+        class_of[e.id] = cname
+        members.setdefault(cname, tuple(sorted({cname, inv.edge(cname)})))
+
+    vclass = {v: min(v, inv.vertex(v)) for v in g.vertices}
+    qvertices = sorted(set(vclass.values()))
+    qedges = []
+    for cname, pair in sorted(members.items()):
+        e = g.edge(pair[0])
+        qedges.append((cname, (vclass[e.ends[0]], vclass[e.ends[1]]), e.length))
+    quotient = graph_fields(qvertices, qedges, allow_loops=True)
+    if any(e.is_loop() for e in quotient[1]) or len(qedges) != len(qvertices) - 1:
+        raise AxiomViolationError(4, "the quotient by iota has a loop (it must be a tree)")
+
+    nu = {}
+    for v in sorted(nonfixed):
+        counts = [0, 0]
+        for e in g.edges:
+            if v in e.ends and kinds[e.id] is not EdgeKind.TWO_JOINTED:
+                counts[kinds[e.id] is EdgeKind.ONE_JOINTED] += 1
+        nu[v] = (counts[0], counts[1], counts[0] + counts[1])
+    return {
+        "fixed_vertices": fixed,
+        "nonfixed_vertices": nonfixed,
+        "edge_kinds": list(kinds.items()),
+        "class_members": list(members.items()),
+        "class_of": list(class_of.items()),
+        "quotient": quotient,
+        "nu": nu,
+    }
+
+
+def check_cover_spec(spec):
+    """``CoverSpec.validate``: raises InvalidGraphError or returns None."""
+    ids = [v for v, _ in spec.vertices]
+    fixed = dict(spec.vertices)
+    if len(set(ids)) != len(ids):
+        raise InvalidGraphError("duplicate quotient vertex ids")
+    if len(spec.edges) != len(ids) - 1:
+        raise InvalidGraphError("the quotient must be a tree")
+    for _, u, w, _ in spec.edges:
+        if u not in fixed or w not in fixed:
+            raise InvalidGraphError("quotient edge references unknown vertex")
+        if u == w:
+            raise InvalidGraphError("the quotient must have no loops")
+    for v, is_fixed in spec.vertices:
+        degree = sum((u == v) + (w == v) for _, u, w, _ in spec.edges)
+        if not is_fixed and degree < 3:
+            raise InvalidGraphError(f"non-fixed quotient vertex {v!r} needs degree >= 3")

@@ -12,6 +12,10 @@ import contextlib
 import copy
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -237,3 +241,26 @@ def test_results_longer_than_the_int_string_limit(doc_path):
     expected = ag.effective_resistance(g, "O", "P1+")
     assert json.loads(out) == {"resistance": ag.format_rational(expected)}
     assert max(expected.numerator, expected.denominator) > 10**4300
+
+
+def test_closed_stdout_prints_no_traceback(tmp_path):
+    # ladder8's L is 256 KB of JSON, more than a pipe holds, so the CLI is
+    # still writing when the reader closes its end after 200 bytes
+    h = ag.ladder_graph(8)
+    path = tmp_path / "ladder8.json"
+    path.write_text(serialize_document(document_from(h.graph, h.involution)), encoding="utf-8")
+    src = str(Path(ag.__file__).resolve().parent.parent)
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "admgraph", "lpoly", str(path)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    head = proc.stdout.read(200)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert head.startswith(b'{"size": 9, "polynomial": [')
+    assert b"Traceback" not in err, err.decode()[-2000:]
+    assert proc.returncode in (0, 1, 2)

@@ -1,13 +1,20 @@
-"""Generator soundness: validity, determinism, coverage."""
+"""Generator soundness: validity, determinism, coverage, pinned streams."""
 
+import contextlib
+import dataclasses
+import hashlib
+import io
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _oracles
 import admgraph as ag
+import admgraph.cli
 from admgraph import EdgeKind
+from admgraph.generators import random_cover_spec
 
 
 class TestDoubleCover:
@@ -114,3 +121,107 @@ class TestWithLengths:
         assert h2.graph.edge_ids() == h.graph.edge_ids()
         for cname, value in lengths.items():
             assert h2.class_length(cname) == value
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except Exception as exc:  # the exception itself is the outcome compared
+        return "raised", (type(exc), str(exc))
+
+
+def _replace_edge(spec, k, ends):
+    """Edge k % #edges gets the ends ``ends(u, w)``; a spec without edges
+    stays as it is."""
+    if not spec.edges:
+        return spec
+    edges = list(spec.edges)
+    i = k % len(edges)
+    eid, u, w, length = edges[i]
+    edges[i] = (eid, *ends(u, w), length)
+    return dataclasses.replace(spec, edges=tuple(edges))
+
+
+def _unfix(spec, k):
+    i = k % len(spec.vertices)
+    vertices = tuple((v, is_fixed and j != i) for j, (v, is_fixed) in enumerate(spec.vertices))
+    return dataclasses.replace(spec, vertices=vertices)
+
+
+SPEC_MUTATIONS = {
+    "duplicate-vertex": lambda s, k: dataclasses.replace(
+        s, vertices=s.vertices + (s.vertices[k % len(s.vertices)],)
+    ),
+    "drop-edge": lambda s, k: dataclasses.replace(s, edges=s.edges[:-1]),
+    "unknown-vertex": lambda s, k: _replace_edge(s, k, lambda u, w: (u, "ghost")),
+    "loop": lambda s, k: _replace_edge(s, k, lambda u, w: (u, u)),
+    "unfix": _unfix,
+}
+
+
+class TestCoverSpecOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=10**6),
+        st.lists(
+            st.tuples(
+                st.sampled_from(sorted(SPEC_MUTATIONS)), st.integers(min_value=0, max_value=30)
+            ),
+            max_size=2,
+        ),
+    )
+    def test_validate_agrees(self, seed, mutations):
+        spec = random_cover_spec(seed, max_vertices=12)
+        for name, k in mutations:
+            spec = SPEC_MUTATIONS[name](spec, k)
+        outcome = _outcome(spec.validate)
+        assert outcome == _outcome(_oracles.check_cover_spec, spec)
+        if outcome[0] == "ok":
+            ag.double_cover(spec)
+
+
+# Sub-seeds of the generator: the first 40, and 40 from each of the two
+# streams the benchmark draws its covers from (closed-form at seed 1,
+# cli-batch at seed 2).
+PINNED_SUB_SEEDS = (
+    list(range(40))
+    + [(1 * 8 + 2) * 10**7 + j for j in range(40)]
+    + [(2 * 8 + 3) * 10**7 + j for j in range(40)]
+)
+
+
+def _digest(texts):
+    return hashlib.sha256("\n".join(texts).encode()).hexdigest()
+
+
+class TestPinnedStreams:
+    """The generators' draws, pinned by digests of their output: a change
+    that moves a coin flip or reorders derived data fails here, not only in
+    the benchmark's input digest."""
+
+    @pytest.fixture(scope="class")
+    def covers(self):
+        return [
+            (s, ag.double_cover(random_cover_spec(s, max_vertices=16))) for s in PINNED_SUB_SEEDS
+        ]
+
+    def test_double_cover_documents(self, covers):
+        docs = (ag.serialize_document(ag.document_from(h.graph, h.involution)) for _, h in covers)
+        assert _digest(docs) == "c40c956e9f4048170c73f401f0a03b57b3a08bfc225e7c8196cd3c8e160d96f8"
+
+    def test_random_polarizations(self, covers):
+        texts = (
+            repr(sorted((v, ag.format_rational(c)) for v, c in d.coefficients.items()))
+            for d in (ag.random_polarization(h, s) for s, h in covers)
+        )
+        assert _digest(texts) == "00edeb976938dcad738627a0892a1cbb9c3eb6b29908f593f8e326c5876f1f78"
+
+    def test_gen_stdout(self):
+        outputs = []
+        for seed in (1, 2, 3):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert admgraph.cli.run_command(["gen", "--seed", str(seed)]) == 0
+            outputs.append(out.getvalue())
+        expected = "ffbdc541ba788041114dd2c76326143ca26adf52152adf1c6a05afae304a88a2"
+        assert _digest(outputs) == expected

@@ -3,9 +3,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import _oracles
 import admgraph as ag
 from admgraph import EdgeKind
+from conftest import named_corpus
 
 F = Fraction
 
@@ -314,3 +318,297 @@ class TestRestrictionSimplicity:
             d = ag.random_polarization(h, 7)
             for cname in h.classes():
                 ag.w_weight(h, d, cname)  # raises NotSimpleRestriction on failure
+
+
+# -- one-pass construction against the check-by-check oracle ------------
+
+
+def _raw(h):
+    """A hyperelliptic graph as constructor input: mutable vertex and edge
+    lists and involution maps."""
+    g = h.graph
+    return {
+        "vertices": list(g.vertices),
+        "edges": [(e.id, e.ends, e.length) for e in g.edges],
+        "vmap": dict(h.involution.vertex_map),
+        "emap": dict(h.involution.edge_map),
+        "allow_loops": False,
+    }
+
+
+def _pick(items, k):
+    items = sorted(items)
+    return items[k % len(items)]
+
+
+def _set_edge(raw, eid, ends=None, length=None):
+    for i, (x, old_ends, old_length) in enumerate(raw["edges"]):
+        if x == eid:
+            raw["edges"][i] = (x, ends or old_ends, old_length if length is None else length)
+
+
+def _ends(raw, eid):
+    return next(ends for x, ends, _ in raw["edges"] if x == eid)
+
+
+def _fixed(raw):
+    """The fixed vertices, or all vertices if a mutation left none fixed."""
+    return [v for v in raw["vertices"] if raw["vmap"].get(v) == v] or raw["vertices"]
+
+
+def _fix_edge(raw, k):
+    eid = _pick(raw["emap"], k)
+    raw["emap"][raw["emap"][eid]] = raw["emap"][eid]
+    raw["emap"][eid] = eid
+
+
+def _loop(raw, k):
+    """A new orbit of two loops at a fixed vertex."""
+    v = _pick(_fixed(raw), k)
+    raw["edges"] += [("loop+", (v, v), Fraction(1)), ("loop-", (v, v), Fraction(1))]
+    raw["emap"]["loop+"], raw["emap"]["loop-"] = "loop-", "loop+"
+    raw["allow_loops"] = bool(k % 3)
+
+
+def _valence_two(raw, k):
+    """Subdivide one orbit by a swapped pair of new vertices, each of
+    valence 2."""
+    eid = _pick(raw["emap"], k)
+    partner = raw["emap"][eid]
+    vmap = raw["vmap"]
+    u, w = _ends(raw, eid)
+    length = next(x for i, _, x in raw["edges"] if i == eid)
+    raw["vertices"] += ["mid+", "mid-"]
+    vmap["mid+"], vmap["mid-"] = "mid-", "mid+"
+    _set_edge(raw, eid, ends=(u, "mid+"))
+    _set_edge(raw, partner, ends=(vmap.get(u, u), "mid-"))
+    raw["edges"] += [
+        (f"{eid}.b", ("mid+", w), length),
+        (f"{partner}.b", ("mid-", vmap.get(w, w)), length),
+    ]
+    raw["emap"][f"{eid}.b"], raw["emap"][f"{partner}.b"] = f"{partner}.b", f"{eid}.b"
+
+
+def _orbit_lengths(raw, k):
+    eid = _pick(raw["emap"], k)
+    length = next(x for i, _, x in raw["edges"] if i == eid)
+    _set_edge(raw, eid, length=ag.as_fraction(length) + 1)
+
+
+def _not_involution(raw, k):
+    """Compose the vertex or the edge map with a 3-cycle: still a
+    permutation, but in general not of order 2."""
+    mapping = raw["vmap"] if k % 2 else raw["emap"]
+    keys = sorted(mapping)
+    cycle = [keys[(k + i) % len(keys)] for i in range(3)]
+    images = [mapping[x] for x in cycle]
+    for x, image in zip(cycle, images[1:] + images[:1]):
+        mapping[x] = image
+
+
+def _not_permutation(raw, k):
+    """One id of the vertex or the edge map takes the image of another, so
+    the map's images are no longer all the ids."""
+    mapping = raw["vmap"] if k % 2 else raw["emap"]
+    keys = sorted(mapping)
+    mapping[keys[k % len(keys)]] = mapping[keys[(k + 1) % len(keys)]]
+
+
+def _swap_partners(raw, k):
+    """Pair the edges of two orbits crosswise: an involution on the edge ids
+    that need not respect the endpoints."""
+    emap = raw["emap"]
+    a = _pick(emap, k)
+    b = _pick([x for x in emap if x not in (a, emap[a])] or [a], k + 1)
+    a2, b2 = emap[a], emap[b]
+    emap[a], emap[b2] = b2, a
+    emap[b], emap[a2] = a2, b
+
+
+def _disconnect(raw, k):
+    raw["vertices"].append("iso")
+    raw["vmap"]["iso"] = "iso"
+
+
+def _nonpositive(raw, k):
+    eid = _pick(raw["emap"], k)
+    value = (0, -1, Fraction(-1, 2), "0")[k % 4]
+    for x in {eid, raw["emap"][eid]}:
+        _set_edge(raw, x, length=value)
+
+
+def _quotient_cycle(raw, k):
+    """A new two-jointed orbit between two fixed vertices that are already
+    joined through the quotient tree."""
+    fixed = sorted(set(_fixed(raw)))
+    u, w = fixed[k % len(fixed)], fixed[(k + 1) % len(fixed)]
+    raw["edges"] += [("extra+", (u, w), Fraction(1)), ("extra-", (u, w), Fraction(1))]
+    raw["emap"]["extra+"], raw["emap"]["extra-"] = "extra-", "extra+"
+
+
+def _duplicate(raw, k):
+    if k % 2:
+        raw["vertices"].append(_pick(raw["vertices"], k))
+    else:
+        eid, ends, length = raw["edges"][k % len(raw["edges"])]
+        raw["edges"].append((eid, tuple(reversed(ends)), length))
+
+
+def _unknown(raw, k):
+    kind = k % 5
+    if kind == 0:
+        eid, (u, _), length = raw["edges"][k % len(raw["edges"])]
+        _set_edge(raw, eid, ends=(u, "ghost"))
+    elif kind == 1:
+        del raw["emap"][_pick(raw["emap"], k)]
+    elif kind == 2:
+        raw["vmap"]["ghost"] = _pick(raw["vertices"], k)
+    elif kind == 3:
+        raw["emap"][_pick(raw["emap"], k)] = "ghost"
+    else:
+        raw["emap"]["ghost"] = _pick(raw["emap"], k)
+
+
+MUTATIONS = {
+    "fixed-edge": _fix_edge,
+    "loop": _loop,
+    "valence-2": _valence_two,
+    "orbit-lengths": _orbit_lengths,
+    "not-involution": _not_involution,
+    "not-permutation": _not_permutation,
+    "endpoints": _swap_partners,
+    "disconnected": _disconnect,
+    "nonpositive": _nonpositive,
+    "quotient-cycle": _quotient_cycle,
+    "duplicate-id": _duplicate,
+    "unknown-id": _unknown,
+}
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return "ok", fn(*args, **kwargs)
+    except Exception as exc:  # the exception itself is the outcome compared
+        return "raised", (type(exc), getattr(exc, "code", None), str(exc))
+
+
+def _library_fields(h):
+    return {
+        "fixed_vertices": h.fixed_vertices,
+        "nonfixed_vertices": h.nonfixed_vertices,
+        "edge_kinds": list(h.edge_kinds.items()),
+        "class_members": list(h.class_members.items()),
+        "class_of": list(h.class_of.items()),
+        "quotient": (h.quotient.vertices, h.quotient.edges),
+        "nu": {v: ag.nu_counts(h, v) for v in sorted(h.nonfixed_vertices)},
+    }
+
+
+def _edge_items(raw, form):
+    """The edges in one of the constructor's input forms."""
+    if form == "edges":
+        return [ag.Edge(eid, ends, length) for eid, ends, length in raw["edges"]]
+    if form == "strings":
+        return [
+            (eid, ends, length if isinstance(length, str) else ag.format_rational(length))
+            for eid, ends, length in raw["edges"]
+        ]
+    return list(raw["edges"])
+
+
+def assert_agrees_with_oracle(raw, form="tuples"):
+    """Library and oracle build and validate ``raw`` with the same result
+    or the same exception; returns the library's outcome."""
+    edges = _edge_items(raw, form)
+    built = _outcome(ag.MetrizedGraph, raw["vertices"], edges, allow_loops=raw["allow_loops"])
+    expected = _outcome(_oracles.graph_fields, raw["vertices"], edges, raw["allow_loops"])
+    if built[0] == "raised":
+        assert built == expected
+        return built
+    g = built[1]
+    assert expected == ("ok", (g.vertices, g.edges))
+    assert all(g.edge(e.id) is e for e in g.edges)
+    assert [g.valence(v) for v in g.vertices] == [_oracles.valence(g, v) for v in g.vertices]
+    assert list(ag.validate_graph(g).problems) == _oracles.graph_problems(g)
+
+    inv = ag.Involution(raw["vmap"], raw["emap"])
+    for allow in (False, True):
+        assert _outcome(ag.hyperelliptic.check_involution, g, inv, allow_fixed_edges=allow) == (
+            _outcome(_oracles.check_involution, g, inv, allow)
+        )
+    validated = _outcome(ag.validate_hyperelliptic, g, inv)
+    expected = _outcome(_oracles.hyperelliptic_fields, g, inv)
+    if validated[0] == "raised":
+        assert validated == expected
+        return validated
+    h = validated[1]
+    assert h.graph is g and h.involution is inv
+    assert expected == ("ok", _library_fields(h))
+    return validated
+
+
+def _base(index):
+    named = sorted(named_corpus().items())
+    if index < len(named):
+        return named[index][1]
+    return ag.double_cover(ag.generators.random_cover_spec(index, max_vertices=12))
+
+
+class TestConstructionOracle:
+    """``MetrizedGraph`` and ``validate_hyperelliptic`` check everything the
+    check-by-check oracle checks, in the same order, and derive the same
+    fields."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=400),
+        st.lists(
+            st.tuples(st.sampled_from(sorted(MUTATIONS)), st.integers(min_value=0, max_value=60)),
+            max_size=2,
+        ),
+        st.sampled_from(["tuples", "edges", "strings"]),
+    )
+    def test_mutated_corpus_agrees(self, index, mutations, form):
+        raw = _raw(_base(index))
+        for name, k in mutations:
+            MUTATIONS[name](raw, k)
+        assert_agrees_with_oracle(raw, form)
+
+    @pytest.mark.parametrize(
+        "name, base, k, message",
+        [
+            (None, "ladder3", 0, None),
+            ("fixed-edge", "SG", 0, "axiom (2): iota fixes edge 'e+'"),
+            ("loop", "ladder3", 1, "axiom (1): edge 'loop+' is not a closed interval"),
+            ("loop", "ladder3", 3, "edge 'loop+' is a self-loop"),
+            ("valence-2", "G3", 0, "axiom (3): non-fixed vertex 'mid+' has fewer than three edges"),
+            ("orbit-lengths", "ladder3", 2, "lengths differ within the orbit of 'e1+'"),
+            ("not-involution", "G4", 1, "vertex map does not square to identity at 'P2'"),
+            ("not-involution", "G2", 4, "edge map does not square to identity at 'e1+'"),
+            ("not-permutation", "G2", 0, "edge map is not a permutation of the edge set"),
+            ("not-permutation", "G2", 1, "vertex map is not a permutation of the vertex set"),
+            ("endpoints", "ladder3", 0, "edge map incompatible with endpoints at 'e0+'"),
+            ("disconnected", "SGvG2", 0, "hyperelliptic graphs are connected"),
+            ("nonpositive", "G2", 0, "axiom (1): edge lengths must be positive"),
+            ("nonpositive", "G2", 3, "axiom (1): edge lengths must be positive"),
+            (
+                "quotient-cycle",
+                "ladder3",
+                0,
+                "axiom (4): the quotient by iota has a loop (it must be a tree)",
+            ),
+            ("duplicate-id", "SG", 0, "duplicate edge ids"),
+            ("duplicate-id", "SG", 1, "duplicate vertex ids"),
+            ("unknown-id", "G2", 0, "edge 'e1+' references an unknown vertex"),
+            ("unknown-id", "G2", 1, "edge map is not a permutation of the edge set"),
+            ("unknown-id", "G2", 2, "vertex map is not a permutation of the vertex set"),
+            ("unknown-id", "G2", 3, "edge map is not a permutation of the edge set"),
+            ("unknown-id", "G2", 4, "edge map is not a permutation of the edge set"),
+        ],
+    )
+    def test_each_mutation_reaches_its_check(self, name, base, k, message):
+        raw = _raw(named_corpus()[base])
+        if name:
+            MUTATIONS[name](raw, k)
+        outcome = assert_agrees_with_oracle(raw)
+        assert (outcome[1][2] if outcome[0] == "raised" else None) == message
