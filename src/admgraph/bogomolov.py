@@ -10,7 +10,11 @@ refined: a fixed node has subtype 0; for a swapped pair, deleting both edges
 must leave exactly two components and the subtype is the smaller genus.
 
 xi_0 counts *nodes* of type (0,0); xi_j for j >= 1 counts *pairs*; delta_i
-counts nodes of type i, so delta_0 = xi_0 + 2 * sum of the xi_j.
+counts nodes of type i, so delta_0 = xi_0 + 2 * sum of the xi_j.  Every
+component search is one walk of the graph's incidence lists that skips the
+removed nodes and sums each component's genus as it goes; counting a fiber
+(and ``classify-nodes``) takes one search per node and one per swapped
+type-0 pair.
 
 From these counts come the self-intersection of the relative dualizing
 sheaf, a per-fiber upper bound on the admissible constant (all nodes given
@@ -20,6 +24,7 @@ radius for genus >= 3 (genus 2 is prior work and deliberately rejected).
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -63,7 +68,7 @@ class FiberConfiguration:
         full = {v: int(genera.get(v, 0)) for v in graph.vertices}
         if any(x < 0 for x in full.values()):
             raise InvalidGraphError("component genera are nonnegative")
-        genus = sum(full.values()) + graph.first_betti_number()
+        genus = sum(full.values()) + len(graph.edges) - len(graph.vertices) + 1
         if genus < 2:
             raise InvalidGraphError(f"fiber genus {genus} < 2 is not semistable of general type")
         if involution is not None:
@@ -85,53 +90,52 @@ class FiberConfiguration:
         return self.involution
 
 
-def _components_without(g: MetrizedGraph, removed_edges) -> List[set]:
-    removed = set(removed_edges)
-    adj: Dict[str, List[str]] = {v: [] for v in g.vertices}
-    for e in g.edges:
-        if e.id in removed:
-            continue
-        u, w = e.ends
-        adj[u].append(w)
-        adj[w].append(u)
+def _component_genera(cfg: FiberConfiguration, removed: Tuple[str, ...]) -> List[int]:
+    """The arithmetic genus of each component of the dual graph with the
+    removed nodes deleted, from one walk of the graph's incidence lists:
+    1 + the sum of (genus - 1) over the component's vertices + the number
+    of its edges (a loop is listed twice at its vertex and counts once)."""
+    incident = cfg.graph._incident()
+    genera = cfg.genera
     seen = set()
-    comps = []
-    for start in g.vertices:
+    out = []
+    for start in cfg.graph.vertices:
         if start in seen:
             continue
-        comp = {start}
-        stack = [start]
         seen.add(start)
+        stack = [start]
+        twice = 2  # twice the genus: each vertex adds 2 genus - 2 + its edge ends
         while stack:
             v = stack.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    comp.add(w)
-                    stack.append(w)
-        comps.append(comp)
-    return comps
+            twice += 2 * genera[v] - 2
+            for e in incident[v]:
+                if e.id in removed:
+                    continue
+                twice += 1
+                u, w = e.ends
+                x = w if u == v else u
+                if x not in seen:
+                    seen.add(x)
+                    stack.append(x)
+        out.append(twice // 2)
+    return out
 
 
-def _side_genus(cfg: FiberConfiguration, side: set, removed_edges: set) -> int:
-    edges_inside = [
-        e
-        for e in cfg.graph.edges
-        if e.id not in removed_edges and e.ends[0] in side and e.ends[1] in side
-    ]
-    betti = len(edges_inside) - len(side) + 1
-    return sum(cfg.genera[v] for v in side) + betti
+def _pair_subtype(cfg: FiberConfiguration, node_id: str, partner: str) -> int:
+    genera = _component_genera(cfg, (node_id, partner))
+    if len(genera) != 2:
+        raise UnexpectedComponentCountError(
+            f"removing {node_id!r} and {partner!r} gave {len(genera)} components, expected 2"
+        )
+    return min(genera)
 
 
 def node_type(cfg: FiberConfiguration, node_id: str) -> int:
     """0 if the partial normalization stays connected, else the minimum of
     the two sides' arithmetic genera."""
     cfg.graph.edge(node_id)
-    comps = _components_without(cfg.graph, {node_id})
-    if len(comps) == 1:
-        return 0
-    a, b = comps
-    return min(_side_genus(cfg, a, {node_id}), _side_genus(cfg, b, {node_id}))
+    genera = _component_genera(cfg, (node_id,))
+    return 0 if len(genera) == 1 else min(genera)
 
 
 def node_subtype(cfg: FiberConfiguration, node_id: str) -> int:
@@ -142,16 +146,26 @@ def node_subtype(cfg: FiberConfiguration, node_id: str) -> int:
     if node_type(cfg, node_id) != 0:
         raise NotTypeZeroError(f"node {node_id!r} is not of type 0")
     partner = inv.edge(node_id)
-    if partner == node_id:
-        return 0
-    removed = {node_id, partner}
-    comps = _components_without(cfg.graph, removed)
-    if len(comps) != 2:
-        raise UnexpectedComponentCountError(
-            f"removing {node_id!r} and {partner!r} gave {len(comps)} components, expected 2"
-        )
-    a, b = comps
-    return min(_side_genus(cfg, a, removed), _side_genus(cfg, b, removed))
+    return 0 if partner == node_id else _pair_subtype(cfg, node_id, partner)
+
+
+def _classify(cfg: FiberConfiguration) -> Tuple[Dict[str, int], Dict[str, int]]:
+    """Every node's type and, with an involution, every type-0 node's
+    subtype, in edge order: one component search per node and one per
+    swapped type-0 pair (iota preserves types), so a failing pair raises at
+    its first node in edge order."""
+    types = {e.id: node_type(cfg, e.id) for e in cfg.graph.edges}
+    subtypes: Dict[str, int] = {}
+    inv = cfg.involution
+    if inv is not None:
+        for eid, i in types.items():
+            if i:
+                continue
+            partner = inv.edge(eid)
+            if partner not in subtypes:  # a fixed node, or the first of its pair
+                subtypes[partner] = 0 if partner == eid else _pair_subtype(cfg, eid, partner)
+            subtypes[eid] = subtypes[partner]
+    return types, subtypes
 
 
 # Counts are dense vectors of about genus/2 entries each, and the formulas sum
@@ -235,31 +249,20 @@ class InvariantCounts:
         return f"InvariantCounts(genus={self.genus}, xi={self.xi}, delta={self.delta})"
 
 
+def _counts(
+    cfg: FiberConfiguration, types: Mapping[str, int], subtypes: Mapping[str, int]
+) -> InvariantCounts:
+    """The counts from :func:`_classify`'s types and subtypes."""
+    xi = Counter(subtypes.values())  # every type-0 node, so a pair counts twice
+    delta = Counter(i for i in types.values() if i)
+    pairs = {j: n // 2 if j else n for j, n in xi.items()}
+    return InvariantCounts.from_maps(cfg.genus, pairs, delta)
+
+
 def count_invariants(cfg: FiberConfiguration) -> InvariantCounts:
     """Classify every node; xi_0 counts nodes, xi_j (j >= 1) counts pairs."""
-    inv = cfg.require_involution()
-    g = cfg.genus
-    xi: Dict[int, int] = {}
-    delta: Dict[int, int] = {}
-    seen = set()
-    for e in cfg.graph.edges:
-        i = node_type(cfg, e.id)
-        if i >= 1:
-            delta[i] = delta.get(i, 0) + 1
-            continue
-        partner = inv.edge(e.id)
-        if partner == e.id:
-            xi[0] = xi.get(0, 0) + 1
-            continue
-        if e.id in seen:
-            continue
-        seen.add(partner)
-        j = node_subtype(cfg, e.id)
-        if j == 0:
-            xi[0] = xi.get(0, 0) + 2
-        else:
-            xi[j] = xi.get(j, 0) + 1
-    return InvariantCounts.from_maps(g, xi, delta)
+    cfg.require_involution()
+    return _counts(cfg, *_classify(cfg))
 
 
 def _require_bound_genus(g: int) -> None:

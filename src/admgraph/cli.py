@@ -81,7 +81,7 @@ def _load_document(path: str) -> documents.GraphDocument:
     try:
         with open(path, "rb") as handle:
             data = handle.read()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a path with a NUL byte
         raise _UsageError(f"file-not-found: {exc}") from exc
     return documents.parse_graph_document(data)
 
@@ -224,16 +224,16 @@ def _run(args) -> Dict:
     if args.command == "classify-nodes":
         doc = _load_document(args.graph)
         fiber = doc.to_fiber()
+        types, subtypes = bogomolov._classify(fiber)
         nodes = {}
-        for e in fiber.graph.edges:
-            i = bogomolov.node_type(fiber, e.id)
+        for eid, i in types.items():
             entry: Dict[str, int] = {"type": i}
-            if i == 0 and fiber.involution is not None:
-                entry["subtype"] = bogomolov.node_subtype(fiber, e.id)
-            nodes[e.id] = entry
+            if eid in subtypes:
+                entry["subtype"] = subtypes[eid]
+            nodes[eid] = entry
         out = {"genus": fiber.genus, "nodes": nodes}
         if fiber.involution is not None:
-            counts = bogomolov.count_invariants(fiber)
+            counts = bogomolov._counts(fiber, types, subtypes)
             out["counts"] = {
                 "xi": {str(j): counts.xi_j(j) for j in range(len(counts.xi))},
                 "delta": {str(i): counts.delta_i(i) for i in range(1, len(counts.delta) + 1)},

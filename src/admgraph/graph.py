@@ -229,10 +229,8 @@ class MetrizedGraph:
         lengths, no loops."""
         report = validate_graph(self)
         if not report.valid:
-            first = report.problems[0]
-            if "not connected" in first:
-                raise DisconnectedGraphError(first)
-            raise InvalidGraphError(first)
+            edge_problem = any(e.length <= 0 or e.is_loop() for e in self.edges)
+            raise (InvalidGraphError if edge_problem else DisconnectedGraphError)(report.problems[0])
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,10 @@ iota-fixed edges and loops are allowed) into an honest hyperelliptic graph:
 fixed edges are split at their midpoint (the new vertex is fixed, the two
 halves are swapped) and non-fixed vertices with exactly two edge ends are
 removed, merging their edges; both moves preserve the underlying metric
-space.
+space.  It is linear too: each maximal chain of removable vertices is
+walked once and becomes one edge, named by the chain's smallest edge id,
+with the chain's total length, its two ends in sorted order, and as partner
+the smallest iota-image of the chain's edges.
 """
 
 from __future__ import annotations
@@ -400,7 +403,6 @@ def normalize_fiber(dual: MetrizedGraph, inv: Involution) -> HyperellipticGraph:
     """
     check_involution(dual, inv, allow_fixed_edges=True)
 
-    vertices = list(dual.vertices)
     edges = {e.id: e for e in dual.edges}
     vmap = dict(inv.vertex_map)
     emap = dict(inv.edge_map)
@@ -410,70 +412,75 @@ def normalize_fiber(dual: MetrizedGraph, inv: Involution) -> HyperellipticGraph:
             continue
         e = edges[eid]
         u, w = e.ends
-        if e.is_loop():
-            if vmap[u] != u:
-                raise NotHyperellipticConfigurationError(
-                    f"fixed loop {eid!r} at a non-fixed vertex"
-                )
-        elif not (vmap[u] == w and vmap[w] == u):
+        # a fixed loop sits at a fixed vertex (check_involution), and splits
+        # into a parallel pair
+        if u != w and not (vmap[u] == w and vmap[w] == u):
             raise NotHyperellipticConfigurationError(
                 f"fixed edge {eid!r} does not swap its endpoints "
                 "(positive-type nodes must be contracted first)"
             )
         mid, first, second = f"{eid}.m", f"{eid}.a", f"{eid}.b"
-        if mid in vertices or first in edges or second in edges:
+        if mid in vmap or first in edges or second in edges:
             raise NotHyperellipticConfigurationError(f"midpoint ids for {eid!r} already taken")
         half = e.length / 2
         del edges[eid]
         del emap[eid]
         edges[first] = Edge(first, (u, mid), half)
         edges[second] = Edge(second, (mid, w), half)
-        vertices.append(mid)
         vmap[mid] = mid
         emap[first] = second
         emap[second] = first
 
-    # drop non-fixed degree-2 vertices, merging their two edges
-    def edge_ends_at(v):
-        out = []
-        for e in edges.values():
-            if e.ends[0] == v:
-                out.append((e.id, 1))
-            if e.ends[1] == v:
-                out.append((e.id, 0))
-        return out
-
-    removable = sorted(
-        v for v in vertices if vmap[v] != v and len(edge_ends_at(v)) == 2
-    )
+    # drop the non-fixed vertices with exactly two edge ends: walk each
+    # maximal chain of them once and merge its edges into one
+    incident: Dict[str, List[Edge]] = {v: [] for v in vmap}
+    for e in edges.values():
+        incident[e.ends[0]].append(e)
+        incident[e.ends[1]].append(e)
+    removable = {v for v in vmap if vmap[v] != v and len(incident[v]) == 2}
+    chains = []  # (largest interior vertex, edge ids, end vertices); a cycle has no ends
+    seen = set()
+    for start in sorted(removable):
+        if start in seen:
+            continue
+        seen.add(start)
+        interior, chain, ends = [start], [], []
+        for e in incident[start]:
+            v = start
+            while True:
+                chain.append(e.id)
+                v = e.other_end(v)
+                if v not in removable or v in seen:
+                    break
+                seen.add(v)
+                interior.append(v)
+                e = next(x for x in incident[v] if x is not e)
+            if v in removable:  # back at the start
+                break
+            ends.append(v)
+        chains.append((max(interior), chain, ends))
+    cycle_tops = [top for top, _, ends in chains if not ends]
+    if cycle_tops:
+        # merging a cycle's vertices one at a time in sorted order leaves a
+        # loop at its largest vertex
+        raise NotHyperellipticConfigurationError(
+            f"cannot remove vertex {min(cycle_tops)!r}: it carries a loop"
+        )
+    # iota maps chains to chains and no chain to itself (once the fixed
+    # edges are split, no interior point is fixed), so the merged edge named
+    # by its chain's smallest id pairs with the smallest of the iota-images.
+    # Merged edges go last, ordered by their chains' largest interior vertex.
+    merged = []
+    for _, chain, ends in sorted(chains):
+        name = min(chain)
+        merged.append(Edge(name, tuple(sorted(ends)), sum(edges[e].length for e in chain)))
+        partner = min(emap[e] for e in chain)
+        for e in chain:
+            del edges[e], emap[e]
+        emap[name] = partner
     for v in removable:
-        ends = edge_ends_at(v)
-        if len(ends) != 2:
-            continue  # valence changed by an earlier merge
-        (eid1, keep1), (eid2, keep2) = ends
-        if eid1 == eid2:
-            raise NotHyperellipticConfigurationError(
-                f"cannot remove vertex {v!r}: it carries a loop"
-            )
-        e1, e2 = edges[eid1], edges[eid2]
-        a, b = e1.ends[keep1], e2.ends[keep2]
-        if a == v or b == v:
-            # chain closing on itself without a surviving vertex
-            raise NotHyperellipticConfigurationError(
-                f"removable chain through {v!r} closes into a circle"
-            )
-        merged_id = min(eid1, eid2)
-        partner1, partner2 = emap.pop(eid1), emap.pop(eid2)
-        del edges[eid1], edges[eid2]
-        edges[merged_id] = Edge(merged_id, (a, b), e1.length + e2.length)
-        # the iota-image chain merges to the partners' min id; record the
-        # pairing now (the partner merge will overwrite consistently)
-        merged_partner = min(partner1, partner2)
-        emap[merged_id] = merged_partner
-        vertices.remove(v)
         del vmap[v]
-
-    graph = MetrizedGraph(vertices, list(edges.values()), allow_loops=True)
+    graph = MetrizedGraph(vmap.keys(), list(edges.values()) + merged, allow_loops=True)
     try:
         return validate_hyperelliptic(graph, Involution(vmap, emap))
     except (AxiomViolationError, InvolutionMalformedError, DisconnectedGraphError) as exc:

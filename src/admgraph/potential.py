@@ -100,23 +100,6 @@ def _eliminate(a: List[List[int]], b: List[List[int]]) -> Tuple[int, List[List[i
     return prev, y
 
 
-def solve_linear(matrix: List[List[Fraction]], rhs: List[List[Fraction]]) -> List[List[Fraction]]:
-    """Solve A X = B exactly for square A; B holds one column per solve.
-
-    Each row of [A | B] is scaled to integers by the lcm of its
-    denominators, which leaves X unchanged; the integer elimination gives
-    det * X, and Fractions are built only at the end.
-    """
-    n = len(matrix)
-    a, b = [], []
-    for row in (list(ar) + list(br) for ar, br in zip(matrix, rhs)):
-        ints = _scaled(row, lcm(*(x.denominator for x in row)))
-        a.append(ints[:n])
-        b.append(ints[n:])
-    det, y = _eliminate(a, b)
-    return [[Fraction(v, det) for v in ys] for ys in y]
-
-
 def _factor(g: MetrizedGraph, pairs: Optional[List[Tuple[str, str]]] = None) -> _Factorization:
     """(S, det, Y) from one elimination of the grounded Laplacian.
 

@@ -34,20 +34,36 @@ but no code of ``polynomials``.
   constructor, and ``CoverSpec.validate`` with a degree scan per vertex.
   They raise the library's exceptions with the library's messages, so
   the library's one-pass versions must agree with them exactly.
+
+* The fiber pipeline one query at a time: ``node_type``, ``node_subtype``
+  and ``count_invariants`` with a private adjacency walk per query and a
+  genus scan per side, and ``normalize_fiber`` merging one removable
+  vertex at a time with an edge scan per vertex.  The library must give
+  the same types, counts and normalized graphs (a merged edge's ends as
+  an unordered pair), or raise the same exception with the same message.
 """
 
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from typing import Dict, List
 
 from admgraph import (
     AxiomViolationError,
     DisconnectedGraphError,
     Edge,
     EdgeKind,
+    FiberConfiguration,
+    HyperellipticGraph,
     InvalidGraphError,
+    Involution,
+    InvariantCounts,
     InvolutionMalformedError,
+    MetrizedGraph,
     MultiPoly,
+    NotHyperellipticConfigurationError,
+    NotTypeZeroError,
+    UnexpectedComponentCountError,
     UnknownIdError,
     as_fraction,
     component_structures,
@@ -57,7 +73,7 @@ from admgraph import (
     is_simple,
     restrict_classes,
 )
-from admgraph.hyperelliptic import is_semisimple_of_size
+from admgraph.hyperelliptic import is_semisimple_of_size, validate_hyperelliptic
 
 ZERO = Fraction(0)
 
@@ -501,3 +517,196 @@ def check_cover_spec(spec):
         degree = sum((u == v) + (w == v) for _, u, w, _ in spec.edges)
         if not is_fixed and degree < 3:
             raise InvalidGraphError(f"non-fixed quotient vertex {v!r} needs degree >= 3")
+
+
+# -- the fiber pipeline, one query at a time ------------------------------
+
+
+def _components_without(g: MetrizedGraph, removed_edges) -> List[set]:
+    removed = set(removed_edges)
+    adj: Dict[str, List[str]] = {v: [] for v in g.vertices}
+    for e in g.edges:
+        if e.id in removed:
+            continue
+        u, w = e.ends
+        adj[u].append(w)
+        adj[w].append(u)
+    seen = set()
+    comps = []
+    for start in g.vertices:
+        if start in seen:
+            continue
+        comp = {start}
+        stack = [start]
+        seen.add(start)
+        while stack:
+            v = stack.pop()
+            for w in adj[v]:
+                if w not in seen:
+                    seen.add(w)
+                    comp.add(w)
+                    stack.append(w)
+        comps.append(comp)
+    return comps
+
+
+def _side_genus(cfg: FiberConfiguration, side: set, removed_edges: set) -> int:
+    edges_inside = [
+        e
+        for e in cfg.graph.edges
+        if e.id not in removed_edges and e.ends[0] in side and e.ends[1] in side
+    ]
+    betti = len(edges_inside) - len(side) + 1
+    return sum(cfg.genera[v] for v in side) + betti
+
+
+def node_type(cfg: FiberConfiguration, node_id: str) -> int:
+    """0 if the partial normalization stays connected, else the minimum of
+    the two sides' arithmetic genera."""
+    cfg.graph.edge(node_id)
+    comps = _components_without(cfg.graph, {node_id})
+    if len(comps) == 1:
+        return 0
+    a, b = comps
+    return min(_side_genus(cfg, a, {node_id}), _side_genus(cfg, b, {node_id}))
+
+
+def node_subtype(cfg: FiberConfiguration, node_id: str) -> int:
+    """Subtype j of a type-0 node: 0 when the node is iota-fixed; otherwise
+    remove the node and its partner (exactly two components must result) and
+    take the smaller arithmetic genus."""
+    inv = cfg.require_involution()
+    if node_type(cfg, node_id) != 0:
+        raise NotTypeZeroError(f"node {node_id!r} is not of type 0")
+    partner = inv.edge(node_id)
+    if partner == node_id:
+        return 0
+    removed = {node_id, partner}
+    comps = _components_without(cfg.graph, removed)
+    if len(comps) != 2:
+        raise UnexpectedComponentCountError(
+            f"removing {node_id!r} and {partner!r} gave {len(comps)} components, expected 2"
+        )
+    a, b = comps
+    return min(_side_genus(cfg, a, removed), _side_genus(cfg, b, removed))
+
+
+def count_invariants(cfg: FiberConfiguration) -> InvariantCounts:
+    """Classify every node; xi_0 counts nodes, xi_j (j >= 1) counts pairs."""
+    inv = cfg.require_involution()
+    g = cfg.genus
+    xi: Dict[int, int] = {}
+    delta: Dict[int, int] = {}
+    seen = set()
+    for e in cfg.graph.edges:
+        i = node_type(cfg, e.id)
+        if i >= 1:
+            delta[i] = delta.get(i, 0) + 1
+            continue
+        partner = inv.edge(e.id)
+        if partner == e.id:
+            xi[0] = xi.get(0, 0) + 1
+            continue
+        if e.id in seen:
+            continue
+        seen.add(partner)
+        j = node_subtype(cfg, e.id)
+        if j == 0:
+            xi[0] = xi.get(0, 0) + 2
+        else:
+            xi[j] = xi.get(j, 0) + 1
+    return InvariantCounts.from_maps(g, xi, delta)
+
+
+def normalize_fiber(dual: MetrizedGraph, inv: Involution) -> HyperellipticGraph:
+    """Normalize a fiber's dual graph (fixed edges/loops allowed) into a
+    hyperelliptic graph isometric to the input.
+
+    Every iota-fixed edge is split at its midpoint: its endpoints must be
+    swapped by iota (or it must be a loop at a fixed vertex, which becomes a
+    parallel pair); the midpoint is fixed and the halves are swapped.  Then
+    every non-fixed vertex with exactly two edge ends is removed, merging
+    its edges and adding lengths.  The caller must contract positive-type
+    nodes first; any axiom failure in the result is reported as
+    NotHyperellipticConfigurationError.
+    """
+    check_involution(dual, inv, allow_fixed_edges=True)
+
+    vertices = list(dual.vertices)
+    edges = {e.id: e for e in dual.edges}
+    vmap = dict(inv.vertex_map)
+    emap = dict(inv.edge_map)
+
+    for eid in sorted(edges):
+        if emap[eid] != eid:
+            continue
+        e = edges[eid]
+        u, w = e.ends
+        if e.is_loop():
+            if vmap[u] != u:
+                raise NotHyperellipticConfigurationError(
+                    f"fixed loop {eid!r} at a non-fixed vertex"
+                )
+        elif not (vmap[u] == w and vmap[w] == u):
+            raise NotHyperellipticConfigurationError(
+                f"fixed edge {eid!r} does not swap its endpoints "
+                "(positive-type nodes must be contracted first)"
+            )
+        mid, first, second = f"{eid}.m", f"{eid}.a", f"{eid}.b"
+        if mid in vertices or first in edges or second in edges:
+            raise NotHyperellipticConfigurationError(f"midpoint ids for {eid!r} already taken")
+        half = e.length / 2
+        del edges[eid]
+        del emap[eid]
+        edges[first] = Edge(first, (u, mid), half)
+        edges[second] = Edge(second, (mid, w), half)
+        vertices.append(mid)
+        vmap[mid] = mid
+        emap[first] = second
+        emap[second] = first
+
+    # drop non-fixed degree-2 vertices, merging their two edges
+    def edge_ends_at(v):
+        out = []
+        for e in edges.values():
+            if e.ends[0] == v:
+                out.append((e.id, 1))
+            if e.ends[1] == v:
+                out.append((e.id, 0))
+        return out
+
+    removable = sorted(
+        v for v in vertices if vmap[v] != v and len(edge_ends_at(v)) == 2
+    )
+    for v in removable:
+        ends = edge_ends_at(v)
+        if len(ends) != 2:
+            continue  # valence changed by an earlier merge
+        (eid1, keep1), (eid2, keep2) = ends
+        if eid1 == eid2:
+            raise NotHyperellipticConfigurationError(
+                f"cannot remove vertex {v!r}: it carries a loop"
+            )
+        e1, e2 = edges[eid1], edges[eid2]
+        a, b = e1.ends[keep1], e2.ends[keep2]
+        if a == v or b == v:
+            # chain closing on itself without a surviving vertex
+            raise NotHyperellipticConfigurationError(
+                f"removable chain through {v!r} closes into a circle"
+            )
+        merged_id = min(eid1, eid2)
+        partner1, partner2 = emap.pop(eid1), emap.pop(eid2)
+        del edges[eid1], edges[eid2]
+        edges[merged_id] = Edge(merged_id, (a, b), e1.length + e2.length)
+        # the iota-image chain merges to the partners' min id; record the
+        # pairing now (the partner merge will overwrite consistently)
+        merged_partner = min(partner1, partner2)
+        emap[merged_id] = merged_partner
+        vertices.remove(v)
+        del vmap[v]
+
+    graph = MetrizedGraph(vertices, list(edges.values()), allow_loops=True)
+    try:
+        return validate_hyperelliptic(graph, Involution(vmap, emap))
+    except (AxiomViolationError, InvolutionMalformedError, DisconnectedGraphError) as exc:
+        raise NotHyperellipticConfigurationError(str(exc)) from exc

@@ -174,6 +174,32 @@ class TestCli:
         assert code == 2
         assert "file-not-found" in err
 
+    def test_path_with_nul_byte_is_usage_error(self, capsys):
+        # open() raises ValueError, not OSError, for such a path
+        code = run_command(["validate", "\x00"])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"] == {
+            "code": "usage",
+            "message": "file-not-found: embedded null byte",
+        }
+
+    @pytest.mark.parametrize(
+        "command, extra",
+        [("epsilon", ["--divisor", '{"P": "1"}']), ("measure", []), ("resistance", ["P", "Q"])],
+    )
+    def test_zero_length_edge_named_like_a_problem_is_invalid_graph(
+        self, capsys, tmp_path, command, extra
+    ):
+        graph = ag.MetrizedGraph(["P", "Q"], [("not connected", ("P", "Q"), 0)])
+        path = tmp_path / "g.json"
+        path.write_text(serialize_document(document_from(graph)))
+        code, out = run(capsys, [command, str(path), *extra])
+        assert code == 1
+        assert out["error"] == {
+            "code": "invalid-graph",
+            "message": "edge 'not connected': nonpositive length 0",
+        }
+
     def test_domain_error_exit_one(self, capsys, sg_file):
         code, out = run(
             capsys, ["epsilon", sg_file, "--divisor", '{"P": "-1", "Q": "-1"}']

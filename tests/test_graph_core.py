@@ -65,6 +65,31 @@ class TestValidate:
         assert not report.valid
         assert any("not connected" in p for p in report.problems)
 
+    @pytest.mark.parametrize(
+        "vertices, edges, error, message",
+        [
+            # an edge id that reads like the connectivity problem is still a length problem
+            (["P", "Q"], [("not connected", ("P", "Q"), 0)], ag.InvalidGraphError,
+             "edge 'not connected': nonpositive length 0"),
+            (["P", "Q", "R"], [("e", ("P", "Q"), -1)], ag.InvalidGraphError,
+             "edge 'e': nonpositive length -1"),
+            (["P", "Q"], [("e", ("P", "Q"), 1), ("l", ("Q", "Q"), 0)], ag.InvalidGraphError,
+             "edge 'l': nonpositive length 0"),
+            (["P", "Q"], [("l", ("Q", "Q"), 1), ("e", ("P", "Q"), 0)], ag.InvalidGraphError,
+             "edge 'l': self-loop at 'Q'"),
+            (["P", "Q", "R"], [("e", ("P", "Q"), 1)], ag.DisconnectedGraphError,
+             "graph is not connected"),
+        ],
+    )
+    def test_require_analytic_raises_the_first_reported_problem(
+        self, vertices, edges, error, message
+    ):
+        g = ag.MetrizedGraph(vertices, edges, allow_loops=True)
+        assert ag.validate_graph(g).problems[0] == message
+        with pytest.raises(ag.AdmGraphError) as err:
+            g.require_analytic()
+        assert type(err.value) is error and str(err.value) == message
+
 
 class TestContract:
     def test_triangle_single_edge(self):

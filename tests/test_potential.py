@@ -23,8 +23,9 @@ from admgraph.potential import (
     _assert_green_values,
     _factor,
     _green_values,
+    _eliminate,
+    _scaled,
     _weights,
-    solve_linear,
 )
 
 F = Fraction
@@ -72,6 +73,24 @@ def _reference_solve(matrix, rhs):
             acc = b[col][c] - sum(a[col][k] * b[k][c] for k in range(col + 1, n))
             b[col][c] = acc / a[col][col]
     return b
+
+
+def solve_linear(matrix, rhs):
+    """Solve A X = B exactly for square A; B holds one column per solve, by
+    the library's integer elimination.
+
+    Each row of [A | B] is scaled to integers by the lcm of its
+    denominators, which leaves X unchanged; the integer elimination gives
+    det * X, and Fractions are built only at the end.
+    """
+    n = len(matrix)
+    a, b = [], []
+    for row in (list(ar) + list(br) for ar, br in zip(matrix, rhs)):
+        ints = _scaled(row, lcm(*(x.denominator for x in row)))
+        a.append(ints[:n])
+        b.append(ints[n:])
+    det, y = _eliminate(a, b)
+    return [[Fraction(v, det) for v in ys] for ys in y]
 
 
 # zeros are frequent, so leading entries vanish and rows get swapped; the
