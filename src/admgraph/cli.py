@@ -17,7 +17,7 @@ from typing import Dict, List, Optional
 
 from . import bogomolov, documents, generators, polynomials, potential
 from .errors import AdmGraphError, SchemaError
-from .graph import Divisor, validate_graph
+from .graph import Divisor, MetrizedGraph, _self_loop, validate_graph
 from .hyperelliptic import graph_size, nu_counts, validate_hyperelliptic
 from .rationals import INFINITY, as_fraction, format_rational
 
@@ -109,11 +109,19 @@ def _divisor(doc: documents.GraphDocument, override: Optional[str]) -> Divisor:
     return d
 
 
-def _hyperelliptic(doc: documents.GraphDocument):
+def _hyperelliptic(doc: documents.GraphDocument, g: Optional[MetrizedGraph] = None):
+    """``g``, the document's graph built with loops allowed, is reused; its
+    first loop is reported as the loop-free constructor reports it."""
     inv = doc.to_involution()
     if inv is None:
         raise SchemaError([("involution", "this command needs an involution")])
-    return validate_hyperelliptic(doc.to_graph(), inv)
+    if g is None:
+        g = doc.to_graph()
+    else:
+        loops = g.loops()
+        if loops:
+            raise _self_loop(loops[0].id)
+    return validate_hyperelliptic(g, inv)
 
 
 def _parse_indexed(pairs: List[str], flag: str) -> Dict[int, int]:
@@ -130,11 +138,12 @@ def _parse_indexed(pairs: List[str], flag: str) -> Dict[int, int]:
 def _run(args) -> Dict:
     if args.command == "validate":
         doc = _load_document(args.graph)
-        report = validate_graph(doc.to_graph(allow_loops=True))
+        g = doc.to_graph(allow_loops=True)
+        report = validate_graph(g)
         out = {"valid": report.valid, "problems": list(report.problems)}
         if doc.has_involution():
             try:
-                h = _hyperelliptic(doc)
+                h = _hyperelliptic(doc, g)
                 out["hyperelliptic"] = {"valid": True, "size": graph_size(h)}
             except AdmGraphError as exc:
                 out["valid"] = False

@@ -126,8 +126,8 @@ class GenusBelowThreeError(GenusRangeError):
 
 
 class EnumerationCapError(AdmGraphError):
-    """A symbolic L or M would list more spanning trees than
-    ``polynomials.MAX_TREES``; the value paths have no such limit."""
+    """A symbolic L or M would list more terms (cuts of the quotient tree)
+    than ``polynomials.MAX_TREES``; the value paths have no such limit."""
 
     code = "enumeration-cap"
 

@@ -14,7 +14,8 @@ by the potential-theory solver.
 
 Construction checks each edge once.  A graph keeps its vertex set and edge
 index from construction and builds its incidence lists on first use, so
-``valence`` is O(1) and ``incident_edges`` O(deg v) after one linear pass.
+``valence`` is O(1) and ``incident_edges`` O(deg v) after one linear pass;
+``is_connected`` walks them once and keeps the answer.
 Graphs derived inside the package from a checked graph (contractions,
 irreducible blocks, the hyperelliptic quotient) are built without the
 checks that hold by construction; input from outside always goes through
@@ -63,6 +64,11 @@ class Edge:
 _set_id, _set_ends, _set_length = (Edge.__dict__[f].__set__ for f in ("id", "ends", "length"))
 
 
+def _self_loop(eid: str) -> InvalidGraphError:
+    """The error of the loop-free constructor at a loop."""
+    return InvalidGraphError(f"edge {eid!r} is a self-loop")
+
+
 class MetrizedGraph:
     """Immutable multigraph with rational edge lengths.
 
@@ -74,7 +80,8 @@ class MetrizedGraph:
     :meth:`require_analytic` before doing any work.
     """
 
-    __slots__ = ("vertices", "edges", "allow_loops", "_vertex_set", "_edge_by_id", "_incidence")
+    __slots__ = ("vertices", "edges", "allow_loops",
+                 "_vertex_set", "_edge_by_id", "_incidence", "_connected")
 
     def __init__(self, vertices: Iterable[str], edges: Iterable, *, allow_loops: bool = False):
         verts = tuple(sorted(vertices))
@@ -98,7 +105,7 @@ class MetrizedGraph:
             if u not in vertex_set or w not in vertex_set:
                 raise UnknownIdError(f"edge {eid!r} references an unknown vertex")
             if u == w and not allow_loops:
-                raise InvalidGraphError(f"edge {eid!r} is a self-loop")
+                raise _self_loop(eid)
             if (
                 type(item) is Edge
                 and length is item.length
@@ -133,6 +140,7 @@ class MetrizedGraph:
         init(self, "_vertex_set", vertex_set)
         init(self, "_edge_by_id", edge_by_id)
         init(self, "_incidence", None)
+        init(self, "_connected", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("MetrizedGraph is immutable")
@@ -205,6 +213,9 @@ class MetrizedGraph:
         return sum((e.length for e in self.edges), Fraction(0))
 
     def is_connected(self) -> bool:
+        """Walked once per graph; the answer is kept."""
+        if self._connected is not None:
+            return self._connected
         incident = self._incident()
         start = self.vertices[0]
         seen = {start}
@@ -217,7 +228,9 @@ class MetrizedGraph:
                 if x not in seen:
                     seen.add(x)
                     stack.append(x)
-        return len(seen) == len(self.vertices)
+        connected = len(seen) == len(self.vertices)
+        object.__setattr__(self, "_connected", connected)
+        return connected
 
     def first_betti_number(self) -> int:
         if not self.is_connected():

@@ -9,15 +9,39 @@ in the edge-class indeterminates govern the admissible constant:
   non-fixed vertex class, weighted by (valence - 2) of that vertex; zero on
   semisimple graphs.
 
-The library does not enumerate these subsets.  Fix one edge e-_c in every
-class and let E- be the set of them: the monomials of L are exactly the
-classes outside a spanning tree of G/E- (the dual Kirchhoff polynomial of
-G/E- in the class variables), and M sums the same polynomial of
-G/(E- + v~iota v), weighted by val v - 2, over the non-fixed pairs.  For L
-this follows from 2^g L = Psi_G; for M it is observed (the tests hold it
-against the subset definition and the elementary-symmetric construction,
-kept as oracles).  The trees are listed directly, so the cost follows the
-number of terms, not the number of class subsets.
+Both live on the quotient tree T = G/<iota> (orbits and classes), rooted at
+its F = n + 1 fixed vertices; val a, the valence in G over an orbit a, is
+its degree in T.  Restricting to a class set S contracts the other classes:
+over a piece of T - S holding a fixed vertex lies one fixed vertex of G^S,
+over a piece holding none (where G is two sheets swapped by iota) a
+non-fixed pair, and G^S has no loop.  So L sums X^S over the n-sets S that
+leave one fixed vertex in every piece of T - S.  For M one piece K holds no
+fixed vertex; its pair's valence is the number dK of classes of S at K, and
+on the tree K, dK - 2 is the sum of val a - 2 over a in K.  So M is the sum
+over the non-fixed a of val a - 2 times that of X^S over the (n+1)-sets S
+with roots F + {a}: one vertex of F + {a} in every piece of T - S.
+``_cuts`` lists these sets in one pass over a rooted walk of T.
+
+Give class c the conductance 1/X_c; let D be T's Laplacian grounded at the
+fixed vertices, D_aa that without a's row and column, C(a) = det D/det D_aa
+the conductance from a to the fixed vertices, kappa the spanning-tree sum.
+
+* Rooted-forest matrix-tree theorem (Chaiken 1982): the spanning forests
+  of T with one fixed vertex per tree are T minus the n-sets above, so
+  L = prod_c X_c * det D, and the sum for a is prod_c X_c * det D_aa.
+* kappa(G) = 2^(F-1) * prod_c X_c^-1 * det D.  Grounding a fixed vertex
+  keeps iota, so G's grounded Laplacian splits over iota-antisymmetric
+  functions, which vanish at the fixed vertices and are one function on
+  the sheets over T (in orthonormal coordinates this part is D), and
+  symmetric ones (twice T's grounded Laplacian, rescaled by sqrt 2 on the N
+  non-fixed orbits: 2^(F+N-1)/2^N times T's weight prod_c X_c^-1).  With
+  Psi_G = prod_e x_e * kappa(G) and g = F - 1 this is 2^g L = Psi_G.
+* The potential of a unit current from v to iota v is antisymmetric, so it
+  vanishes at the fixed vertices and is, on v's sheet, that of a unit
+  current from a to them in T: R(v, iota v) = 2/C(a) = 2 det D_aa/det D.
+  Hence M/L = sum over non-fixed a of (val a - 2)/C(a), and, as
+  kappa(G/(v~iota v)) = R(v, iota v) kappa(G), 2^(g+1) M is the sum over
+  non-fixed pairs of (val v - 2) Psi_{G/(v~iota v)}.
 
 The closed form of the admissible constant for a polarization with
 coefficient nu(v) - 2 at every non-fixed vertex is
@@ -27,16 +51,16 @@ coefficient nu(v) - 2 at every non-fixed vertex is
 
 with w(e) the smaller pushed coefficient on the simple restriction to the
 class.  ``epsilon_closed_form`` needs only the value of M/L, which it takes
-from Kirchhoff (spanning-tree) determinants, one per non-fixed vertex pair,
-with no enumeration and no limit.  The symbolic L, M and
-``epsilon_rational_fn`` list at most MAX_TREES spanning trees for each of L
-and M, counted as they are listed, and raise EnumerationCapError past it.
+from every C(a) in two passes over the rooted walk: O(V) Fraction
+operations, with no linear algebra, no enumeration and no limit.  The
+symbolic L, M and ``epsilon_rational_fn`` list at most MAX_TREES cuts for
+each of L and M, counted as they are listed, and raise EnumerationCapError
+past it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .errors import (
@@ -279,107 +303,76 @@ class RationalFn:
         return f"RationalFn({self.numerator!r} / {self.denominator!r})"
 
 
-def _connects(label: List[int], parts: int, edges) -> bool:
-    """Do the edges join the ``parts`` distinct labels into one?"""
-    parent = {}
-    joins = 0
-    for a, b, _ in edges:
-        ra, rb = label[a], label[b]
-        while ra in parent:
-            ra = parent[ra]
-        while rb in parent:
-            rb = parent[rb]
-        if ra != rb:
-            parent[ra] = rb
-            joins += 1
-            if joins == parts - 1:
-                return True
-    return parts == 1
+def _rooted_quotient(h: HyperellipticGraph) -> Tuple[List[str], Dict[str, Tuple[str, str]]]:
+    """A walk of the quotient tree from its first fixed vertex: the visit
+    order, every vertex after its parent, and for every other vertex its
+    parent and the class joining them."""
+    incident = h.quotient._incident()
+    root = min(h.fixed_vertices)
+    order = [root]
+    up: Dict[str, Tuple[str, str]] = {}
+    for v in order:
+        for e in incident[v]:
+            a, b = e.ends
+            w = b if a == v else a
+            if w not in up and w != root:
+                up[w] = (v, e.id)
+                order.append(w)
+    return order, up
 
 
-def _cotrees(h: HyperellipticGraph, budget: int, merge: Tuple[str, ...] = ()) -> List[Monomial]:
-    """The monomials of the dual Kirchhoff polynomial of G/(E- + merge).
+def _cuts(
+    order: List[str], up: Dict[str, Tuple[str, str]], roots, budget: int
+) -> List[Monomial]:
+    """The class sets whose deletion leaves every piece of the quotient tree
+    with exactly one vertex of ``roots`` (the walk's root among them).
 
-    E- holds e-_c = class_members[c][0] of every class c.  It is a forest:
-    a cycle in E-, or a path from v to iota v, would project to a closed
-    walk in the quotient tree that uses each class once.  So with F fixed
-    vertices and N non-fixed pairs it has (F + 2N) - (F + N - 1) = N + 1
-    components, and merging a pair leaves N.  On the components, the edges
-    e+_c span a multigraph; each spanning tree T gives the monomial of the
-    classes whose e+ is outside T.
-
-    Trees are listed by deletion-contraction over the e+ edges in class
-    order, so monomials come out sorted.  An edge that has become a loop is
-    always outside; an edge is left out only when the rest still connects
-    (bridge pruning), so every branch ends in a tree, and each tree costs at
-    most one connectivity check per class.  Listing one tree past
-    ``budget`` raises EnumerationCapError.
-    """
-    index = {v: k for k, v in enumerate(h.graph.vertices)}
-    parent = list(range(len(index)))
-
-    def find(x):
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    classes = h.classes()
-    joins = [h.graph.edge(h.class_members[c][0]).ends for c in classes]
-    joins += [(merge[0], w) for w in merge[1:]]
-    for a, b in joins:
-        parent[find(index[a])] = find(index[b])
-    roots: Dict[int, int] = {}
-    part = [roots.setdefault(find(x), len(roots)) for x in range(len(index))]
-    edges = []
-    for c in classes:
-        a, b = h.graph.edge(h.class_members[c][1]).ends
-        edges.append((part[index[a]], part[index[b]], ((c, 1),)))
-    out: List[Monomial] = []
-
-    def grow(i: int, label: List[int], parts: int, outside: Monomial) -> None:
-        while parts > 1:
-            a, b, var = edges[i]
-            i += 1
-            la, lb = label[a], label[b]
-            if la != lb:
-                grow(i, [la if x == lb else x for x in label], parts - 1, outside)
-                if not _connects(label, parts, edges[i:]):
-                    return
-            outside += var
-        for _, _, var in edges[i:]:
-            outside += var
-        if len(out) == budget:
+    Children come before parents.  A subtree's partial cuts are kept in two
+    lists, by whether the piece at its top holds a root yet; each class
+    joins a child's lists into its parent's.  Every partial cut extends
+    through the root to a distinct full one, so no branch dies and no list
+    outgrows the result; a join that would pass ``budget`` raises."""
+    rooted = {v: [()] if v in roots else [] for v in order}
+    loose = {v: [] if v in roots else [()] for v in order}
+    for v in reversed(order[1:]):
+        p, c = up[v]
+        rx, ux, ry, uy = rooted[p], loose[p], rooted.pop(v), loose.pop(v)
+        # the class cut under a rooted piece, kept under a loose one: the
+        # parent's piece gains no root (keeping it under a rooted one does)
+        settled = [b + ((c, 1),) for b in ry] + uy
+        if (len(rx) + len(ux)) * len(settled) + len(ux) * len(ry) > budget:
             raise EnumerationCapError(
                 f"more than {MAX_TREES} spanning trees to list; "
                 "the symbolic L and M are limited to that many"
             )
-        out.append(outside)
-
-    grow(0, list(range(len(roots))), len(roots), ())
-    return out
+        rooted[p] = [a + b for a in rx for b in settled] + [a + b for a in ux for b in ry]
+        loose[p] = [a + b for a in ux for b in settled]
+    return [tuple(sorted(a)) for a in rooted[order[0]]]
 
 
 def l_polynomial(h: HyperellipticGraph) -> MultiPoly:
     """L: homogeneous multilinear of degree sz(G); multiplicative over
-    one-point-sums.  The sum of the co-tree monomials of G/E-."""
-    return MultiPoly._trusted({mono: ONE for mono in _cotrees(h, MAX_TREES)})
+    one-point-sums.  The sum over the cuts of the quotient tree that leave
+    one fixed vertex in every piece."""
+    cuts = _cuts(*_rooted_quotient(h), h.fixed_vertices, MAX_TREES)
+    return MultiPoly._trusted({mono: ONE for mono in cuts})
 
 
 def m_polynomial(h: HyperellipticGraph) -> MultiPoly:
     """M: homogeneous multilinear of degree sz(G) + 1; M/L is additive over
     one-point-sums and M = 0 on semisimple graphs.  The sum over non-fixed
-    pairs {v, iota v} of (val v - 2) times the co-tree monomials of
-    G/(E- + v~iota v).  The tree limit covers all pairs together."""
+    orbits a of (val a - 2) times the cuts of the quotient tree that leave
+    one vertex of the fixed ones and a in every piece.  The limit covers all
+    orbits together."""
+    order, up = _rooted_quotient(h)
     budget = MAX_TREES
     terms: Dict[Monomial, Fraction] = {}
-    for v in sorted(h.nonfixed_vertices):
-        partner = h.involution.vertex(v)
-        if v < partner:
-            weight = Fraction(h.graph.valence(v) - 2)
-            trees = _cotrees(h, budget, (v, partner))
-            budget -= len(trees)
-            for mono in trees:
-                terms[mono] = terms.get(mono, ZERO) + weight
+    for a in (v for v in h.quotient.vertices if v not in h.fixed_vertices):
+        weight = Fraction(h.graph.valence(a) - 2)
+        cuts = _cuts(order, up, h.fixed_vertices | {a}, budget)
+        budget -= len(cuts)
+        for mono in cuts:
+            terms[mono] = terms.get(mono, ZERO) + weight
     return MultiPoly._trusted(terms)
 
 
@@ -414,47 +407,34 @@ def epsilon_rational_fn(h: HyperellipticGraph, d: Divisor) -> RationalFn:
     return RationalFn(linear * lpoly + MultiPoly.constant(q) * mpoly, lpoly)
 
 
-def _kirchhoff_determinant(
-    h: HyperellipticGraph, lengths: Mapping[str, Fraction], merge: Tuple[str, ...] = ()
-) -> Fraction:
-    """kappa: the determinant of the weighted Laplacian of h's graph with one
-    vertex grounded, conductance 1/X on each edge of a class of length X.
-
-    The vertices in ``merge`` are identified first; an edge between two of
-    them becomes a loop, which adds no conductance.  Exact and fraction-free:
-    the conductances are scaled to integers by the lcm N of the length
-    numerators, the integer determinant is taken by Bareiss elimination, and
-    the result is divided by N^rows.  No pivoting is needed: the matrix is
-    positive semidefinite, so a vanishing leading minor makes it singular.
-    """
-    scale = lcm(*(x.numerator for x in lengths.values()))
-    kept = [v for v in h.graph.vertices if v not in merge[1:]]
-    index = {v: k for k, v in enumerate(kept)}
-    index.update((v, index[merge[0]]) for v in merge[1:])
-    n = len(kept) - 1  # the last kept vertex is grounded
-    a = [[0] * n for _ in range(n)]
-    for e in h.graph.edges:
-        i, j = index[e.ends[0]], index[e.ends[1]]
-        if i == j:
+def _conductances(h: HyperellipticGraph, lengths: Mapping[str, Fraction]) -> Dict[str, Fraction]:
+    """C(a) for every non-fixed quotient vertex a, with conductance 1/X on a
+    class of length X.  From the leaves up, each vertex sums its branches
+    below; from the (fixed) root down, each adds the branch above it: the
+    parent's C less its own branch, in series with the joining class."""
+    order, up = _rooted_quotient(h)
+    fixed = h.fixed_vertices
+    down = dict.fromkeys(order, ZERO)
+    branch: Dict[str, Fraction] = {}
+    for v in reversed(order[1:]):
+        p, c = up[v]
+        x = lengths[c]
+        below = down[v]
+        branch[v] = 1 / x if v in fixed else below / (1 + x * below)
+        down[p] += branch[v]
+    total: Dict[str, Fraction] = {}
+    for v in order[1:]:
+        if v in fixed:
             continue
-        x = lengths[h.class_of[e.id]]
-        c = x.denominator * (scale // x.numerator)
-        for p, r in ((i, j), (j, i)):
-            if p < n:
-                a[p][p] += c
-                if r < n:
-                    a[p][r] -= c
-    prev = 1
-    for k in range(n):
-        pivot, row_k = a[k][k], a[k]
-        if pivot == 0:
-            return ZERO
-        for row in a[k + 1 :]:
-            factor = row[k]
-            for j in range(k + 1, n):
-                row[j] = (row[j] * pivot - factor * row_k[j]) // prev
-        prev = pivot
-    return Fraction(prev, scale**n)
+        p, c = up[v]
+        x = lengths[c]
+        if p in fixed:
+            above = 1 / x
+        else:
+            rest = total[p] - branch[v]
+            above = rest / (1 + x * rest)
+        total[v] = down[v] + above
+    return total
 
 
 def epsilon_closed_form(
@@ -465,11 +445,10 @@ def epsilon_closed_form(
     """Evaluate the closed form at given class lengths (default: the lengths
     carried by the graph).  Exact; equal to the potential-theory value.
 
-    By the matrix-tree theorem, L = 2^-g Psi_G and M = 2^-(g+1) times the sum
-    over non-fixed pairs {v, iota v} of (val v - 2) Psi_{G/(v~iota v)}, with
-    Psi the dual Kirchhoff polynomial.  The product of the lengths cancels,
-    so M/L = (1/2) sum (val v - 2) kappa(G/(v~iota v)) / kappa(G): one
-    determinant per pair and no subset enumeration.
+    M/L is the sum over non-fixed quotient vertices a of (val a - 2)/C(a),
+    with C(a) the conductance from a to the grounded fixed vertices of the
+    quotient tree (see the module docstring): no linear algebra, no
+    enumeration and no call into ``potential``.
     """
     if lengths is None:
         assignment = {c: h.class_length(c) for c in h.classes()}
@@ -480,15 +459,12 @@ def epsilon_closed_form(
             raise PolarizationShapeError(f"length of class {cname!r} must be positive")
     deg = _theorem_shape_check(h, d)
     q = Fraction(2, 3) * deg / (deg + 2)
-    kappa = _kirchhoff_determinant(h, assignment)
-    if kappa == 0:
-        raise SolverFaultError("Kirchhoff determinant vanished on a valid hyperelliptic graph")
-    pairs = ZERO
-    for v in sorted(h.nonfixed_vertices):
-        partner = h.involution.vertex(v)
-        if v < partner:
-            pairs += (h.graph.valence(v) - 2) * _kirchhoff_determinant(h, assignment, (v, partner))
-    total = q * pairs / (2 * kappa)
+    ratio = ZERO
+    for a, conductance in _conductances(h, assignment).items():
+        if conductance == 0:
+            raise SolverFaultError(f"the conductance from {a!r} to the fixed vertices vanished")
+        ratio += (h.graph.valence(a) - 2) / conductance
+    total = q * ratio
     for cname, x in assignment.items():
         w = w_weight(h, d, cname)
         total += (q + w * (deg - w) / (deg + 2)) * x

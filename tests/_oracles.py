@@ -19,6 +19,17 @@
   one-jointed classes meeting the vertex; multiplicative (L) and additive
   for M/L over one-point sums.
 
+* L and M as co-trees: fix one edge e-_c in every class and let E- be the
+  set of them; L sums the monomials of the classes outside a spanning tree
+  of G/E-, and M the same over G/(E- + v~iota v), weighted by val v - 2,
+  over the non-fixed pairs.  Trees are listed by deletion-contraction with
+  a connectivity check per step.
+
+* The closed form by Kirchhoff determinants: kappa, the weighted
+  spanning-tree sum, by fraction-free Bareiss elimination of the grounded
+  Laplacian of G, and M/L = (1/2) sum (val v - 2) kappa(G/(v~iota v)) /
+  kappa(G), one determinant per non-fixed pair.
+
 The L/M oracles use the restriction and contraction of ``hyperelliptic``
 but no code of ``polynomials``.
 
@@ -46,6 +57,7 @@ but no code of ``polynomials``.
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Dict, List
 
 from admgraph import (
@@ -72,6 +84,7 @@ from admgraph import (
     graph_size,
     is_simple,
     restrict_classes,
+    w_weight,
 )
 from admgraph.hyperelliptic import is_semisimple_of_size, validate_hyperelliptic
 
@@ -239,6 +252,177 @@ def m_symmetric(h):
         total = total + piece
     return total
 
+
+
+def _connects(label: List[int], parts: int, edges) -> bool:
+    """Do the edges join the ``parts`` distinct labels into one?"""
+    parent = {}
+    joins = 0
+    for a, b, _ in edges:
+        ra, rb = label[a], label[b]
+        while ra in parent:
+            ra = parent[ra]
+        while rb in parent:
+            rb = parent[rb]
+        if ra != rb:
+            parent[ra] = rb
+            joins += 1
+            if joins == parts - 1:
+                return True
+    return parts == 1
+
+
+def _cotrees(h, merge=()):
+    """The monomials of the dual Kirchhoff polynomial of G/(E- + merge).
+
+    E- holds e-_c = class_members[c][0] of every class c.  It is a forest:
+    a cycle in E-, or a path from v to iota v, would project to a closed
+    walk in the quotient tree that uses each class once.  So with F fixed
+    vertices and N non-fixed pairs it has (F + 2N) - (F + N - 1) = N + 1
+    components, and merging a pair leaves N.  On the components, the edges
+    e+_c span a multigraph; each spanning tree T gives the monomial of the
+    classes whose e+ is outside T.
+
+    Trees are listed by deletion-contraction over the e+ edges in class
+    order, so monomials come out sorted.  An edge that has become a loop is
+    always outside; an edge is left out only when the rest still connects
+    (bridge pruning), so every branch ends in a tree.
+    """
+    index = {v: k for k, v in enumerate(h.graph.vertices)}
+    parent = list(range(len(index)))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    classes = h.classes()
+    joins = [h.graph.edge(h.class_members[c][0]).ends for c in classes]
+    joins += [(merge[0], w) for w in merge[1:]]
+    for a, b in joins:
+        parent[find(index[a])] = find(index[b])
+    roots: Dict[int, int] = {}
+    part = [roots.setdefault(find(x), len(roots)) for x in range(len(index))]
+    edges = []
+    for c in classes:
+        a, b = h.graph.edge(h.class_members[c][1]).ends
+        edges.append((part[index[a]], part[index[b]], ((c, 1),)))
+    out = []
+
+    def grow(i, label, parts, outside):
+        while parts > 1:
+            a, b, var = edges[i]
+            i += 1
+            la, lb = label[a], label[b]
+            if la != lb:
+                grow(i, [la if x == lb else x for x in label], parts - 1, outside)
+                if not _connects(label, parts, edges[i:]):
+                    return
+            outside += var
+        for _, _, var in edges[i:]:
+            outside += var
+        out.append(outside)
+
+    grow(0, list(range(len(roots))), len(roots), ())
+    return out
+
+
+def nonfixed_pairs(h):
+    """The non-fixed pairs (v, iota v) with v < iota v, in vertex order."""
+    return [
+        (v, h.involution.vertex(v))
+        for v in sorted(h.nonfixed_vertices)
+        if v < h.involution.vertex(v)
+    ]
+
+
+def l_cotrees(h):
+    """L as the co-tree monomials of G/E-."""
+    return MultiPoly({mono: 1 for mono in _cotrees(h)})
+
+
+def m_cotrees(h):
+    """M as the sum over non-fixed pairs of (val v - 2) times the co-tree
+    monomials of G/(E- + v~iota v)."""
+    terms = Counter()
+    for v, w in nonfixed_pairs(h):
+        for mono in _cotrees(h, (v, w)):
+            terms[mono] += h.graph.valence(v) - 2
+    return MultiPoly(terms)
+
+
+def _kirchhoff_determinant(h, lengths, merge=()):
+    """kappa: the determinant of the weighted Laplacian of h's graph with one
+    vertex grounded, conductance 1/X on each edge of a class of length X.
+
+    The vertices in ``merge`` are identified first; an edge between two of
+    them becomes a loop, which adds no conductance.  Exact and fraction-free:
+    the conductances are scaled to integers by the lcm N of the length
+    numerators, the integer determinant is taken by Bareiss elimination, and
+    the result is divided by N^rows.  No pivoting is needed: the matrix is
+    positive semidefinite, so a vanishing leading minor makes it singular.
+    """
+    scale = lcm(*(x.numerator for x in lengths.values()))
+    kept = [v for v in h.graph.vertices if v not in merge[1:]]
+    index = {v: k for k, v in enumerate(kept)}
+    index.update((v, index[merge[0]]) for v in merge[1:])
+    n = len(kept) - 1  # the last kept vertex is grounded
+    a = [[0] * n for _ in range(n)]
+    for e in h.graph.edges:
+        i, j = index[e.ends[0]], index[e.ends[1]]
+        if i == j:
+            continue
+        x = lengths[h.class_of[e.id]]
+        c = x.denominator * (scale // x.numerator)
+        for p, r in ((i, j), (j, i)):
+            if p < n:
+                a[p][p] += c
+                if r < n:
+                    a[p][r] -= c
+    prev = 1
+    for k in range(n):
+        pivot, row_k = a[k][k], a[k]
+        if pivot == 0:
+            return ZERO
+        for row in a[k + 1 :]:
+            factor = row[k]
+            if factor:
+                for j in range(k + 1, n):
+                    row[j] = (row[j] * pivot - factor * row_k[j]) // prev
+            else:  # the same step, without the zero product
+                for j in range(k + 1, n):
+                    row[j] = row[j] * pivot // prev
+        prev = pivot
+    return Fraction(prev, scale**n)
+
+
+def conductances_kirchhoff(h, lengths):
+    """C(a) = 2 kappa(G) / kappa(G/(v~iota v)) = 2/R(v, iota v) for every
+    non-fixed pair, keyed by its smaller vertex."""
+    kappa = _kirchhoff_determinant(h, lengths)
+    return {
+        v: 2 * kappa / _kirchhoff_determinant(h, lengths, (v, w)) for v, w in nonfixed_pairs(h)
+    }
+
+
+def epsilon_kirchhoff(h, d, lengths):
+    """The closed form with M/L = (1/2) sum (val v - 2) kappa(G/(v~iota v))
+    / kappa(G), one determinant per pair."""
+    deg = d.degree
+    q = Fraction(2, 3) * deg / (deg + 2)
+    kappa = _kirchhoff_determinant(h, lengths)
+    pairs = sum(
+        (
+            (h.graph.valence(v) - 2) * _kirchhoff_determinant(h, lengths, (v, w))
+            for v, w in nonfixed_pairs(h)
+        ),
+        ZERO,
+    )
+    total = q * pairs / (2 * kappa)
+    for cname, x in lengths.items():
+        w = w_weight(h, d, cname)
+        total += (q + w * (deg - w) / (deg + 2)) * x
+    return total
 
 def _rref_solve(rows, rhs):
     """Solve a consistent (possibly overdetermined) exact system; asserts

@@ -213,6 +213,60 @@ class TestCli:
         assert out["valid"] is True
         assert out["hyperelliptic"]["size"] == 1
 
+    # documents derived from SG_DOC, and the exact stdout of ``validate``
+    VALIDATE_CASES = {
+        "valid": (
+            lambda doc: None,
+            '{"valid": true, "problems": [], "hyperelliptic": {"valid": true, "size": 1}}',
+        ),
+        "looped": (
+            lambda doc: (
+                doc["edges"].append({"id": "l", "ends": ["P", "P"], "length": "1"}),
+                doc["involution"]["edges"].update(l="l"),
+            ),
+            '{"valid": false, "problems": ["edge \'l\': self-loop at \'P\'"], '
+            '"hyperelliptic": {"valid": false, "problem": "edge \'l\' is a self-loop"}}',
+        ),
+        "disconnected": (
+            lambda doc: (
+                doc["vertices"].append({"id": "R"}),
+                doc["involution"]["vertices"].update(R="R"),
+            ),
+            '{"valid": false, "problems": ["graph is not connected"], '
+            '"hyperelliptic": {"valid": false, "problem": "hyperelliptic graphs are connected"}}',
+        ),
+        "bad-involution": (
+            lambda doc: doc["involution"]["vertices"].update(P="Q"),
+            '{"valid": false, "problems": [], "hyperelliptic": {"valid": false, '
+            '"problem": "vertex map is not a permutation of the vertex set"}}',
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(VALIDATE_CASES))
+    def test_validate_builds_and_walks_the_graph_once(self, capsys, tmp_path, monkeypatch, case):
+        edit, expected = self.VALIDATE_CASES[case]
+        doc = json.loads(SG_DOC)
+        edit(doc)
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        builds, walks = [], []
+        build, walk = ag.MetrizedGraph.__init__, ag.MetrizedGraph.is_connected
+
+        def counted_build(g, *args, **kwargs):
+            builds.append(g)
+            build(g, *args, **kwargs)
+
+        def counted_walk(g):
+            if g._connected is None:  # not yet walked
+                walks.append(g)
+            return walk(g)
+
+        monkeypatch.setattr(ag.MetrizedGraph, "__init__", counted_build)
+        monkeypatch.setattr(ag.MetrizedGraph, "is_connected", counted_walk)
+        assert run_command(["validate", str(path)]) == 0
+        assert capsys.readouterr().out == expected + "\n"
+        assert len(builds) == 1 and walks == builds
+
     def test_resistance_and_edge(self, capsys, sg_file):
         code, out = run(capsys, ["resistance", sg_file, "P", "Q"])
         assert out["resistance"] == "1/2"

@@ -347,6 +347,12 @@ def _set_edge(raw, eid, ends=None, length=None):
             raw["edges"][i] = (x, ends or old_ends, old_length if length is None else length)
 
 
+def _edge_ids(raw):
+    """The edge map's ids that are edges: an "unknown-id" mutation may have
+    added an id that is no edge, or dropped an edge's id."""
+    return raw["emap"].keys() & {x for x, _, _ in raw["edges"]}
+
+
 def _ends(raw, eid):
     return next(ends for x, ends, _ in raw["edges"] if x == eid)
 
@@ -373,7 +379,7 @@ def _loop(raw, k):
 def _valence_two(raw, k):
     """Subdivide one orbit by a swapped pair of new vertices, each of
     valence 2."""
-    eid = _pick(raw["emap"], k)
+    eid = _pick(_edge_ids(raw), k)
     partner = raw["emap"][eid]
     vmap = raw["vmap"]
     u, w = _ends(raw, eid)
@@ -390,7 +396,7 @@ def _valence_two(raw, k):
 
 
 def _orbit_lengths(raw, k):
-    eid = _pick(raw["emap"], k)
+    eid = _pick(_edge_ids(raw), k)
     length = next(x for i, _, x in raw["edges"] if i == eid)
     _set_edge(raw, eid, length=ag.as_fraction(length) + 1)
 

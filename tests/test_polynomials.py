@@ -8,11 +8,17 @@ from hypothesis import strategies as st
 
 import admgraph as ag
 from _oracles import (
+    _connects,
+    conductances_kirchhoff,
+    epsilon_kirchhoff,
     kirchhoff_polynomial,
     l_by_definition,
+    l_cotrees,
     l_symmetric,
     m_by_definition,
+    m_cotrees,
     m_symmetric,
+    nonfixed_pairs,
 )
 from admgraph import EdgeKind, MultiPoly
 from admgraph.generators import double_cover, random_cover_spec
@@ -142,28 +148,46 @@ class TestMPolynomial:
 
 
 class TestStrategyAgreement:
-    """The co-tree route of the library against the restriction definition
-    and the elementary-symmetric construction, both kept as oracles."""
+    """The cut route of the library against the restriction definition,
+    the elementary-symmetric construction and the co-tree listing, all kept
+    as oracles."""
 
     def test_on_corpus(self, corpus):
         for h in corpus:
             lpoly, mpoly = ag.l_polynomial(h), ag.m_polynomial(h)
-            assert lpoly == l_by_definition(h) == l_symmetric(h)
-            assert mpoly == m_by_definition(h) == m_symmetric(h)
+            assert lpoly == l_by_definition(h) == l_symmetric(h) == l_cotrees(h)
+            assert mpoly == m_by_definition(h) == m_symmetric(h) == m_cotrees(h)
 
 
 class TestCoTrees:
-    """L and M are listed from the spanning trees of G/E- (and of
-    G/(E- + v~iota v) for M).  For M the identity is observed, not proved,
-    so it is checked against both oracles on generated covers."""
+    """L and M are listed as cuts of the quotient tree; the module docstring
+    of ``polynomials`` proves that these are the subset definitions and the
+    co-trees of G/E- (of G/(E- + v~iota v) for M).  The proofs are checked
+    against the definition, the elementary-symmetric construction and the
+    co-tree listing, all kept as oracles, on generated covers."""
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(min_value=0, max_value=100_000))
     def test_matches_both_oracles_on_covers(self, seed):
         h = double_cover(random_cover_spec(seed, max_vertices=12))
         assert len(h.class_members) <= 11
-        assert ag.l_polynomial(h) == l_by_definition(h) == l_symmetric(h)
-        assert ag.m_polynomial(h) == m_by_definition(h) == m_symmetric(h)
+        lpoly, mpoly = ag.l_polynomial(h), ag.m_polynomial(h)
+        assert lpoly == l_by_definition(h) == l_symmetric(h) == l_cotrees(h)
+        assert mpoly == m_by_definition(h) == m_symmetric(h) == m_cotrees(h)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(min_value=1, max_value=8), st.data())
+    def test_connects_matches_is_connected(self, n, data):
+        # the co-tree oracle's connectivity check against the graph's own
+        pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        ends = data.draw(st.lists(pair, max_size=10))
+        edges = [(a, b, None) for a, b in ends]
+        g = ag.MetrizedGraph(
+            [str(k) for k in range(n)],
+            [(f"e{k}", (str(a), str(b)), 1) for k, (a, b) in enumerate(ends)],
+            allow_loops=True,
+        )
+        assert _connects(list(range(n)), n, edges) == g.is_connected()
 
     def test_ladder_l_term_counts_are_fibonacci(self):
         fib = [0, 1]
@@ -287,17 +311,11 @@ def psi(h, merge=()):
     return kirchhoff_polynomial(vertices, edges)
 
 
-def nonfixed_pairs(h):
-    return [
-        (v, h.involution.vertex(v))
-        for v in sorted(h.nonfixed_vertices)
-        if v < h.involution.vertex(v)
-    ]
-
-
 class TestKirchhoff:
-    """L and M are spanning-tree polynomials, which is what lets the closed
-    form be evaluated by determinants."""
+    """L and M are spanning-tree polynomials: 2^g L = Psi_G and 2^(g+1) M
+    sums (val v - 2) Psi_{G/(v~iota v)}, as the module docstring of
+    ``polynomials`` proves; checked here against the subset enumeration of
+    Psi and against the solver's resistances."""
 
     def test_l_and_m_are_kirchhoff_polynomials(self, corpus):
         for h in corpus:
@@ -369,6 +387,66 @@ class TestKirchhoff:
         d = ladder_polarization(h)
         numeric, _ = ag.epsilon_numeric(h.graph, d)
         assert ag.epsilon_closed_form(h, d) == numeric
+
+
+BIG = int("9" * 800)
+SMALL = F(1, int("7" * 800))
+
+
+class TestQuotientTree:
+    """The closed form's M/L from the conductances C(a) of the quotient tree
+    against two oracles: Kirchhoff determinants (C(a) = 2 kappa(G) /
+    kappa(G/(v~iota v)), one Bareiss elimination each) and the solver."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.integers(min_value=0, max_value=33), st.data())
+    def test_matches_kirchhoff_and_solver_on_corpus(self, corpus, index, data):
+        h = corpus[index]
+        length = st.one_of(
+            st.fractions(min_value=F(1, 50), max_value=50),
+            st.sampled_from([BIG, SMALL, BIG + 1, F(1, BIG + 2)]),
+        )
+        h2 = ag.with_lengths(h, {c: data.draw(length) for c in h.classes()})
+        lengths = h2.lengths()
+        d = ag.random_polarization(h2, index)
+        closed = ag.epsilon_closed_form(h2, d)
+        assert closed == epsilon_kirchhoff(h2, d, lengths)
+        assert closed == ag.epsilon_numeric(h2.graph, d)[0]
+
+    def test_long_lengths_on_corpus(self, corpus):
+        # lengths alternating by class between an 800-digit integer and the
+        # reciprocal of another, on the graphs of at most five vertices
+        # (ladder3 at these lengths is TestLongNumbers' case)
+        for h in corpus:
+            if len(h.graph.vertices) > 5:
+                continue
+            h2 = ag.with_lengths(h, {c: (BIG, SMALL)[k % 2] for k, c in enumerate(h.classes())})
+            lengths = h2.lengths()
+            d = ag.random_polarization(h2, 5)
+            closed = ag.epsilon_closed_form(h2, d)
+            assert closed == epsilon_kirchhoff(h2, d, lengths)
+            assert closed == ag.epsilon_numeric(h2.graph, d)[0]
+
+    def test_ladders_match_kirchhoff(self):
+        for n in list(range(2, 21)) + [30]:
+            h = ag.ladder_graph(n)
+            lengths = h.lengths()
+            assert ag.polynomials._conductances(h, lengths) == conductances_kirchhoff(h, lengths)
+
+    def test_ladders_match_solver(self):
+        for n in (40, 60):
+            h = ag.ladder_graph(n)
+            d = ladder_polarization(h)
+            assert ag.epsilon_closed_form(h, d) == ag.epsilon_numeric(h.graph, d)[0]
+
+    def test_vanishing_conductance_is_a_fault(self, monkeypatch):
+        h = ag.elementary_graph(2)
+        d = ladder_polarization(h)
+        monkeypatch.setattr(
+            ag.polynomials, "_conductances", lambda h, lengths: {"Q+": F(0)}
+        )
+        with pytest.raises(ag.SolverFaultError, match="conductance from 'Q\\+'"):
+            ag.epsilon_closed_form(h, d)
 
 
 class TestInequalities:
