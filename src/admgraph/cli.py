@@ -126,7 +126,15 @@ def _hyperelliptic(doc: documents.GraphDocument, g: Optional[MetrizedGraph] = No
 
 def _parse_indexed(pairs: List[str], flag: str) -> Dict[int, int]:
     out: Dict[int, int] = {}
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
     for item in pairs:
+        for part in item.split("=", 1):
+            digits = part.strip().lstrip("+-")
+            if limit and len(digits) > limit and digits.isdecimal():
+                raise _UsageError(
+                    f"{flag} value too long: an integer of {len(digits)} digits, "
+                    f"more than the {limit} digits admgraph reads per integer"
+                )
         try:
             index, value = item.split("=", 1)
             out[int(index)] = out.get(int(index), 0) + int(value)

@@ -376,6 +376,11 @@ def w_weight(h: HyperellipticGraph, d: Divisor, cname: str) -> Fraction:
     the simple graph and the divisor pushes to aP + bQ."""
     if not divisor_is_invariant(d, h.involution):
         raise PolarizationShapeError("w is defined for iota-invariant divisors")
+    return _w_weight(h, d, cname)
+
+
+def _w_weight(h: HyperellipticGraph, d: Divisor, cname: str) -> Fraction:
+    """w_weight for a divisor already known to be iota-invariant."""
     restricted, rinv, vmap = restrict_classes(h, [cname])
     if not is_semisimple_of_size(restricted, rinv, 1):
         raise NotSimpleRestrictionError(

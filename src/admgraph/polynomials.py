@@ -71,7 +71,7 @@ from .errors import (
     SolverFaultError,
 )
 from .graph import Divisor
-from .hyperelliptic import HyperellipticGraph, divisor_is_invariant, nu_counts, w_weight
+from .hyperelliptic import HyperellipticGraph, _w_weight, divisor_is_invariant, nu_counts
 from .rationals import as_fraction
 
 ZERO = Fraction(0)
@@ -377,6 +377,8 @@ def m_polynomial(h: HyperellipticGraph) -> MultiPoly:
 
 
 def _theorem_shape_check(h: HyperellipticGraph, d: Divisor) -> Fraction:
+    for v in d.support():
+        h.graph.require_vertex(v)
     if not divisor_is_invariant(d, h.involution):
         raise PolarizationShapeError("polarization must be iota-invariant")
     for v in sorted(h.nonfixed_vertices):
@@ -401,7 +403,7 @@ def epsilon_rational_fn(h: HyperellipticGraph, d: Divisor) -> RationalFn:
         raise SolverFaultError("L vanished on a valid hyperelliptic graph")
     linear = MultiPoly()
     for cname in h.classes():
-        w = w_weight(h, d, cname)
+        w = _w_weight(h, d, cname)
         coeff = q + w * (deg - w) / (deg + 2)
         linear = linear + MultiPoly.monomial([cname], coeff)
     return RationalFn(linear * lpoly + MultiPoly.constant(q) * mpoly, lpoly)
@@ -466,6 +468,6 @@ def epsilon_closed_form(
         ratio += (h.graph.valence(a) - 2) / conductance
     total = q * ratio
     for cname, x in assignment.items():
-        w = w_weight(h, d, cname)
+        w = _w_weight(h, d, cname)
         total += (q + w * (deg - w) / (deg + 2)) * x
     return total

@@ -16,19 +16,39 @@ One factorization per graph serves everything.  The weighted Laplacian L
 (conductance 1/length) with the last vertex grounded (its row and column
 removed) is scaled to integers by one global scale S, the lcm of the length
 numerators, and K = S L is eliminated once, fraction-free (Bareiss, every
-division exact, first-nonzero pivoting), against the identity: that gives
-Y = det K^-1 in integers, so L^-1 = S Y / det.  The resistance across each
-edge, the canonical and admissible measures (as integers over one
-denominator) and every Green slice are read off Y; effective and cross
-resistance eliminate against e_p - e_q columns instead.  On an edge of
-length l, at arc length s from its first end, g(s) = (density/2) s^2 +
-beta s + g(start), so the only unknowns are the vertex values: flux balance
-is a grounded solve, and a constant shift then makes the integral against
-mu vanish.  Every slice g(x, .) is kept as integer vertex values over one
-common denominator up to the public boundary, the self-checks (both masses,
-flux at every vertex, the integral, symmetry and constancy) run in
-integers, and Fractions are built only for returned values (no tolerances
-exist; arithmetic is exact).
+division exact), against the identity: that gives Y = det K^-1 in integers,
+so L^-1 = S Y / det.
+
+K is sparse, and the elimination stays inside its band.  The non-grounded
+vertices are put in reverse Cuthill-McKee order (ties by vertex id, the
+grounded vertex still last), which keeps K's nonzeros near the diagonal
+(bandwidth 3 on a ladder, against about 2V/3 in the graph's own order).
+K is positive definite (the graph is connected and one vertex grounded),
+so every leading minor is positive: no pivot is zero and no row is ever
+swapped, and a pivot that is not positive is a fault.  Elimination then
+fills nothing outside K's envelope, so step k only touches the rows and
+columns that the rows up to k reach.  A row outside that reach, or with a
+zero multiplier, is in Bareiss only rescaled by the pivot over the previous
+pivot; those ratios telescope, so the row keeps a pending ratio (the steps
+it has taken) and is rescaled once, exactly, when next used.  K^-1 is
+symmetric, so one triangle of Y is back-substituted and mirrored.  Forward
+elimination costs O(V b^2) and the full inverse O(V^2 b) for bandwidth b.
+A symmetric permutation changes neither det K nor K^-1, and both are
+unique, so once Y is permuted back (S, det, Y) is bit for bit what the
+dense elimination in the graph's own order gives (tests/_oracles.py keeps
+that one as the reference).
+
+The resistance across each edge, the canonical and admissible measures (as
+integers over one denominator) and every Green slice are read off Y;
+effective and cross resistance eliminate against e_p - e_q columns
+instead.  On an edge of length l, at arc length s from its first end,
+g(s) = (density/2) s^2 + beta s + g(start), so the only unknowns are the
+vertex values: flux balance is a grounded solve, and a constant shift then
+makes the integral against mu vanish.  Every slice g(x, .) is kept as integer
+vertex values over one common denominator up to the public boundary, the
+self-checks (both masses, flux at every vertex, the integral, symmetry and
+constancy) run in integers, and Fractions are built only for returned
+values (no tolerances exist; arithmetic is exact).
 """
 
 from __future__ import annotations
@@ -36,6 +56,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple
 
 from .errors import (
@@ -64,40 +85,116 @@ def _scaled(xs: Iterable[Fraction], scale: int) -> List[int]:
     return [x.numerator * (scale // x.denominator) for x in xs]
 
 
-def _eliminate(a: List[List[int]], b: List[List[int]]) -> Tuple[int, List[List[int]]]:
-    """Solve a Y = det * b in integers for square a; b holds one column per
-    solve.  Returns (det, Y).
+def _band_order(g: MetrizedGraph) -> List[str]:
+    """The vertices in reverse Cuthill-McKee order (Cuthill and McKee 1969),
+    the grounded last vertex kept last.
 
-    Fraction-free (Bareiss) elimination: forward elimination divides exactly
-    by the previous pivot, so the last pivot is the determinant det of the
-    row-swapped a.  Back-substitution then yields Y = det * a^-1 b in
-    integers (each division is exact by Cramer's rule).  Pivot = first row
-    with a nonzero entry in column order, so the elimination path is
-    deterministic.
+    Each component of the graph without the grounded vertex is searched
+    breadth first from its vertex of least degree, the unvisited neighbours
+    of each vertex taken by degree; ties go by vertex id.  The order found
+    is then reversed.  It keeps the grounded Laplacian's nonzeros near the
+    diagonal: a ladder has bandwidth 3 in it.
+    """
+    ground = g.vertices[-1]
+    nbrs: Dict[str, set] = {v: set() for v in g.vertices[:-1]}
+    for e in g.edges:
+        u, w = e.ends
+        if u != w and ground not in e.ends:
+            nbrs[u].add(w)
+            nbrs[w].add(u)
+    key = {v: (len(ws), v) for v, ws in nbrs.items()}.__getitem__
+    seen: set = set()
+    order: List[str] = []
+    for start in sorted(nbrs, key=key):
+        if start in seen:
+            continue
+        seen.add(start)
+        order.append(start)
+        walked = len(order) - 1
+        while walked < len(order):
+            new = sorted(nbrs[order[walked]] - seen, key=key)
+            seen.update(new)
+            order.extend(new)
+            walked += 1
+    order.reverse()
+    order.append(ground)
+    return order
+
+
+def _eliminate(
+    a: List[List[int]], b: Optional[List[List[int]]] = None
+) -> Tuple[int, List[List[int]]]:
+    """Solve a Y = det * b in integers for a symmetric positive definite a;
+    b holds one column per solve, and b None stands for the identity, so
+    that Y = det * a^-1.  Returns (det, Y).
+
+    Fraction-free (Bareiss) elimination without pivoting, kept inside a's
+    envelope: hi[k], the last column reached by any row up to k, bounds the
+    rows that step k updates, and elimination fills nothing outside it.  In
+    Bareiss a row whose multiplier is zero is still rescaled by the pivot
+    over the previous pivot; those ratios telescope, so such a row keeps
+    the number of steps it has taken instead and is brought up to date,
+    exactly, when it is next needed.  Every pivot is a leading principal
+    minor, so a pivot that is not positive means a is not positive definite
+    and raises SolverFaultError.  The last pivot is det = det a.  With b the
+    identity, back-substitution fills one triangle of the symmetric Y and
+    mirrors it: row k of the forward-eliminated identity is the previous
+    pivot at column k and zero to its right.  Each division is exact by
+    Cramer's rule.
     """
     n = len(a)
-    rows = [ar + br for ar, br in zip(a, b)]
-    prev = 1
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col]), None)
-        if pivot is None:
-            raise SolverFaultError("singular linear system")
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        top = rows[col]
-        lead = top[col]
-        for row in rows[col + 1 :]:
-            factor = row[col]
-            for c in range(col + 1, len(row)):
-                row[c] = (row[c] * lead - factor * top[c]) // prev
-        prev = lead
-    y: List[List[int]] = [[] for _ in range(n)]
+    hi: List[int] = []
+    reach = 0
+    for k, row in enumerate(a):
+        reach = max(k, next((j for j in range(n - 1, reach, -1) if row[j]), reach))
+        hi.append(reach)
+    rows = [list(r) for r in a] if b is None else [list(r) + list(br) for r, br in zip(a, b)]
+    pivots = [1]  # pivots[k]: the pivot of step k - 1; a row after k steps is a minor over it
+    done = [0] * n  # steps each stored row has taken
+    for k in range(n):
+        top, end = rows[k], hi[k] + 1
+        behind = done[k]
+        if behind < k:
+            top[k:end] = [x * pivots[k] // pivots[behind] for x in top[k:end]]
+            top[n:] = [x * pivots[k] // pivots[behind] for x in top[n:]]
+        lead = top[k]
+        if lead <= 0:
+            raise SolverFaultError("nonpositive pivot: the matrix is not positive definite")
+        pivots.append(lead)
+        for i in range(k + 1, end):
+            row = rows[i]
+            m = row[k]
+            if not m:
+                continue
+            den = pivots[done[i]]
+            stop = hi[i] + 1
+            row[k + 1 : stop] = [
+                (x * lead - m * t) // den for x, t in zip(row[k + 1 : stop], top[k + 1 : stop])
+            ]
+            row[n:] = [(x * lead - m * t) // den for x, t in zip(row[n:], top[n:])]
+            done[i] = k + 1
+    det = pivots[n]
+    if b is None:
+        y = [[0] * n for _ in range(n)]
+        for col in range(n - 1, -1, -1):
+            top, end = rows[col], hi[col] + 1
+            upper, lead = top[col + 1 : end], top[col]
+            for c in range(n - 1, col - 1, -1):
+                # y[c][j] = y[j][c] for the rows j > col already solved
+                acc = -sum(map(mul, upper, y[c][col + 1 : end]))
+                if c == col:
+                    acc += det * pivots[col]
+                y[col][c] = y[c][col] = acc // lead
+        return det, y
+    y = [[] for _ in range(n)]
     for col in range(n - 1, -1, -1):
-        row = rows[col]
+        top, end = rows[col], hi[col] + 1
+        below = list(zip(top[col + 1 : end], y[col + 1 : end]))
         y[col] = [
-            (prev * v - sum(row[k] * y[k][c] for k in range(col + 1, n))) // row[col]
-            for c, v in enumerate(row[n:])
+            (det * v - sum(x * ys[c] for x, ys in below)) // top[col]
+            for c, v in enumerate(top[n:])
         ]
-    return prev, y
+    return det, y
 
 
 def _factor(g: MetrizedGraph, pairs: Optional[List[Tuple[str, str]]] = None) -> _Factorization:
@@ -111,8 +208,12 @@ def _factor(g: MetrizedGraph, pairs: Optional[List[Tuple[str, str]]] = None) -> 
     their common factor, which is large when the lengths are.  Y has a row
     per vertex, the grounded one 0; with B the identity it also has a
     column per vertex, the grounded one 0.  So L^-1 = S Y / det.
+
+    K is eliminated in the band order and Y permuted back to the graph's
+    vertex order; a symmetric permutation changes neither det nor K^-1, so
+    the result does not depend on the order.
     """
-    order = g.vertices
+    order = _band_order(g)
     n = len(order) - 1
     index = {v: i for i, v in enumerate(order)}
     scale = lcm(*(e.length.numerator for e in g.edges))
@@ -126,19 +227,18 @@ def _factor(g: MetrizedGraph, pairs: Optional[List[Tuple[str, str]]] = None) -> 
                 if b < n:
                     k[a][b] -= c
     if pairs is None:
-        columns = [[int(i == j) for j in range(n)] for i in range(n)]
+        det, y = _eliminate(k, None)
     else:
-        columns = [[(v == p) - (v == q) for p, q in pairs] for v in order[:n]]
-    det, y = _eliminate(k, columns)
+        det, y = _eliminate(k, [[(v == p) - (v == q) for p, q in pairs] for v in order[:n]])
     common = gcd(det, *(x for row in y for x in row))
-    if common > 1:
-        det //= common
-        y = [[x // common for x in row] for row in y]
+    place = [index[v] for v in g.vertices[:n]]
     if pairs is None:
-        y = [row + [0] for row in y] + [[0] * (n + 1)]
+        y = [[y[i][j] // common for j in place] + [0] for i in place]
+        y.append([0] * (n + 1))
     else:
+        y = [[x // common for x in y[i]] for i in place]
         y.append([0] * len(pairs))
-    return scale, det, y
+    return scale, det // common, y
 
 
 def _resistances(g: MetrizedGraph, pairs: List[Tuple[str, str]]) -> List[Fraction]:

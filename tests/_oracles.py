@@ -33,6 +33,11 @@
 The L/M oracles use the restriction and contraction of ``hyperelliptic``
 but no code of ``polynomials``.
 
+* The grounded Laplacian's factorization (S, det, Y) by dense Bareiss
+  elimination in the graph's own vertex order, with first-nonzero row-swap
+  pivoting and back-substitution of every column; the library eliminates
+  inside the band of a reordered matrix and must give the same integers.
+
 * Green values by a different linear formulation: unknowns are the per-edge
   slope and offset (the curvature is fixed by the measure), constrained by
   endpoint continuity, vertex flux, and the vanishing integral, solved by a
@@ -57,7 +62,7 @@ but no code of ``polynomials``.
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
 from typing import Dict, List
 
 from admgraph import (
@@ -75,6 +80,7 @@ from admgraph import (
     MultiPoly,
     NotHyperellipticConfigurationError,
     NotTypeZeroError,
+    SolverFaultError,
     UnexpectedComponentCountError,
     UnknownIdError,
     as_fraction,
@@ -423,6 +429,76 @@ def epsilon_kirchhoff(h, d, lengths):
         w = w_weight(h, d, cname)
         total += (q + w * (deg - w) / (deg + 2)) * x
     return total
+
+
+def dense_eliminate(a, b):
+    """Solve a Y = det * b in integers for any square a; b holds one column
+    per solve.  Returns (det, Y).
+
+    Dense fraction-free (Bareiss) elimination over the whole matrix:
+    forward elimination divides exactly by the previous pivot, so the last
+    pivot is the determinant of the row-swapped a, and back-substitution
+    yields Y = det * a^-1 b in integers (exact by Cramer's rule).  The pivot
+    is the first row with a nonzero entry in column order.
+    """
+    n = len(a)
+    rows = [list(ar) + list(br) for ar, br in zip(a, b)]
+    prev = 1
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if rows[r][col]), None)
+        if pivot is None:
+            raise SolverFaultError("singular linear system")
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        top = rows[col]
+        lead = top[col]
+        for row in rows[col + 1 :]:
+            factor = row[col]
+            for c in range(col + 1, len(row)):
+                row[c] = (row[c] * lead - factor * top[c]) // prev
+        prev = lead
+    y = [[] for _ in range(n)]
+    for col in range(n - 1, -1, -1):
+        row = rows[col]
+        y[col] = [
+            (prev * v - sum(row[k] * y[k][c] for k in range(col + 1, n))) // row[col]
+            for c, v in enumerate(row[n:])
+        ]
+    return prev, y
+
+
+def dense_factor(graph, pairs=None):
+    """(S, det, Y) for the grounded Laplacian in the graph's own vertex
+    order by dense_eliminate: K = S L, scaled to integers by the lcm S of the
+    length numerators, last vertex grounded; K Y = det B with B the identity
+    or a column e_p - e_q per pair, det and Y divided by their gcd, and a
+    zero row (and, for the identity, a zero column) for the grounded
+    vertex."""
+    order = graph.vertices
+    n = len(order) - 1
+    index = {v: i for i, v in enumerate(order)}
+    scale = lcm(*(e.length.numerator for e in graph.edges))
+    k = [[0] * n for _ in range(n)]
+    for e in graph.edges:
+        c = e.length.denominator * (scale // e.length.numerator)
+        iu, iw = index[e.ends[0]], index[e.ends[1]]
+        for a, b in ((iu, iw), (iw, iu)):
+            if a < n:
+                k[a][a] += c
+                if b < n:
+                    k[a][b] -= c
+    if pairs is None:
+        columns = [[int(i == j) for j in range(n)] for i in range(n)]
+    else:
+        columns = [[(v == p) - (v == q) for p, q in pairs] for v in order[:n]]
+    det, y = dense_eliminate(k, columns)
+    common = gcd(det, *(x for row in y for x in row))
+    y = [[x // common for x in row] for row in y]
+    if pairs is None:
+        y = [row + [0] for row in y] + [[0] * (n + 1)]
+    else:
+        y.append([0] * len(pairs))
+    return scale, det // common, y
+
 
 def _rref_solve(rows, rhs):
     """Solve a consistent (possibly overdetermined) exact system; asserts

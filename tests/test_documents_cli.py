@@ -335,6 +335,19 @@ class TestCli:
         assert code == 1 and captured.err == ""
         assert json.loads(captured.out)["error"]["code"] == "invalid-counts"
 
+    @pytest.mark.parametrize("flag", ["--xi", "--delta"])
+    @pytest.mark.parametrize("pair", ["1=" + "9" * 5000, "9" * 5000 + "=1"], ids=["value", "index"])
+    def test_bound_overlong_integer_names_the_limit(self, capsys, flag, pair):
+        code = run_command(["bound", "--genus", "5", flag, pair])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        error = json.loads(captured.err)["error"]
+        assert error["code"] == "usage"
+        assert error["message"] == (
+            f"{flag} value too long: an integer of 5000 digits, "
+            "more than the 4300 digits admgraph reads per integer"
+        )
+
     @pytest.mark.parametrize("genus", ["10001", "100000000"])
     def test_bound_genus_above_cap_is_domain_error(self, capsys, genus):
         code, out = run(capsys, ["bound", "--genus", genus, "--xi0", "1"])
@@ -388,6 +401,12 @@ class TestCli:
         code, out = run(capsys, ["epsilon", str(path)])
         assert code == 1
         assert out["error"]["code"] == "schema-error"
+
+    @pytest.mark.parametrize("command", ["epsilon-closed", "compare", "epsilon"])
+    def test_divisor_on_unknown_vertex(self, capsys, sg_file, command):
+        code, out = run(capsys, [command, sg_file, "--divisor", '{"nope": "1"}'])
+        assert code == 1
+        assert out["error"] == {"code": "unknown-id", "message": "unknown vertex 'nope'"}
 
     @pytest.mark.parametrize("value", ["0.5", "true"])
     def test_non_rational_divisor_override_is_schema_error(self, capsys, sg_file, value):

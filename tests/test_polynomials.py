@@ -293,6 +293,71 @@ class TestClosedForm:
                 assert fn.substitute_zero(cname) == ag.epsilon_rational_fn(h2, d2)
 
 
+class TestPolarizationCheck:
+    """The closed form validates its polarization once per call; w_weight
+    called directly still checks its own."""
+
+    def cases(self, h):
+        d = ladder_polarization(h)
+        shift = dict(d.coefficients, O=d.coefficient("O") - (d.degree + 2))
+        return {
+            "non-invariant": (
+                dict(d.coefficients, **{"P1+": 5}),
+                ag.PolarizationShapeError,
+                "polarization must be iota-invariant",
+            ),
+            "wrong shape": (
+                dict(d.coefficients, **{"P1+": 2, "P1-": 2}),
+                ag.PolarizationShapeError,
+                "coefficient at non-fixed vertex 'P1+' must be nu - 2 = 1",
+            ),
+            "degree -2": (shift, ag.DegreeMinusTwoError, "closed form undefined for deg(D) = -2"),
+            "unknown vertex": (
+                dict(d.coefficients, nope=1),
+                ag.UnknownIdError,
+                "unknown vertex 'nope'",
+            ),
+        }
+
+    @pytest.mark.parametrize(
+        "case", ["non-invariant", "wrong shape", "degree -2", "unknown vertex"]
+    )
+    def test_errors_and_messages(self, case):
+        h = ag.ladder_graph(3)
+        coeffs, error, message = self.cases(h)[case]
+        for call in (ag.epsilon_closed_form, ag.epsilon_rational_fn):
+            with pytest.raises(error) as info:
+                call(h, ag.Divisor(coeffs))
+            assert str(info.value) == message
+
+    def test_w_weight_checks_invariance(self):
+        h = ag.ladder_graph(3)
+        coeffs = self.cases(h)["non-invariant"][0]
+        with pytest.raises(ag.PolarizationShapeError) as info:
+            ag.w_weight(h, ag.Divisor(coeffs), "e1+")
+        assert str(info.value) == "w is defined for iota-invariant divisors"
+
+    def test_one_invariance_check_per_call(self, monkeypatch):
+        h = ag.ladder_graph(4)
+        d = ladder_polarization(h)
+        checks = []
+        check = ag.divisor_is_invariant
+
+        def counted(*args):
+            checks.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(ag.hyperelliptic, "divisor_is_invariant", counted)
+        monkeypatch.setattr(ag.polynomials, "divisor_is_invariant", counted)
+        for call in (ag.epsilon_closed_form, ag.epsilon_rational_fn):
+            checks.clear()
+            call(h, d)
+            assert checks == [(d, h.involution)]
+        checks.clear()
+        ag.w_weight(h, d, "e1+")
+        assert len(checks) == 1
+
+
 def ladder_polarization(h):
     """nu - 2 at non-fixed vertices (the closed form's shape), 1 at fixed."""
     coeffs = {v: ag.nu_counts(h, v)[2] - 2 for v in h.nonfixed_vertices}

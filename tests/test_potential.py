@@ -16,14 +16,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import admgraph as ag
-from _oracles import green_values_oracle, tree_resistance
+from _oracles import dense_eliminate, dense_factor, green_values_oracle, tree_resistance
 from admgraph import potential
+from admgraph.generators import double_cover, random_cover_spec
 from admgraph.potential import (
     _Weights,
     _assert_green_values,
+    _band_order,
+    _eliminate,
     _factor,
     _green_values,
-    _eliminate,
     _scaled,
     _weights,
 )
@@ -77,7 +79,7 @@ def _reference_solve(matrix, rhs):
 
 def solve_linear(matrix, rhs):
     """Solve A X = B exactly for square A; B holds one column per solve, by
-    the library's integer elimination.
+    the dense integer elimination of the oracles.
 
     Each row of [A | B] is scaled to integers by the lcm of its
     denominators, which leaves X unchanged; the integer elimination gives
@@ -89,7 +91,7 @@ def solve_linear(matrix, rhs):
         ints = _scaled(row, lcm(*(x.denominator for x in row)))
         a.append(ints[:n])
         b.append(ints[n:])
-    det, y = _eliminate(a, b)
+    det, y = dense_eliminate(a, b)
     return [[Fraction(v, det) for v in ys] for ys in y]
 
 
@@ -422,6 +424,89 @@ class TestFactorization:
             rows.clear()
             call()
             assert rows == [len(g.vertices) - 1]
+
+
+# small lengths, and two 800-digit integers and their reciprocals: K mixes
+# entries of very different sizes
+LONG = [int("9" * 800), int("7" * 800)]
+BAND_LENGTHS = st.one_of(
+    st.fractions(min_value=F(1, 12), max_value=9, max_denominator=12),
+    st.sampled_from([F(x) for x in LONG] + [F(1, x) for x in LONG]),
+)
+
+
+@st.composite
+def spd_systems(draw):
+    """A = M^T M + I for a sparse integer M, and integer right-hand sides."""
+    n = draw(st.integers(1, 7))
+    entries = st.one_of(st.just(0), st.just(0), st.integers(-9, 9), st.integers(-(10**30), 10**30))
+    m = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+    a = [[sum(m[k][i] * m[k][j] for k in range(n)) + (i == j) for j in range(n)] for i in range(n)]
+    width = draw(st.integers(1, 3))
+    rhs = draw(st.lists(st.lists(entries, min_size=width, max_size=width), min_size=n, max_size=n))
+    return a, rhs
+
+
+class TestBandedElimination:
+    """The library eliminates inside the band of the reordered Laplacian;
+    the dense elimination in the graph's own order is the reference."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_factor_matches_dense_elimination(self, small_graphs, data):
+        if data.draw(st.booleans()):
+            g = data.draw(st.sampled_from(small_graphs)).graph
+        else:
+            spec = random_cover_spec(data.draw(st.integers(0, 10**6)), max_vertices=6)
+            g = double_cover(spec).graph
+        g = ag.MetrizedGraph(
+            g.vertices, [(e.id, e.ends, data.draw(BAND_LENGTHS)) for e in g.edges]
+        )
+        assert _factor(g) == dense_factor(g)
+        vertex = st.sampled_from(g.vertices)
+        pairs = data.draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=3))
+        assert _factor(g, pairs) == dense_factor(g, pairs)
+
+    def test_ladders_match_dense_elimination(self):
+        for n in range(2, 31):
+            g = ag.ladder_graph(n).graph
+            assert _factor(g) == dense_factor(g), n
+            pairs = [g.edges[0].ends, (g.vertices[1], g.vertices[-2])]
+            assert _factor(g, pairs) == dense_factor(g, pairs), n
+
+    @settings(max_examples=150, deadline=None)
+    @given(spd_systems())
+    def test_positive_definite_matches_dense_elimination(self, system):
+        a, rhs = system
+        n = len(a)
+        identity = [[int(i == j) for j in range(n)] for i in range(n)]
+        assert _eliminate(a, None) == dense_eliminate(a, identity)
+        assert _eliminate(a, rhs) == dense_eliminate(a, rhs)
+
+    def test_ladder_bandwidth_is_three(self):
+        g = ag.ladder_graph(100).graph
+        place = {v: i for i, v in enumerate(_band_order(g))}
+        ground = g.vertices[-1]
+        assert place[ground] == len(g.vertices) - 1
+        ends = [e.ends for e in g.edges if ground not in e.ends]
+        assert max(abs(place[u] - place[w]) for u, w in ends) == 3
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            [[0]],
+            [[-2]],
+            [[0, 1], [1, 0]],
+            [[1, 1], [1, 1]],
+            [[1, 2], [2, 1]],
+            [[2, -1, 0], [-1, 2, -1], [0, -1, -5]],
+            [[3, 0, 1], [0, 0, 0], [1, 0, 3]],
+        ],
+    )
+    def test_nonpositive_pivot_raises(self, matrix):
+        for rhs in (None, [[1] for _ in matrix]):
+            with pytest.raises(ag.SolverFaultError, match="nonpositive pivot"):
+                _eliminate(matrix, rhs)
 
 
 class TestResistance:
