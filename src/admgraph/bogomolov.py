@@ -38,10 +38,11 @@ from .errors import (
     NotTypeZeroError,
     UnexpectedComponentCountError,
 )
-from .graph import Divisor, MetrizedGraph, contract, push_divisor, subdivide_edge
+from .graph import Divisor, MetrizedGraph, push_divisor, subdivide_edge
 from .hyperelliptic import (
     HyperellipticGraph,
     Involution,
+    _contract_involution,
     check_involution,
     normalize_fiber,
 )
@@ -398,11 +399,7 @@ def normalized_hyperelliptic(cfg: FiberConfiguration) -> Tuple[HyperellipticGrap
     """
     inv = cfg.require_involution()
     positive = positive_type_nodes(cfg)
-    contracted, vmap = contract(cfg.graph, positive)
-    new_inv = Involution(
-        {v: vmap[inv.vertex(v)] for v in contracted.vertices},
-        {e.id: inv.edge(e.id) for e in contracted.edges},
-    )
+    contracted, new_inv, vmap = _contract_involution(cfg.graph, inv, positive)
     h = normalize_fiber(contracted, new_inv)
     pushed = push_divisor(omega_divisor(cfg), vmap)
     surviving = set(h.graph.vertices)

@@ -19,7 +19,7 @@ from . import bogomolov, documents, generators, polynomials, potential
 from .errors import AdmGraphError, SchemaError
 from .graph import Divisor, MetrizedGraph, _self_loop, validate_graph
 from .hyperelliptic import graph_size, nu_counts, validate_hyperelliptic
-from .rationals import INFINITY, as_fraction, format_rational
+from .rationals import INFINITY, _digit_limit_excess, as_fraction, format_rational
 
 
 class _UsageError(Exception):
@@ -36,6 +36,18 @@ class _Parser(argparse.ArgumentParser):
 
     def print_help(self, file=None):
         raise _HelpRequested(self.format_help())
+
+
+def _integer(text: str) -> int:
+    """int(text) for an option, with argparse's own message for a bad value;
+    a literal past the digit limit is named by its length, not echoed."""
+    excess = _digit_limit_excess(text)
+    if excess:
+        raise argparse.ArgumentTypeError(f"value too long: {excess}")
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 def _build_parser() -> _Parser:
@@ -65,15 +77,15 @@ def _build_parser() -> _Parser:
     graph_command("compare", "closed form vs exact solver", divisor=True)
 
     p = sub.add_parser("bound", help="effective lower bound from invariant counts")
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--xi0", type=int, default=0, help="count of type-(0,0) nodes")
+    p.add_argument("--genus", type=_integer, required=True)
+    p.add_argument("--xi0", type=_integer, default=0, help="count of type-(0,0) nodes")
     p.add_argument("--xi", action="append", default=[], metavar="j=v", help="pairs of subtype j")
     p.add_argument("--delta", action="append", default=[], metavar="i=v", help="nodes of type i")
 
     p = sub.add_parser("gen", help="emit a seeded random hyperelliptic graph document")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--min-size", type=int, default=1)
-    p.add_argument("--max-size", type=int, default=5)
+    p.add_argument("--seed", type=_integer, required=True)
+    p.add_argument("--min-size", type=_integer, default=1)
+    p.add_argument("--max-size", type=_integer, default=5)
     return parser
 
 
@@ -126,15 +138,11 @@ def _hyperelliptic(doc: documents.GraphDocument, g: Optional[MetrizedGraph] = No
 
 def _parse_indexed(pairs: List[str], flag: str) -> Dict[int, int]:
     out: Dict[int, int] = {}
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
     for item in pairs:
         for part in item.split("=", 1):
-            digits = part.strip().lstrip("+-")
-            if limit and len(digits) > limit and digits.isdecimal():
-                raise _UsageError(
-                    f"{flag} value too long: an integer of {len(digits)} digits, "
-                    f"more than the {limit} digits admgraph reads per integer"
-                )
+            excess = _digit_limit_excess(part)
+            if excess:
+                raise _UsageError(f"{flag} value too long: {excess}")
         try:
             index, value = item.split("=", 1)
             out[int(index)] = out.get(int(index), 0) + int(value)

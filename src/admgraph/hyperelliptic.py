@@ -273,13 +273,20 @@ def contract_classes(
         if c not in h.class_members:
             raise UnknownIdError(f"unknown edge class {c!r}")
     edge_ids = [e for c in names for e in h.class_members[c]]
-    contracted, vmap = contract(h.graph, edge_ids)
-    inv = h.involution
-    new_vmap = {}
-    for v in contracted.vertices:
-        new_vmap[v] = vmap[inv.vertex(v)]
-    new_emap = {e.id: inv.edge(e.id) for e in contracted.edges}
-    return contracted, Involution(new_vmap, new_emap), vmap
+    return _contract_involution(h.graph, h.involution, edge_ids)
+
+
+def _contract_involution(
+    g: MetrizedGraph, inv: Involution, edge_ids: Iterable[str]
+) -> Tuple[MetrizedGraph, Involution, Dict[str, str]]:
+    """Contract the edges of g and transport inv: each vertex goes to the
+    contraction of its image and each surviving edge keeps its image."""
+    contracted, vmap = contract(g, edge_ids)
+    transported = Involution(
+        {v: vmap[inv.vertex(v)] for v in contracted.vertices},
+        {e.id: inv.edge(e.id) for e in contracted.edges},
+    )
+    return contracted, transported, vmap
 
 
 def restrict_classes(
@@ -374,6 +381,8 @@ def divisor_is_invariant(d: Divisor, inv: Involution) -> bool:
 def w_weight(h: HyperellipticGraph, d: Divisor, cname: str) -> Fraction:
     """w(e-class) = min{a, b} where restricting the graph to the class gives
     the simple graph and the divisor pushes to aP + bQ."""
+    for v in d.support():
+        h.graph.require_vertex(v)
     if not divisor_is_invariant(d, h.involution):
         raise PolarizationShapeError("w is defined for iota-invariant divisors")
     return _w_weight(h, d, cname)

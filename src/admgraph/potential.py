@@ -38,17 +38,16 @@ unique, so once Y is permuted back (S, det, Y) is bit for bit what the
 dense elimination in the graph's own order gives (tests/_oracles.py keeps
 that one as the reference).
 
-The resistance across each edge, the canonical and admissible measures (as
-integers over one denominator) and every Green slice are read off Y;
-effective and cross resistance eliminate against e_p - e_q columns
-instead.  On an edge of length l, at arc length s from its first end,
-g(s) = (density/2) s^2 + beta s + g(start), so the only unknowns are the
-vertex values: flux balance is a grounded solve, and a constant shift then
-makes the integral against mu vanish.  Every slice g(x, .) is kept as integer
-vertex values over one common denominator up to the public boundary, the
-self-checks (both masses, flux at every vertex, the integral, symmetry and
-constancy) run in integers, and Fractions are built only for returned
-values (no tolerances exist; arithmetic is exact).
+Every resistance, R(p, q) = S (Y_pp + Y_qq - 2 Y_pq) / det, the canonical
+and admissible measures (as integers over one denominator) and every Green
+slice are read off Y.  On an edge of length l, at arc length s from its
+first end, g(s) = (density/2) s^2 + beta s + g(start), so the only
+unknowns are the vertex values: flux balance is a grounded solve, and a
+constant shift then makes the integral against mu vanish.  Every slice
+g(x, .) is kept as integer vertex values over one common denominator up to
+the public boundary, the self-checks (both masses, flux at every vertex,
+the integral, symmetry and constancy) run in integers, and Fractions are
+built only for returned values (no tolerances exist; arithmetic is exact).
 """
 
 from __future__ import annotations
@@ -57,7 +56,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Tuple
 
 from .errors import (
     ArcLengthRangeError,
@@ -121,12 +120,9 @@ def _band_order(g: MetrizedGraph) -> List[str]:
     return order
 
 
-def _eliminate(
-    a: List[List[int]], b: Optional[List[List[int]]] = None
-) -> Tuple[int, List[List[int]]]:
-    """Solve a Y = det * b in integers for a symmetric positive definite a;
-    b holds one column per solve, and b None stands for the identity, so
-    that Y = det * a^-1.  Returns (det, Y).
+def _eliminate(a: List[List[int]]) -> Tuple[int, List[List[int]]]:
+    """det a and Y = det * a^-1 in integers for a symmetric positive
+    definite a.  Returns (det, Y).
 
     Fraction-free (Bareiss) elimination without pivoting, kept inside a's
     envelope: hi[k], the last column reached by any row up to k, bounds the
@@ -136,11 +132,10 @@ def _eliminate(
     the number of steps it has taken instead and is brought up to date,
     exactly, when it is next needed.  Every pivot is a leading principal
     minor, so a pivot that is not positive means a is not positive definite
-    and raises SolverFaultError.  The last pivot is det = det a.  With b the
-    identity, back-substitution fills one triangle of the symmetric Y and
-    mirrors it: row k of the forward-eliminated identity is the previous
-    pivot at column k and zero to its right.  Each division is exact by
-    Cramer's rule.
+    and raises SolverFaultError.  The last pivot is det = det a.
+    Back-substitution fills one triangle of the symmetric Y and mirrors it:
+    row k of the forward-eliminated identity is the previous pivot at
+    column k and zero to its right.  Each division is exact by Cramer's rule.
     """
     n = len(a)
     hi: List[int] = []
@@ -148,7 +143,7 @@ def _eliminate(
     for k, row in enumerate(a):
         reach = max(k, next((j for j in range(n - 1, reach, -1) if row[j]), reach))
         hi.append(reach)
-    rows = [list(r) for r in a] if b is None else [list(r) + list(br) for r, br in zip(a, b)]
+    rows = [list(r) for r in a]
     pivots = [1]  # pivots[k]: the pivot of step k - 1; a row after k steps is a minor over it
     done = [0] * n  # steps each stored row has taken
     for k in range(n):
@@ -156,7 +151,6 @@ def _eliminate(
         behind = done[k]
         if behind < k:
             top[k:end] = [x * pivots[k] // pivots[behind] for x in top[k:end]]
-            top[n:] = [x * pivots[k] // pivots[behind] for x in top[n:]]
         lead = top[k]
         if lead <= 0:
             raise SolverFaultError("nonpositive pivot: the matrix is not positive definite")
@@ -171,43 +165,30 @@ def _eliminate(
             row[k + 1 : stop] = [
                 (x * lead - m * t) // den for x, t in zip(row[k + 1 : stop], top[k + 1 : stop])
             ]
-            row[n:] = [(x * lead - m * t) // den for x, t in zip(row[n:], top[n:])]
             done[i] = k + 1
     det = pivots[n]
-    if b is None:
-        y = [[0] * n for _ in range(n)]
-        for col in range(n - 1, -1, -1):
-            top, end = rows[col], hi[col] + 1
-            upper, lead = top[col + 1 : end], top[col]
-            for c in range(n - 1, col - 1, -1):
-                # y[c][j] = y[j][c] for the rows j > col already solved
-                acc = -sum(map(mul, upper, y[c][col + 1 : end]))
-                if c == col:
-                    acc += det * pivots[col]
-                y[col][c] = y[c][col] = acc // lead
-        return det, y
-    y = [[] for _ in range(n)]
+    y = [[0] * n for _ in range(n)]
     for col in range(n - 1, -1, -1):
         top, end = rows[col], hi[col] + 1
-        below = list(zip(top[col + 1 : end], y[col + 1 : end]))
-        y[col] = [
-            (det * v - sum(x * ys[c] for x, ys in below)) // top[col]
-            for c, v in enumerate(top[n:])
-        ]
+        upper, lead = top[col + 1 : end], top[col]
+        for c in range(n - 1, col - 1, -1):
+            # y[c][j] = y[j][c] for the rows j > col already solved
+            acc = -sum(map(mul, upper, y[c][col + 1 : end]))
+            if c == col:
+                acc += det * pivots[col]
+            y[col][c] = y[c][col] = acc // lead
     return det, y
 
 
-def _factor(g: MetrizedGraph, pairs: Optional[List[Tuple[str, str]]] = None) -> _Factorization:
+def _factor(g: MetrizedGraph) -> _Factorization:
     """(S, det, Y) from one elimination of the grounded Laplacian.
 
     K = S L is the weighted Laplacian (conductance 1/length) scaled to
     integers by S, the lcm of the length numerators, with the last vertex
-    grounded (its row and column removed).  K Y = det B, where B is the
-    identity, or the column e_p - e_q for each pair when pairs are given;
-    det and Y are the elimination's determinant and det K^-1 B divided by
-    their common factor, which is large when the lengths are.  Y has a row
-    per vertex, the grounded one 0; with B the identity it also has a
-    column per vertex, the grounded one 0.  So L^-1 = S Y / det.
+    grounded (its row and column removed).  det and Y are the elimination's
+    determinant and det K^-1 divided by their common factor, which is large
+    when the lengths are.  Y has a row and a column per vertex, the grounded
+    one 0.  So L^-1 = S Y / det.
 
     K is eliminated in the band order and Y permuted back to the graph's
     vertex order; a symmetric permutation changes neither det nor K^-1, so
@@ -226,28 +207,19 @@ def _factor(g: MetrizedGraph, pairs: Optional[List[Tuple[str, str]]] = None) -> 
                 k[a][a] += c
                 if b < n:
                     k[a][b] -= c
-    if pairs is None:
-        det, y = _eliminate(k, None)
-    else:
-        det, y = _eliminate(k, [[(v == p) - (v == q) for p, q in pairs] for v in order[:n]])
+    det, y = _eliminate(k)
     common = gcd(det, *(x for row in y for x in row))
     place = [index[v] for v in g.vertices[:n]]
-    if pairs is None:
-        y = [[y[i][j] // common for j in place] + [0] for i in place]
-        y.append([0] * (n + 1))
-    else:
-        y = [[x // common for x in y[i]] for i in place]
-        y.append([0] * len(pairs))
+    y = [[y[i][j] // common for j in place] + [0] for i in place]
+    y.append([0] * (n + 1))
     return scale, det // common, y
 
 
-def _resistances(g: MetrizedGraph, pairs: List[Tuple[str, str]]) -> List[Fraction]:
-    """Effective resistance between each pair of distinct vertices."""
-    scale, det, y = _factor(g, pairs)
-    index = {v: i for i, v in enumerate(g.vertices)}
-    return [
-        Fraction(scale * (y[index[p]][j] - y[index[q]][j]), det) for j, (p, q) in enumerate(pairs)
-    ]
+def _resistance(g: MetrizedGraph, p: str, q: str) -> Fraction:
+    """R(p, q) = S (Y_pp + Y_qq - 2 Y_pq) / det, read off the factorization."""
+    scale, det, y = _factor(g)
+    i, j = g.vertices.index(p), g.vertices.index(q)
+    return Fraction(scale * (y[i][i] + y[j][j] - 2 * y[i][j]), det)
 
 
 def effective_resistance(g: MetrizedGraph, p: str, q: str) -> Fraction:
@@ -258,7 +230,7 @@ def effective_resistance(g: MetrizedGraph, p: str, q: str) -> Fraction:
     g.require_analytic()
     if p == q:
         return ZERO
-    return _resistances(g, [(p, q)])[0]
+    return _resistance(g, p, q)
 
 
 def cross_resistance(g: MetrizedGraph, edge_id: str):
@@ -270,7 +242,7 @@ def cross_resistance(g: MetrizedGraph, edge_id: str):
     """
     e = g.edge(edge_id)
     g.require_analytic()
-    across = _resistances(g, [e.ends])[0]
+    across = _resistance(g, *e.ends)
     if across == e.length:
         return INFINITY
     return e.length * across / (e.length - across)

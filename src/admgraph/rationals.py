@@ -53,6 +53,20 @@ def as_fraction(value) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
+def _digit_limit_excess(literal: str) -> str:
+    """Why CPython would refuse to convert a decimal integer literal (sign
+    and surrounding whitespace allowed) that has more digits than
+    sys.get_int_max_str_digits() (4300 by default); "" if it would not."""
+    digits = literal.strip().lstrip("+-")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    if limit and len(digits) > limit and digits.isdecimal():
+        return (
+            f"an integer of {len(digits)} digits, "
+            f"more than the {limit} digits admgraph reads per integer"
+        )
+    return ""
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse "p", "-p", or "p/q" with q > 0.  Anything else is an error.
 
@@ -64,13 +78,9 @@ def parse_rational(text: str) -> Fraction:
     m = _RATIONAL_RE.match(text.strip())
     if not m:
         raise ValueError(f"bad rational literal: {text!r}")
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
-    digits = max(len(m.group(1).lstrip("-")), len(m.group(2) or ""))
-    if limit and digits > limit:
-        raise ValueError(
-            f"rational literal too long: an integer of {digits} digits, "
-            f"more than the {limit} digits admgraph reads per integer"
-        )
+    excess = _digit_limit_excess(max(m.group(1).lstrip("-"), m.group(2) or "", key=len))
+    if excess:
+        raise ValueError(f"rational literal too long: {excess}")
     num = int(m.group(1))
     den = int(m.group(2)) if m.group(2) is not None else 1
     if den == 0:

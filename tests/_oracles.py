@@ -466,13 +466,11 @@ def dense_eliminate(a, b):
     return prev, y
 
 
-def dense_factor(graph, pairs=None):
+def dense_factor(graph):
     """(S, det, Y) for the grounded Laplacian in the graph's own vertex
     order by dense_eliminate: K = S L, scaled to integers by the lcm S of the
-    length numerators, last vertex grounded; K Y = det B with B the identity
-    or a column e_p - e_q per pair, det and Y divided by their gcd, and a
-    zero row (and, for the identity, a zero column) for the grounded
-    vertex."""
+    length numerators, last vertex grounded; K Y = det I, det and Y divided
+    by their gcd, and a zero row and column for the grounded vertex."""
     order = graph.vertices
     n = len(order) - 1
     index = {v: i for i, v in enumerate(order)}
@@ -486,18 +484,10 @@ def dense_factor(graph, pairs=None):
                 k[a][a] += c
                 if b < n:
                     k[a][b] -= c
-    if pairs is None:
-        columns = [[int(i == j) for j in range(n)] for i in range(n)]
-    else:
-        columns = [[(v == p) - (v == q) for p, q in pairs] for v in order[:n]]
-    det, y = dense_eliminate(k, columns)
+    det, y = dense_eliminate(k, [[int(i == j) for j in range(n)] for i in range(n)])
     common = gcd(det, *(x for row in y for x in row))
-    y = [[x // common for x in row] for row in y]
-    if pairs is None:
-        y = [row + [0] for row in y] + [[0] * (n + 1)]
-    else:
-        y.append([0] * len(pairs))
-    return scale, det // common, y
+    y = [[x // common for x in row] + [0] for row in y]
+    return scale, det // common, y + [[0] * (n + 1)]
 
 
 def _rref_solve(rows, rhs):

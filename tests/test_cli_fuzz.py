@@ -174,6 +174,7 @@ def assert_contract(argv):
     assert silent == "", (argv, code)
     assert printed.endswith("\n") and printed.count("\n") == 1, (argv, printed[:200])
     assert isinstance(json.loads(printed), dict), (argv, printed[:200])
+    return printed
 
 
 @pytest.fixture(scope="module")
@@ -217,6 +218,24 @@ def test_random_argv_keeps_the_contract(doc_path, argv, with_doc):
     if with_doc and argv:
         argv = argv[:1] + [str(doc_path)] + argv[1:]
     assert_contract(argv)
+
+
+INTEGER_OPTIONS = {"bound": ["--genus", "--xi0"], "gen": ["--seed", "--min-size", "--max-size"]}
+
+
+@FUZZ
+@given(data=st.data())
+def test_overlong_integer_options_are_not_echoed(data):
+    command = data.draw(st.sampled_from(sorted(INTEGER_OPTIONS)))
+    flag = data.draw(st.sampled_from(INTEGER_OPTIONS[command]))
+    value = data.draw(st.sampled_from([DIGITS, "-" + DIGITS, "+" + DIGITS, " " + DIGITS]))
+    # after "--" argparse takes the value for an unrecognized positional and
+    # echoes it in that message instead
+    before = data.draw(st.lists(TOKENS.filter(lambda t: t != "--"), max_size=2))
+    after = data.draw(st.lists(TOKENS, max_size=2))
+    argv = [command] + before + [flag, value] + after
+    printed = assert_contract(argv)
+    assert "9" * 100 not in printed, ([a[:20] for a in argv], printed[:200])
 
 
 @pytest.mark.parametrize("command", COMMANDS)

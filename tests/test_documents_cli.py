@@ -348,6 +348,35 @@ class TestCli:
             "more than the 4300 digits admgraph reads per integer"
         )
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bound", "--genus", "9" * 5000],
+            ["bound", "--genus", "3", "--xi0", "-" + "9" * 5000],
+            ["gen", "--seed", "9" * 5000],
+            ["gen", "--seed", "1", "--min-size", "9" * 5000],
+            ["gen", "--seed", "1", "--max-size", "+" + "9" * 5000],
+        ],
+        ids=["genus", "xi0", "seed", "min-size", "max-size"],
+    )
+    def test_overlong_integer_option_names_the_limit(self, capsys, argv):
+        code = run_command(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        error = json.loads(captured.err)["error"]
+        assert error["code"] == "usage"
+        assert error["message"] == (
+            f"argument {argv[-2]}: value too long: an integer of 5000 digits, "
+            "more than the 4300 digits admgraph reads per integer"
+        )
+
+    def test_bad_integer_option_keeps_the_argparse_message(self, capsys):
+        code = run_command(["gen", "--seed", "abc"])
+        captured = capsys.readouterr()
+        assert code == 2
+        message = json.loads(captured.err)["error"]["message"]
+        assert message == "argument --seed: invalid int value: 'abc'"
+
     @pytest.mark.parametrize("genus", ["10001", "100000000"])
     def test_bound_genus_above_cap_is_domain_error(self, capsys, genus):
         code, out = run(capsys, ["bound", "--genus", genus, "--xi0", "1"])

@@ -337,6 +337,12 @@ class TestPolarizationCheck:
             ag.w_weight(h, ag.Divisor(coeffs), "e1+")
         assert str(info.value) == "w is defined for iota-invariant divisors"
 
+    def test_w_weight_names_an_unknown_vertex(self):
+        h = ag.ladder_graph(3)
+        with pytest.raises(ag.UnknownIdError) as info:
+            ag.w_weight(h, ag.Divisor({"nope": 1}), "e1+")
+        assert str(info.value) == "unknown vertex 'nope'"
+
     def test_one_invariance_check_per_call(self, monkeypatch):
         h = ag.ladder_graph(4)
         d = ladder_polarization(h)

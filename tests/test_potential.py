@@ -406,9 +406,9 @@ class TestFactorization:
         rows = []
         eliminate = potential._eliminate
 
-        def counted(a, b):
+        def counted(a):
             rows.append(len(a))
-            return eliminate(a, b)
+            return eliminate(a)
 
         monkeypatch.setattr(potential, "_eliminate", counted)
         calls = [
@@ -436,15 +436,30 @@ BAND_LENGTHS = st.one_of(
 
 
 @st.composite
-def spd_systems(draw):
-    """A = M^T M + I for a sparse integer M, and integer right-hand sides."""
+def spd_matrices(draw):
+    """A = M^T M + I for a sparse integer M."""
     n = draw(st.integers(1, 7))
     entries = st.one_of(st.just(0), st.just(0), st.integers(-9, 9), st.integers(-(10**30), 10**30))
     m = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
-    a = [[sum(m[k][i] * m[k][j] for k in range(n)) + (i == j) for j in range(n)] for i in range(n)]
-    width = draw(st.integers(1, 3))
-    rhs = draw(st.lists(st.lists(entries, min_size=width, max_size=width), min_size=n, max_size=n))
-    return a, rhs
+    return [[sum(m[k][i] * m[k][j] for k in range(n)) + (i == j) for j in range(n)] for i in range(n)]
+
+
+def _assert_resistances_match_dense(g, pairs, edges):
+    """effective_resistance on the pairs and cross_resistance on the edges
+    equal S (Y_pp + Y_qq - 2 Y_pq) / det read off dense_factor."""
+    scale, det, y = dense_factor(g)
+    index = {v: i for i, v in enumerate(g.vertices)}
+
+    def dense(p, q):
+        i, j = index[p], index[q]
+        return F(scale * (y[i][i] + y[j][j] - 2 * y[i][j]), det)
+
+    for p, q in pairs:
+        assert ag.effective_resistance(g, p, q) == dense(p, q), (p, q)
+    for e in edges:
+        across = dense(*e.ends)
+        expected = ag.INFINITY if across == e.length else e.length * across / (e.length - across)
+        assert ag.cross_resistance(g, e.id) == expected, e.id
 
 
 class TestBandedElimination:
@@ -465,23 +480,22 @@ class TestBandedElimination:
         assert _factor(g) == dense_factor(g)
         vertex = st.sampled_from(g.vertices)
         pairs = data.draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=3))
-        assert _factor(g, pairs) == dense_factor(g, pairs)
+        edges = data.draw(st.lists(st.sampled_from(g.edges), min_size=1, max_size=3))
+        _assert_resistances_match_dense(g, pairs, edges)
 
     def test_ladders_match_dense_elimination(self):
         for n in range(2, 31):
             g = ag.ladder_graph(n).graph
             assert _factor(g) == dense_factor(g), n
             pairs = [g.edges[0].ends, (g.vertices[1], g.vertices[-2])]
-            assert _factor(g, pairs) == dense_factor(g, pairs), n
+            _assert_resistances_match_dense(g, pairs, g.edges[:2])
 
     @settings(max_examples=150, deadline=None)
-    @given(spd_systems())
-    def test_positive_definite_matches_dense_elimination(self, system):
-        a, rhs = system
+    @given(spd_matrices())
+    def test_positive_definite_matches_dense_elimination(self, a):
         n = len(a)
         identity = [[int(i == j) for j in range(n)] for i in range(n)]
-        assert _eliminate(a, None) == dense_eliminate(a, identity)
-        assert _eliminate(a, rhs) == dense_eliminate(a, rhs)
+        assert _eliminate(a) == dense_eliminate(a, identity)
 
     def test_ladder_bandwidth_is_three(self):
         g = ag.ladder_graph(100).graph
@@ -504,9 +518,8 @@ class TestBandedElimination:
         ],
     )
     def test_nonpositive_pivot_raises(self, matrix):
-        for rhs in (None, [[1] for _ in matrix]):
-            with pytest.raises(ag.SolverFaultError, match="nonpositive pivot"):
-                _eliminate(matrix, rhs)
+        with pytest.raises(ag.SolverFaultError, match="nonpositive pivot"):
+            _eliminate(matrix)
 
 
 class TestResistance:
