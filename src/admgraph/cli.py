@@ -16,7 +16,7 @@ import sys
 from typing import Dict, List, Optional
 
 from . import bogomolov, documents, generators, polynomials, potential
-from .errors import AdmGraphError, SchemaError
+from .errors import ECHO_LIMIT, AdmGraphError, SchemaError, _shown
 from .graph import Divisor, MetrizedGraph, _self_loop, validate_graph
 from .hyperelliptic import graph_size, nu_counts, validate_hyperelliptic
 from .rationals import INFINITY, _digit_limit_excess, as_fraction, format_rational
@@ -30,12 +30,40 @@ class _HelpRequested(Exception):
     pass
 
 
+class _Formatter(argparse.HelpFormatter):
+    """argparse's formatter at the width it takes when there is no terminal
+    (80 columns less 2), so that help does not depend on COLUMNS."""
+
+    def __init__(self, prog):
+        super().__init__(prog, width=78)
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):
+        super().__init__(formatter_class=_Formatter, **kwargs)
+
     def error(self, message):
         raise _UsageError(message)
 
     def print_help(self, file=None):
         raise _HelpRequested(self.format_help())
+
+    def parse_args(self, args=None, namespace=None):
+        # argparse's own check, with an over-long argument named by its length
+        args, extras = self.parse_known_args(args, namespace)
+        if extras:
+            shown = (a if len(a) <= ECHO_LIMIT else _shown(a, "argument") for a in extras)
+            self.error("unrecognized arguments: " + " ".join(shown))
+        return args
+
+    def _check_value(self, action, value):
+        try:
+            super()._check_value(action, value)
+        except argparse.ArgumentError as exc:
+            if not (isinstance(value, str) and len(value) > ECHO_LIMIT):
+                raise
+            message = exc.message.replace(repr(value), _shown(value, "name"), 1)
+            raise argparse.ArgumentError(action, message) from None
 
 
 def _integer(text: str) -> int:
@@ -47,46 +75,64 @@ def _integer(text: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        raise argparse.ArgumentTypeError(f"invalid int value: {_shown(text, 'value')}") from None
 
 
-def _build_parser() -> _Parser:
+_COMMANDS = {
+    "validate": "check graph (and hyperelliptic) invariants",
+    "resistance": "effective resistance between two vertices or across an edge",
+    "measure": "canonical or admissible measure",
+    "green": "Green's function slice from a source vertex",
+    "epsilon": "admissible constant by the exact solver",
+    "epsilon-closed": "admissible constant by the closed form",
+    "lpoly": "the L polynomial",
+    "mpoly": "the M polynomial",
+    "classify-edges": "edge classification and size",
+    "classify-nodes": "node types and invariant counts of a fiber",
+    "compare": "closed form vs exact solver",
+    "bound": "effective lower bound from invariant counts",
+    "gen": "emit a seeded random hyperelliptic graph document",
+}
+_DIVISOR_COMMANDS = ("measure", "green", "epsilon", "epsilon-closed", "compare")
+
+
+def _build_parser(command: Optional[str]) -> _Parser:
+    """The parser of one call: every command is a choice with its help line,
+    but only ``command``, the one argparse will dispatch on, declares its
+    arguments; declaring them all cost more than the rest of a typical call."""
     parser = _Parser(prog="admgraph", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def graph_command(name, help_text, divisor=False):
+    for name, help_text in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("graph", help="graph document (JSON file)")
-        if divisor:
-            p.add_argument("--divisor", help="inline JSON divisor override")
-        return p
-
-    graph_command("validate", "check graph (and hyperelliptic) invariants")
-    p = graph_command("resistance", "effective resistance between two vertices or across an edge")
-    p.add_argument("endpoints", nargs="*", help="two vertex ids")
-    p.add_argument("--edge", help="edge id for the cross resistance instead")
-    graph_command("measure", "canonical or admissible measure", divisor=True)
-    p = graph_command("green", "Green's function slice from a source vertex", divisor=True)
-    p.add_argument("source", help="source vertex id")
-    graph_command("epsilon", "admissible constant by the exact solver", divisor=True)
-    graph_command("epsilon-closed", "admissible constant by the closed form", divisor=True)
-    graph_command("lpoly", "the L polynomial")
-    graph_command("mpoly", "the M polynomial")
-    graph_command("classify-edges", "edge classification and size")
-    graph_command("classify-nodes", "node types and invariant counts of a fiber")
-    graph_command("compare", "closed form vs exact solver", divisor=True)
-
-    p = sub.add_parser("bound", help="effective lower bound from invariant counts")
-    p.add_argument("--genus", type=_integer, required=True)
-    p.add_argument("--xi0", type=_integer, default=0, help="count of type-(0,0) nodes")
-    p.add_argument("--xi", action="append", default=[], metavar="j=v", help="pairs of subtype j")
-    p.add_argument("--delta", action="append", default=[], metavar="i=v", help="nodes of type i")
-
-    p = sub.add_parser("gen", help="emit a seeded random hyperelliptic graph document")
-    p.add_argument("--seed", type=_integer, required=True)
-    p.add_argument("--min-size", type=_integer, default=1)
-    p.add_argument("--max-size", type=_integer, default=5)
+        if name == command:
+            _add_arguments(p, name)
     return parser
+
+
+def _add_arguments(p: _Parser, command: str) -> None:
+    if command == "bound":
+        p.add_argument("--genus", type=_integer, required=True)
+        p.add_argument("--xi0", type=_integer, default=0, help="count of type-(0,0) nodes")
+        p.add_argument(
+            "--xi", action="append", default=[], metavar="j=v", help="pairs of subtype j"
+        )
+        p.add_argument(
+            "--delta", action="append", default=[], metavar="i=v", help="nodes of type i"
+        )
+        return
+    if command == "gen":
+        p.add_argument("--seed", type=_integer, required=True)
+        p.add_argument("--min-size", type=_integer, default=1)
+        p.add_argument("--max-size", type=_integer, default=5)
+        return
+    p.add_argument("graph", help="graph document (JSON file)")
+    if command in _DIVISOR_COMMANDS:
+        p.add_argument("--divisor", help="inline JSON divisor override")
+    if command == "resistance":
+        p.add_argument("endpoints", nargs="*", help="two vertex ids")
+        p.add_argument("--edge", help="edge id for the cross resistance instead")
+    elif command == "green":
+        p.add_argument("source", help="source vertex id")
 
 
 def _load_document(path: str) -> documents.GraphDocument:
@@ -94,16 +140,16 @@ def _load_document(path: str) -> documents.GraphDocument:
         with open(path, "rb") as handle:
             data = handle.read()
     except (OSError, ValueError) as exc:  # ValueError: a path with a NUL byte
-        raise _UsageError(f"file-not-found: {exc}") from exc
+        detail = str(exc)
+        if isinstance(exc, OSError) and len(path) > ECHO_LIMIT:
+            detail = f"[Errno {exc.errno}] {exc.strerror}: {_shown(path, 'path')}"
+        raise _UsageError(f"file-not-found: {detail}") from exc
     return documents.parse_graph_document(data)
 
 
 def _divisor(doc: documents.GraphDocument, override: Optional[str]) -> Divisor:
     if override:
-        try:
-            raw = json.loads(override)
-        except json.JSONDecodeError as exc:
-            raise SchemaError([("--divisor", f"malformed JSON: {exc}")]) from exc
+        raw = documents._load_json(override, "--divisor")
         if not isinstance(raw, dict):
             raise SchemaError([("--divisor", "must be an object of rational strings")])
         coefficients, problems = {}, []
@@ -111,7 +157,7 @@ def _divisor(doc: documents.GraphDocument, override: Optional[str]) -> Divisor:
             try:
                 coefficients[v] = as_fraction(c)
             except (TypeError, ValueError) as exc:
-                problems.append((f"--divisor.{v}", str(exc)))
+                problems.append((f"--divisor.{v if len(v) <= ECHO_LIMIT else _shown(v)}", str(exc)))
         if problems:
             raise SchemaError(problems)
         return Divisor(coefficients)
@@ -147,7 +193,7 @@ def _parse_indexed(pairs: List[str], flag: str) -> Dict[int, int]:
             index, value = item.split("=", 1)
             out[int(index)] = out.get(int(index), 0) + int(value)
         except ValueError as exc:
-            raise _UsageError(f"{flag} expects i=v, got {item!r}") from exc
+            raise _UsageError(f"{flag} expects i=v, got {_shown(item, 'value')}") from exc
     return out
 
 
@@ -296,8 +342,7 @@ def _run(args) -> Dict:
     if args.command == "gen":
         h = generators.random_hyperelliptic(args.seed, args.min_size, args.max_size)
         d = generators.random_polarization(h, args.seed)
-        doc = documents.document_from(h.graph, h.involution, d)
-        return json.loads(documents.serialize_document(doc))
+        return documents.document_object(documents.document_from(h.graph, h.involution, d))
 
     raise _UsageError(f"unknown command {args.command!r}")
 
@@ -305,7 +350,9 @@ def _run(args) -> Dict:
 def _outcome(argv):
     """Run one invocation without printing: (exit code, JSON text, the
     stream it belongs on)."""
-    parser = _build_parser()
+    # The top-level parser has no option that takes a value, so the first
+    # token that is not an option is the command argparse dispatches on.
+    parser = _build_parser(next((a for a in argv if not a.startswith("-")), None))
     try:
         args = parser.parse_args(argv)
         result = _run(args)

@@ -25,11 +25,11 @@ from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from .bogomolov import FiberConfiguration
-from .errors import SchemaError
+from .errors import SchemaError, _shown
 from .graph import Divisor, MetrizedGraph
 from .hyperelliptic import Involution
 from .polynomials import MultiPoly
-from .rationals import format_rational, parse_rational
+from .rationals import _digit_limit_excess, format_rational, parse_rational
 
 
 @dataclass(frozen=True)
@@ -76,16 +76,29 @@ def _parse_rational_at(value, path, problems) -> Fraction:
         return Fraction(0)
 
 
+def _load_json(text: str, path: str):
+    """json.loads(text); malformed text, or an integer literal past the
+    digit limit that CPython would refuse, is a SchemaError at ``path``."""
+
+    def integer(literal: str) -> int:
+        excess = _digit_limit_excess(literal)
+        if excess:
+            raise SchemaError([(path, f"integer too long: {excess}")])
+        return int(literal)
+
+    try:
+        return json.loads(text, parse_int=integer)
+    except json.JSONDecodeError as exc:
+        raise SchemaError([(path, f"malformed JSON: {exc}")]) from exc
+
+
 def parse_graph_document(data) -> GraphDocument:
     """Parse and validate a document; raises SchemaError listing every
     problem with its JSON path."""
     if isinstance(data, bytes):
         data = data.decode("utf-8")
     if isinstance(data, str):
-        try:
-            raw = json.loads(data)
-        except json.JSONDecodeError as exc:
-            raise SchemaError([("$", f"malformed JSON: {exc}")]) from exc
+        raw = _load_json(data, "$")
     else:
         raw = data
 
@@ -146,7 +159,7 @@ def parse_graph_document(data) -> GraphDocument:
             continue
         for x in ends:
             if x not in vertex_ids:
-                problems.append((f"{path}.ends", f"unknown vertex {x!r}"))
+                problems.append((f"{path}.ends", f"unknown vertex {_shown(x)}"))
         length = _parse_rational_at(item.get("length"), f"{path}.length", problems)
         extra = set(item) - {"id", "ends", "length"}
         if extra:
@@ -222,6 +235,11 @@ def document_from(
 
 def serialize_document(doc: GraphDocument) -> str:
     """Canonical text form: sorted ids, fixed key order, trailing newline."""
+    return json.dumps(document_object(doc), indent=2) + "\n"
+
+
+def document_object(doc: GraphDocument) -> Dict[str, object]:
+    """The JSON object that ``serialize_document`` writes."""
     obj: Dict[str, object] = {}
     vlist = []
     for vid, genus in sorted(doc.vertices):
@@ -241,7 +259,7 @@ def serialize_document(doc: GraphDocument) -> str:
         }
     if doc.divisor is not None:
         obj["divisor"] = {v: format_rational(c) for v, c in sorted(doc.divisor)}
-    return json.dumps(obj, indent=2) + "\n"
+    return obj
 
 
 def serialize_polynomial(p: MultiPoly) -> List[Dict[str, object]]:

@@ -2,7 +2,21 @@
 
 Every domain error carries a stable ``code`` string so the CLI can map
 failures to machine-readable output without string matching on messages.
+Messages show ids and other inputs through ``_shown``.
 """
+
+# The longest string input a message repeats; a longer one is named by its
+# length, as the digit-limit messages name an over-long integer.
+ECHO_LIMIT = 100
+
+
+def _shown(value, noun: str = "id") -> str:
+    """repr(value) for a message, or, for a string longer than ECHO_LIMIT
+    characters, its length: "<an id of 5000 characters>"."""
+    if isinstance(value, str) and len(value) > ECHO_LIMIT:
+        article = "an" if noun[0] in "aeiou" else "a"
+        return f"<{article} {noun} of {len(value)} characters>"
+    return repr(value)
 
 
 class AdmGraphError(Exception):

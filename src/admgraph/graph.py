@@ -28,7 +28,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Tuple
 
-from .errors import ArcLengthRangeError, DisconnectedGraphError, InvalidGraphError, UnknownIdError
+from .errors import (
+    ArcLengthRangeError,
+    DisconnectedGraphError,
+    InvalidGraphError,
+    UnknownIdError,
+    _shown,
+)
 from .rationals import as_fraction, format_rational
 
 
@@ -44,7 +50,7 @@ class Edge:
             return w
         if v == w:
             return u
-        raise UnknownIdError(f"vertex {v!r} is not an end of edge {self.id!r}")
+        raise UnknownIdError(f"vertex {_shown(v)} is not an end of edge {_shown(self.id)}")
 
     def is_loop(self) -> bool:
         return self.ends[0] == self.ends[1]
@@ -103,7 +109,7 @@ class MetrizedGraph:
             if type(length) is not Fraction:
                 length = as_fraction(length)
             if u not in vertex_set or w not in vertex_set:
-                raise UnknownIdError(f"edge {eid!r} references an unknown vertex")
+                raise UnknownIdError(f"edge {_shown(eid)} references an unknown vertex")
             if u == w and not allow_loops:
                 raise _self_loop(eid)
             if (
@@ -159,14 +165,14 @@ class MetrizedGraph:
         try:
             return self._edge_by_id[edge_id]
         except KeyError:
-            raise UnknownIdError(f"unknown edge {edge_id!r}") from None
+            raise UnknownIdError(f"unknown edge {_shown(edge_id)}") from None
 
     def has_vertex(self, v: str) -> bool:
         return v in self._vertex_set
 
     def require_vertex(self, v: str) -> None:
         if v not in self._vertex_set:
-            raise UnknownIdError(f"unknown vertex {v!r}")
+            raise UnknownIdError(f"unknown vertex {_shown(v)}")
 
     def edge_ids(self) -> Tuple[str, ...]:
         return tuple(e.id for e in self.edges)
@@ -379,7 +385,7 @@ def push_divisor(d: Divisor, vertex_map: Mapping[str, str]) -> Divisor:
     coeffs: Dict[str, Fraction] = {}
     for v, c in d.coefficients.items():
         if v not in vertex_map:
-            raise UnknownIdError(f"vertex {v!r} outside the map domain")
+            raise UnknownIdError(f"vertex {_shown(v)} outside the map domain")
         image = vertex_map[v]
         coeffs[image] = coeffs.get(image, Fraction(0)) + c
     return Divisor(coeffs)

@@ -46,6 +46,7 @@ from .errors import (
     NotSimpleRestrictionError,
     PolarizationShapeError,
     UnknownIdError,
+    _shown,
 )
 from .graph import (
     Divisor,
@@ -73,13 +74,13 @@ class Involution:
         try:
             return self.vertex_map[v]
         except KeyError:
-            raise UnknownIdError(f"involution undefined on vertex {v!r}") from None
+            raise UnknownIdError(f"involution undefined on vertex {_shown(v)}") from None
 
     def edge(self, e: str) -> str:
         try:
             return self.edge_map[e]
         except KeyError:
-            raise UnknownIdError(f"involution undefined on edge {e!r}") from None
+            raise UnknownIdError(f"involution undefined on edge {_shown(e)}") from None
 
     def fixes_vertex(self, v: str) -> bool:
         return self.vertex(v) == v
@@ -271,7 +272,7 @@ def contract_classes(
     names = set(class_names)
     for c in names:
         if c not in h.class_members:
-            raise UnknownIdError(f"unknown edge class {c!r}")
+            raise UnknownIdError(f"unknown edge class {_shown(c)}")
     edge_ids = [e for c in names for e in h.class_members[c]]
     return _contract_involution(h.graph, h.involution, edge_ids)
 
@@ -296,7 +297,7 @@ def restrict_classes(
     keep = set(class_names)
     for c in keep:
         if c not in h.class_members:
-            raise UnknownIdError(f"unknown edge class {c!r}")
+            raise UnknownIdError(f"unknown edge class {_shown(c)}")
     return contract_classes(h, [c for c in h.class_members if c not in keep])
 
 

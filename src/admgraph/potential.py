@@ -64,6 +64,7 @@ from .errors import (
     DegreeMinusTwoError,
     SolverFaultError,
     UnknownIdError,
+    _shown,
 )
 from .graph import Divisor, MetrizedGraph
 from .rationals import INFINITY, as_fraction
@@ -392,7 +393,7 @@ class PiecewisePotential:
         try:
             return self.vertex_values[v]
         except KeyError:
-            raise UnknownIdError(f"unknown vertex {v!r}") from None
+            raise UnknownIdError(f"unknown vertex {_shown(v)}") from None
 
     def value_on_edge(self, edge_id: str, s: Fraction) -> Fraction:
         e = self.graph.edge(edge_id)

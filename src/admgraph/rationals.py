@@ -11,6 +11,8 @@ import re
 import sys
 from fractions import Fraction
 
+from .errors import _shown
+
 _RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
 
 
@@ -77,14 +79,14 @@ def parse_rational(text: str) -> Fraction:
     """
     m = _RATIONAL_RE.match(text.strip())
     if not m:
-        raise ValueError(f"bad rational literal: {text!r}")
+        raise ValueError(f"bad rational literal: {_shown(text, 'literal')}")
     excess = _digit_limit_excess(max(m.group(1).lstrip("-"), m.group(2) or "", key=len))
     if excess:
         raise ValueError(f"rational literal too long: {excess}")
     num = int(m.group(1))
     den = int(m.group(2)) if m.group(2) is not None else 1
     if den == 0:
-        raise ValueError(f"bad rational literal (zero denominator): {text!r}")
+        raise ValueError(f"bad rational literal (zero denominator): {_shown(text, 'literal')}")
     return Fraction(num, den)
 
 

@@ -57,6 +57,12 @@ but no code of ``polynomials``.
   vertex at a time with an edge scan per vertex.  The library must give
   the same types, counts and normalized graphs (a merged edge's ends as
   an unordered pair), or raise the same exception with the same message.
+
+* The CLI's argument parser with every command's arguments declared, as
+  it was built for every call; the per-call parser declares only the
+  invoked command's and must give every argv the same outcome.  It is
+  made of the CLI's own parser class and integer type, since what it
+  checks is which arguments are declared.
 """
 
 from collections import Counter
@@ -92,6 +98,8 @@ from admgraph import (
     restrict_classes,
     w_weight,
 )
+from admgraph import cli
+from admgraph.cli import _integer, _Parser
 from admgraph.hyperelliptic import is_semisimple_of_size, validate_hyperelliptic
 
 ZERO = Fraction(0)
@@ -960,3 +968,43 @@ def normalize_fiber(dual: MetrizedGraph, inv: Involution) -> HyperellipticGraph:
         return validate_hyperelliptic(graph, Involution(vmap, emap))
     except (AxiomViolationError, InvolutionMalformedError, DisconnectedGraphError) as exc:
         raise NotHyperellipticConfigurationError(str(exc)) from exc
+
+
+def full_parser() -> _Parser:
+    """The CLI parser with the arguments of all 13 commands declared."""
+    parser = _Parser(prog="admgraph", description=cli.__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def graph_command(name, help_text, divisor=False):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("graph", help="graph document (JSON file)")
+        if divisor:
+            p.add_argument("--divisor", help="inline JSON divisor override")
+        return p
+
+    graph_command("validate", "check graph (and hyperelliptic) invariants")
+    p = graph_command("resistance", "effective resistance between two vertices or across an edge")
+    p.add_argument("endpoints", nargs="*", help="two vertex ids")
+    p.add_argument("--edge", help="edge id for the cross resistance instead")
+    graph_command("measure", "canonical or admissible measure", divisor=True)
+    p = graph_command("green", "Green's function slice from a source vertex", divisor=True)
+    p.add_argument("source", help="source vertex id")
+    graph_command("epsilon", "admissible constant by the exact solver", divisor=True)
+    graph_command("epsilon-closed", "admissible constant by the closed form", divisor=True)
+    graph_command("lpoly", "the L polynomial")
+    graph_command("mpoly", "the M polynomial")
+    graph_command("classify-edges", "edge classification and size")
+    graph_command("classify-nodes", "node types and invariant counts of a fiber")
+    graph_command("compare", "closed form vs exact solver", divisor=True)
+
+    p = sub.add_parser("bound", help="effective lower bound from invariant counts")
+    p.add_argument("--genus", type=_integer, required=True)
+    p.add_argument("--xi0", type=_integer, default=0, help="count of type-(0,0) nodes")
+    p.add_argument("--xi", action="append", default=[], metavar="j=v", help="pairs of subtype j")
+    p.add_argument("--delta", action="append", default=[], metavar="i=v", help="nodes of type i")
+
+    p = sub.add_parser("gen", help="emit a seeded random hyperelliptic graph document")
+    p.add_argument("--seed", type=_integer, required=True)
+    p.add_argument("--min-size", type=_integer, default=1)
+    p.add_argument("--max-size", type=_integer, default=5)
+    return parser

@@ -6,24 +6,33 @@ else; no exception escapes.  Every document that parses is a fixed point of
 parse -> serialize -> parse.  Documents are ladder documents with mutations:
 lengths of every kind (ints, floats, zero, negative, 5000 digits), wrong
 types for edges, involution and divisor, duplicate ids and bad edge ends.
+No message repeats an over-long argument, and the parser built for one
+call gives every argv the outcome of the parser with all 13 commands'
+arguments declared (``_oracles.full_parser``).
 """
 
+import argparse
 import contextlib
 import copy
+import errno
 import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import _oracles
 import admgraph as ag
+from admgraph import cli
 from admgraph.cli import run_command
 from admgraph.documents import document_from, parse_graph_document, serialize_document
+from admgraph.errors import ECHO_LIMIT
 
 COMMANDS = (
     "validate",
@@ -236,6 +245,167 @@ def test_overlong_integer_options_are_not_echoed(data):
     argv = [command] + before + [flag, value] + after
     printed = assert_contract(argv)
     assert "9" * 100 not in printed, ([a[:20] for a in argv], printed[:200])
+
+
+LONG = st.sampled_from([DIGITS, "-" + DIGITS, " " + DIGITS, "x" + DIGITS, DIGITS + "=1"])
+
+
+@FUZZ
+@given(data=st.data())
+def test_overlong_arguments_are_not_echoed(doc_path, data):
+    # one over-long token as the command, the document, a positional or an
+    # option's value; argparse's glued forms (--opt=VALUE, -hVALUE) aside
+    doc_path.write_text(json.dumps(BASES[0]), encoding="utf-8")
+    command = data.draw(st.sampled_from(COMMANDS))
+    rest = [] if command in ("bound", "gen") else [str(doc_path)]
+    rest += data.draw(st.just(ARGS.get(command, [])) | st.lists(TOKENS, max_size=3))
+    at = data.draw(st.integers(0, len(rest) + 1))
+    long = data.draw(LONG)
+    argv = [long] + rest if at == 0 else [command] + rest[: at - 1] + [long] + rest[at - 1 :]
+    printed = assert_contract(argv)
+    assert "9" * 100 not in printed, ([a[:20] for a in argv], printed[:200])
+
+
+NAME_TOO_LONG = f"[Errno {errno.ENAMETOOLONG}] {os.strerror(errno.ENAMETOOLONG)}"
+ID = "<an id of 5000 characters>"
+ARGUMENT = "<an argument of 5000 characters>"
+VALUE = "<a value of 5001 characters>"
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["green", "DOC", DIGITS], 1, f"unknown vertex {ID}"),
+        (["resistance", "DOC", "O", DIGITS], 1, f"unknown vertex {ID}"),
+        (["resistance", "DOC", "--edge", DIGITS], 1, f"unknown edge {ID}"),
+        (["bound", "--genus", "3", DIGITS], 2, f"unrecognized arguments: {ARGUMENT}"),
+        (["gen", "--seed", "1", "x", DIGITS], 2, f"unrecognized arguments: x {ARGUMENT}"),
+        (["validate", DIGITS], 2, f"file-not-found: {NAME_TOO_LONG}: <a path of 5000 characters>"),
+        (["gen", "--seed", "x" + DIGITS], 2, f"argument --seed: invalid int value: {VALUE}"),
+        (["bound", "--genus", "3", "--xi", "x" + DIGITS], 2, f"--xi expects i=v, got {VALUE}"),
+        (["epsilon", "DOC", "--divisor", json.dumps({DIGITS: "1"})], 1, f"unknown vertex {ID}"),
+        (
+            ["epsilon", "DOC", "--divisor", json.dumps({DIGITS: "x"})],
+            1,
+            f"--divisor.{ID}: bad rational literal: 'x'",
+        ),
+        (
+            ["epsilon", "DOC", "--divisor", json.dumps({"O": "x" + DIGITS})],
+            1,
+            "--divisor.O: bad rational literal: <a literal of 5001 characters>",
+        ),
+        # up to the limit an id is echoed exactly
+        (["green", "DOC", "Q" * ECHO_LIMIT], 1, f"unknown vertex {'Q' * ECHO_LIMIT!r}"),
+        (
+            ["green", "DOC", "Q" * (ECHO_LIMIT + 1)],
+            1,
+            f"unknown vertex <an id of {ECHO_LIMIT + 1} characters>",
+        ),
+        (["resistance", "DOC", "--edge", "nope"], 1, "unknown edge 'nope'"),
+        (["bound", "--genus", "3", "Q"], 2, "unrecognized arguments: Q"),
+    ],
+)
+def test_overlong_ids_and_arguments_are_named_by_length(doc_path, argv, code, message):
+    doc_path.write_text(json.dumps(BASES[0]), encoding="utf-8")
+    argv = [str(doc_path) if a == "DOC" else a for a in argv]
+    printed = assert_contract(argv)
+    assert invoke(argv)[0] == code
+    assert json.loads(printed)["error"]["message"] == message
+
+
+def test_overlong_command_is_named_by_length():
+    short = json.loads(assert_contract(["nope"]))["error"]["message"]
+    long = json.loads(assert_contract([DIGITS]))["error"]["message"]
+    assert short.startswith("argument command: invalid choice: 'nope' (choose from 'validate'")
+    assert long == short.replace("'nope'", "<a name of 5000 characters>")
+
+
+@pytest.mark.parametrize("argv", [["validate", "BIG"], ["epsilon", "DOC", "--divisor", DIGITS]])
+def test_json_integer_past_the_digit_limit_is_a_schema_error(doc_path, argv):
+    # json.loads refuses it with a ValueError that is not a JSONDecodeError
+    doc_path.write_text(json.dumps(BASES[0]), encoding="utf-8")
+    big = doc_path.with_name("big.json")
+    big.write_text('{"vertices": ' + DIGITS + "}", encoding="utf-8")
+    argv = [{"DOC": str(doc_path), "BIG": str(big)}.get(a, a) for a in argv]
+    code, out, _ = invoke(argv)
+    (problem,) = json.loads(out)["error"]["problems"]
+    assert code == 1
+    assert problem["message"] == (
+        "integer too long: an integer of 5000 digits, "
+        "more than the 4300 digits admgraph reads per integer"
+    )
+
+
+@pytest.mark.parametrize("command", [None] + list(COMMANDS))
+def test_help_does_not_depend_on_the_terminal_width(monkeypatch, command):
+    argv = ([command] if command else []) + ["-h"]
+    printed = []
+    for columns in ("40", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        printed.append(invoke(argv))
+    assert printed[0] == printed[1]
+    assert printed[0][0] == 0 and "help" in json.loads(printed[0][1])
+
+
+def test_gen_prints_the_serialized_document():
+    # gen builds the document object once; it prints what a parse of the
+    # serialized document prints
+    for seed in range(51):
+        h = ag.random_hyperelliptic(seed, 1, 5)
+        doc = document_from(h.graph, h.involution, ag.random_polarization(h, seed))
+        expected = json.dumps(json.loads(serialize_document(doc))) + "\n"
+        assert invoke(["gen", "--seed", str(seed)]) == (0, expected, ""), seed
+
+
+PREFIX_TOKENS = st.sampled_from(["-h", "--help", "--he", "--", "-", "-x", "--bogus", "-1", "-x y"])
+UNKNOWN_COMMANDS = st.sampled_from(["", "nope", "Compare", "compare ", "bound=1", "gen-"])
+
+
+@FUZZ
+@given(data=st.data())
+def test_per_call_parser_matches_the_full_parser(doc_path, data):
+    doc_path.write_text(json.dumps(BASES[0]), encoding="utf-8")
+    before = data.draw(st.lists(PREFIX_TOKENS | TOKENS, max_size=2))
+    command = data.draw(st.sampled_from(COMMANDS) | UNKNOWN_COMMANDS | TOKENS)
+    doc = [str(doc_path)] if data.draw(st.booleans()) else []
+    after = data.draw(st.just(ARGS.get(command, [])) | st.lists(TOKENS, max_size=3))
+    argv = before + [command] + doc + after
+    with mock.patch.object(cli, "_build_parser", lambda command: _oracles.full_parser()):
+        expected = cli._outcome(argv)
+    assert cli._outcome(argv) == expected, argv
+
+
+@pytest.mark.parametrize(
+    "argv, declared",
+    [([c, "x"], c) for c in COMMANDS]
+    + [
+        (["--", "compare", "x"], "compare"),
+        (["-h", "bound"], "bound"),
+        (["-x", "green", "x", "O"], "green"),
+        (["nope", "compare"], None),
+        (["-h"], None),
+        ([], None),
+    ],
+)
+def test_one_call_declares_the_arguments_of_one_command(monkeypatch, argv, declared):
+    built = []
+
+    def spy(command):
+        built.append(build(command))
+        return built[-1]
+
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", spy)
+    invoke(argv)
+    (parser,) = built
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == list(COMMANDS)
+    with_arguments = [
+        name
+        for name, p in sub.choices.items()
+        if any(not isinstance(a, argparse._HelpAction) for a in p._actions)
+    ]
+    assert with_arguments == ([declared] if declared else [])
 
 
 @pytest.mark.parametrize("command", COMMANDS)
