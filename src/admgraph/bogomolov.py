@@ -73,7 +73,7 @@ class FiberConfiguration:
         if genus < 2:
             raise InvalidGraphError(f"fiber genus {genus} < 2 is not semistable of general type")
         if involution is not None:
-            check_involution(graph, involution, allow_fixed_edges=True)
+            check_involution(graph, involution)
             for v in graph.vertices:
                 if full[involution.vertex(v)] != full[v]:
                     raise InvalidGraphError("involution does not respect component genera")

@@ -10,13 +10,14 @@ unreadable file).  Every invocation prints exactly one JSON object; -h and
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import os
 import sys
 from typing import Dict, List, Optional
 
 from . import bogomolov, documents, generators, polynomials, potential
-from .errors import ECHO_LIMIT, AdmGraphError, SchemaError, _shown
+from .errors import ECHO_LIMIT, AdmGraphError, SchemaError, _path_key, _shown
 from .graph import Divisor, MetrizedGraph, _self_loop, validate_graph
 from .hyperelliptic import graph_size, nu_counts, validate_hyperelliptic
 from .rationals import INFINITY, _digit_limit_excess, as_fraction, format_rational
@@ -43,7 +44,7 @@ class _Parser(argparse.ArgumentParser):
         super().__init__(formatter_class=_Formatter, **kwargs)
 
     def error(self, message):
-        raise _UsageError(message)
+        raise _UsageError(_glued_value_shown(message))
 
     def print_help(self, file=None):
         raise _HelpRequested(self.format_help())
@@ -64,6 +65,26 @@ class _Parser(argparse.ArgumentParser):
                 raise
             message = exc.message.replace(repr(value), _shown(value, "name"), 1)
             raise argparse.ArgumentError(action, message) from None
+
+
+_IGNORED = "ignored explicit argument "
+
+
+def _glued_value_shown(message: str) -> str:
+    """argparse's message with an over-long value D glued to an option named
+    by its length: "ambiguous option: --x=D could match ..." and, for -hD or
+    --help=D, "argument -h/--help: ignored explicit argument 'D'"."""
+    name, sep, rest = message.partition(": ")
+    if name == "ambiguous option":
+        option, could, matches = rest.rpartition(" could match ")
+        flag, _, value = option.partition("=")
+        if len(value) > ECHO_LIMIT:
+            return f"{name}{sep}{flag}={_shown(value, 'value')}{could}{matches}"
+    elif name.startswith("argument ") and rest.startswith(_IGNORED):
+        value = ast.literal_eval(rest[len(_IGNORED):])  # argparse writes it with %r
+        if len(value) > ECHO_LIMIT:
+            return f"{name}{sep}{_IGNORED}{_shown(value, 'value')}"
+    return message
 
 
 def _integer(text: str) -> int:
@@ -157,7 +178,7 @@ def _divisor(doc: documents.GraphDocument, override: Optional[str]) -> Divisor:
             try:
                 coefficients[v] = as_fraction(c)
             except (TypeError, ValueError) as exc:
-                problems.append((f"--divisor.{v if len(v) <= ECHO_LIMIT else _shown(v)}", str(exc)))
+                problems.append((f"--divisor.{_path_key(v)}", str(exc)))
         if problems:
             raise SchemaError(problems)
         return Divisor(coefficients)
@@ -198,8 +219,10 @@ def _parse_indexed(pairs: List[str], flag: str) -> Dict[int, int]:
 
 
 def _run(args) -> Dict:
-    if args.command == "validate":
+    if args.command not in ("bound", "gen"):
         doc = _load_document(args.graph)
+
+    if args.command == "validate":
         g = doc.to_graph(allow_loops=True)
         report = validate_graph(g)
         out = {"valid": report.valid, "problems": list(report.problems)}
@@ -213,7 +236,6 @@ def _run(args) -> Dict:
         return out
 
     if args.command == "resistance":
-        doc = _load_document(args.graph)
         g = doc.to_graph()
         if args.edge:
             r = potential.cross_resistance(g, args.edge)
@@ -224,11 +246,8 @@ def _run(args) -> Dict:
         return {"resistance": format_rational(potential.effective_resistance(g, p, q))}
 
     if args.command == "measure":
-        doc = _load_document(args.graph)
         g = doc.to_graph()
-        d = doc.to_divisor()
-        if args.divisor:
-            d = _divisor(doc, args.divisor)
+        d = _divisor(doc, args.divisor) if args.divisor else doc.to_divisor()
         if d is None:
             mu, kind = potential.canonical_measure(g), "canonical"
         else:
@@ -243,7 +262,6 @@ def _run(args) -> Dict:
         }
 
     if args.command == "green":
-        doc = _load_document(args.graph)
         g = doc.to_graph()
         pot = potential.green_function(g, _divisor(doc, args.divisor), args.source)
         return {
@@ -261,25 +279,21 @@ def _run(args) -> Dict:
         }
 
     if args.command == "epsilon":
-        doc = _load_document(args.graph)
         eps, c = potential.epsilon_numeric(doc.to_graph(), _divisor(doc, args.divisor))
         return {"epsilon": format_rational(eps), "c": format_rational(c)}
 
     if args.command == "epsilon-closed":
-        doc = _load_document(args.graph)
         h = _hyperelliptic(doc)
         eps = polynomials.epsilon_closed_form(h, _divisor(doc, args.divisor))
         return {"epsilon": format_rational(eps)}
 
     if args.command in ("lpoly", "mpoly"):
-        doc = _load_document(args.graph)
         h = _hyperelliptic(doc)
         fn = polynomials.l_polynomial if args.command == "lpoly" else polynomials.m_polynomial
         poly = fn(h)
         return {"size": graph_size(h), "polynomial": documents.serialize_polynomial(poly)}
 
     if args.command == "classify-edges":
-        doc = _load_document(args.graph)
         h = _hyperelliptic(doc)
         nus = {
             v: dict(zip(("nu0", "nu1", "nu"), nu_counts(h, v)))
@@ -293,7 +307,6 @@ def _run(args) -> Dict:
         }
 
     if args.command == "classify-nodes":
-        doc = _load_document(args.graph)
         fiber = doc.to_fiber()
         types, subtypes = bogomolov._classify(fiber)
         nodes = {}
@@ -313,7 +326,6 @@ def _run(args) -> Dict:
         return out
 
     if args.command == "compare":
-        doc = _load_document(args.graph)
         h = _hyperelliptic(doc)
         d = _divisor(doc, args.divisor)
         eps_num, _ = potential.epsilon_numeric(h.graph, d)
@@ -339,12 +351,10 @@ def _run(args) -> Dict:
             "warnings": report["warnings"],
         }
 
-    if args.command == "gen":
-        h = generators.random_hyperelliptic(args.seed, args.min_size, args.max_size)
-        d = generators.random_polarization(h, args.seed)
-        return documents.document_object(documents.document_from(h.graph, h.involution, d))
-
-    raise _UsageError(f"unknown command {args.command!r}")
+    # gen, the one command left
+    h = generators.random_hyperelliptic(args.seed, args.min_size, args.max_size)
+    d = generators.random_polarization(h, args.seed)
+    return documents.document_object(documents.document_from(h.graph, h.involution, d))
 
 
 def _outcome(argv):

@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from .bogomolov import FiberConfiguration
-from .errors import SchemaError, _shown
+from .errors import SchemaError, _path_key, _shown
 from .graph import Divisor, MetrizedGraph
 from .hyperelliptic import Involution
 from .polynomials import MultiPoly
@@ -76,6 +76,12 @@ def _parse_rational_at(value, path, problems) -> Fraction:
         return Fraction(0)
 
 
+def _check_keys(item, known, path, problems) -> None:
+    extra = set(item) - known
+    if extra:
+        problems.append((path, f"unknown keys [{', '.join(_shown(k) for k in sorted(extra))}]"))
+
+
 def _load_json(text: str, path: str):
     """json.loads(text); malformed text, or an integer literal past the
     digit limit that CPython would refuse, is a SchemaError at ``path``."""
@@ -108,7 +114,7 @@ def parse_graph_document(data) -> GraphDocument:
 
     known = {"vertices", "edges", "involution", "divisor"}
     for key in sorted(set(raw) - known):
-        problems.append((key, "unknown key"))
+        problems.append((_path_key(key), "unknown key"))
 
     vertices: List[Tuple[str, Optional[int]]] = []
     vertex_ids = set()
@@ -123,15 +129,13 @@ def parse_graph_document(data) -> GraphDocument:
             continue
         vid = item["id"]
         if vid in vertex_ids:
-            problems.append((f"{path}.id", f"duplicate vertex id {vid!r}"))
+            problems.append((f"{path}.id", f"duplicate vertex id {_shown(vid)}"))
         vertex_ids.add(vid)
         genus = item.get("genus")
         if genus is not None and (type(genus) is not int or genus < 0):
             problems.append((f"{path}.genus", "genus must be a nonnegative integer"))
             genus = None
-        extra = set(item) - {"id", "genus"}
-        if extra:
-            problems.append((path, f"unknown keys {sorted(extra)}"))
+        _check_keys(item, {"id", "genus"}, path, problems)
         vertices.append((vid, genus))
 
     edges: List[Tuple[str, Tuple[str, str], Fraction]] = []
@@ -147,7 +151,7 @@ def parse_graph_document(data) -> GraphDocument:
             continue
         eid = item["id"]
         if eid in edge_ids:
-            problems.append((f"{path}.id", f"duplicate edge id {eid!r}"))
+            problems.append((f"{path}.id", f"duplicate edge id {_shown(eid)}"))
         edge_ids.add(eid)
         ends = item.get("ends")
         if (
@@ -161,9 +165,7 @@ def parse_graph_document(data) -> GraphDocument:
             if x not in vertex_ids:
                 problems.append((f"{path}.ends", f"unknown vertex {_shown(x)}"))
         length = _parse_rational_at(item.get("length"), f"{path}.length", problems)
-        extra = set(item) - {"id", "ends", "length"}
-        if extra:
-            problems.append((path, f"unknown keys {sorted(extra)}"))
+        _check_keys(item, {"id", "ends", "length"}, path, problems)
         edges.append((eid, (ends[0], ends[1]), length))
 
     inv_vertices = inv_edges = None
@@ -179,10 +181,11 @@ def parse_graph_document(data) -> GraphDocument:
                     problems.append((f"involution.{name}", "must be an object"))
                     continue
                 for a, b in mapping.items():
+                    path = f"involution.{name}.{_path_key(a)}"
                     if a not in ids:
-                        problems.append((f"involution.{name}.{a}", "unknown id"))
+                        problems.append((path, "unknown id"))
                     if not isinstance(b, str) or b not in ids:
-                        problems.append((f"involution.{name}.{a}", f"maps to unknown id {b!r}"))
+                        problems.append((path, f"maps to unknown id {_shown(b)}"))
             if isinstance(vmap, dict) and isinstance(emap, dict):
                 inv_vertices = tuple(sorted((str(a), str(b)) for a, b in vmap.items()))
                 inv_edges = tuple(sorted((str(a), str(b)) for a, b in emap.items()))
@@ -195,9 +198,10 @@ def parse_graph_document(data) -> GraphDocument:
         else:
             coeffs = []
             for v, c in div.items():
+                path = f"divisor.{_path_key(v)}"
                 if v not in vertex_ids:
-                    problems.append((f"divisor.{v}", "unknown vertex"))
-                coeffs.append((v, _parse_rational_at(c, f"divisor.{v}", problems)))
+                    problems.append((path, "unknown vertex"))
+                coeffs.append((v, _parse_rational_at(c, path, problems)))
             divisor = tuple(sorted(coeffs))
 
     if problems:

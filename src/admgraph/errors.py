@@ -19,6 +19,12 @@ def _shown(value, noun: str = "id") -> str:
     return repr(value)
 
 
+def _path_key(key: str) -> str:
+    """An object key as a step of a JSON path: the key itself, or, past
+    ECHO_LIMIT characters, its length as ``_shown`` names it."""
+    return key if len(key) <= ECHO_LIMIT else _shown(key)
+
+
 class AdmGraphError(Exception):
     """Base class for all domain errors raised by this package."""
 

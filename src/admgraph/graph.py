@@ -167,9 +167,6 @@ class MetrizedGraph:
         except KeyError:
             raise UnknownIdError(f"unknown edge {_shown(edge_id)}") from None
 
-    def has_vertex(self, v: str) -> bool:
-        return v in self._vertex_set
-
     def require_vertex(self, v: str) -> None:
         if v not in self._vertex_set:
             raise UnknownIdError(f"unknown vertex {_shown(v)}")
@@ -352,13 +349,11 @@ def contract(g: MetrizedGraph, edge_ids: Iterable[str]) -> Tuple[MetrizedGraph, 
     kept as loop markers (usable by combinatorics, not by the solver).
     """
     ids = set(edge_ids)
-    for eid in ids:
-        g.edge(eid)
     uf = _UnionFind(g.vertices)
     for eid in ids:
-        e = g.edge(eid)
-        if not e.is_loop():
-            uf.union(*e.ends)
+        u, w = g.edge(eid).ends
+        if u != w:
+            uf.union(u, w)
     vmap = {v: uf.find(v) for v in g.vertices}
     new_edges = []
     for e in g.edges:
@@ -479,30 +474,21 @@ def irreducible_decomposition(g: MetrizedGraph) -> List[MetrizedGraph]:
     return result
 
 
-def subdivide_edge(
-    g: MetrizedGraph,
-    edge_id: str,
-    t: Fraction,
-    *,
-    new_vertex: str | None = None,
-    new_edge_ids: Tuple[str, str] | None = None,
-) -> MetrizedGraph:
+def subdivide_edge(g: MetrizedGraph, edge_id: str, t: Fraction) -> MetrizedGraph:
     """Split an edge at arc length t from its first end.
 
     The edge is replaced by two edges of lengths t and length - t through a
     fresh degree-2 vertex; as a metric space the graph is unchanged.
-    Deterministic default names: vertex "<id>.m", edges "<id>.a"/"<id>.b".
+    Deterministic names: vertex "<id>.m", edges "<id>.a"/"<id>.b".
     """
     e = g.edge(edge_id)
     t = as_fraction(t)
     if not (0 < t < e.length):
         raise ArcLengthRangeError(f"t out of range: need 0 < {t} < {e.length}")
-    mid = new_vertex if new_vertex is not None else f"{edge_id}.m"
-    first, second = new_edge_ids if new_edge_ids is not None else (f"{edge_id}.a", f"{edge_id}.b")
-    if mid in set(g.vertices):
+    mid, first, second = f"{edge_id}.m", f"{edge_id}.a", f"{edge_id}.b"
+    if mid in g._vertex_set:
         raise InvalidGraphError(f"vertex id {mid!r} already taken")
-    existing = set(g.edge_ids()) - {edge_id}
-    if {first, second} & existing or first == second:
+    if first in g._edge_by_id or second in g._edge_by_id:
         raise InvalidGraphError("subdivision edge ids already taken")
     u, w = e.ends
     edges = [x for x in g.edges if x.id != edge_id]

@@ -82,16 +82,6 @@ class Involution:
         except KeyError:
             raise UnknownIdError(f"involution undefined on edge {_shown(e)}") from None
 
-    def fixes_vertex(self, v: str) -> bool:
-        return self.vertex(v) == v
-
-    def fixes_edge(self, e: str) -> bool:
-        return self.edge(e) == e
-
-    @staticmethod
-    def identity(g: MetrizedGraph) -> "Involution":
-        return Involution({v: v for v in g.vertices}, {e: e for e in g.edge_ids()})
-
 
 class EdgeKind(Enum):
     DISJOINT = "disjoint"
@@ -103,11 +93,15 @@ class EdgeKind(Enum):
 _KIND_BY_SHARED_ENDS = (EdgeKind.DISJOINT, EdgeKind.ONE_JOINTED, EdgeKind.TWO_JOINTED)
 
 
-def _check_permutations(
-    g: MetrizedGraph, vmap: Mapping[str, str], emap: Mapping[str, str]
-) -> None:
-    """The maps are permutations of the vertex and edge ids, and the vertex
-    map squares to the identity.  Raises InvolutionMalformedError."""
+def _edge_pass(g: MetrizedGraph, vmap: Mapping[str, str], emap: Mapping[str, str]):
+    """The involution checks, then one pass over the edges.
+
+    Raises InvolutionMalformedError unless the maps are permutations of the
+    vertex and edge ids and the vertex map squares to the identity, and then
+    at the first edge where the edge map does not square to the identity or
+    breaks endpoints or lengths.  Returns the first loop and the first fixed
+    edge (or None), and the edge kinds, the class of each edge and the
+    members of each class, in edge order."""
     vset = g._vertex_set
     if vmap.keys() != vset or set(vmap.values()) != vset:
         raise InvolutionMalformedError("vertex map is not a permutation of the vertex set")
@@ -117,18 +111,6 @@ def _check_permutations(
     for v in g.vertices:
         if vmap[vmap[v]] != v:
             raise InvolutionMalformedError(f"vertex map does not square to identity at {v!r}")
-
-
-def _edge_pass(
-    g: MetrizedGraph, vmap: Mapping[str, str], emap: Mapping[str, str], allow_fixed_edges: bool
-):
-    """One pass over the edges, after :func:`_check_permutations`.
-
-    Raises InvolutionMalformedError at the first edge where the edge map
-    does not square to the identity, breaks endpoints or lengths, or fixes
-    the edge when that is not allowed.  Returns the first loop and the first
-    fixed edge (or None), and the edge kinds, the class of each edge and the
-    members of each class, in edge order."""
     edge_by_id = g._edge_by_id
     loop = fixed_edge = None
     kinds: Dict[str, EdgeKind] = {}
@@ -147,11 +129,8 @@ def _edge_pass(
             raise InvolutionMalformedError(f"edge map incompatible with endpoints at {eid!r}")
         if partner.length is not e.length and partner.length != e.length:
             raise InvolutionMalformedError(f"lengths differ within the orbit of {eid!r}")
-        if partner_id == eid:
-            if not allow_fixed_edges:
-                raise InvolutionMalformedError(f"edge {eid!r} is fixed by the involution")
-            if fixed_edge is None:
-                fixed_edge = eid
+        if partner_id == eid and fixed_edge is None:
+            fixed_edge = eid
         if u == w and loop is None:
             loop = eid
         kinds[eid] = _KIND_BY_SHARED_ENDS[(u == x or u == y) + (w == x or w == y)]
@@ -161,11 +140,11 @@ def _edge_pass(
     return loop, fixed_edge, kinds, class_of, members
 
 
-def check_involution(g: MetrizedGraph, inv: Involution, *, allow_fixed_edges: bool = False) -> None:
+def check_involution(g: MetrizedGraph, inv: Involution) -> None:
     """Structural validation: permutations squaring to the identity that are
-    endpoint- and length-compatible.  Raises InvolutionMalformedError."""
-    _check_permutations(g, inv.vertex_map, inv.edge_map)
-    _edge_pass(g, inv.vertex_map, inv.edge_map, allow_fixed_edges)
+    endpoint- and length-compatible; fixed edges and loops are allowed, as
+    in a fiber's dual graph.  Raises InvolutionMalformedError."""
+    _edge_pass(g, inv.vertex_map, inv.edge_map)
 
 
 def class_name(inv: Involution, edge_id: str) -> str:
@@ -207,16 +186,15 @@ def validate_hyperelliptic(g: MetrizedGraph, inv: Involution) -> HyperellipticGr
     Raises AxiomViolationError(n) naming the failed clause, or
     InvolutionMalformedError if the involution itself is broken.  When
     several checks fail, the one raised is the first in this order:
-    connectivity, positive lengths, :func:`check_involution` (fixed edges
-    allowed), axioms (1) to (4).
+    connectivity, positive lengths, :func:`check_involution`, axioms (1)
+    to (4).
     """
     if not g.is_connected():
         raise DisconnectedGraphError("hyperelliptic graphs are connected")
     if any(e.length.numerator <= 0 for e in g.edges):  # denominators are positive
         raise AxiomViolationError(1, "edge lengths must be positive")
-    vmap, emap = inv.vertex_map, inv.edge_map
-    _check_permutations(g, vmap, emap)
-    loop, fixed_edge, kinds, class_of, members = _edge_pass(g, vmap, emap, True)
+    vmap = inv.vertex_map
+    loop, fixed_edge, kinds, class_of, members = _edge_pass(g, vmap, inv.edge_map)
     if loop is not None:
         raise AxiomViolationError(1, f"edge {loop!r} is not a closed interval")
     if fixed_edge is not None:
@@ -298,7 +276,8 @@ def restrict_classes(
     for c in keep:
         if c not in h.class_members:
             raise UnknownIdError(f"unknown edge class {_shown(c)}")
-    return contract_classes(h, [c for c in h.class_members if c not in keep])
+    edge_ids = [e for c, pair in h.class_members.items() if c not in keep for e in pair]
+    return _contract_involution(h.graph, h.involution, edge_ids)
 
 
 def is_semisimple_of_size(g: MetrizedGraph, inv: Involution, n: int) -> bool:
@@ -416,7 +395,7 @@ def normalize_fiber(dual: MetrizedGraph, inv: Involution) -> HyperellipticGraph:
     nodes first; any axiom failure in the result is reported as
     NotHyperellipticConfigurationError.
     """
-    check_involution(dual, inv, allow_fixed_edges=True)
+    check_involution(dual, inv)
 
     edges = {e.id: e for e in dual.edges}
     vmap = dict(inv.vertex_map)

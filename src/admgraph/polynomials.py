@@ -139,19 +139,9 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def variables(self) -> Tuple[str, ...]:
-        return tuple(sorted({v for mono in self.terms for v, _ in mono}))
-
-    def total_degree(self) -> int:
-        return max((sum(e for _, e in mono) for mono in self.terms), default=0)
-
-    def is_homogeneous(self, degree: Optional[int] = None) -> bool:
-        degrees = {sum(e for _, e in mono) for mono in self.terms}
-        if not degrees:
-            return True
-        if len(degrees) != 1:
-            return False
-        return degree is None or degrees == {degree}
+    def is_homogeneous(self, degree: int) -> bool:
+        """Every term has total degree ``degree`` (true of zero)."""
+        return all(sum(e for _, e in mono) == degree for mono in self.terms)
 
     def is_multilinear(self) -> bool:
         return all(e == 1 for mono in self.terms for _, e in mono)

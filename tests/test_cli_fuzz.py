@@ -313,6 +313,26 @@ def test_overlong_ids_and_arguments_are_named_by_length(doc_path, argv, code, me
     assert json.loads(printed)["error"]["message"] == message
 
 
+# argparse echoes a value glued to an option: bare in "ambiguous option:
+# --x=VALUE could match --xi0, --xi", quoted in "argument -h/--help: ignored
+# explicit argument 'VALUE'"
+@pytest.mark.parametrize("flag, quoted", [("--x=", False), ("-h", True), ("--help=", True)])
+@pytest.mark.parametrize("length", [1, ECHO_LIMIT, ECHO_LIMIT + 1, 5000])
+def test_overlong_glued_option_values_are_named_by_length(monkeypatch, flag, quoted, length):
+    value = "9" * length
+    argv = ["bound", flag + value]
+    assert invoke(argv)[0] == 2
+    message = json.loads(assert_contract(argv))["error"]["message"]
+    monkeypatch.setattr(cli, "_glued_value_shown", lambda message: message)
+    raw = json.loads(assert_contract(argv))["error"]["message"]
+    if length <= ECHO_LIMIT:
+        assert message == raw
+    else:
+        echoed = repr(value) if quoted else value
+        assert message == raw.replace(echoed, f"<a value of {length} characters>")
+        assert value[:ECHO_LIMIT] not in message
+
+
 def test_overlong_command_is_named_by_length():
     short = json.loads(assert_contract(["nope"]))["error"]["message"]
     long = json.loads(assert_contract([DIGITS]))["error"]["message"]

@@ -77,6 +77,52 @@ class TestParse:
             parse_graph_document(json.dumps(bad))
         assert len(err.value.problems) == 2
 
+    def test_overlong_ids_are_named_by_length(self):
+        long = "v" * 300
+        shown = "<an id of 300 characters>"
+        bad = json.loads(SG_DOC)
+        bad["vertices"] += [{"id": long}, {"id": long, long: 1}]
+        bad["edges"] += [
+            {"id": long, "ends": ["P", "Q"], "length": "1"},
+            {"id": long, "ends": ["P", "Q"], "length": "1", long: 1, "x": 1},
+        ]
+        bad["involution"]["vertices"][long + "w"] = long + "x"
+        bad["involution"]["edges"]["e+"] = long + "y"
+        bad["divisor"][long + "z"] = "z"
+        bad[long] = 1
+        with pytest.raises(ag.SchemaError) as err:
+            parse_graph_document(json.dumps(bad))
+        assert err.value.problems == (
+            (shown, "unknown key"),
+            ("vertices[3].id", f"duplicate vertex id {shown}"),
+            ("vertices[3]", f"unknown keys [{shown}]"),
+            ("edges[3].id", f"duplicate edge id {shown}"),
+            ("edges[3]", f"unknown keys [{shown}, 'x']"),
+            ("involution.vertices.<an id of 301 characters>", "unknown id"),
+            (
+                "involution.vertices.<an id of 301 characters>",
+                "maps to unknown id <an id of 301 characters>",
+            ),
+            ("involution.edges.e+", "maps to unknown id <an id of 301 characters>"),
+            ("divisor.<an id of 301 characters>", "unknown vertex"),
+            ("divisor.<an id of 301 characters>", "bad rational literal: 'z'"),
+        )
+        assert "v" * 100 not in str(err.value)
+
+    def test_ids_up_to_the_limit_are_echoed(self):
+        bad = json.loads(SG_DOC)
+        bad["vertices"].append({"id": "P", "g": 1})
+        bad["involution"]["edges"]["e+"] = "Z"
+        bad["divisor"]["Z"] = "1"
+        with pytest.raises(ag.SchemaError) as err:
+            parse_graph_document(json.dumps(bad))
+        assert err.value.problems == (
+            ("vertices[2].id", "duplicate vertex id 'P'"),
+            ("vertices[2]", "unknown keys ['g']"),
+            ("involution.edges.e+", "maps to unknown id 'Z'"),
+            ("divisor.Z", "unknown vertex"),
+        )
+
 
 class TestSerialize:
     def test_round_trip_byte_identical(self):
@@ -173,6 +219,11 @@ class TestCli:
         err = capsys.readouterr().err
         assert code == 2
         assert "file-not-found" in err
+
+    def test_missing_file_is_reported_before_the_endpoint_count(self, capsys):
+        code = run_command(["resistance", "no-such-file.json", "a"])
+        message = json.loads(capsys.readouterr().err)["error"]["message"]
+        assert (code, message.split(":")[0]) == (2, "file-not-found")
 
     def test_path_with_nul_byte_is_usage_error(self, capsys):
         # open() raises ValueError, not OSError, for such a path

@@ -298,7 +298,7 @@ class TestNormalizeFiber:
         d = ag.Divisor({"A": 1, "O1": 1})
         # u, v survive normalization; compare green pairings on a metrized
         # realization of the raw input (fixed edge subdivided only)
-        raw = ag.subdivide_edge(g, "e", 1, new_vertex="e.m", new_edge_ids=("e.a", "e.b"))
+        raw = ag.subdivide_edge(g, "e", 1)
         assert ag.effective_resistance(raw, "u", "A") == ag.effective_resistance(
             h.graph, "u", "A"
         )
@@ -318,6 +318,35 @@ class TestRestrictionSimplicity:
             d = ag.random_polarization(h, 7)
             for cname in h.classes():
                 ag.w_weight(h, d, cname)  # raises NotSimpleRestriction on failure
+
+
+class TestUnknownIds:
+    @pytest.mark.parametrize("call", [ag.restrict_classes, ag.contract_classes])
+    @pytest.mark.parametrize(
+        "names, message",
+        [
+            (["nope"], "unknown edge class 'nope'"),
+            (["e1+", "nope"], "unknown edge class 'nope'"),
+            (["v" * 300], "unknown edge class <an id of 300 characters>"),
+        ],
+    )
+    def test_unknown_class(self, call, names, message):
+        with pytest.raises(ag.UnknownIdError) as info:
+            call(ag.elementary_graph(2), names)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "edge_ids, message",
+        [
+            (["nope"], "unknown edge 'nope'"),
+            (["e1+", "nope"], "unknown edge 'nope'"),
+            (["v" * 300], "unknown edge <an id of 300 characters>"),
+        ],
+    )
+    def test_unknown_edge(self, edge_ids, message):
+        with pytest.raises(ag.UnknownIdError) as info:
+            ag.contract(ag.elementary_graph(2).graph, edge_ids)
+        assert str(info.value) == message
 
 
 # -- one-pass construction against the check-by-check oracle ------------
@@ -538,10 +567,9 @@ def assert_agrees_with_oracle(raw, form="tuples"):
     assert list(ag.validate_graph(g).problems) == _oracles.graph_problems(g)
 
     inv = ag.Involution(raw["vmap"], raw["emap"])
-    for allow in (False, True):
-        assert _outcome(ag.hyperelliptic.check_involution, g, inv, allow_fixed_edges=allow) == (
-            _outcome(_oracles.check_involution, g, inv, allow)
-        )
+    assert _outcome(ag.hyperelliptic.check_involution, g, inv) == (
+        _outcome(_oracles.check_involution, g, inv, True)
+    )
     validated = _outcome(ag.validate_hyperelliptic, g, inv)
     expected = _outcome(_oracles.hyperelliptic_fields, g, inv)
     if validated[0] == "raised":
