@@ -37,6 +37,7 @@ from .errors import (
     NotHyperellipticConfigurationError,
     NotTypeZeroError,
     UnexpectedComponentCountError,
+    _shown,
 )
 from .graph import Divisor, MetrizedGraph, push_divisor, subdivide_edge
 from .hyperelliptic import (
@@ -126,7 +127,8 @@ def _pair_subtype(cfg: FiberConfiguration, node_id: str, partner: str) -> int:
     genera = _component_genera(cfg, (node_id, partner))
     if len(genera) != 2:
         raise UnexpectedComponentCountError(
-            f"removing {node_id!r} and {partner!r} gave {len(genera)} components, expected 2"
+            f"removing {_shown(node_id)} and {_shown(partner)} gave {len(genera)} components, "
+            "expected 2"
         )
     return min(genera)
 
@@ -145,7 +147,7 @@ def node_subtype(cfg: FiberConfiguration, node_id: str) -> int:
     take the smaller arithmetic genus."""
     inv = cfg.require_involution()
     if node_type(cfg, node_id) != 0:
-        raise NotTypeZeroError(f"node {node_id!r} is not of type 0")
+        raise NotTypeZeroError(f"node {_shown(node_id)} is not of type 0")
     partner = inv.edge(node_id)
     return 0 if partner == node_id else _pair_subtype(cfg, node_id, partner)
 
@@ -405,7 +407,8 @@ def normalized_hyperelliptic(cfg: FiberConfiguration) -> Tuple[HyperellipticGrap
     surviving = set(h.graph.vertices)
     dropped = {v: c for v, c in pushed.coefficients.items() if v not in surviving}
     if dropped:
+        shown = ", ".join(_shown(v) for v in sorted(dropped))
         raise NotHyperellipticConfigurationError(
-            f"normalization removed vertices with nonzero polarization: {sorted(dropped)}"
+            f"normalization removed vertices with nonzero polarization: [{shown}]"
         )
     return h, Divisor({v: pushed.coefficient(v) for v in surviving})

@@ -118,15 +118,22 @@ _DIVISOR_COMMANDS = ("measure", "green", "epsilon", "epsilon-closed", "compare")
 
 
 def _build_parser(command: Optional[str]) -> _Parser:
-    """The parser of one call: every command is a choice with its help line,
-    but only ``command``, the one argparse will dispatch on, declares its
-    arguments; declaring them all cost more than the rest of a typical call."""
+    """The parser of one call.  Every command is registered as a choice with
+    its help line, so the choice check, the invalid-choice message and the
+    top-level help list all 13.  Only ``command``, the one argparse will
+    dispatch on, gets ``-h`` and its arguments; the other commands are stubs
+    that carry only their help line, with no action, and are never parsed.
+    Building them in full cost more than the rest of a typical call.  A
+    parser of the invoked command alone, without the stubs, would be faster
+    still; it waits for a benchmark whose memory figure does not grow with
+    throughput (ROADMAP item 1)."""
     parser = _Parser(prog="admgraph", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
         if name == command:
-            _add_arguments(p, name)
+            _add_arguments(sub.add_parser(name, help=help_text), name)
+        else:
+            sub.add_parser(name, help=help_text, add_help=False)
     return parser
 
 
@@ -344,7 +351,7 @@ def _run(args) -> Dict:
         counts = bogomolov.InvariantCounts.from_maps(args.genus, xi, delta)
         radicand, report = bogomolov.pairing_radicand(counts)
         return {
-            "r0": format_rational(bogomolov.r0_bound(counts)),
+            "r0": format_rational(report["r0_theorem"]),
             "radicand": format_rational(radicand),
             "omega_self_intersection": format_rational(report["omega_self_intersection"]),
             "epsilon_upper_total": format_rational(report["epsilon_upper_total"]),

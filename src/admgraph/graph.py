@@ -72,7 +72,7 @@ _set_id, _set_ends, _set_length = (Edge.__dict__[f].__set__ for f in ("id", "end
 
 def _self_loop(eid: str) -> InvalidGraphError:
     """The error of the loop-free constructor at a loop."""
-    return InvalidGraphError(f"edge {eid!r} is a self-loop")
+    return InvalidGraphError(f"edge {_shown(eid)} is a self-loop")
 
 
 class MetrizedGraph:
@@ -261,9 +261,9 @@ def validate_graph(g: MetrizedGraph) -> ValidationReport:
     problems = []
     for e in g.edges:
         if e.length <= 0:
-            problems.append(f"edge {e.id!r}: nonpositive length {format_rational(e.length)}")
+            problems.append(f"edge {_shown(e.id)}: nonpositive length {format_rational(e.length)}")
         if e.is_loop():
-            problems.append(f"edge {e.id!r}: self-loop at {e.ends[0]!r}")
+            problems.append(f"edge {_shown(e.id)}: self-loop at {_shown(e.ends[0])}")
     if not g.is_connected():
         problems.append("graph is not connected")
     return ValidationReport(valid=not problems, problems=tuple(problems))
@@ -487,7 +487,7 @@ def subdivide_edge(g: MetrizedGraph, edge_id: str, t: Fraction) -> MetrizedGraph
         raise ArcLengthRangeError(f"t out of range: need 0 < {t} < {e.length}")
     mid, first, second = f"{edge_id}.m", f"{edge_id}.a", f"{edge_id}.b"
     if mid in g._vertex_set:
-        raise InvalidGraphError(f"vertex id {mid!r} already taken")
+        raise InvalidGraphError(f"vertex id {_shown(mid)} already taken")
     if first in g._edge_by_id or second in g._edge_by_id:
         raise InvalidGraphError("subdivision edge ids already taken")
     u, w = e.ends

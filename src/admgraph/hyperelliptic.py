@@ -110,7 +110,7 @@ def _edge_pass(g: MetrizedGraph, vmap: Mapping[str, str], emap: Mapping[str, str
         raise InvolutionMalformedError("edge map is not a permutation of the edge set")
     for v in g.vertices:
         if vmap[vmap[v]] != v:
-            raise InvolutionMalformedError(f"vertex map does not square to identity at {v!r}")
+            raise InvolutionMalformedError(f"vertex map does not square to identity at {_shown(v)}")
     edge_by_id = g._edge_by_id
     loop = fixed_edge = None
     kinds: Dict[str, EdgeKind] = {}
@@ -121,14 +121,14 @@ def _edge_pass(g: MetrizedGraph, vmap: Mapping[str, str], emap: Mapping[str, str
         partner_id = emap[eid]
         partner = edge_by_id[partner_id]
         if emap[partner_id] != eid:
-            raise InvolutionMalformedError(f"edge map does not square to identity at {eid!r}")
+            raise InvolutionMalformedError(f"edge map does not square to identity at {_shown(eid)}")
         u, w = e.ends
         a, b = vmap[u], vmap[w]
         x, y = partner.ends
         if not ((a == x and b == y) or (a == y and b == x)):
-            raise InvolutionMalformedError(f"edge map incompatible with endpoints at {eid!r}")
+            raise InvolutionMalformedError(f"edge map incompatible with endpoints at {_shown(eid)}")
         if partner.length is not e.length and partner.length != e.length:
-            raise InvolutionMalformedError(f"lengths differ within the orbit of {eid!r}")
+            raise InvolutionMalformedError(f"lengths differ within the orbit of {_shown(eid)}")
         if partner_id == eid and fixed_edge is None:
             fixed_edge = eid
         if u == w and loop is None:
@@ -196,9 +196,9 @@ def validate_hyperelliptic(g: MetrizedGraph, inv: Involution) -> HyperellipticGr
     vmap = inv.vertex_map
     loop, fixed_edge, kinds, class_of, members = _edge_pass(g, vmap, inv.edge_map)
     if loop is not None:
-        raise AxiomViolationError(1, f"edge {loop!r} is not a closed interval")
+        raise AxiomViolationError(1, f"edge {_shown(loop)} is not a closed interval")
     if fixed_edge is not None:
-        raise AxiomViolationError(2, f"iota fixes edge {fixed_edge!r}")
+        raise AxiomViolationError(2, f"iota fixes edge {_shown(fixed_edge)}")
 
     fixed = []
     vclass: Dict[str, str] = {}
@@ -208,7 +208,7 @@ def validate_hyperelliptic(g: MetrizedGraph, inv: Involution) -> HyperellipticGr
         if w == v:
             fixed.append(v)
         elif g.valence(v) < 3:
-            raise AxiomViolationError(3, f"non-fixed vertex {v!r} has fewer than three edges")
+            raise AxiomViolationError(3, f"non-fixed vertex {_shown(v)} has fewer than three edges")
         if v <= w:
             vclass[v] = v
             qvertices.append(v)
@@ -343,7 +343,7 @@ def nu_counts(h: HyperellipticGraph, v: str) -> Tuple[int, int, int]:
     one-jointed edges starting from v, and their sum."""
     h.graph.require_vertex(v)
     if v in h.fixed_vertices:
-        raise FixedVertexError(f"vertex {v!r} is fixed; nu is defined on non-fixed vertices")
+        raise FixedVertexError(f"vertex {_shown(v)} is fixed; nu is defined on non-fixed vertices")
     nu0 = nu1 = 0
     for e in h.graph.incident_edges(v):
         kind = h.edge_kinds[e.id]
@@ -373,7 +373,7 @@ def _w_weight(h: HyperellipticGraph, d: Divisor, cname: str) -> Fraction:
     restricted, rinv, vmap = restrict_classes(h, [cname])
     if not is_semisimple_of_size(restricted, rinv, 1):
         raise NotSimpleRestrictionError(
-            f"restriction to class {cname!r} is not the simple graph"
+            f"restriction to class {_shown(cname)} is not the simple graph"
         )
     pushed = push_divisor(d, vmap)
     p, q = restricted.vertices
@@ -410,12 +410,14 @@ def normalize_fiber(dual: MetrizedGraph, inv: Involution) -> HyperellipticGraph:
         # into a parallel pair
         if u != w and not (vmap[u] == w and vmap[w] == u):
             raise NotHyperellipticConfigurationError(
-                f"fixed edge {eid!r} does not swap its endpoints "
+                f"fixed edge {_shown(eid)} does not swap its endpoints "
                 "(positive-type nodes must be contracted first)"
             )
         mid, first, second = f"{eid}.m", f"{eid}.a", f"{eid}.b"
         if mid in vmap or first in edges or second in edges:
-            raise NotHyperellipticConfigurationError(f"midpoint ids for {eid!r} already taken")
+            raise NotHyperellipticConfigurationError(
+                f"midpoint ids for {_shown(eid)} already taken"
+            )
         half = e.length / 2
         del edges[eid]
         del emap[eid]
@@ -458,7 +460,7 @@ def normalize_fiber(dual: MetrizedGraph, inv: Involution) -> HyperellipticGraph:
         # merging a cycle's vertices one at a time in sorted order leaves a
         # loop at its largest vertex
         raise NotHyperellipticConfigurationError(
-            f"cannot remove vertex {min(cycle_tops)!r}: it carries a loop"
+            f"cannot remove vertex {_shown(min(cycle_tops))}: it carries a loop"
         )
     # iota maps chains to chains and no chain to itself (once the fixed
     # edges are split, no interior point is fixed), so the merged edge named

@@ -69,6 +69,7 @@ from .errors import (
     NotMultilinearError,
     PolarizationShapeError,
     SolverFaultError,
+    _shown,
 )
 from .graph import Divisor
 from .hyperelliptic import HyperellipticGraph, _w_weight, divisor_is_invariant, nu_counts
@@ -375,7 +376,7 @@ def _theorem_shape_check(h: HyperellipticGraph, d: Divisor) -> Fraction:
         _, _, nu = nu_counts(h, v)
         if d.coefficient(v) != nu - 2:
             raise PolarizationShapeError(
-                f"coefficient at non-fixed vertex {v!r} must be nu - 2 = {nu - 2}"
+                f"coefficient at non-fixed vertex {_shown(v)} must be nu - 2 = {nu - 2}"
             )
     deg = d.degree
     if deg == -2:
@@ -448,13 +449,15 @@ def epsilon_closed_form(
         assignment = {c: as_fraction(lengths[c]) for c in h.classes()}
     for cname, value in assignment.items():
         if value <= 0:
-            raise PolarizationShapeError(f"length of class {cname!r} must be positive")
+            raise PolarizationShapeError(f"length of class {_shown(cname)} must be positive")
     deg = _theorem_shape_check(h, d)
     q = Fraction(2, 3) * deg / (deg + 2)
     ratio = ZERO
     for a, conductance in _conductances(h, assignment).items():
         if conductance == 0:
-            raise SolverFaultError(f"the conductance from {a!r} to the fixed vertices vanished")
+            raise SolverFaultError(
+                f"the conductance from {_shown(a)} to the fixed vertices vanished"
+            )
         ratio += (h.graph.valence(a) - 2) / conductance
     total = q * ratio
     for cname, x in assignment.items():

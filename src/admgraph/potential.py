@@ -520,7 +520,7 @@ def _assert_green_values(
             total += p * beta + qx * xu
         for v, off in zip(order, excess):
             if off:
-                raise SolverFaultError(f"flux balance fails at {v!r}")
+                raise SolverFaultError(f"flux balance fails at {_shown(v)}")
         if total:
             raise SolverFaultError("integral of g against mu is nonzero")
 

@@ -100,6 +100,7 @@ from admgraph import (
 )
 from admgraph import cli
 from admgraph.cli import _integer, _Parser
+from admgraph.errors import _shown
 from admgraph.hyperelliptic import is_semisimple_of_size, validate_hyperelliptic
 
 ZERO = Fraction(0)
@@ -629,9 +630,9 @@ def graph_fields(vertices, edges, allow_loops=False):
             eid, ends, length = item
             e = Edge(str(eid), (ends[0], ends[1]), as_fraction(length))
         if e.ends[0] not in vertex_set or e.ends[1] not in vertex_set:
-            raise UnknownIdError(f"edge {e.id!r} references an unknown vertex")
+            raise UnknownIdError(f"edge {_shown(e.id)} references an unknown vertex")
         if e.is_loop() and not allow_loops:
-            raise InvalidGraphError(f"edge {e.id!r} is a self-loop")
+            raise InvalidGraphError(f"edge {_shown(e.id)} is a self-loop")
         normalized.append(e)
     ids = [e.id for e in normalized]
     if len(set(ids)) != len(ids):
@@ -666,9 +667,9 @@ def graph_problems(g):
     problems = []
     for e in g.edges:
         if e.length <= 0:
-            problems.append(f"edge {e.id!r}: nonpositive length {format_rational(e.length)}")
+            problems.append(f"edge {_shown(e.id)}: nonpositive length {format_rational(e.length)}")
         if e.is_loop():
-            problems.append(f"edge {e.id!r}: self-loop at {e.ends[0]!r}")
+            problems.append(f"edge {_shown(e.id)}: self-loop at {_shown(e.ends[0])}")
     if not is_connected(g):
         problems.append("graph is not connected")
     return problems
@@ -682,18 +683,22 @@ def check_involution(g, inv, allow_fixed_edges=False):
         raise InvolutionMalformedError("edge map is not a permutation of the edge set")
     for v in g.vertices:
         if inv.vertex(inv.vertex(v)) != v:
-            raise InvolutionMalformedError(f"vertex map does not square to identity at {v!r}")
+            raise InvolutionMalformedError(f"vertex map does not square to identity at {_shown(v)}")
     for e in g.edges:
         partner_id = inv.edge(e.id)
         if inv.edge(partner_id) != e.id:
-            raise InvolutionMalformedError(f"edge map does not square to identity at {e.id!r}")
+            raise InvolutionMalformedError(
+                f"edge map does not square to identity at {_shown(e.id)}"
+            )
         partner = g.edge(partner_id)
         if {inv.vertex(x) for x in e.ends} != set(partner.ends):
-            raise InvolutionMalformedError(f"edge map incompatible with endpoints at {e.id!r}")
+            raise InvolutionMalformedError(
+                f"edge map incompatible with endpoints at {_shown(e.id)}"
+            )
         if partner.length != e.length:
-            raise InvolutionMalformedError(f"lengths differ within the orbit of {e.id!r}")
+            raise InvolutionMalformedError(f"lengths differ within the orbit of {_shown(e.id)}")
         if not allow_fixed_edges and partner_id == e.id:
-            raise InvolutionMalformedError(f"edge {e.id!r} is fixed by the involution")
+            raise InvolutionMalformedError(f"edge {_shown(e.id)} is fixed by the involution")
 
 
 _KINDS = {0: EdgeKind.DISJOINT, 1: EdgeKind.ONE_JOINTED, 2: EdgeKind.TWO_JOINTED}
@@ -710,15 +715,15 @@ def hyperelliptic_fields(g, inv):
     check_involution(g, inv, allow_fixed_edges=True)
     loops = [e for e in g.edges if e.is_loop()]
     if loops:
-        raise AxiomViolationError(1, f"edge {loops[0].id!r} is not a closed interval")
+        raise AxiomViolationError(1, f"edge {_shown(loops[0].id)} is not a closed interval")
     for e in g.edges:
         if inv.edge(e.id) == e.id:
-            raise AxiomViolationError(2, f"iota fixes edge {e.id!r}")
+            raise AxiomViolationError(2, f"iota fixes edge {_shown(e.id)}")
     fixed = frozenset(v for v in g.vertices if inv.vertex(v) == v)
     nonfixed = frozenset(g.vertices) - fixed
     for v in sorted(nonfixed):
         if valence(g, v) < 3:
-            raise AxiomViolationError(3, f"non-fixed vertex {v!r} has fewer than three edges")
+            raise AxiomViolationError(3, f"non-fixed vertex {_shown(v)} has fewer than three edges")
 
     kinds = {}
     for e in g.edges:
@@ -835,7 +840,7 @@ def node_subtype(cfg: FiberConfiguration, node_id: str) -> int:
     take the smaller arithmetic genus."""
     inv = cfg.require_involution()
     if node_type(cfg, node_id) != 0:
-        raise NotTypeZeroError(f"node {node_id!r} is not of type 0")
+        raise NotTypeZeroError(f"node {_shown(node_id)} is not of type 0")
     partner = inv.edge(node_id)
     if partner == node_id:
         return 0
@@ -843,7 +848,8 @@ def node_subtype(cfg: FiberConfiguration, node_id: str) -> int:
     comps = _components_without(cfg.graph, removed)
     if len(comps) != 2:
         raise UnexpectedComponentCountError(
-            f"removing {node_id!r} and {partner!r} gave {len(comps)} components, expected 2"
+            f"removing {_shown(node_id)} and {_shown(partner)} gave {len(comps)} components, "
+            "expected 2"
         )
     a, b = comps
     return min(_side_genus(cfg, a, removed), _side_genus(cfg, b, removed))
@@ -903,16 +909,18 @@ def normalize_fiber(dual: MetrizedGraph, inv: Involution) -> HyperellipticGraph:
         if e.is_loop():
             if vmap[u] != u:
                 raise NotHyperellipticConfigurationError(
-                    f"fixed loop {eid!r} at a non-fixed vertex"
+                    f"fixed loop {_shown(eid)} at a non-fixed vertex"
                 )
         elif not (vmap[u] == w and vmap[w] == u):
             raise NotHyperellipticConfigurationError(
-                f"fixed edge {eid!r} does not swap its endpoints "
+                f"fixed edge {_shown(eid)} does not swap its endpoints "
                 "(positive-type nodes must be contracted first)"
             )
         mid, first, second = f"{eid}.m", f"{eid}.a", f"{eid}.b"
         if mid in vertices or first in edges or second in edges:
-            raise NotHyperellipticConfigurationError(f"midpoint ids for {eid!r} already taken")
+            raise NotHyperellipticConfigurationError(
+                f"midpoint ids for {_shown(eid)} already taken"
+            )
         half = e.length / 2
         del edges[eid]
         del emap[eid]
@@ -943,14 +951,14 @@ def normalize_fiber(dual: MetrizedGraph, inv: Involution) -> HyperellipticGraph:
         (eid1, keep1), (eid2, keep2) = ends
         if eid1 == eid2:
             raise NotHyperellipticConfigurationError(
-                f"cannot remove vertex {v!r}: it carries a loop"
+                f"cannot remove vertex {_shown(v)}: it carries a loop"
             )
         e1, e2 = edges[eid1], edges[eid2]
         a, b = e1.ends[keep1], e2.ends[keep2]
         if a == v or b == v:
             # chain closing on itself without a surviving vertex
             raise NotHyperellipticConfigurationError(
-                f"removable chain through {v!r} closes into a circle"
+                f"removable chain through {_shown(v)} closes into a circle"
             )
         merged_id = min(eid1, eid2)
         partner1, partner2 = emap.pop(eid1), emap.pop(eid2)

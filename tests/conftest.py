@@ -11,6 +11,13 @@ from fractions import Fraction
 import pytest
 
 import admgraph as ag
+from admgraph.errors import ECHO_LIMIT
+
+
+def shown_id(x):
+    """An id as messages show it: quoted up to ECHO_LIMIT characters, else
+    named by its length."""
+    return repr(x) if len(x) <= ECHO_LIMIT else f"<an id of {len(x)} characters>"
 
 
 def rename(h, prefix):

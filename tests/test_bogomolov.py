@@ -11,6 +11,8 @@ import pytest
 
 import admgraph as ag
 from admgraph.bogomolov import MAX_GENUS
+from admgraph.errors import ECHO_LIMIT
+from conftest import shown_id
 
 F = Fraction
 
@@ -289,6 +291,36 @@ class TestDominance:
         for make in FIBERS:
             cfg = make()
             assert ag.omega_divisor(cfg).degree == 2 * cfg.genus - 2
+
+
+class TestOverlongNodeIds:
+    @pytest.mark.parametrize("length", [ECHO_LIMIT, ECHO_LIMIT + 1, 300])
+    def test_positive_node(self, length):
+        x = "n" * length
+        cfg = fiber(
+            ["Z", "T"],
+            {"Z": 1, "T": 2},
+            [("l1", ("Z", "Z"), 1), (x, ("Z", "T"), 1), ("l2", ("T", "T"), 1)],
+            {"Z": "Z", "T": "T"},
+            {"l1": "l1", x: x, "l2": "l2"},
+        )
+        with pytest.raises(ag.NotTypeZeroError) as info:
+            ag.node_subtype(cfg, x)
+        assert str(info.value) == f"node {shown_id(x)} is not of type 0"
+
+    @pytest.mark.parametrize("length", [ECHO_LIMIT, ECHO_LIMIT + 1, 300])
+    def test_pair_that_does_not_split(self, length):
+        x = "e" * length
+        cfg = fiber(
+            ["A", "B"],
+            {"A": 1, "B": 0},
+            [(x, ("A", "B"), 1), ("f", ("A", "B"), 1), ("m", ("A", "B"), 1)],
+            {"A": "A", "B": "B"},
+            {x: "f", "f": x, "m": "m"},
+        )
+        with pytest.raises(ag.UnexpectedComponentCountError) as info:
+            ag.node_subtype(cfg, x)
+        assert str(info.value) == f"removing {shown_id(x)} and 'f' gave 1 components, expected 2"
 
 
 class TestConfigurationValidation:

@@ -6,9 +6,9 @@ else; no exception escapes.  Every document that parses is a fixed point of
 parse -> serialize -> parse.  Documents are ladder documents with mutations:
 lengths of every kind (ints, floats, zero, negative, 5000 digits), wrong
 types for edges, involution and divisor, duplicate ids and bad edge ends.
-No message repeats an over-long argument, and the parser built for one
-call gives every argv the outcome of the parser with all 13 commands'
-arguments declared (``_oracles.full_parser``).
+No message repeats an over-long argument or document id, and the parser
+built for one call gives every argv the outcome of the parser with all 13
+commands' arguments declared (``_oracles.full_parser``).
 """
 
 import argparse
@@ -33,6 +33,7 @@ from admgraph import cli
 from admgraph.cli import run_command
 from admgraph.documents import document_from, parse_graph_document, serialize_document
 from admgraph.errors import ECHO_LIMIT
+from conftest import shown_id
 
 COMMANDS = (
     "validate",
@@ -315,29 +316,179 @@ def test_overlong_ids_and_arguments_are_named_by_length(doc_path, argv, code, me
 
 # argparse echoes a value glued to an option: bare in "ambiguous option:
 # --x=VALUE could match --xi0, --xi", quoted in "argument -h/--help: ignored
-# explicit argument 'VALUE'"
+# explicit argument 'VALUE'".  Whether -hVALUE is refused (exit 2) or read as
+# -h (help, exit 0; Python 3.13.13) is the running argparse's choice.
 @pytest.mark.parametrize("flag, quoted", [("--x=", False), ("-h", True), ("--help=", True)])
 @pytest.mark.parametrize("length", [1, ECHO_LIMIT, ECHO_LIMIT + 1, 5000])
 def test_overlong_glued_option_values_are_named_by_length(monkeypatch, flag, quoted, length):
     value = "9" * length
     argv = ["bound", flag + value]
-    assert invoke(argv)[0] == 2
-    message = json.loads(assert_contract(argv))["error"]["message"]
+    printed = assert_contract(argv)
+    code = invoke(argv)[0]
     monkeypatch.setattr(cli, "_glued_value_shown", lambda message: message)
-    raw = json.loads(assert_contract(argv))["error"]["message"]
+    raw = assert_contract(argv)
+    assert code == invoke(argv)[0]
+    if length > ECHO_LIMIT:
+        assert value[:ECHO_LIMIT] not in printed
+    if code == 0:
+        assert flag == "-h" and printed == raw and "help" in json.loads(printed)
+        return
+    assert code == 2
+    message = json.loads(printed)["error"]["message"]
+    raw = json.loads(raw)["error"]["message"]
     if length <= ECHO_LIMIT:
         assert message == raw
     else:
         echoed = repr(value) if quoted else value
         assert message == raw.replace(echoed, f"<a value of {length} characters>")
-        assert value[:ECHO_LIMIT] not in message
 
 
 def test_overlong_command_is_named_by_length():
+    # argparse's own message for an unknown command; how it quotes the
+    # choices differs between Python releases
+    reference = argparse.ArgumentParser(prog="admgraph", exit_on_error=False)
+    commands = reference.add_subparsers(dest="command", required=True)
+    for command in COMMANDS:
+        commands.add_parser(command)
+    with pytest.raises(argparse.ArgumentError) as info:
+        reference.parse_args(["nope"])
     short = json.loads(assert_contract(["nope"]))["error"]["message"]
     long = json.loads(assert_contract([DIGITS]))["error"]["message"]
-    assert short.startswith("argument command: invalid choice: 'nope' (choose from 'validate'")
+    assert short == str(info.value)
+    assert short.startswith("argument command: invalid choice: 'nope' (choose from ")
     assert long == short.replace("'nope'", "<a name of 5000 characters>")
+
+
+def edge(eid, u, w, length="1"):
+    return {"id": eid, "ends": [u, w], "length": length}
+
+
+def plain_document(vertices, edges):
+    return {"vertices": [{"id": v} for v in vertices], "edges": edges}
+
+
+def loop_edge_document(x):
+    return plain_document(["v", "w"], [edge(x, "v", "v"), edge("b", "v", "w")])
+
+
+def swap_pair_document(edges, emap, vertices=("O", "Q", "P+", "P-")):
+    """A document whose vertices named O or Q are fixed and whose other two
+    vertices are swapped, with the given edges and edge map."""
+    nonfixed = [v for v in vertices if v not in ("O", "Q")]
+    vmap = {v: v for v in vertices if v in ("O", "Q")}
+    vmap.update({nonfixed[0]: nonfixed[1], nonfixed[1]: nonfixed[0]})
+    doc = plain_document(vertices, edges)
+    doc["involution"] = {"vertices": vmap, "edges": emap}
+    return doc
+
+
+def cyclic_vertex_map_document(x):
+    doc = plain_document([x, "P", "Q"], [edge("a", x, "P"), edge("b", "P", "Q")])
+    doc["involution"] = {"vertices": {x: "P", "P": "Q", "Q": x}, "edges": {"a": "a", "b": "b"}}
+    return doc
+
+
+def ladder_with_vertex(x):
+    """ladder_document(2) with non-fixed vertex P1+ renamed to x, and a
+    divisor of 0 at x and its image, where the closed form needs nu - 2 = 1."""
+    text = json.dumps(BASES[0]).replace('"P1+"', json.dumps(x))
+    doc = json.loads(text)
+    doc["divisor"].update({x: "0", "P1-": "0"})
+    return doc
+
+
+# (command and arguments, document of an id x, message with the id shown as {})
+OVERLONG_ID_MESSAGES = {
+    "loop at a vertex": (
+        ["validate"],
+        lambda x: plain_document([x, "w"], [edge("a", x, x), edge("b", x, "w")]),
+        "edge 'a': self-loop at {}",
+    ),
+    "loop edge": (
+        ["validate"],
+        loop_edge_document,
+        "edge {}: self-loop at 'v'",
+    ),
+    "loop edge of the loop-free constructor": (
+        ["epsilon", "--divisor", "{}"],
+        loop_edge_document,
+        "edge {} is a self-loop",
+    ),
+    "nonpositive length": (
+        ["validate"],
+        lambda x: plain_document(["v", "w"], [edge(x, "v", "w", "0")]),
+        "edge {}: nonpositive length 0",
+    ),
+    "edge map not an involution": (
+        ["validate"],
+        lambda x: swap_pair_document(
+            [edge(x, "O", "P+"), edge("a", "O", "P-"), edge("b", "Q", "P-"), edge("c", "O", "Q")],
+            {x: "a", "a": "b", "b": x, "c": "c"},
+        ),
+        "edge map does not square to identity at {}",
+    ),
+    "edge map breaks endpoints": (
+        ["validate"],
+        lambda x: swap_pair_document(
+            [edge(x, "O", "P+"), edge("a", "Q", "P-"), edge("c", "O", "Q")],
+            {x: "a", "a": x, "c": "c"},
+        ),
+        "edge map incompatible with endpoints at {}",
+    ),
+    "orbit lengths differ": (
+        ["validate"],
+        lambda x: swap_pair_document(
+            [edge(x, "O", "P+"), edge("a", "O", "P-", "2")]
+            + [edge("b", "Q", "P+"), edge("c", "Q", "P-")],
+            {x: "a", "a": x, "b": "c", "c": "b"},
+        ),
+        "lengths differ within the orbit of {}",
+    ),
+    "vertex map not an involution": (
+        ["validate"],
+        cyclic_vertex_map_document,
+        "vertex map does not square to identity at {}",
+    ),
+    "axiom 2": (
+        ["validate"],
+        lambda x: swap_pair_document(
+            [edge("a", "O", "P+"), edge("b", "O", "P-"), edge(x, "P+", "P-")],
+            {"a": "b", "b": "a", x: x},
+            vertices=("O", "P+", "P-"),
+        ),
+        "axiom (2): iota fixes edge {}",
+    ),
+    "axiom 3": (
+        ["validate"],
+        lambda x: swap_pair_document(
+            [edge("a", "O", x), edge("b", "O", "P-")], {"a": "b", "b": "a"}, vertices=("O", x, "P-")
+        ),
+        "axiom (3): non-fixed vertex {} has fewer than three edges",
+    ),
+    "closed-form polarization": (
+        ["epsilon-closed"],
+        ladder_with_vertex,
+        "coefficient at non-fixed vertex {} must be nu - 2 = 1",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERLONG_ID_MESSAGES))
+@pytest.mark.parametrize("length", [ECHO_LIMIT, ECHO_LIMIT + 1, 300])
+def test_overlong_ids_in_graph_messages_are_named_by_length(doc_path, case, length):
+    # "A" sorts before every other id, so the checks meet it first
+    command, document, message = OVERLONG_ID_MESSAGES[case]
+    x = "A" * length
+    doc_path.write_text(json.dumps(document(x)), encoding="utf-8")
+    argv = [command[0], str(doc_path)] + command[1:]
+    payload = json.loads(assert_contract(argv))
+    if "error" in payload:
+        shown = payload["error"]["message"]
+    elif "hyperelliptic" in payload:
+        shown = payload["hyperelliptic"]["problem"]
+    else:
+        (shown,) = payload["problems"]
+    assert shown == message.format(shown_id(x))
 
 
 @pytest.mark.parametrize("argv", [["validate", "BIG"], ["epsilon", "DOC", "--divisor", DIGITS]])
@@ -426,6 +577,29 @@ def test_one_call_declares_the_arguments_of_one_command(monkeypatch, argv, decla
         if any(not isinstance(a, argparse._HelpAction) for a in p._actions)
     ]
     assert with_arguments == ([declared] if declared else [])
+    # a command that is not invoked is a stub with its help line only: no
+    # action at all, not even -h
+    for name, p in sub.choices.items():
+        if name == declared:
+            assert any(isinstance(a, argparse._HelpAction) for a in p._actions), name
+        else:
+            assert p._actions == [], name
+
+
+HELP_AND_USAGE = (
+    [[c, "-h"] for c in COMMANDS]
+    + [[c, "--help"] for c in COMMANDS]
+    + [["-h", c] for c in COMMANDS]
+    + [[c] for c in COMMANDS]
+    + [[], ["-h"], ["nope"]]
+)
+
+
+@pytest.mark.parametrize("argv", HELP_AND_USAGE, ids=lambda argv: " ".join(argv) or "(none)")
+def test_help_and_usage_match_the_full_parser(argv):
+    with mock.patch.object(cli, "_build_parser", lambda command: _oracles.full_parser()):
+        expected = cli._outcome(argv)
+    assert cli._outcome(argv) == expected
 
 
 @pytest.mark.parametrize("command", COMMANDS)

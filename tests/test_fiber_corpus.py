@@ -24,7 +24,9 @@ import admgraph as ag
 from admgraph import bogomolov
 from admgraph.bogomolov import positive_type_nodes
 from admgraph.cli import run_command
+from admgraph.errors import ECHO_LIMIT
 from admgraph.hyperelliptic import normalize_fiber
+from conftest import shown_id
 
 CORPUS_SIZE = 600
 
@@ -319,6 +321,13 @@ class TestMutationsAgreeWithOracles:
                 {"l": "m", "m": "l"},
                 "cannot remove vertex 'a': it carries a loop",
             ),
+            (
+                ["a" * 300, "b"],
+                [("l", ("a" * 300, "a" * 300)), ("m", ("b", "b"))],
+                {"a" * 300: "b", "b": "a" * 300},
+                {"l": "m", "m": "l"},
+                "cannot remove vertex <an id of 300 characters>: it carries a loop",
+            ),
         ],
     )
     def test_removable_cycle_names_its_largest_vertex(self, vertices, edges, vmap, emap, message):
@@ -326,6 +335,40 @@ class TestMutationsAgreeWithOracles:
         outcome = assert_normalization_agrees(graph, ag.Involution(vmap, emap))
         error = (ag.NotHyperellipticConfigurationError, "not-hyperelliptic-configuration", message)
         assert outcome == ("raised", error)
+
+    @pytest.mark.parametrize("length", [ECHO_LIMIT, ECHO_LIMIT + 1])
+    def test_fixed_edges_are_named_by_length(self, length):
+        x = "e" * length
+        # between two fixed vertices
+        graph = ag.MetrizedGraph(["a", "b"], [(x, ("a", "b"), 1)], allow_loops=True)
+        outcome = assert_normalization_agrees(graph, ag.Involution({"a": "a", "b": "b"}, {x: x}))
+        assert outcome[1][2] == (
+            f"fixed edge {shown_id(x)} does not swap its endpoints "
+            "(positive-type nodes must be contracted first)"
+        )
+        # between swapped vertices, with its midpoint's id taken
+        graph = ag.MetrizedGraph(
+            ["a", "b", f"{x}.m"],
+            [(x, ("a", "b"), 1), ("g", ("a", f"{x}.m"), 1), ("h", ("b", f"{x}.m"), 1)],
+            allow_loops=True,
+        )
+        inv = ag.Involution({"a": "b", "b": "a", f"{x}.m": f"{x}.m"}, {x: x, "g": "h", "h": "g"})
+        outcome = assert_normalization_agrees(graph, inv)
+        assert outcome[1][2] == f"midpoint ids for {shown_id(x)} already taken"
+
+    @pytest.mark.parametrize("length", [ECHO_LIMIT, ECHO_LIMIT + 1])
+    def test_dropped_vertices_are_named_by_length(self, length):
+        parts = next(parts for _, parts in _fibers.corpus(50) if parts.chains)
+        c, c_image = _chain_vertex(parts, 0)
+        _chain_genus(parts, 0)
+        _rename_vertex(parts, c, "x" * length)
+        _rename_vertex(parts, c_image, "y" * length)
+        with pytest.raises(ag.NotHyperellipticConfigurationError) as info:
+            bogomolov.normalized_hyperelliptic(parts.configuration())
+        shown = ", ".join(shown_id(v * length) for v in "xy")
+        assert str(info.value) == (
+            f"normalization removed vertices with nonzero polarization: [{shown}]"
+        )
 
     def test_fixed_loop_at_a_swapped_vertex_is_a_malformed_involution(self):
         graph = ag.MetrizedGraph(

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 import _oracles
 import admgraph as ag
 from admgraph import EdgeKind
-from conftest import named_corpus
+from admgraph.errors import ECHO_LIMIT
+from conftest import named_corpus, shown_id
 
 F = Fraction
 
@@ -318,6 +319,27 @@ class TestRestrictionSimplicity:
             d = ag.random_polarization(h, 7)
             for cname in h.classes():
                 ag.w_weight(h, d, cname)  # raises NotSimpleRestriction on failure
+
+
+class TestOverlongIds:
+    @pytest.mark.parametrize("length", [ECHO_LIMIT, ECHO_LIMIT + 1, 300])
+    def test_fixed_vertex_of_nu(self, length):
+        x = "P" * length
+        spec = ag.CoverSpec(vertices=((x, True), ("Q", True)), edges=(("e", x, "Q", Fraction(1)),))
+        with pytest.raises(ag.FixedVertexError) as info:
+            ag.nu_counts(ag.double_cover(spec), x)
+        assert str(info.value) == f"vertex {shown_id(x)} is fixed; nu is defined on non-fixed vertices"
+
+    @pytest.mark.parametrize("length", [ECHO_LIMIT - 1, ECHO_LIMIT, 300])
+    def test_class_length_of_the_closed_form(self, length):
+        spec = ag.CoverSpec(
+            vertices=(("P", True), ("Q", True)), edges=(("e" * length, "P", "Q", Fraction(1)),)
+        )
+        h = ag.double_cover(spec)
+        (cname,) = h.classes()
+        with pytest.raises(ag.PolarizationShapeError) as info:
+            ag.epsilon_closed_form(h, ag.Divisor({}), {cname: 0})
+        assert str(info.value) == f"length of class {shown_id(cname)} must be positive"
 
 
 class TestUnknownIds:
