@@ -44,7 +44,6 @@ from .errors import (
     InvolutionMalformedError,
     MissingInvolutionError,
     NotHyperellipticConfigurationError,
-    NotMultilinearError,
     NotTypeZeroError,
     NotSimpleRestrictionError,
     PolarizationShapeError,
@@ -69,12 +68,8 @@ from .graph import (
     Edge,
     MetrizedGraph,
     ValidationReport,
-    canonical_divisor,
     contract,
-    irreducible_decomposition,
-    one_point_sum,
     push_divisor,
-    restrict,
     subdivide_edge,
     validate_graph,
 )
@@ -82,11 +77,9 @@ from .hyperelliptic import (
     EdgeKind,
     HyperellipticGraph,
     Involution,
-    component_structures,
     contract_classes,
     divisor_is_invariant,
     graph_size,
-    is_simple,
     normalize_fiber,
     nu_counts,
     restrict_classes,

@@ -12,11 +12,23 @@ ECHO_LIMIT = 100
 
 def _shown(value, noun: str = "id") -> str:
     """repr(value) for a message, or, for a string longer than ECHO_LIMIT
-    characters, its length: "<an id of 5000 characters>"."""
+    characters or an integer of more digits, its length: "<an id of 5000
+    characters>", "<an integer of 4000 digits>"."""
     if isinstance(value, str) and len(value) > ECHO_LIMIT:
         article = "an" if noun[0] in "aeiou" else "a"
         return f"<{article} {noun} of {len(value)} characters>"
+    if isinstance(value, int) and abs(value) >= 10**ECHO_LIMIT:
+        return f"<an integer of {_digits(abs(value))} digits>"
     return repr(value)
+
+
+def _digits(n: int) -> int:
+    """The number of decimal digits of n > 0, counted without str(), which
+    refuses integers past sys.get_int_max_str_digits()."""
+    d = int(n.bit_length() * 0.30102999566398120) - 1  # log10(2); never too many
+    while 10**d <= n:
+        d += 1
+    return d
 
 
 def _path_key(key: str) -> str:
@@ -99,10 +111,6 @@ class NotSimpleRestrictionError(AdmGraphError):
 
 class NotHyperellipticConfigurationError(AdmGraphError):
     code = "not-hyperelliptic-configuration"
-
-
-class NotMultilinearError(AdmGraphError):
-    code = "not-multilinear"
 
 
 class PolarizationShapeError(AdmGraphError):

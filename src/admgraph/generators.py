@@ -19,11 +19,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
-from .errors import InvalidGraphError
+from .errors import InvalidGraphError, _shown
 from .graph import Divisor, MetrizedGraph
 from .hyperelliptic import (
     HyperellipticGraph,
     Involution,
+    _class_lengths,
     graph_size,
     nu_counts,
     validate_hyperelliptic,
@@ -77,7 +78,7 @@ class CoverSpec:
         for v, is_fixed in self.vertices:
             if not is_fixed and degree[v] < 3:
                 raise InvalidGraphError(
-                    f"non-fixed quotient vertex {v!r} needs degree >= 3"
+                    f"non-fixed quotient vertex {_shown(v)} needs degree >= 3"
                 )
 
 
@@ -196,13 +197,22 @@ def random_hyperelliptic(seed: int, min_size: int = 1, max_size: int = 5) -> Hyp
     """Seeded random hyperelliptic graph with size in [min_size, max_size].
 
     Same seed, same graph; distinct attempts derive sub-seeds so the draw
-    stays reproducible."""
+    stays reproducible.  A range below 1 or with min_size > max_size holds
+    no graph (every quotient tree has two fixed leaves) and is rejected
+    before drawing."""
+    if max(min_size, 1) > max_size:
+        raise InvalidGraphError(
+            f"the size range [{_shown(min_size)}, {_shown(max_size)}] holds no graph "
+            "(every graph has size at least 1)"
+        )
     for attempt in range(200):
         spec = random_cover_spec(seed * 1000 + attempt)
         h = double_cover(spec)
         if min_size <= graph_size(h) <= max_size:
             return h
-    raise InvalidGraphError(f"no graph within the size bounds after 200 draws (seed {seed})")
+    raise InvalidGraphError(
+        f"no graph within the size bounds after 200 draws (seed {_shown(seed)})"
+    )
 
 
 def random_polarization(h: HyperellipticGraph, seed: int, nonnegative: bool = False) -> Divisor:
@@ -231,8 +241,7 @@ def random_lengths(h: HyperellipticGraph, seed: int) -> Dict[str, Fraction]:
 
 def with_lengths(h: HyperellipticGraph, lengths: Mapping[str, object]) -> HyperellipticGraph:
     """Re-metrize a hyperelliptic graph with new per-class lengths."""
-    new_edges = []
-    for e in h.graph.edges:
-        new_edges.append((e.id, e.ends, as_fraction(lengths[h.class_of[e.id]])))
+    values = _class_lengths(h, lengths)
+    new_edges = [(e.id, e.ends, values[h.class_of[e.id]]) for e in h.graph.edges]
     graph = MetrizedGraph(h.graph.vertices, new_edges)
     return validate_hyperelliptic(graph, h.involution)

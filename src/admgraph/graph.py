@@ -3,9 +3,9 @@
 This is the ambient object of all the potential theory in this package: a
 finite connected multigraph whose edges carry exact rational lengths, viewed
 as a metric space.  Vertex and edge ids are opaque strings; every operation
-is a pure function returning new values, and operations that rename vertices
-(contraction, restriction) return the explicit vertex surjection so divisors
-and involutions can be transported deterministically.
+is a pure function returning new values, and contraction, which renames
+vertices, returns the explicit vertex surjection so divisors and involutions
+can be transported deterministically.
 
 Self-loops are rejected at construction for analytic use.  Contraction may
 create them; such "loop markers" are retained (the result is built with
@@ -16,8 +16,8 @@ Construction checks each edge once.  A graph keeps its vertex set and edge
 index from construction and builds its incidence lists on first use, so
 ``valence`` is O(1) and ``incident_edges`` O(deg v) after one linear pass;
 ``is_connected`` walks them once and keeps the answer.
-Graphs derived inside the package from a checked graph (contractions,
-irreducible blocks, the hyperelliptic quotient) are built without the
+Graphs derived inside the package from a checked graph (contractions and
+the hyperelliptic quotient) are built without the
 checks that hold by construction; input from outside always goes through
 the checking constructor.
 """
@@ -174,20 +174,6 @@ class MetrizedGraph:
     def edge_ids(self) -> Tuple[str, ...]:
         return tuple(e.id for e in self.edges)
 
-    def adjacency(self) -> Dict[str, List[Tuple[str, str]]]:
-        """vertex -> sorted list of (neighbour, edge id); loops appear twice."""
-        adj: Dict[str, List[Tuple[str, str]]] = {v: [] for v in self.vertices}
-        for e in self.edges:
-            u, w = e.ends
-            adj[u].append((w, e.id))
-            if u != w:
-                adj[w].append((u, e.id))
-            else:
-                adj[u].append((w, e.id))
-        for v in adj:
-            adj[v].sort()
-        return adj
-
     def _incident(self) -> Dict[str, List[Edge]]:
         table = self._incidence
         if table is None:
@@ -212,9 +198,6 @@ class MetrizedGraph:
     def loops(self) -> Tuple[Edge, ...]:
         return tuple(e for e in self.edges if e.is_loop())
 
-    def total_length(self) -> Fraction:
-        return sum((e.length for e in self.edges), Fraction(0))
-
     def is_connected(self) -> bool:
         """Walked once per graph; the answer is kept."""
         if self._connected is not None:
@@ -234,11 +217,6 @@ class MetrizedGraph:
         connected = len(seen) == len(self.vertices)
         object.__setattr__(self, "_connected", connected)
         return connected
-
-    def first_betti_number(self) -> int:
-        if not self.is_connected():
-            raise DisconnectedGraphError("Betti number computed for connected graphs only")
-        return len(self.edges) - len(self.vertices) + 1
 
     def require_analytic(self) -> None:
         """Guard for the potential-theory pipeline: connected, positive
@@ -311,12 +289,7 @@ class Divisor:
         return f"Divisor({terms or '0'})"
 
 
-def canonical_divisor(g: MetrizedGraph) -> Divisor:
-    """(valence - 2) at every vertex; degree 2*b1 - 2 on connected graphs."""
-    return Divisor({v: Fraction(g.valence(v) - 2) for v in g.vertices})
-
-
-# -- contraction / restriction ----------------------------------------
+# -- contraction -------------------------------------------------------
 
 
 class _UnionFind:
@@ -366,15 +339,6 @@ def contract(g: MetrizedGraph, edge_ids: Iterable[str]) -> Tuple[MetrizedGraph, 
     return MetrizedGraph._trusted(new_vertices, tuple(new_edges), True), vmap
 
 
-def restrict(g: MetrizedGraph, edge_ids: Iterable[str]) -> Tuple[MetrizedGraph, Dict[str, str]]:
-    """Contract the complement: G^S = G_{Ed(G) \\ S}."""
-    keep = set(edge_ids)
-    for eid in keep:
-        g.edge(eid)
-    complement = [e.id for e in g.edges if e.id not in keep]
-    return contract(g, complement)
-
-
 def push_divisor(d: Divisor, vertex_map: Mapping[str, str]) -> Divisor:
     """Push a divisor through a vertex surjection; the degree is preserved."""
     coeffs: Dict[str, Fraction] = {}
@@ -384,94 +348,6 @@ def push_divisor(d: Divisor, vertex_map: Mapping[str, str]) -> Divisor:
         image = vertex_map[v]
         coeffs[image] = coeffs.get(image, Fraction(0)) + c
     return Divisor(coeffs)
-
-
-def one_point_sum(g1: MetrizedGraph, v1: str, g2: MetrizedGraph, v2: str) -> MetrizedGraph:
-    """Disjoint union with v1 identified to v2 (the join keeps v1's id)."""
-    g1.require_vertex(v1)
-    g2.require_vertex(v2)
-    others2 = [v for v in g2.vertices if v != v2]
-    clash = (set(g1.vertices) & set(others2)) or (set(g1.edge_ids()) & set(g2.edge_ids()))
-    if clash:
-        raise InvalidGraphError(f"one_point_sum requires disjoint ids; shared: {sorted(clash)}")
-    rename = {v2: v1}
-    vertices = list(g1.vertices) + others2
-    edges = list(g1.edges)
-    for e in g2.edges:
-        u, w = (rename.get(x, x) for x in e.ends)
-        edges.append(Edge(e.id, (u, w), e.length))
-    loops = g1.allow_loops or g2.allow_loops
-    return MetrizedGraph(vertices, edges, allow_loops=loops)
-
-
-# -- irreducible decomposition ----------------------------------------
-
-
-def irreducible_decomposition(g: MetrizedGraph) -> List[MetrizedGraph]:
-    """Blocks of the graph: maximal subgraphs without a separating vertex.
-
-    These are the closures of the connected components of G minus its cut
-    vertices; a bridge edge is a block of its own, and the one-point graph
-    decomposes into nothing.  Components are returned in lexicographic order
-    of their smallest vertex id (then vertex tuple, then smallest edge id)
-    so output is deterministic.
-    """
-    if not g.is_connected():
-        raise DisconnectedGraphError("decomposition requires a connected graph")
-
-    blocks: List[List[str]] = [[e.id] for e in g.loops()]
-    adj = g.adjacency()
-    disc: Dict[str, int] = {}
-    low: Dict[str, int] = {}
-    edge_stack: List[str] = []
-    used_edges = set(e.id for e in g.loops())
-    counter = [0]
-
-    def dfs(root: str) -> None:
-        stack = [(root, None, iter(adj[root]))]
-        disc[root] = low[root] = counter[0]
-        counter[0] += 1
-        while stack:
-            v, parent_eid, it = stack[-1]
-            advanced = False
-            for w, eid in it:
-                if eid == parent_eid or eid in used_edges:
-                    continue
-                used_edges.add(eid)
-                edge_stack.append(eid)
-                if w not in disc:
-                    disc[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append((w, eid, iter(adj[w])))
-                    advanced = True
-                    break
-                low[v] = min(low[v], disc[w])
-            if advanced:
-                continue
-            stack.pop()
-            if stack:
-                u, _, _ = stack[-1]
-                low[u] = min(low[u], low[v])
-                if low[v] >= disc[u]:
-                    comp = []
-                    while True:
-                        eid = edge_stack.pop()
-                        comp.append(eid)
-                        if eid == parent_eid:
-                            break
-                    blocks.append(comp)
-
-    if len(g.vertices) > 1 or g.edges:
-        dfs(g.vertices[0])
-
-    result = []
-    for comp in blocks:
-        edges = tuple(g.edge(eid) for eid in comp)
-        verts = tuple(sorted({v for e in edges for v in e.ends}))
-        loops = any(e.is_loop() for e in edges)
-        result.append(MetrizedGraph._trusted(verts, edges, loops))
-    result.sort(key=lambda b: (b.vertices[0], b.vertices, min(b.edge_ids())))
-    return result
 
 
 def subdivide_edge(g: MetrizedGraph, edge_id: str, t: Fraction) -> MetrizedGraph:

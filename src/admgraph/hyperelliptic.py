@@ -53,9 +53,9 @@ from .graph import (
     Edge,
     MetrizedGraph,
     contract,
-    irreducible_decomposition,
     push_divisor,
 )
+from .rationals import as_fraction
 
 
 class Involution:
@@ -180,6 +180,17 @@ class HyperellipticGraph:
         return {c: self.class_length(c) for c in self.classes()}
 
 
+def _class_lengths(h: HyperellipticGraph, lengths: Mapping[str, object]) -> Dict[str, Fraction]:
+    """The given length of every class of h, as a Fraction; raises
+    UnknownIdError at the first class the mapping lacks."""
+    out = {}
+    for c in h.classes():
+        if c not in lengths:
+            raise UnknownIdError(f"no length given for edge class {_shown(c)}")
+        out[c] = as_fraction(lengths[c])
+    return out
+
+
 def validate_hyperelliptic(g: MetrizedGraph, inv: Involution) -> HyperellipticGraph:
     """Check the four axioms and return the graph with derived data.
 
@@ -293,35 +304,6 @@ def is_semisimple_of_size(g: MetrizedGraph, inv: Involution, n: int) -> bool:
         return False
     classes = {class_name(inv, e.id) for e in g.edges}
     return len(classes) == n and len(g.vertices) == n + 1
-
-
-def component_structures(h: HyperellipticGraph) -> List[HyperellipticGraph]:
-    """The irreducible components, each as a validated hyperelliptic graph.
-
-    Components are iota-stable, and a graph is hyperelliptic exactly when
-    all its components are.
-    """
-    inv = h.involution
-    out = []
-    for block in irreducible_decomposition(h.graph):
-        vset, eset = set(block.vertices), set(block.edge_ids())
-        if {inv.vertex(v) for v in vset} != vset or {inv.edge(e) for e in eset} != eset:
-            raise InvolutionMalformedError("irreducible component is not iota-stable")
-        sub = Involution(
-            {v: inv.vertex(v) for v in vset}, {e: inv.edge(e) for e in eset}
-        )
-        out.append(validate_hyperelliptic(block, sub))
-    return out
-
-
-def is_simple(h: HyperellipticGraph) -> bool:
-    """The simple graph SG: one two-jointed pair on two vertices."""
-    return (
-        len(h.graph.edges) == 2
-        and len(h.graph.vertices) == 2
-        and len(h.class_members) == 1
-        and all(k is EdgeKind.TWO_JOINTED for k in h.edge_kinds.values())
-    )
 
 
 def graph_size(h: HyperellipticGraph) -> int:

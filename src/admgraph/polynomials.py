@@ -66,13 +66,18 @@ from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 from .errors import (
     DegreeMinusTwoError,
     EnumerationCapError,
-    NotMultilinearError,
     PolarizationShapeError,
     SolverFaultError,
     _shown,
 )
 from .graph import Divisor
-from .hyperelliptic import HyperellipticGraph, _w_weight, divisor_is_invariant, nu_counts
+from .hyperelliptic import (
+    HyperellipticGraph,
+    _class_lengths,
+    _w_weight,
+    divisor_is_invariant,
+    nu_counts,
+)
 from .rationals import as_fraction
 
 ZERO = Fraction(0)
@@ -140,13 +145,6 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_homogeneous(self, degree: int) -> bool:
-        """Every term has total degree ``degree`` (true of zero)."""
-        return all(sum(e for _, e in mono) == degree for mono in self.terms)
-
-    def is_multilinear(self) -> bool:
-        return all(e == 1 for mono in self.terms for _, e in mono)
-
     def __add__(self, other):
         other = other if isinstance(other, MultiPoly) else MultiPoly.constant(other)
         terms = dict(self.terms)
@@ -205,7 +203,7 @@ class MultiPoly:
             product = coeff
             for var, exp in mono:
                 if var not in values:
-                    raise KeyError(f"no value for variable {var!r}")
+                    raise KeyError(f"no value for variable {_shown(var)}")
                 product *= values[var] ** exp
             total += product
         return total
@@ -215,30 +213,6 @@ class MultiPoly:
         return MultiPoly._trusted(
             {mono: c for mono, c in self.terms.items() if all(v != variable for v, _ in mono)}
         )
-
-    def divide_by_variable(self, variable: str) -> "MultiPoly":
-        """Exact division by one variable; every monomial must contain it."""
-        terms = {}
-        for mono, coeff in self.terms.items():
-            exps = dict(mono)
-            if variable not in exps:
-                raise ValueError(f"not divisible by {variable!r}")
-            exps[variable] -= 1
-            terms[tuple(sorted((v, e) for v, e in exps.items() if e))] = coeff
-        return MultiPoly._trusted(terms)
-
-    def coefficient_of(self, variable: str) -> "MultiPoly":
-        """P with self = X*P + (terms free of X); requires multilinearity in X."""
-        terms = {}
-        for mono, coeff in self.terms.items():
-            exps = dict(mono)
-            if variable not in exps:
-                continue
-            if exps[variable] > 1:
-                raise NotMultilinearError(f"not multilinear in {variable!r}")
-            rest = tuple((v, e) for v, e in mono if v != variable)
-            terms[rest] = coeff
-        return MultiPoly._trusted(terms)
 
 
 class RationalFn:
@@ -261,21 +235,6 @@ class RationalFn:
         if den == 0:
             raise ZeroDivisionError("denominator vanishes at this point")
         return self.numerator.evaluate(assignment) / den
-
-    def substitute_zero(self, variable: str) -> "RationalFn":
-        """Specialize one variable to zero as a limit of functions: common
-        factors of the variable are cancelled first (contracting a simple
-        component divides both parts of epsilon by its class)."""
-        num, den = self.numerator, self.denominator
-        while den.substitute_zero(variable).is_zero():
-            try:
-                num = num.divide_by_variable(variable)
-            except ValueError:
-                raise ZeroDivisionError(
-                    f"the function has a pole at {variable} = 0"
-                ) from None
-            den = den.divide_by_variable(variable)
-        return RationalFn(num.substitute_zero(variable), den.substitute_zero(variable))
 
     def __add__(self, other):
         if not isinstance(other, RationalFn):
@@ -446,7 +405,7 @@ def epsilon_closed_form(
     if lengths is None:
         assignment = {c: h.class_length(c) for c in h.classes()}
     else:
-        assignment = {c: as_fraction(lengths[c]) for c in h.classes()}
+        assignment = _class_lengths(h, lengths)
     for cname, value in assignment.items():
         if value <= 0:
             raise PolarizationShapeError(f"length of class {_shown(cname)} must be positive")

@@ -13,6 +13,14 @@
   size sz(G) (resp. sz(G) + 1), kept when it is semisimple of full size
   (resp. has one non-fixed vertex pair, weighted by its valence - 2).
 
+* The paper's structure that the library's computations do not use: the
+  one-point sum, the irreducible (block) decomposition by a depth-first
+  search for cut vertices, each block as a hyperelliptic component, the
+  simple-graph test, and a rational function specialized at zero once the
+  common factors of the variable are cancelled.  The property tests of
+  one-point sums, blocks, components and specialization at zero call them,
+  and so does the next oracle.
+
 * L and M by elementary symmetric polynomials on irreducible graphs: over
   each subset of the disjoint classes kept, a product over the non-fixed
   vertex pairs of the contracted graph of symmetric polynomials in the
@@ -86,15 +94,14 @@ from admgraph import (
     MultiPoly,
     NotHyperellipticConfigurationError,
     NotTypeZeroError,
+    RationalFn,
     SolverFaultError,
     UnexpectedComponentCountError,
     UnknownIdError,
     as_fraction,
-    component_structures,
     contract_classes,
     format_rational,
     graph_size,
-    is_simple,
     restrict_classes,
     w_weight,
 )
@@ -104,6 +111,156 @@ from admgraph.errors import _shown
 from admgraph.hyperelliptic import is_semisimple_of_size, validate_hyperelliptic
 
 ZERO = Fraction(0)
+
+
+# -- one-point sums, blocks and specialization at zero -----------------
+
+
+def one_point_sum(g1: MetrizedGraph, v1: str, g2: MetrizedGraph, v2: str) -> MetrizedGraph:
+    """Disjoint union with v1 identified to v2 (the join keeps v1's id)."""
+    g1.require_vertex(v1)
+    g2.require_vertex(v2)
+    others2 = [v for v in g2.vertices if v != v2]
+    clash = (set(g1.vertices) & set(others2)) or (set(g1.edge_ids()) & set(g2.edge_ids()))
+    if clash:
+        raise InvalidGraphError(f"one_point_sum requires disjoint ids; shared: {sorted(clash)}")
+    edges = list(g1.edges)
+    for e in g2.edges:
+        u, w = (v1 if x == v2 else x for x in e.ends)
+        edges.append(Edge(e.id, (u, w), e.length))
+    loops = g1.allow_loops or g2.allow_loops
+    return MetrizedGraph(list(g1.vertices) + others2, edges, allow_loops=loops)
+
+
+def _adjacency(g: MetrizedGraph) -> Dict[str, List[tuple]]:
+    """vertex -> sorted list of (neighbour, edge id); loops appear twice."""
+    adj: Dict[str, List[tuple]] = {v: [] for v in g.vertices}
+    for e in g.edges:
+        u, w = e.ends
+        adj[u].append((w, e.id))
+        adj[w].append((u, e.id))
+    for v in adj:
+        adj[v].sort()
+    return adj
+
+
+def irreducible_decomposition(g: MetrizedGraph) -> List[MetrizedGraph]:
+    """Blocks of the graph: maximal subgraphs without a separating vertex.
+
+    These are the closures of the connected components of G minus its cut
+    vertices; a bridge edge is a block of its own, and the one-point graph
+    decomposes into nothing.  Blocks are returned in lexicographic order of
+    their smallest vertex id (then vertex tuple, then smallest edge id).
+    """
+    if not g.is_connected():
+        raise DisconnectedGraphError("decomposition requires a connected graph")
+
+    blocks: List[List[str]] = [[e.id] for e in g.loops()]
+    adj = _adjacency(g)
+    disc: Dict[str, int] = {}
+    low: Dict[str, int] = {}
+    edge_stack: List[str] = []
+    used_edges = {e.id for e in g.loops()}
+    counter = [0]
+
+    def dfs(root: str) -> None:
+        stack = [(root, None, iter(adj[root]))]
+        disc[root] = low[root] = counter[0]
+        counter[0] += 1
+        while stack:
+            v, parent_eid, it = stack[-1]
+            advanced = False
+            for w, eid in it:
+                if eid == parent_eid or eid in used_edges:
+                    continue
+                used_edges.add(eid)
+                edge_stack.append(eid)
+                if w not in disc:
+                    disc[w] = low[w] = counter[0]
+                    counter[0] += 1
+                    stack.append((w, eid, iter(adj[w])))
+                    advanced = True
+                    break
+                low[v] = min(low[v], disc[w])
+            if advanced:
+                continue
+            stack.pop()
+            if stack:
+                u, _, _ = stack[-1]
+                low[u] = min(low[u], low[v])
+                if low[v] >= disc[u]:
+                    comp = []
+                    while True:
+                        eid = edge_stack.pop()
+                        comp.append(eid)
+                        if eid == parent_eid:
+                            break
+                    blocks.append(comp)
+
+    if len(g.vertices) > 1 or g.edges:
+        dfs(g.vertices[0])
+
+    result = []
+    for comp in blocks:
+        edges = [g.edge(eid) for eid in comp]
+        verts = {v for e in edges for v in e.ends}
+        loops = any(e.is_loop() for e in edges)
+        result.append(MetrizedGraph(verts, edges, allow_loops=loops))
+    result.sort(key=lambda b: (b.vertices[0], b.vertices, min(b.edge_ids())))
+    return result
+
+
+def component_structures(h: HyperellipticGraph) -> List[HyperellipticGraph]:
+    """The irreducible components, each as a validated hyperelliptic graph.
+
+    Components are iota-stable, and a graph is hyperelliptic exactly when
+    all its components are.
+    """
+    inv = h.involution
+    out = []
+    for block in irreducible_decomposition(h.graph):
+        vset, eset = set(block.vertices), set(block.edge_ids())
+        if {inv.vertex(v) for v in vset} != vset or {inv.edge(e) for e in eset} != eset:
+            raise InvolutionMalformedError("irreducible component is not iota-stable")
+        sub = Involution({v: inv.vertex(v) for v in vset}, {e: inv.edge(e) for e in eset})
+        out.append(validate_hyperelliptic(block, sub))
+    return out
+
+
+def is_simple(h: HyperellipticGraph) -> bool:
+    """The simple graph SG: one two-jointed pair on two vertices."""
+    return (
+        len(h.graph.edges) == 2
+        and len(h.graph.vertices) == 2
+        and len(h.class_members) == 1
+        and all(k is EdgeKind.TWO_JOINTED for k in h.edge_kinds.values())
+    )
+
+
+def _divide_by_variable(p: MultiPoly, variable: str) -> MultiPoly:
+    """Exact division by one variable; every monomial must contain it."""
+    terms = {}
+    for mono, coeff in p.terms.items():
+        exps = dict(mono)
+        if variable not in exps:
+            raise ValueError(f"not divisible by {variable!r}")
+        exps[variable] -= 1
+        terms[tuple((v, e) for v, e in exps.items() if e)] = coeff
+    return MultiPoly(terms)
+
+
+def substitute_zero(fn: RationalFn, variable: str) -> RationalFn:
+    """Specialize one variable of a rational function to zero as a limit:
+    common factors of the variable are cancelled first (contracting a
+    simple component divides both parts of epsilon by its class)."""
+    num, den = fn.numerator, fn.denominator
+    while den.substitute_zero(variable).is_zero():
+        try:
+            num = _divide_by_variable(num, variable)
+        except ValueError:
+            raise ZeroDivisionError(f"the function has a pole at {variable} = 0") from None
+        den = _divide_by_variable(den, variable)
+    return RationalFn(num.substitute_zero(variable), den.substitute_zero(variable))
 
 
 def _spanning_weight(vertices, edges, subset, forbidden_pair=None):
@@ -779,7 +936,7 @@ def check_cover_spec(spec):
     for v, is_fixed in spec.vertices:
         degree = sum((u == v) + (w == v) for _, u, w, _ in spec.edges)
         if not is_fixed and degree < 3:
-            raise InvalidGraphError(f"non-fixed quotient vertex {v!r} needs degree >= 3")
+            raise InvalidGraphError(f"non-fixed quotient vertex {_shown(v)} needs degree >= 3")
 
 
 # -- the fiber pipeline, one query at a time ------------------------------

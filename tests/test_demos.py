@@ -1,4 +1,4 @@
-"""Every demo script runs to completion.
+"""Every demo script runs to completion, with every warning an error.
 
 The demos assert their own results (closed form == solver, the two L/M
 strategies agree), so a demo that exits non-zero is a failing check, not
@@ -27,6 +27,10 @@ def test_demo_runs(demo):
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
     result = subprocess.run(
-        [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True
+        [sys.executable, "-W", "error", str(demo)],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
     )
     assert result.returncode == 0, result.stderr

@@ -4,6 +4,7 @@ import contextlib
 import dataclasses
 import hashlib
 import io
+import json
 from fractions import Fraction
 
 import pytest
@@ -14,14 +15,16 @@ import _oracles
 import admgraph as ag
 import admgraph.cli
 from admgraph import EdgeKind
+from admgraph.errors import ECHO_LIMIT
 from admgraph.generators import random_cover_spec
+from conftest import shown_id
 
 
 class TestDoubleCover:
     def test_single_fixed_edge_gives_sg(self):
         spec = ag.CoverSpec(vertices=(("a", True), ("b", True)), edges=(("e", "a", "b", Fraction(1)),))
         h = ag.double_cover(spec)
-        assert ag.is_simple(h)
+        assert _oracles.is_simple(h)
 
     def test_star_gives_elementary(self):
         spec = ag.CoverSpec(
@@ -42,6 +45,14 @@ class TestDoubleCover:
         )
         with pytest.raises(ag.InvalidGraphError):
             ag.double_cover(spec)
+
+    @pytest.mark.parametrize("length", [ECHO_LIMIT, ECHO_LIMIT + 1, 300])
+    def test_low_degree_message_names_an_overlong_vertex_by_length(self, length):
+        v = "q" * length
+        spec = ag.CoverSpec(vertices=((v, False), ("b", True)), edges=(("e", v, "b", Fraction(1)),))
+        message = f"non-fixed quotient vertex {shown_id(v)} needs degree >= 3"
+        assert _outcome(spec.validate) == ("raised", (ag.InvalidGraphError, message))
+        assert _outcome(_oracles.check_cover_spec, spec) == _outcome(spec.validate)
 
     def test_both_attachments_appear(self):
         # two adjacent non-fixed vertices: the crossed/straight coin flip
@@ -80,6 +91,43 @@ class TestDoubleCover:
             kinds.update(h.edge_kinds.values())
         assert sizes == {1, 2, 3, 4, 5}
         assert kinds == {EdgeKind.DISJOINT, EdgeKind.ONE_JOINTED, EdgeKind.TWO_JOINTED}
+
+
+class TestSizeRange:
+    @pytest.mark.parametrize(
+        "bounds, shown",
+        [
+            (["--min-size", "5", "--max-size", "1"], "[5, 1]"),
+            (["--max-size", "0"], "[1, 0]"),
+            (["--min-size", "0", "--max-size", "0"], "[0, 0]"),
+            (["--min-size", "-3", "--max-size", "-1"], "[-3, -1]"),
+        ],
+    )
+    def test_empty_range_fails_before_drawing(self, capsys, monkeypatch, bounds, shown):
+        def no_draw(*args):
+            raise AssertionError("a cover was drawn for an empty size range")
+
+        monkeypatch.setattr(ag.generators, "random_cover_spec", no_draw)
+        assert admgraph.cli.run_command(["gen", "--seed", "1", *bounds]) == 1
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error == {
+            "code": "invalid-graph",
+            "message": f"the size range {shown} holds no graph (every graph has size at least 1)",
+        }
+
+    def test_overlong_integers_are_named_by_digits(self, capsys):
+        long = "9" * 4000
+        for argv, shown in [
+            (["--seed", "1", "--min-size", long], "[<an integer of 4000 digits>, 5]"),
+            (["--seed", long, "--min-size", "7", "--max-size", "9"], "(seed <an integer of 4000 digits>)"),
+        ]:
+            assert admgraph.cli.run_command(["gen", *argv]) == 1
+            printed = capsys.readouterr().out
+            assert shown in json.loads(printed)["error"]["message"]
+            assert "9" * ECHO_LIMIT not in printed
+
+    def test_smallest_range_draws(self):
+        assert ag.graph_size(ag.random_hyperelliptic(1, min_size=1, max_size=1)) == 1
 
 
 class TestDeterminism:
@@ -121,6 +169,23 @@ class TestWithLengths:
         assert h2.graph.edge_ids() == h.graph.edge_ids()
         for cname, value in lengths.items():
             assert h2.class_length(cname) == value
+
+    def test_missing_class_is_an_unknown_id(self):
+        h = ag.ladder_graph(3)
+        with pytest.raises(ag.UnknownIdError) as info:
+            ag.with_lengths(h, {h.classes()[0]: 1})
+        assert str(info.value) == "no length given for edge class 'e1+'"
+
+    @pytest.mark.parametrize("length", [ECHO_LIMIT - 1, ECHO_LIMIT, 300])
+    def test_missing_class_is_named_by_length(self, length):
+        spec = ag.CoverSpec(
+            vertices=(("P", True), ("Q", True)), edges=(("e" * length, "P", "Q", Fraction(1)),)
+        )
+        h = ag.double_cover(spec)
+        (cname,) = h.classes()
+        with pytest.raises(ag.UnknownIdError) as info:
+            ag.with_lengths(h, {})
+        assert str(info.value) == f"no length given for edge class {shown_id(cname)}"
 
 
 def _outcome(fn, *args):
