@@ -201,14 +201,13 @@ class InvariantCounts:
             raise InvalidCountsError(f"delta must have entries for i = 1 .. {genus // 2}")
         if any(x < 0 for x in xi) or any(x < 0 for x in delta):
             raise InvalidCountsError("counts are nonnegative")
-        if delta0 is not None:
-            delta0 = int(delta0)
-            if delta0 != xi[0] + 2 * sum(xi[1:]):
-                raise InvalidCountsError("delta0 must equal xi0 + 2 * sum_{j>=1} xi_j")
+        implied = xi[0] + 2 * sum(xi[1:])
+        if delta0 is not None and int(delta0) != implied:
+            raise InvalidCountsError("delta0 must equal xi0 + 2 * sum_{j>=1} xi_j")
         object.__setattr__(self, "genus", genus)
         object.__setattr__(self, "xi", xi)
         object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "delta0", delta0)
+        object.__setattr__(self, "delta0", implied)
 
     def __setattr__(self, name, value):
         raise AttributeError("InvariantCounts is immutable")
@@ -231,8 +230,7 @@ class InvariantCounts:
             raise InvalidCountsError(f"delta indices must lie in [1, {imax}]")
         xvec = [xi.get(j, 0) for j in range(jmax + 1)]
         dvec = [delta.get(i, 0) for i in range(1, imax + 1)]
-        delta0 = xvec[0] + 2 * sum(xvec[1:])
-        return cls(genus, xvec, dvec, delta0)
+        return cls(genus, xvec, dvec)
 
     def xi_j(self, j: int) -> int:
         return self.xi[j]

@@ -269,8 +269,7 @@ def document_object(doc: GraphDocument) -> Dict[str, object]:
 def serialize_polynomial(p: MultiPoly) -> List[Dict[str, object]]:
     """Sorted term list: {"monomial": [class ids], "coefficient": "p/q"};
     monomials in graded-lexicographic order, powers written by repetition."""
-    out = []
-    for mono, coeff in p.sorted_terms():
-        names = [v for v, e in mono for _ in range(e)]
-        out.append({"monomial": names, "coefficient": format_rational(coeff)})
-    return out
+    return [
+        {"monomial": list(mono), "coefficient": format_rational(coeff)}
+        for mono, coeff in p.sorted_terms()
+    ]

@@ -44,6 +44,9 @@ _LENGTH_CHOICES = (
 
 _COEFF_CHOICES = (Fraction(-1), Fraction(0), Fraction(1), Fraction(2), Fraction(3))
 
+# random_cover_spec's default bound on the quotient tree's vertices
+_MAX_QUOTIENT_VERTICES = 7
+
 
 @dataclass(frozen=True)
 class CoverSpec:
@@ -148,13 +151,13 @@ def elementary_graph(n: int, lengths: Optional[Sequence] = None) -> Hyperellipti
     return double_cover(CoverSpec(vertices=vertices, edges=edges))
 
 
-def ladder_graph(n: int, length=1) -> HyperellipticGraph:
+def ladder_graph(n: int) -> HyperellipticGraph:
     """Two mirrored rails of non-fixed vertices P1..Pn with disjoint rungs
     between consecutive Pi, anchored through fixed vertices: O at P1, one Q
-    at each middle Pi, and two at Pn."""
+    at each middle Pi, and two at Pn.  Every edge has unit length."""
     if n < 2:
         raise InvalidGraphError("the ladder needs at least two rail vertices")
-    length = as_fraction(length)
+    length = Fraction(1)
     vertices = [("O", True)] + [(f"P{i}", False) for i in range(1, n + 1)]
     edges = [("e0", "O", "P1", length)]
     for i in range(1, n):
@@ -173,7 +176,7 @@ def ladder_graph(n: int, length=1) -> HyperellipticGraph:
 # -- random draws ------------------------------------------------------
 
 
-def random_cover_spec(seed: int, max_vertices: int = 7) -> CoverSpec:
+def random_cover_spec(seed: int, max_vertices: int = _MAX_QUOTIENT_VERTICES) -> CoverSpec:
     """A random labeled quotient tree; deterministic in the seed."""
     rng = random.Random(("cover", seed).__repr__())
     n = rng.randint(2, max_vertices)
@@ -198,12 +201,19 @@ def random_hyperelliptic(seed: int, min_size: int = 1, max_size: int = 5) -> Hyp
 
     Same seed, same graph; distinct attempts derive sub-seeds so the draw
     stays reproducible.  A range below 1 or with min_size > max_size holds
-    no graph (every quotient tree has two fixed leaves) and is rejected
-    before drawing."""
+    no graph (every quotient tree has two fixed leaves), and one above the
+    size cap no drawn graph (a quotient tree with F fixed vertices gives
+    size F - 1); both are rejected before drawing."""
     if max(min_size, 1) > max_size:
         raise InvalidGraphError(
             f"the size range [{_shown(min_size)}, {_shown(max_size)}] holds no graph "
             "(every graph has size at least 1)"
+        )
+    cap = _MAX_QUOTIENT_VERTICES - 1
+    if min_size > cap:
+        raise InvalidGraphError(
+            f"the size range [{_shown(min_size)}, {_shown(max_size)}] holds no generated "
+            f"graph (generated graphs have size at most {cap})"
         )
     for attempt in range(200):
         spec = random_cover_spec(seed * 1000 + attempt)

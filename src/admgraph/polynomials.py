@@ -1,5 +1,10 @@
 """Sparse multivariate polynomials in edge-class lengths; L and M.
 
+A polynomial maps each monomial to a nonzero Fraction.  A monomial is the
+sorted tuple of its variable names, a power written by repetition: x^2 y is
+("x", "x", "y"), the "monomial" list of a serialized term.  A product of two
+monomials is their concatenation, sorted.
+
 For a hyperelliptic graph of size n, two homogeneous multilinear polynomials
 in the edge-class indeterminates govern the admissible constant:
 
@@ -60,6 +65,7 @@ past it.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
@@ -88,21 +94,11 @@ ONE = Fraction(1)
 # M (221016 trees) fits; ladder12's M (632916) does not.
 MAX_TREES = 1 << 18
 
-Monomial = Tuple[Tuple[str, int], ...]
-
-
-def _monomial(vars_with_exp: Iterable[Tuple[str, int]]) -> Monomial:
-    acc: Dict[str, int] = {}
-    for var, exp in vars_with_exp:
-        if exp:
-            acc[var] = acc.get(var, 0) + exp
-    return tuple(sorted(acc.items()))
+Monomial = Tuple[str, ...]
 
 
 def _grlex_key(mono: Monomial):
-    degree = sum(exp for _, exp in mono)
-    expanded = tuple(var for var, exp in mono for _ in range(exp))
-    return (degree, expanded)
+    return (len(mono), mono)
 
 
 class MultiPoly:
@@ -114,9 +110,11 @@ class MultiPoly:
     def __init__(self, terms: Mapping[Monomial, object] | None = None):
         clean: Dict[Monomial, Fraction] = {}
         for mono, coeff in (terms or {}).items():
+            if not all(isinstance(var, str) for var in mono):
+                raise TypeError("a monomial is a tuple of variable names (str)")
             coeff = as_fraction(coeff)
             if coeff != 0:
-                clean[_monomial(mono)] = coeff
+                clean[tuple(sorted(mono))] = coeff
         object.__setattr__(self, "terms", clean)
 
     @classmethod
@@ -136,11 +134,11 @@ class MultiPoly:
 
     @staticmethod
     def variable(name: str) -> "MultiPoly":
-        return MultiPoly({((name, 1),): 1})
+        return MultiPoly({(name,): 1})
 
     @staticmethod
     def monomial(variables: Iterable[str], coeff=1) -> "MultiPoly":
-        return MultiPoly({tuple((v, 1) for v in variables): coeff})
+        return MultiPoly({tuple(variables): coeff})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -171,7 +169,7 @@ class MultiPoly:
         terms: Dict[Monomial, Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                mono = _monomial(m1 + m2)
+                mono = tuple(sorted(m1 + m2))
                 terms[mono] = terms.get(mono, ZERO) + c1 * c2
         return MultiPoly._trusted(terms)
 
@@ -189,7 +187,7 @@ class MultiPoly:
             return "MultiPoly(0)"
         parts = []
         for mono, coeff in self.sorted_terms():
-            factors = "*".join(v if e == 1 else f"{v}^{e}" for v, e in mono)
+            factors = "*".join(v if n == 1 else f"{v}^{n}" for v, n in Counter(mono).items())
             parts.append(f"{coeff}" + (f"*{factors}" if factors else ""))
         return "MultiPoly(" + " + ".join(parts) + ")"
 
@@ -201,17 +199,17 @@ class MultiPoly:
         total = ZERO
         for mono, coeff in self.terms.items():
             product = coeff
-            for var, exp in mono:
+            for var in mono:
                 if var not in values:
                     raise KeyError(f"no value for variable {_shown(var)}")
-                product *= values[var] ** exp
+                product *= values[var]
             total += product
         return total
 
     def substitute_zero(self, variable: str) -> "MultiPoly":
         """Set one variable to zero: drop every monomial containing it."""
         return MultiPoly._trusted(
-            {mono: c for mono, c in self.terms.items() if all(v != variable for v, _ in mono)}
+            {mono: c for mono, c in self.terms.items() if variable not in mono}
         )
 
 
@@ -235,14 +233,6 @@ class RationalFn:
         if den == 0:
             raise ZeroDivisionError("denominator vanishes at this point")
         return self.numerator.evaluate(assignment) / den
-
-    def __add__(self, other):
-        if not isinstance(other, RationalFn):
-            other = RationalFn(MultiPoly.constant(other), MultiPoly.constant(1))
-        return RationalFn(
-            self.numerator * other.denominator + other.numerator * self.denominator,
-            self.denominator * other.denominator,
-        )
 
     def __eq__(self, other):
         if not isinstance(other, RationalFn):
@@ -289,7 +279,7 @@ def _cuts(
         rx, ux, ry, uy = rooted[p], loose[p], rooted.pop(v), loose.pop(v)
         # the class cut under a rooted piece, kept under a loose one: the
         # parent's piece gains no root (keeping it under a rooted one does)
-        settled = [b + ((c, 1),) for b in ry] + uy
+        settled = [b + (c,) for b in ry] + uy
         if (len(rx) + len(ux)) * len(settled) + len(ux) * len(ry) > budget:
             raise EnumerationCapError(
                 f"more than {MAX_TREES} spanning trees to list; "
@@ -351,11 +341,11 @@ def epsilon_rational_fn(h: HyperellipticGraph, d: Divisor) -> RationalFn:
     mpoly = m_polynomial(h)
     if lpoly.is_zero():
         raise SolverFaultError("L vanished on a valid hyperelliptic graph")
-    linear = MultiPoly()
+    terms: Dict[Monomial, Fraction] = {}
     for cname in h.classes():
         w = _w_weight(h, d, cname)
-        coeff = q + w * (deg - w) / (deg + 2)
-        linear = linear + MultiPoly.monomial([cname], coeff)
+        terms[(cname,)] = q + w * (deg - w) / (deg + 2)
+    linear = MultiPoly._trusted(terms)
     return RationalFn(linear * lpoly + MultiPoly.constant(q) * mpoly, lpoly)
 
 

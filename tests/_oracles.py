@@ -241,11 +241,10 @@ def _divide_by_variable(p: MultiPoly, variable: str) -> MultiPoly:
     """Exact division by one variable; every monomial must contain it."""
     terms = {}
     for mono, coeff in p.terms.items():
-        exps = dict(mono)
-        if variable not in exps:
+        if variable not in mono:
             raise ValueError(f"not divisible by {variable!r}")
-        exps[variable] -= 1
-        terms[tuple((v, e) for v, e in exps.items() if e)] = coeff
+        k = mono.index(variable)
+        terms[mono[:k] + mono[k + 1 :]] = coeff
     return MultiPoly(terms)
 
 
@@ -316,8 +315,7 @@ def kirchhoff_polynomial(vertices, edges):
     for subset in combinations(unit, len(vertices) - 1):
         if _spanning_weight(vertices, unit, subset):
             inside = {k for k, _, _ in subset}
-            outside = Counter(var for k, (_, var) in enumerate(edges) if k not in inside)
-            terms[tuple(sorted(outside.items()))] += 1
+            terms[tuple(sorted(var for k, (_, var) in enumerate(edges) if k not in inside))] += 1
     return MultiPoly(terms)
 
 
@@ -327,7 +325,7 @@ def l_by_definition(h):
     for subset in combinations(h.classes(), n):
         restricted, rinv, _ = restrict_classes(h, subset)
         if is_semisimple_of_size(restricted, rinv, n):
-            terms[tuple((c, 1) for c in subset)] = 1
+            terms[subset] = 1
     return MultiPoly(terms)
 
 
@@ -338,14 +336,14 @@ def m_by_definition(h):
         restricted, rinv, _ = restrict_classes(h, subset)
         nonfixed = {min(v, rinv.vertex(v)) for v in restricted.vertices if rinv.vertex(v) != v}
         if len(nonfixed) == 1:
-            terms[tuple((c, 1) for c in subset)] = restricted.valence(min(nonfixed)) - 2
+            terms[subset] = restricted.valence(min(nonfixed)) - 2
     return MultiPoly(terms)
 
 
 def _elementary_symmetric(variables, k):
     if k < 0:
         return MultiPoly()
-    return MultiPoly({tuple((v, 1) for v in subset): 1 for subset in combinations(sorted(variables), k)})
+    return MultiPoly({subset: 1 for subset in combinations(sorted(variables), k)})
 
 
 def _symmetric_data(h, kept_disjoint):
@@ -478,7 +476,7 @@ def _cotrees(h, merge=()):
     edges = []
     for c in classes:
         a, b = h.graph.edge(h.class_members[c][1]).ends
-        edges.append((part[index[a]], part[index[b]], ((c, 1),)))
+        edges.append((part[index[a]], part[index[b]], (c,)))
     out = []
 
     def grow(i, label, parts, outside):

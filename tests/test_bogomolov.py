@@ -169,6 +169,11 @@ class TestCounts:
             counts = ag.count_invariants(make())
             assert counts.delta0 == counts.xi_j(0) + 2 * sum(counts.xi[1:])
 
+    def test_delta0_follows_from_xi_when_not_given(self):
+        counts = ag.InvariantCounts(3, (1, 0), (0,))
+        assert counts.delta0 == ag.InvariantCounts.from_maps(3, {0: 1}, {}).delta0 == 1
+        assert ag.InvariantCounts(5, (1, 2, 0), (0, 0)).delta0 == 5
+
     def test_smooth_fiber_has_no_nodes(self):
         cfg = fiber(["v"], {"v": 2}, [], {"v": "v"}, {})
         counts = ag.count_invariants(cfg)

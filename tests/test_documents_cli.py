@@ -1,5 +1,6 @@
 """Document schema, canonical serialization, and the CLI surface."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -160,6 +161,40 @@ class TestSerialize:
             {"monomial": ["e1+", "e3+"], "coefficient": "1"},
             {"monomial": ["e2+", "e3+"], "coefficient": "1"},
         ]
+
+    # sha256 of json.dumps(serialize_polynomial(...)) on the ladders: pins the
+    # order, spelling and coefficients of every term, not only their count
+    LADDER_L = {
+        2: "2b600777cb249810fcad71a24392e5efa9d412634a0fbcd61e47086130b43e97",
+        3: "72c7979c64b9d8218fedaf387f50f0c89b5f582f28579f7f848a3bb1d532d503",
+        4: "40210eea1358c9e14d8c025f40d159b03e127d5639d4447f2fa9c3a8da4541a8",
+        5: "c7c932562594ad57842f4545a97aeb077b60aa25a074ad9568172d153ffd1515",
+        6: "214efda69123df7860cc4502e3f712163a59d9260818c25d47af903fc85d2e37",
+        7: "290775abd029a499e2e4b659286cfaade9b59d1c2c532f46e7f5a3a0072988cd",
+        8: "27c465e5173423059bc929f9a2d7701982706bb71e1c00c81107908c5aab2112",
+        9: "3c647e7ea014aaf894857905d590f0037bf833053462df9d5ff264b9ff86f689",
+        10: "7c7ba6e3b0f8904f3f2964a20b973cb24f58c1a26418ed5d45038d270a0c4048",
+    }
+    LADDER_M = {
+        2: "6268998de2f0e264ecde48708127fda7426b6691181ffab3720b71882efbf5c6",
+        3: "333d74693cc362b400e8399a9b3191b7300240d2b2be963bb8578a2600f13e25",
+        4: "210adb3f8475fc372b36bebbb5c7d3d1b5434d0b99a707f6297fe2f04ac23db2",
+        5: "49225909b132913a57b1c8966345e1563142806563609deafb2eff00c2a96cf5",
+        6: "f83ee486a72ad2703db0f503998c631d87f8cd2fcd2fe1d50d74f9215bfb7912",
+        7: "749e7f1a66fc51f08c9d397e9b3333d94e8f3fcf2cfe4e8556bc79d84b23ad61",
+        8: "9a76c23d65a748b450ec9eeac19db582349a54733a274d8e6a5de5d619111f54",
+        9: "01a72245b9e4a66af20416e72417a73a05765b4363414f9f758797b5b099082b",
+    }
+
+    @pytest.mark.parametrize(
+        "symbolic, n",
+        [("l_polynomial", n) for n in LADDER_L] + [("m_polynomial", n) for n in LADDER_M],
+    )
+    def test_ladder_polynomials_byte_identical(self, symbolic, n):
+        poly = getattr(ag, symbolic)(ag.ladder_graph(n))
+        text = json.dumps(serialize_polynomial(poly))
+        expected = (self.LADDER_L if symbolic == "l_polynomial" else self.LADDER_M)[n]
+        assert hashlib.sha256(text.encode()).hexdigest() == expected
 
 
 @pytest.fixture()

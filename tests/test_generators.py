@@ -115,16 +115,38 @@ class TestSizeRange:
             "message": f"the size range {shown} holds no graph (every graph has size at least 1)",
         }
 
-    def test_overlong_integers_are_named_by_digits(self, capsys):
+    def test_range_above_the_generator_cap_fails_before_drawing(self, capsys, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("a cover was drawn for a range no draw can reach")
+
+        monkeypatch.setattr(ag.generators, "random_cover_spec", no_draw)
+        assert admgraph.cli.run_command(["gen", "--seed", "1", "--min-size", "7", "--max-size", "9"]) == 1
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error == {
+            "code": "invalid-graph",
+            "message": "the size range [7, 9] holds no generated graph "
+            "(generated graphs have size at most 6)",
+        }
+
+    def test_range_reaching_the_cap_draws(self):
+        assert ag.graph_size(ag.random_hyperelliptic(1, min_size=6, max_size=9)) == 6
+
+    def test_overlong_integers_are_named_by_digits(self, capsys, monkeypatch):
         long = "9" * 4000
         for argv, shown in [
             (["--seed", "1", "--min-size", long], "[<an integer of 4000 digits>, 5]"),
-            (["--seed", long, "--min-size", "7", "--max-size", "9"], "(seed <an integer of 4000 digits>)"),
+            (["--seed", "1", "--min-size", "7", "--max-size", long], "[7, <an integer of 4000 digits>]"),
         ]:
             assert admgraph.cli.run_command(["gen", *argv]) == 1
             printed = capsys.readouterr().out
             assert shown in json.loads(printed)["error"]["message"]
             assert "9" * ECHO_LIMIT not in printed
+        # no draw fits, so all 200 are made and the failure names the seed
+        monkeypatch.setattr(ag.generators, "graph_size", lambda h: 0)
+        assert admgraph.cli.run_command(["gen", "--seed", long]) == 1
+        printed = capsys.readouterr().out
+        assert "(seed <an integer of 4000 digits>)" in json.loads(printed)["error"]["message"]
+        assert "9" * ECHO_LIMIT not in printed
 
     def test_smallest_range_draws(self):
         assert ag.graph_size(ag.random_hyperelliptic(1, min_size=1, max_size=1)) == 1
