@@ -11,7 +11,11 @@ rational-string lengths, and optionally an involution and a divisor:
     }
 
 Parsing validates referential integrity and rational literals, collecting
-all problems with their JSON paths.  Serialization is canonical (sorted
+all problems with their JSON paths, in one pass over the items: a path is
+written only for a problem, and each distinct literal is parsed once per
+document, so the two edges of a class share one Fraction.  Bytes that are
+not UTF-8 and nesting past the JSON reader's recursion are problems at
+``$`` like malformed JSON.  Serialization is canonical (sorted
 ids, fixed key order, two-space indent, trailing newline) so that
 serialize(parse(doc)) is byte-identical for canonically formatted input.
 All numbers travel as exact rational strings; no floats anywhere.
@@ -65,26 +69,37 @@ class GraphDocument:
         )
 
 
-def _parse_rational_at(value, path, problems) -> Fraction:
+_DOCUMENT_KEYS = frozenset({"vertices", "edges", "involution", "divisor"})
+_VERTEX_KEYS = frozenset({"id", "genus"})
+_EDGE_KEYS = frozenset({"id", "ends", "length"})
+_INVOLUTION_KEYS = frozenset({"vertices", "edges"})
+_NOT_A_STRING = "rational values must be strings like \"3/2\""
+
+
+def _rational(value, literals: Dict[str, Fraction]):
+    """The Fraction of a rational literal, parsed once per document through
+    ``literals``; the problem's message (a str) if value is not one."""
     if not isinstance(value, str):
-        problems.append((path, "rational values must be strings like \"3/2\""))
-        return Fraction(0)
-    try:
-        return parse_rational(value)
-    except ValueError as exc:
-        problems.append((path, str(exc)))
-        return Fraction(0)
+        return _NOT_A_STRING
+    fraction = literals.get(value)
+    if fraction is None:
+        try:
+            fraction = literals[value] = parse_rational(value)
+        except ValueError as exc:
+            return str(exc)
+    return fraction
 
 
-def _check_keys(item, known, path, problems) -> None:
-    extra = set(item) - known
-    if extra:
-        problems.append((path, f"unknown keys [{', '.join(_shown(k) for k in sorted(extra))}]"))
+def _unknown_keys(item, known, path, problems) -> None:
+    extra = sorted(item.keys() - known)
+    problems.append((path, f"unknown keys [{', '.join(_shown(k) for k in extra)}]"))
 
 
-def _load_json(text: str, path: str):
-    """json.loads(text); malformed text, or an integer literal past the
-    digit limit that CPython would refuse, is a SchemaError at ``path``."""
+def _load_json(text, path: str):
+    """json.loads(text) of a str, or of bytes read as UTF-8.  Bytes that are
+    not UTF-8, malformed text, nesting deeper than the JSON reader's
+    recursion allows, or an integer literal past the digit limit that
+    CPython would refuse is a SchemaError at ``path``."""
 
     def integer(literal: str) -> int:
         excess = _digit_limit_excess(literal)
@@ -93,28 +108,30 @@ def _load_json(text: str, path: str):
         return int(literal)
 
     try:
+        if isinstance(text, bytes):
+            text = text.decode("utf-8")
         return json.loads(text, parse_int=integer)
+    except UnicodeDecodeError as exc:
+        raise SchemaError([(path, f"not UTF-8: {exc}")]) from exc
     except json.JSONDecodeError as exc:
         raise SchemaError([(path, f"malformed JSON: {exc}")]) from exc
+    except RecursionError as exc:
+        raise SchemaError([(path, "malformed JSON: nested too deeply")]) from exc
 
 
 def parse_graph_document(data) -> GraphDocument:
     """Parse and validate a document; raises SchemaError listing every
     problem with its JSON path."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    if isinstance(data, str):
-        raw = _load_json(data, "$")
-    else:
-        raw = data
-
-    problems: List[Tuple[str, str]] = []
+    raw = _load_json(data, "$") if isinstance(data, (str, bytes)) else data
     if not isinstance(raw, dict):
         raise SchemaError([("$", "document must be a JSON object")])
 
-    known = {"vertices", "edges", "involution", "divisor"}
-    for key in sorted(set(raw) - known):
-        problems.append((_path_key(key), "unknown key"))
+    problems: List[Tuple[str, str]] = []
+    literals: Dict[str, Fraction] = {}
+
+    if not raw.keys() <= _DOCUMENT_KEYS:
+        for key in sorted(raw.keys() - _DOCUMENT_KEYS):
+            problems.append((_path_key(key), "unknown key"))
 
     vertices: List[Tuple[str, Optional[int]]] = []
     vertex_ids = set()
@@ -123,19 +140,19 @@ def parse_graph_document(data) -> GraphDocument:
         problems.append(("vertices", "must be a non-empty list"))
         items = []
     for k, item in enumerate(items):
-        path = f"vertices[{k}]"
-        if not isinstance(item, dict) or "id" not in item or not isinstance(item["id"], str):
-            problems.append((path, "must be an object with a string id"))
+        vid = item.get("id") if isinstance(item, dict) else None
+        if not isinstance(vid, str):
+            problems.append((f"vertices[{k}]", "must be an object with a string id"))
             continue
-        vid = item["id"]
         if vid in vertex_ids:
-            problems.append((f"{path}.id", f"duplicate vertex id {_shown(vid)}"))
+            problems.append((f"vertices[{k}].id", f"duplicate vertex id {_shown(vid)}"))
         vertex_ids.add(vid)
         genus = item.get("genus")
         if genus is not None and (type(genus) is not int or genus < 0):
-            problems.append((f"{path}.genus", "genus must be a nonnegative integer"))
+            problems.append((f"vertices[{k}].genus", "genus must be a nonnegative integer"))
             genus = None
-        _check_keys(item, {"id", "genus"}, path, problems)
+        if not item.keys() <= _VERTEX_KEYS:
+            _unknown_keys(item, _VERTEX_KEYS, f"vertices[{k}]", problems)
         vertices.append((vid, genus))
 
     edges: List[Tuple[str, Tuple[str, str], Fraction]] = []
@@ -145,73 +162,72 @@ def parse_graph_document(data) -> GraphDocument:
         problems.append(("edges", "must be a list"))
         items = []
     for k, item in enumerate(items):
-        path = f"edges[{k}]"
-        if not isinstance(item, dict) or "id" not in item or not isinstance(item["id"], str):
-            problems.append((path, "must be an object with a string id"))
+        eid = item.get("id") if isinstance(item, dict) else None
+        if not isinstance(eid, str):
+            problems.append((f"edges[{k}]", "must be an object with a string id"))
             continue
-        eid = item["id"]
         if eid in edge_ids:
-            problems.append((f"{path}.id", f"duplicate edge id {_shown(eid)}"))
+            problems.append((f"edges[{k}].id", f"duplicate edge id {_shown(eid)}"))
         edge_ids.add(eid)
         ends = item.get("ends")
-        if (
-            not isinstance(ends, list)
-            or len(ends) != 2
-            or not all(isinstance(x, str) for x in ends)
+        if not (
+            isinstance(ends, list)
+            and len(ends) == 2
+            and isinstance(ends[0], str)
+            and isinstance(ends[1], str)
         ):
-            problems.append((f"{path}.ends", "must be a pair of vertex ids"))
+            problems.append((f"edges[{k}].ends", "must be a pair of vertex ids"))
             continue
+        u, w = ends
         for x in ends:
             if x not in vertex_ids:
-                problems.append((f"{path}.ends", f"unknown vertex {_shown(x)}"))
-        length = _parse_rational_at(item.get("length"), f"{path}.length", problems)
-        _check_keys(item, {"id", "ends", "length"}, path, problems)
-        edges.append((eid, (ends[0], ends[1]), length))
+                problems.append((f"edges[{k}].ends", f"unknown vertex {_shown(x)}"))
+        length = _rational(item.get("length"), literals)
+        if isinstance(length, str):
+            problems.append((f"edges[{k}].length", length))
+        if not item.keys() <= _EDGE_KEYS:
+            _unknown_keys(item, _EDGE_KEYS, f"edges[{k}]", problems)
+        edges.append((eid, (u, w), length))
 
-    inv_vertices = inv_edges = None
     inv = raw.get("involution")
     if inv is not None:
-        if not isinstance(inv, dict) or set(inv) - {"vertices", "edges"}:
+        if not isinstance(inv, dict) or not inv.keys() <= _INVOLUTION_KEYS:
             problems.append(("involution", "must be {vertices: {...}, edges: {...}}"))
         else:
-            vmap = inv.get("vertices", {})
-            emap = inv.get("edges", {})
-            for name, mapping, ids in (("vertices", vmap, vertex_ids), ("edges", emap, edge_ids)):
+            for name, ids in (("vertices", vertex_ids), ("edges", edge_ids)):
+                mapping = inv.get(name, {})
                 if not isinstance(mapping, dict):
                     problems.append((f"involution.{name}", "must be an object"))
                     continue
                 for a, b in mapping.items():
-                    path = f"involution.{name}.{_path_key(a)}"
                     if a not in ids:
-                        problems.append((path, "unknown id"))
+                        problems.append((f"involution.{name}.{_path_key(a)}", "unknown id"))
                     if not isinstance(b, str) or b not in ids:
-                        problems.append((path, f"maps to unknown id {_shown(b)}"))
-            if isinstance(vmap, dict) and isinstance(emap, dict):
-                inv_vertices = tuple(sorted((str(a), str(b)) for a, b in vmap.items()))
-                inv_edges = tuple(sorted((str(a), str(b)) for a, b in emap.items()))
+                        problems.append(
+                            (f"involution.{name}.{_path_key(a)}", f"maps to unknown id {_shown(b)}")
+                        )
 
-    divisor = None
     div = raw.get("divisor")
     if div is not None:
         if not isinstance(div, dict):
             problems.append(("divisor", "must be an object of rational strings"))
         else:
-            coeffs = []
             for v, c in div.items():
-                path = f"divisor.{_path_key(v)}"
                 if v not in vertex_ids:
-                    problems.append((path, "unknown vertex"))
-                coeffs.append((v, _parse_rational_at(c, path, problems)))
-            divisor = tuple(sorted(coeffs))
+                    problems.append((f"divisor.{_path_key(v)}", "unknown vertex"))
+                value = _rational(c, literals)
+                if isinstance(value, str):
+                    problems.append((f"divisor.{_path_key(v)}", value))
 
     if problems:
         raise SchemaError(problems)
+    # no problems: the maps are objects of strings, the divisor's values literals
     return GraphDocument(
         vertices=tuple(vertices),
         edges=tuple(edges),
-        involution_vertices=inv_vertices,
-        involution_edges=inv_edges,
-        divisor=divisor,
+        involution_vertices=None if inv is None else tuple(sorted(inv.get("vertices", {}).items())),
+        involution_edges=None if inv is None else tuple(sorted(inv.get("edges", {}).items())),
+        divisor=None if div is None else tuple(sorted((v, literals[c]) for v, c in div.items())),
     )
 
 

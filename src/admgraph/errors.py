@@ -5,21 +5,66 @@ failures to machine-readable output without string matching on messages.
 Messages show ids and other inputs through ``_shown``.
 """
 
-# The longest string input a message repeats; a longer one is named by its
-# length, as the digit-limit messages name an over-long integer.
+# The longest input a message repeats; a longer one is named by its size,
+# as the digit-limit messages name an over-long integer.
 ECHO_LIMIT = 100
 
 
 def _shown(value, noun: str = "id") -> str:
     """repr(value) for a message, or, for a string longer than ECHO_LIMIT
-    characters or an integer of more digits, its length: "<an id of 5000
-    characters>", "<an integer of 4000 digits>"."""
+    characters, an integer of more digits or a list or dict (a JSON array
+    or object) whose repr is longer, its kind and size: "<an id of 5000
+    characters>", "<an integer of 4000 digits>", "<a list of 100000
+    items>"."""
     if isinstance(value, str) and len(value) > ECHO_LIMIT:
         article = "an" if noun[0] in "aeiou" else "a"
         return f"<{article} {noun} of {len(value)} characters>"
     if isinstance(value, int) and abs(value) >= 10**ECHO_LIMIT:
         return f"<an integer of {_digits(abs(value))} digits>"
+    if type(value) in _CONTAINERS:
+        pieces: list = []
+        if _write_within(value, pieces, ECHO_LIMIT) < 0:
+            n = len(value)
+            return f"<a {type(value).__name__} of {n} item{'' if n == 1 else 's'}>"
+        return "".join(pieces)
     return repr(value)
+
+
+_CONTAINERS = (list, dict)
+
+
+def _write_within(value, pieces: list, room: int) -> int:
+    """Append repr(value) to pieces while it fits in ``room`` characters;
+    returns the room left, negative once it does not fit.  Lists and dicts
+    are written item by item, so a long or deeply nested one is neither
+    written in full nor walked past the room."""
+    kind = type(value)
+    if kind not in _CONTAINERS:
+        if (isinstance(value, str) and len(value) > room) or (
+            isinstance(value, int) and abs(value) >= 10**room
+        ):
+            return -1
+        text = repr(value)
+        pieces.append(text)
+        return room - len(text)
+    pieces.append("[" if kind is list else "{")
+    room -= 2  # both brackets
+    if room < 0:
+        return room
+    for k, item in enumerate(value if kind is list else value.items()):
+        if k:
+            pieces.append(", ")
+            room -= 2
+        if kind is dict:
+            room = _write_within(item[0], pieces, room)
+            pieces.append(": ")
+            room -= 2
+            item = item[1]
+        room = _write_within(item, pieces, room)
+        if room < 0:
+            return room
+    pieces.append("]" if kind is list else "}")
+    return room
 
 
 def _digits(n: int) -> int:

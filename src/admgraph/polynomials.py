@@ -108,14 +108,14 @@ class MultiPoly:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[Monomial, object] | None = None):
+        # keys naming one monomial in different orders add up
         clean: Dict[Monomial, Fraction] = {}
         for mono, coeff in (terms or {}).items():
             if not all(isinstance(var, str) for var in mono):
                 raise TypeError("a monomial is a tuple of variable names (str)")
-            coeff = as_fraction(coeff)
-            if coeff != 0:
-                clean[tuple(sorted(mono))] = coeff
-        object.__setattr__(self, "terms", clean)
+            mono = tuple(sorted(mono))
+            clean[mono] = clean.get(mono, ZERO) + as_fraction(coeff)
+        object.__setattr__(self, "terms", {m: c for m, c in clean.items() if c})
 
     @classmethod
     def _trusted(cls, terms: Mapping[Monomial, Fraction]) -> "MultiPoly":

@@ -55,10 +55,19 @@ def as_fraction(value) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
+# No literal of at most this many characters can pass the digit limit:
+# sys.set_int_max_str_digits refuses a limit below it (640).  0 where
+# CPython has no such threshold: every literal is then checked.
+_CHECK_THRESHOLD = getattr(sys.int_info, "str_digits_check_threshold", 0)
+
+
 def _digit_limit_excess(literal: str) -> str:
     """Why CPython would refuse to convert a decimal integer literal (sign
     and surrounding whitespace allowed) that has more digits than
-    sys.get_int_max_str_digits() (4300 by default); "" if it would not."""
+    sys.get_int_max_str_digits() (4300 by default); "" if it would not,
+    without a scan when the literal is no longer than _CHECK_THRESHOLD."""
+    if len(literal) <= _CHECK_THRESHOLD:
+        return ""
     digits = literal.strip().lstrip("+-")
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
     if limit and len(digits) > limit and digits.isdecimal():
@@ -80,14 +89,16 @@ def parse_rational(text: str) -> Fraction:
     m = _RATIONAL_RE.match(text.strip())
     if not m:
         raise ValueError(f"bad rational literal: {_shown(text, 'literal')}")
-    excess = _digit_limit_excess(max(m.group(1).lstrip("-"), m.group(2) or "", key=len))
+    p, q = m.groups()
+    excess = _digit_limit_excess(max(p.lstrip("-"), q or "", key=len))
     if excess:
         raise ValueError(f"rational literal too long: {excess}")
-    num = int(m.group(1))
-    den = int(m.group(2)) if m.group(2) is not None else 1
+    if q is None:
+        return Fraction(int(p))
+    den = int(q)
     if den == 0:
         raise ValueError(f"bad rational literal (zero denominator): {_shown(text, 'literal')}")
-    return Fraction(num, den)
+    return Fraction(int(p), den)
 
 
 _CHUNK_DIGITS = 1000

@@ -71,8 +71,19 @@ but no code of ``polynomials``.
   invoked command's and must give every argv the same outcome.  It is
   made of the CLI's own parser class and integer type, since what it
   checks is which arguments are declared.
+
+* Document parsing as it was first written: every item's JSON path built
+  as the item is visited, every literal parsed where it occurs and
+  scanned for the digit limit at any length.  The library's one-pass
+  parser must return the same GraphDocument, or raise a SchemaError with
+  the same problems in the same order.  Non-UTF-8 bytes and nesting past
+  the JSON reader's recursion escape it as UnicodeDecodeError and
+  RecursionError; the library reports both as problems at ``$``.
 """
 
+import json
+import re
+import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -95,6 +106,7 @@ from admgraph import (
     NotHyperellipticConfigurationError,
     NotTypeZeroError,
     RationalFn,
+    SchemaError,
     SolverFaultError,
     UnexpectedComponentCountError,
     UnknownIdError,
@@ -107,7 +119,8 @@ from admgraph import (
 )
 from admgraph import cli
 from admgraph.cli import _integer, _Parser
-from admgraph.errors import _shown
+from admgraph.documents import GraphDocument
+from admgraph.errors import _path_key, _shown
 from admgraph.hyperelliptic import is_semisimple_of_size, validate_hyperelliptic
 
 ZERO = Fraction(0)
@@ -1171,3 +1184,177 @@ def full_parser() -> _Parser:
     p.add_argument("--min-size", type=_integer, default=1)
     p.add_argument("--max-size", type=_integer, default=5)
     return parser
+
+
+_RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
+
+
+def _digit_limit_excess(literal: str) -> str:
+    digits = literal.strip().lstrip("+-")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    if limit and len(digits) > limit and digits.isdecimal():
+        return (
+            f"an integer of {len(digits)} digits, "
+            f"more than the {limit} digits admgraph reads per integer"
+        )
+    return ""
+
+
+def parse_rational(text: str) -> Fraction:
+    m = _RATIONAL_RE.match(text.strip())
+    if not m:
+        raise ValueError(f"bad rational literal: {_shown(text, 'literal')}")
+    excess = _digit_limit_excess(max(m.group(1).lstrip("-"), m.group(2) or "", key=len))
+    if excess:
+        raise ValueError(f"rational literal too long: {excess}")
+    num = int(m.group(1))
+    den = int(m.group(2)) if m.group(2) is not None else 1
+    if den == 0:
+        raise ValueError(f"bad rational literal (zero denominator): {_shown(text, 'literal')}")
+    return Fraction(num, den)
+
+
+def _parse_rational_at(value, path, problems) -> Fraction:
+    if not isinstance(value, str):
+        problems.append((path, "rational values must be strings like \"3/2\""))
+        return Fraction(0)
+    try:
+        return parse_rational(value)
+    except ValueError as exc:
+        problems.append((path, str(exc)))
+        return Fraction(0)
+
+
+def _check_keys(item, known, path, problems) -> None:
+    extra = set(item) - known
+    if extra:
+        problems.append((path, f"unknown keys [{', '.join(_shown(k) for k in sorted(extra))}]"))
+
+
+def _load_json(text: str, path: str):
+    def integer(literal: str) -> int:
+        excess = _digit_limit_excess(literal)
+        if excess:
+            raise SchemaError([(path, f"integer too long: {excess}")])
+        return int(literal)
+
+    try:
+        return json.loads(text, parse_int=integer)
+    except json.JSONDecodeError as exc:
+        raise SchemaError([(path, f"malformed JSON: {exc}")]) from exc
+
+
+def parse_graph_document(data) -> GraphDocument:
+    """The document parser item by item, with a path per item."""
+    if isinstance(data, bytes):
+        data = data.decode("utf-8")
+    if isinstance(data, str):
+        raw = _load_json(data, "$")
+    else:
+        raw = data
+
+    problems = []
+    if not isinstance(raw, dict):
+        raise SchemaError([("$", "document must be a JSON object")])
+
+    known = {"vertices", "edges", "involution", "divisor"}
+    for key in sorted(set(raw) - known):
+        problems.append((_path_key(key), "unknown key"))
+
+    vertices = []
+    vertex_ids = set()
+    items = raw.get("vertices")
+    if not isinstance(items, list) or not items:
+        problems.append(("vertices", "must be a non-empty list"))
+        items = []
+    for k, item in enumerate(items):
+        path = f"vertices[{k}]"
+        if not isinstance(item, dict) or "id" not in item or not isinstance(item["id"], str):
+            problems.append((path, "must be an object with a string id"))
+            continue
+        vid = item["id"]
+        if vid in vertex_ids:
+            problems.append((f"{path}.id", f"duplicate vertex id {_shown(vid)}"))
+        vertex_ids.add(vid)
+        genus = item.get("genus")
+        if genus is not None and (type(genus) is not int or genus < 0):
+            problems.append((f"{path}.genus", "genus must be a nonnegative integer"))
+            genus = None
+        _check_keys(item, {"id", "genus"}, path, problems)
+        vertices.append((vid, genus))
+
+    edges = []
+    edge_ids = set()
+    items = raw.get("edges")
+    if not isinstance(items, list):
+        problems.append(("edges", "must be a list"))
+        items = []
+    for k, item in enumerate(items):
+        path = f"edges[{k}]"
+        if not isinstance(item, dict) or "id" not in item or not isinstance(item["id"], str):
+            problems.append((path, "must be an object with a string id"))
+            continue
+        eid = item["id"]
+        if eid in edge_ids:
+            problems.append((f"{path}.id", f"duplicate edge id {_shown(eid)}"))
+        edge_ids.add(eid)
+        ends = item.get("ends")
+        if (
+            not isinstance(ends, list)
+            or len(ends) != 2
+            or not all(isinstance(x, str) for x in ends)
+        ):
+            problems.append((f"{path}.ends", "must be a pair of vertex ids"))
+            continue
+        for x in ends:
+            if x not in vertex_ids:
+                problems.append((f"{path}.ends", f"unknown vertex {_shown(x)}"))
+        length = _parse_rational_at(item.get("length"), f"{path}.length", problems)
+        _check_keys(item, {"id", "ends", "length"}, path, problems)
+        edges.append((eid, (ends[0], ends[1]), length))
+
+    inv_vertices = inv_edges = None
+    inv = raw.get("involution")
+    if inv is not None:
+        if not isinstance(inv, dict) or set(inv) - {"vertices", "edges"}:
+            problems.append(("involution", "must be {vertices: {...}, edges: {...}}"))
+        else:
+            vmap = inv.get("vertices", {})
+            emap = inv.get("edges", {})
+            for name, mapping, ids in (("vertices", vmap, vertex_ids), ("edges", emap, edge_ids)):
+                if not isinstance(mapping, dict):
+                    problems.append((f"involution.{name}", "must be an object"))
+                    continue
+                for a, b in mapping.items():
+                    path = f"involution.{name}.{_path_key(a)}"
+                    if a not in ids:
+                        problems.append((path, "unknown id"))
+                    if not isinstance(b, str) or b not in ids:
+                        problems.append((path, f"maps to unknown id {_shown(b)}"))
+            if isinstance(vmap, dict) and isinstance(emap, dict):
+                inv_vertices = tuple(sorted((str(a), str(b)) for a, b in vmap.items()))
+                inv_edges = tuple(sorted((str(a), str(b)) for a, b in emap.items()))
+
+    divisor = None
+    div = raw.get("divisor")
+    if div is not None:
+        if not isinstance(div, dict):
+            problems.append(("divisor", "must be an object of rational strings"))
+        else:
+            coeffs = []
+            for v, c in div.items():
+                path = f"divisor.{_path_key(v)}"
+                if v not in vertex_ids:
+                    problems.append((path, "unknown vertex"))
+                coeffs.append((v, _parse_rational_at(c, path, problems)))
+            divisor = tuple(sorted(coeffs))
+
+    if problems:
+        raise SchemaError(problems)
+    return GraphDocument(
+        vertices=tuple(vertices),
+        edges=tuple(edges),
+        involution_vertices=inv_vertices,
+        involution_edges=inv_edges,
+        divisor=divisor,
+    )

@@ -3,9 +3,12 @@
 For any argv and any document, ``run_command`` exits 0, 1 or 2 and prints
 exactly one JSON object (on stdout for 0 and 1, on stderr for 2) and nothing
 else; no exception escapes.  Every document that parses is a fixed point of
-parse -> serialize -> parse.  Documents are ladder documents with mutations:
-lengths of every kind (ints, floats, zero, negative, 5000 digits), wrong
-types for edges, involution and divisor, duplicate ids and bad edge ends.
+parse -> serialize -> parse, and the parser gives every document the
+outcome of the parser as first written (``_oracles.parse_graph_document``).
+Documents are ladder documents with mutations: lengths of every kind (ints,
+floats, zero, negative, 5000 digits), wrong types for edges, involution and
+divisor, duplicate ids, bad edge ends, bytes that are not UTF-8 and arrays
+nested past the JSON reader's recursion.
 No message repeats an over-long argument or document id, and the parser
 built for one call gives every argv the outcome of the parser with all 13
 commands' arguments declared (``_oracles.full_parser``).
@@ -18,6 +21,7 @@ import errno
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -67,6 +71,23 @@ WRONG = st.sampled_from([None, 5, 0.5, "x", True, [], {}, [1, 2], {"a": 1}, [{"i
     copy.deepcopy  # later mutations must not edit the shared samples
 )
 IDS = ["O", "P1+", "P2-", "Q1", "Z", "", "e0+", "f1-"]
+# placeholders that render() replaces in the document's bytes
+BAD_BYTES = [b"\xff", b"\xc3", b"\x80", b"\xed\xa0\x80", b"P\xfe"]
+DEPTHS = [3, 300, 100_000]
+PLACEHOLDER = re.compile(rb'"@(byte|deep)(\d+)@"')
+
+
+def render(doc) -> bytes:
+    """The document's JSON bytes, each "@byteK@" string replaced by the raw
+    bytes BAD_BYTES[K] and each "@deepK@" by arrays nested DEPTHS[K] deep."""
+
+    def replace(m):
+        k = int(m.group(2))
+        if m.group(1) == b"byte":
+            return b'"' + BAD_BYTES[k] + b'"'
+        return b"[" * DEPTHS[k] + b"]" * DEPTHS[k]
+
+    return PLACEHOLDER.sub(replace, json.dumps(doc).encode())
 
 
 def mutate(doc, kind, draw):
@@ -107,6 +128,18 @@ def mutate(doc, kind, draw):
         doc.pop(draw(st.sampled_from(["vertices", "edges", "involution", "divisor"])), None)
     elif kind == "unknown key":
         doc[draw(st.sampled_from(["extra", "Vertices"]))] = 1
+    elif kind in ("raw byte", "deep nesting"):
+        name, values = ("byte", BAD_BYTES) if kind == "raw byte" else ("deep", DEPTHS)
+        value = f"@{name}{draw(st.integers(0, len(values) - 1))}@"
+        target = draw(st.sampled_from(["length", "id", "document part", "involution", "divisor"]))
+        if target in ("length", "id") and edge is not None:
+            edge[target] = value
+        elif target == "involution" and isinstance(doc.get("involution"), dict):
+            doc["involution"]["vertices"] = {"O": value}
+        elif target == "divisor":
+            doc["divisor"] = {"O": value}
+        else:
+            doc[draw(st.sampled_from(["vertices", "edges", "involution", "divisor"]))] = value
 
 
 MUTATIONS = st.sampled_from(
@@ -124,6 +157,8 @@ MUTATIONS = st.sampled_from(
         "genus",
         "drop",
         "unknown key",
+        "raw byte",
+        "deep nesting",
     ]
 )
 TOKENS = st.sampled_from(
@@ -203,19 +238,32 @@ def test_mutated_documents_keep_the_contract(doc_path, data):
     doc = copy.deepcopy(data.draw(st.sampled_from(BASES)))
     for kind in data.draw(st.lists(MUTATIONS, max_size=3)):
         mutate(doc, kind, data.draw)
-    text = json.dumps(doc)
-    doc_path.write_text(text, encoding="utf-8")
+    text = render(doc)
+    doc_path.write_bytes(text)
+    parsed = parse_outcome(parse_graph_document, text)
     try:
-        parsed = parse_graph_document(text)
-    except ag.SchemaError:
-        pass
+        expected = parse_outcome(_oracles.parse_graph_document, text)
+    except (UnicodeDecodeError, RecursionError):
+        # what the first parser let escape is one problem at the root
+        ((path, _),) = parsed
+        assert path == "$"
     else:
+        assert parsed == expected
+    if isinstance(parsed, ag.GraphDocument):
         canonical = serialize_document(parsed)
         assert parse_graph_document(canonical) == parsed
         assert serialize_document(parse_graph_document(canonical)) == canonical
     command = data.draw(st.sampled_from(COMMANDS))
     extra = data.draw(st.just(ARGS.get(command, [])) | st.lists(TOKENS, max_size=3))
     assert_contract([command, str(doc_path)] + extra)
+
+
+def parse_outcome(parse, text):
+    """The parsed document, or the problems of the SchemaError raised."""
+    try:
+        return parse(text)
+    except ag.SchemaError as exc:
+        return exc.problems
 
 
 @FUZZ
@@ -505,6 +553,53 @@ def test_json_integer_past_the_digit_limit_is_a_schema_error(doc_path, argv):
         "integer too long: an integer of 5000 digits, "
         "more than the 4300 digits admgraph reads per integer"
     )
+
+
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize(
+    "argv, path, message",
+    [
+        (
+            ["validate", "LATIN1"],
+            "$",
+            "not UTF-8: 'utf-8' codec can't decode byte 0xff in position 22: invalid start byte",
+        ),
+        (["validate", "DEEP"], "$", "malformed JSON: nested too deeply"),
+        (["epsilon", "DOC", "--divisor", DEEP], "--divisor", "malformed JSON: nested too deeply"),
+        (
+            ["epsilon", "DOC", "--divisor", '{"O": ' + DEEP + "}"],
+            "--divisor",
+            "malformed JSON: nested too deeply",
+        ),
+    ],
+)
+def test_hostile_bytes_are_a_schema_error(doc_path, argv, path, message):
+    # UnicodeDecodeError and RecursionError escaped as tracebacks before
+    files = {"DOC": json.dumps(BASES[0]).encode()}
+    files["LATIN1"] = b'{"vertices": [{"id": "\xff"}], "edges": []}'
+    files["DEEP"] = DEEP.encode()
+    for name, data in files.items():
+        doc_path.with_name(name).write_bytes(data)
+    argv = [str(doc_path.with_name(a)) if a in files else a for a in argv]
+    code, out, err = invoke(argv)
+    assert (code, err) == (1, "")
+    assert json.loads(out)["error"] == {
+        "code": "schema-error",
+        "message": f"{path}: {message}",
+        "problems": [{"path": path, "message": message}],
+    }
+
+
+def test_overlong_values_are_named_by_kind_and_size(doc_path):
+    doc = {"vertices": [{"id": "a"}], "edges": [], "involution": {"vertices": {"a": [0] * 100_000}}}
+    doc_path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, _ = invoke(["validate", str(doc_path)])
+    assert code == 1 and len(out) < 400
+    assert json.loads(out)["error"]["problems"] == [
+        {"path": "involution.vertices.a", "message": "maps to unknown id <a list of 100000 items>"}
+    ]
 
 
 @pytest.mark.parametrize("command", [None] + list(COMMANDS))

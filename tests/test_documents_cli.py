@@ -1,12 +1,16 @@
 """Document schema, canonical serialization, and the CLI surface."""
 
 import hashlib
+import itertools
 import json
+import sys
 from fractions import Fraction
 
 import pytest
 
+import _oracles
 import admgraph as ag
+from admgraph import documents
 from admgraph.bogomolov import MAX_GENUS
 from admgraph.cli import run_command
 from admgraph.documents import (
@@ -123,6 +127,126 @@ class TestParse:
             ("involution.edges.e+", "maps to unknown id 'Z'"),
             ("divisor.Z", "unknown vertex"),
         )
+
+    @pytest.mark.parametrize("at", ["vertices", "length"])
+    def test_nesting_past_the_json_reader_is_a_schema_error(self, at):
+        # a whole document nested so deep is a CLI test
+        deep = "[" * 100_000 + "]" * 100_000
+        text = {
+            "vertices": '{"vertices": ' + deep + "}",
+            "length": SG_DOC.replace('"length": "1"', '"length": ' + deep, 1),
+        }[at]
+        with pytest.raises(ag.SchemaError) as err:
+            parse_graph_document(text)
+        assert err.value.problems == (("$", "malformed JSON: nested too deeply"),)
+
+    def test_each_literal_is_parsed_once(self, monkeypatch):
+        # the two edges of a class share one Fraction, so the involution's
+        # length check compares them by identity
+        literals = []
+        parse = documents.parse_rational
+        monkeypatch.setattr(documents, "parse_rational", lambda t: literals.append(t) or parse(t))
+        doc = parse_graph_document(SG_DOC)
+        assert literals == ["1"]
+        assert doc.edges[0][2] is doc.edges[1][2] is doc.divisor[0][1] is doc.divisor[1][1]
+
+    def test_overlong_values_are_named_by_kind_and_size(self):
+        bad = json.loads(SG_DOC)
+        bad["involution"]["vertices"]["P"] = [0] * 100_000
+        bad["involution"]["vertices"]["Q"] = {"k": "x" * 200}
+        # up to the limit a value is echoed exactly: repr(["x" * 96]) has 100 characters
+        bad["involution"]["edges"] = {"e+": ["x" * 96], "e-": ["x" * 97]}
+        with pytest.raises(ag.SchemaError) as err:
+            parse_graph_document(json.dumps(bad))
+        assert err.value.problems == (
+            ("involution.vertices.P", "maps to unknown id <a list of 100000 items>"),
+            ("involution.vertices.Q", "maps to unknown id <a dict of 1 item>"),
+            ("involution.edges.e+", f"maps to unknown id {['x' * 96]!r}"),
+            ("involution.edges.e-", "maps to unknown id <a list of 1 item>"),
+        )
+
+
+# one problem each, on the second vertex or edge where an item is named
+FAULTS = {
+    "duplicate vertex": lambda d: d["vertices"][1].update(id="P"),
+    "bad genus": lambda d: d["vertices"][1].update(genus=-1),
+    "vertex key": lambda d: d["vertices"][1].update(x=1),
+    "vertex not an object": lambda d: d["vertices"].__setitem__(1, "Q"),
+    "duplicate edge": lambda d: d["edges"][1].update(id="e+"),
+    "unknown end": lambda d: d["edges"][1].update(ends=["P", "Z"]),
+    "bad ends": lambda d: d["edges"][1].update(ends="PQ"),
+    "bad length": lambda d: d["edges"][1].update(length="x"),
+    "edge key": lambda d: d["edges"][1].update(y=1),
+    "unknown involution id": lambda d: d["involution"]["vertices"].update(Z="P"),
+    "maps to unknown id": lambda d: d["involution"]["edges"].update({"e+": 3}),
+    "involution key": lambda d: d["involution"].update(z={}),
+    "divisor vertex": lambda d: d["divisor"].update(Z="x"),
+    "divisor not an object": lambda d: d.update(divisor=[]),
+    "document key": lambda d: d.update(extra=1),
+}
+
+
+def test_problems_in_every_combination_match_the_first_parser():
+    # every set of up to three faults gives the first parser's problems,
+    # in its order
+    for size in (1, 2, 3):
+        for faults in itertools.combinations(FAULTS, size):
+            doc = json.loads(SG_DOC)
+            for fault in faults:
+                FAULTS[fault](doc)
+            text = json.dumps(doc)
+            with pytest.raises(ag.SchemaError) as err:
+                parse_graph_document(text)
+            with pytest.raises(ag.SchemaError) as reference:
+                _oracles.parse_graph_document(text)
+            assert err.value.problems == reference.value.problems, faults
+
+
+@pytest.fixture
+def digit_limit_640():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit")
+@pytest.mark.parametrize(
+    "literal",
+    ["9" * 640, "-" + "9" * 640, " 1/" + "7" * 640 + " ", "9" * 640 + "/" + "7" * 640, " " * 700 + "5"],
+    ids=["p", "-p", "1/q", "p/q", "padded"],
+)
+def test_literals_at_the_smallest_digit_limit_are_accepted(digit_limit_640, literal):
+    doc = json.loads(SG_DOC)
+    doc["divisor"]["P"] = literal
+    parsed = parse_graph_document(json.dumps(doc))
+    assert parsed == _oracles.parse_graph_document(json.dumps(doc))
+    assert dict(parsed.divisor)["P"] == _oracles.parse_rational(literal)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit")
+@pytest.mark.parametrize(
+    "literal",
+    ["9" * 641, "-" + "9" * 641, " 1/" + "7" * 641 + " ", "9" * 641 + "/1"],
+    ids=["p", "-p", "1/q", "p/1"],
+)
+def test_literals_past_the_smallest_digit_limit_are_refused(digit_limit_640, literal):
+    doc = json.loads(SG_DOC)
+    doc["divisor"]["P"] = literal
+    with pytest.raises(ag.SchemaError) as err:
+        parse_graph_document(json.dumps(doc))
+    assert err.value.problems == (
+        (
+            "divisor.P",
+            "rational literal too long: an integer of 641 digits, "
+            "more than the 640 digits admgraph reads per integer",
+        ),
+    )
+    with pytest.raises(ag.SchemaError) as reference:
+        _oracles.parse_graph_document(json.dumps(doc))
+    assert reference.value.problems == err.value.problems
 
 
 class TestSerialize:

@@ -62,6 +62,12 @@ class TestMultiPoly:
         with pytest.raises(TypeError):
             MultiPoly({key: 1})
 
+    def test_keys_naming_one_monomial_add_up(self):
+        x, y = MultiPoly.variable("x"), MultiPoly.variable("y")
+        assert MultiPoly({("x", "y"): 1, ("y", "x"): 2}) == 3 * x * y
+        assert MultiPoly({("x", "y"): 1, ("y", "x"): -1}).is_zero()
+        assert MultiPoly({("y", "x"): 0, ("x", "y"): 2}).terms == {("x", "y"): F(2)}
+
     def test_evaluate(self):
         x, y = MultiPoly.variable("x"), MultiPoly.variable("y")
         assert (x * y + 2 * x).evaluate({"x": F(1, 2), "y": 3}) == F(5, 2)
