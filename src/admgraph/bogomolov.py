@@ -11,10 +11,10 @@ must leave exactly two components and the subtype is the smaller genus.
 
 xi_0 counts *nodes* of type (0,0); xi_j for j >= 1 counts *pairs*; delta_i
 counts nodes of type i, so delta_0 = xi_0 + 2 * sum of the xi_j.  Every
-component search is one walk of the graph's incidence lists that skips the
-removed nodes and sums each component's genus as it goes; counting a fiber
-(and ``classify-nodes``) takes one search per node and one per swapped
-type-0 pair.
+component search is one ``graph._components`` walk with the removed nodes
+deleted, and each component's genus is summed over its vertices; counting
+a fiber (and ``classify-nodes``) takes one search per node and one per
+swapped type-0 pair.
 
 From these counts come the self-intersection of the relative dualizing
 sheaf, a per-fiber upper bound on the admissible constant (all nodes given
@@ -39,7 +39,7 @@ from .errors import (
     UnexpectedComponentCountError,
     _shown,
 )
-from .graph import Divisor, MetrizedGraph, push_divisor, subdivide_edge
+from .graph import Divisor, MetrizedGraph, _components, push_divisor, subdivide_edge
 from .hyperelliptic import (
     HyperellipticGraph,
     Involution,
@@ -94,32 +94,14 @@ class FiberConfiguration:
 
 def _component_genera(cfg: FiberConfiguration, removed: Tuple[str, ...]) -> List[int]:
     """The arithmetic genus of each component of the dual graph with the
-    removed nodes deleted, from one walk of the graph's incidence lists:
-    1 + the sum of (genus - 1) over the component's vertices + the number
-    of its edges (a loop is listed twice at its vertex and counts once)."""
+    removed nodes deleted, one :func:`graph._components` walk: 1 + the sum
+    of (genus - 1) over the component's vertices + the number of its edges,
+    half its vertices' edge ends (a loop is listed twice at its vertex)."""
     incident = cfg.graph._incident()
-    genera = cfg.genera
-    seen = set()
     out = []
-    for start in cfg.graph.vertices:
-        if start in seen:
-            continue
-        seen.add(start)
-        stack = [start]
-        twice = 2  # twice the genus: each vertex adds 2 genus - 2 + its edge ends
-        while stack:
-            v = stack.pop()
-            twice += 2 * genera[v] - 2
-            for e in incident[v]:
-                if e.id in removed:
-                    continue
-                twice += 1
-                u, w = e.ends
-                x = w if u == v else u
-                if x not in seen:
-                    seen.add(x)
-                    stack.append(x)
-        out.append(twice // 2)
+    for component in _components(cfg.graph, removed):
+        ends = sum(e.id not in removed for v in component for e in incident[v])
+        out.append(1 + sum(cfg.genera[v] - 1 for v in component) + ends // 2)
     return out
 
 

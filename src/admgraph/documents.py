@@ -90,8 +90,14 @@ def _rational(value, literals: Dict[str, Fraction]):
     return fraction
 
 
+def _sorted_keys(keys) -> list:
+    """The keys in sorted order, strings first; keys of other types, which
+    only a Python dict can hold, follow in the order of their ``_shown``."""
+    return sorted(keys, key=lambda k: (0, k) if isinstance(k, str) else (1, _shown(k)))
+
+
 def _unknown_keys(item, known, path, problems) -> None:
-    extra = sorted(item.keys() - known)
+    extra = _sorted_keys(item.keys() - known)
     problems.append((path, f"unknown keys [{', '.join(_shown(k) for k in extra)}]"))
 
 
@@ -130,7 +136,7 @@ def parse_graph_document(data) -> GraphDocument:
     literals: Dict[str, Fraction] = {}
 
     if not raw.keys() <= _DOCUMENT_KEYS:
-        for key in sorted(raw.keys() - _DOCUMENT_KEYS):
+        for key in _sorted_keys(raw.keys() - _DOCUMENT_KEYS):
             problems.append((_path_key(key), "unknown key"))
 
     vertices: List[Tuple[str, Optional[int]]] = []

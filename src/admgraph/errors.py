@@ -76,10 +76,11 @@ def _digits(n: int) -> int:
     return d
 
 
-def _path_key(key: str) -> str:
-    """An object key as a step of a JSON path: the key itself, or, past
-    ECHO_LIMIT characters, its length as ``_shown`` names it."""
-    return key if len(key) <= ECHO_LIMIT else _shown(key)
+def _path_key(key) -> str:
+    """An object key as a step of a JSON path: a string key itself, or as
+    ``_shown`` names it past ECHO_LIMIT characters; a key of another type,
+    which only a Python dict can hold, as ``_shown`` names it."""
+    return key if isinstance(key, str) and len(key) <= ECHO_LIMIT else _shown(key)
 
 
 class AdmGraphError(Exception):

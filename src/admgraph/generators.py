@@ -19,12 +19,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
-from .errors import InvalidGraphError, _shown
+from .errors import InvalidGraphError, UnknownIdError, _shown
 from .graph import Divisor, MetrizedGraph
 from .hyperelliptic import (
     HyperellipticGraph,
     Involution,
-    _class_lengths,
     graph_size,
     nu_counts,
     validate_hyperelliptic,
@@ -250,8 +249,13 @@ def random_lengths(h: HyperellipticGraph, seed: int) -> Dict[str, Fraction]:
 
 
 def with_lengths(h: HyperellipticGraph, lengths: Mapping[str, object]) -> HyperellipticGraph:
-    """Re-metrize a hyperelliptic graph with new per-class lengths."""
-    values = _class_lengths(h, lengths)
+    """Re-metrize a hyperelliptic graph with new per-class lengths: a class
+    the mapping lacks is an UnknownIdError, a nonpositive length axiom (1)."""
+    values = {}
+    for c in h.classes():
+        if c not in lengths:
+            raise UnknownIdError(f"no length given for edge class {_shown(c)}")
+        values[c] = as_fraction(lengths[c])
     new_edges = [(e.id, e.ends, values[h.class_of[e.id]]) for e in h.graph.edges]
     graph = MetrizedGraph(h.graph.vertices, new_edges)
     return validate_hyperelliptic(graph, h.involution)

@@ -14,10 +14,11 @@ by the potential-theory solver.
 
 Construction checks each edge once.  A graph keeps its vertex set and edge
 index from construction and builds its incidence lists on first use, so
-``valence`` is O(1) and ``incident_edges`` O(deg v) after one linear pass;
-``is_connected`` walks them once and keeps the answer.
-Graphs derived inside the package from a checked graph (contractions and
-the hyperelliptic quotient) are built without the
+``valence`` is O(1) and ``incident_edges`` O(deg v) after one linear pass.
+``_components`` is the one walk of them that finds components, also with
+edges deleted (``bogomolov``'s node searches); ``is_connected`` keeps the
+answer of one walk.  Graphs derived inside the package from a checked
+graph (contractions and the hyperelliptic quotient) are built without the
 checks that hold by construction; input from outside always goes through
 the checking constructor.
 """
@@ -43,14 +44,6 @@ class Edge:
     id: str
     ends: Tuple[str, str]
     length: Fraction
-
-    def other_end(self, v: str) -> str:
-        u, w = self.ends
-        if v == u:
-            return w
-        if v == w:
-            return u
-        raise UnknownIdError(f"vertex {_shown(v)} is not an end of edge {_shown(self.id)}")
 
     def is_loop(self) -> bool:
         return self.ends[0] == self.ends[1]
@@ -199,24 +192,10 @@ class MetrizedGraph:
         return tuple(e for e in self.edges if e.is_loop())
 
     def is_connected(self) -> bool:
-        """Walked once per graph; the answer is kept."""
-        if self._connected is not None:
-            return self._connected
-        incident = self._incident()
-        start = self.vertices[0]
-        seen = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for e in incident[v]:
-                u, w = e.ends
-                x = w if u == v else u
-                if x not in seen:
-                    seen.add(x)
-                    stack.append(x)
-        connected = len(seen) == len(self.vertices)
-        object.__setattr__(self, "_connected", connected)
-        return connected
+        """One :func:`_components` walk per graph; the answer is kept."""
+        if self._connected is None:
+            object.__setattr__(self, "_connected", len(_components(self)) == 1)
+        return self._connected
 
     def require_analytic(self) -> None:
         """Guard for the potential-theory pipeline: connected, positive
@@ -225,6 +204,30 @@ class MetrizedGraph:
         if not report.valid:
             edge_problem = any(e.length <= 0 or e.is_loop() for e in self.edges)
             raise (InvalidGraphError if edge_problem else DisconnectedGraphError)(report.problems[0])
+
+
+def _components(g: MetrizedGraph, removed=()) -> List[List[str]]:
+    """The vertices of each connected component of g with the edges whose
+    ids are in ``removed`` deleted, from one walk of the incidence lists;
+    the components come in the order of their first vertex."""
+    incident = g._incident()
+    seen = set()
+    out = []
+    for start in g.vertices:
+        if start in seen:
+            continue
+        seen.add(start)
+        component = [start]
+        for v in component:  # grows as the walk reaches new vertices
+            for e in incident[v]:
+                if e.id not in removed:
+                    u, w = e.ends
+                    x = w if u == v else u
+                    if x not in seen:
+                        seen.add(x)
+                        component.append(x)
+        out.append(component)
+    return out
 
 
 @dataclass(frozen=True)

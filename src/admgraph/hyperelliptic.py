@@ -24,10 +24,10 @@ iota-fixed edges and loops are allowed) into an honest hyperelliptic graph:
 fixed edges are split at their midpoint (the new vertex is fixed, the two
 halves are swapped) and non-fixed vertices with exactly two edge ends are
 removed, merging their edges; both moves preserve the underlying metric
-space.  It is linear too: each maximal chain of removable vertices is
-walked once and becomes one edge, named by the chain's smallest edge id,
-with the chain's total length, its two ends in sorted order, and as partner
-the smallest iota-image of the chain's edges.
+space.  Chains merge by one ``graph._UnionFind`` over the edge ids: the two
+edges at a removable vertex join one set, so each set is a maximal chain,
+and its root, the smallest id, names the merged edge, which has the chain's
+total length, its ends sorted, and the least iota-image as partner.
 """
 
 from __future__ import annotations
@@ -52,10 +52,10 @@ from .graph import (
     Divisor,
     Edge,
     MetrizedGraph,
+    _UnionFind,
     contract,
     push_divisor,
 )
-from .rationals import as_fraction
 
 
 class Involution:
@@ -178,17 +178,6 @@ class HyperellipticGraph:
 
     def lengths(self) -> Dict[str, Fraction]:
         return {c: self.class_length(c) for c in self.classes()}
-
-
-def _class_lengths(h: HyperellipticGraph, lengths: Mapping[str, object]) -> Dict[str, Fraction]:
-    """The given length of every class of h, as a Fraction; raises
-    UnknownIdError at the first class the mapping lacks."""
-    out = {}
-    for c in h.classes():
-        if c not in lengths:
-            raise UnknownIdError(f"no length given for edge class {_shown(c)}")
-        out[c] = as_fraction(lengths[c])
-    return out
 
 
 def validate_hyperelliptic(g: MetrizedGraph, inv: Involution) -> HyperellipticGraph:
@@ -409,35 +398,28 @@ def normalize_fiber(dual: MetrizedGraph, inv: Involution) -> HyperellipticGraph:
         emap[first] = second
         emap[second] = first
 
-    # drop the non-fixed vertices with exactly two edge ends: walk each
-    # maximal chain of them once and merge its edges into one
-    incident: Dict[str, List[Edge]] = {v: [] for v in vmap}
+    # drop the non-fixed vertices with exactly two edge ends: the two edges
+    # at each join one union-find set, so each set with such a vertex is a
+    # maximal chain of them, and its root is the chain's smallest edge id
+    incident: Dict[str, List[str]] = {v: [] for v in vmap}
     for e in edges.values():
-        incident[e.ends[0]].append(e)
-        incident[e.ends[1]].append(e)
+        incident[e.ends[0]].append(e.id)
+        incident[e.ends[1]].append(e.id)
     removable = {v for v in vmap if vmap[v] != v and len(incident[v]) == 2}
-    chains = []  # (largest interior vertex, edge ids, end vertices); a cycle has no ends
-    seen = set()
-    for start in sorted(removable):
-        if start in seen:
-            continue
-        seen.add(start)
-        interior, chain, ends = [start], [], []
-        for e in incident[start]:
-            v = start
-            while True:
-                chain.append(e.id)
-                v = e.other_end(v)
-                if v not in removable or v in seen:
-                    break
-                seen.add(v)
-                interior.append(v)
-                e = next(x for x in incident[v] if x is not e)
-            if v in removable:  # back at the start
-                break
-            ends.append(v)
-        chains.append((max(interior), chain, ends))
-    cycle_tops = [top for top, _, ends in chains if not ends]
+    uf = _UnionFind(edges)
+    for v in removable:
+        uf.union(*incident[v])
+    tops = {}  # chain root -> the chain's largest removable vertex
+    for v in sorted(removable):
+        tops[uf.find(incident[v][0])] = v
+    chains: Dict[str, List[Edge]] = {root: [] for root in tops}
+    ends: Dict[str, List[str]] = {root: [] for root in tops}  # a cycle has none
+    for e in edges.values():
+        root = uf.find(e.id)
+        if root in chains:
+            chains[root].append(e)
+            ends[root] += [v for v in e.ends if v not in removable]
+    cycle_tops = [tops[root] for root, chain_ends in ends.items() if not chain_ends]
     if cycle_tops:
         # merging a cycle's vertices one at a time in sorted order leaves a
         # loop at its largest vertex
@@ -449,13 +431,13 @@ def normalize_fiber(dual: MetrizedGraph, inv: Involution) -> HyperellipticGraph:
     # by its chain's smallest id pairs with the smallest of the iota-images.
     # Merged edges go last, ordered by their chains' largest interior vertex.
     merged = []
-    for _, chain, ends in sorted(chains):
-        name = min(chain)
-        merged.append(Edge(name, tuple(sorted(ends)), sum(edges[e].length for e in chain)))
-        partner = min(emap[e] for e in chain)
+    for root in sorted(chains, key=tops.__getitem__):
+        chain = chains[root]
+        merged.append(Edge(root, tuple(sorted(ends[root])), sum(e.length for e in chain)))
+        partner = min(emap[e.id] for e in chain)
         for e in chain:
-            del edges[e], emap[e]
-        emap[name] = partner
+            del edges[e.id], emap[e.id]
+        emap[root] = partner
     for v in removable:
         del vmap[v]
     graph = MetrizedGraph(vmap.keys(), list(edges.values()) + merged, allow_loops=True)

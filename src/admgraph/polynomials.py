@@ -67,7 +67,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Tuple
 
 from .errors import (
     DegreeMinusTwoError,
@@ -79,7 +79,6 @@ from .errors import (
 from .graph import Divisor
 from .hyperelliptic import (
     HyperellipticGraph,
-    _class_lengths,
     _w_weight,
     divisor_is_invariant,
     nu_counts,
@@ -379,26 +378,16 @@ def _conductances(h: HyperellipticGraph, lengths: Mapping[str, Fraction]) -> Dic
     return total
 
 
-def epsilon_closed_form(
-    h: HyperellipticGraph,
-    d: Divisor,
-    lengths: Optional[Mapping[str, object]] = None,
-) -> Fraction:
-    """Evaluate the closed form at given class lengths (default: the lengths
-    carried by the graph).  Exact; equal to the potential-theory value.
+def epsilon_closed_form(h: HyperellipticGraph, d: Divisor) -> Fraction:
+    """Evaluate the closed form at the class lengths h carries (other lengths
+    go through ``with_lengths``).  Exact; equal to the potential-theory value.
 
     M/L is the sum over non-fixed quotient vertices a of (val a - 2)/C(a),
     with C(a) the conductance from a to the grounded fixed vertices of the
     quotient tree (see the module docstring): no linear algebra, no
     enumeration and no call into ``potential``.
     """
-    if lengths is None:
-        assignment = {c: h.class_length(c) for c in h.classes()}
-    else:
-        assignment = _class_lengths(h, lengths)
-    for cname, value in assignment.items():
-        if value <= 0:
-            raise PolarizationShapeError(f"length of class {_shown(cname)} must be positive")
+    assignment = h.lengths()
     deg = _theorem_shape_check(h, d)
     q = Fraction(2, 3) * deg / (deg + 2)
     ratio = ZERO

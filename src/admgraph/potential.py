@@ -435,10 +435,10 @@ def _green_values(
     their lcm w and L^-1 = (S / det) Y, flux balance (L f)_v = [v = source]
     - weights[v] gives f_source[v] = (S / det) (Y[v][source] - (Y W)[v] / w),
     and adding c - sum_u weights[u] f_source[u] makes the integral vanish.
-    So g(s, v) = (S / det) Y[v][s] - p[v] - r[s] + k0 with
-    p = (S / det) Y W / w, r = (S / det) W^T Y / w and k0 = c + W . p / w,
-    the only Fractions built; n is the lcm of their denominators and that
-    of S / det.
+    So g(s, v) = (S / det) Y[v][s] - p[v] - p[s] + k0 with
+    p = (S / det) Y W / w and k0 = c + W . p / w, the only Fractions built:
+    the shift by the source, (S / det) (W^T Y)[s] / w, is p[s] again since
+    Y is symmetric.  n is the lcm of their denominators and that of S / det.
     """
     scale, det, y = fac
     index = {v: i for i, v in enumerate(g.vertices)}
@@ -463,14 +463,15 @@ def _green_values(
     sigma, delta = ratio.numerator, ratio.denominator
     yw = [sum(x * f for x, f in zip(row, flux)) for row in y]
     p = [Fraction(sigma * x, delta * w) for x in yw]
-    columns = [index[src] for src in sources]
-    r = [Fraction(sigma * sum(f * row[s] for f, row in zip(flux, y)), delta * w) for s in columns]
     k0 = Fraction(sigma * sum(f * x for f, x in zip(flux, yw)), delta * w * w) + c
-    n = lcm(delta, _denominator_lcm([k0], p, r))
+    n = lcm(delta, _denominator_lcm([k0], p))
     step = sigma * (n // delta)
     ps = _scaled(p, n)
+    (k0n,) = _scaled([k0], n)
     out: Dict[str, Dict[str, int]] = {}
-    for src, s, shift in zip(sources, columns, _scaled((k0 - x for x in r), n)):
+    for src in sources:
+        s = index[src]
+        shift = k0n - ps[s]
         out[src] = {v: step * row[s] - pv + shift for v, row, pv in zip(index, y, ps)}
     return n, out
 

@@ -128,6 +128,44 @@ class TestParse:
             ("divisor.Z", "unknown vertex"),
         )
 
+    @pytest.mark.parametrize(
+        "part, value, problems",
+        [
+            ("divisor", {1: "1"}, (("divisor.1", "unknown vertex"),)),
+            ("divisor", {None: "1"}, (("divisor.None", "unknown vertex"),)),
+            (
+                "divisor",
+                {10**200: "1"},
+                (("divisor.<an integer of 201 digits>", "unknown vertex"),),
+            ),
+            (
+                "involution",
+                {"vertices": {1: "P"}, "edges": {}},
+                (("involution.vertices.1", "unknown id"),),
+            ),
+        ],
+    )
+    def test_non_string_key_of_a_map_is_named_in_the_path(self, part, value, problems):
+        # only a Python dict, never JSON text, can hold such a key
+        bad = json.loads(SG_DOC)
+        bad[part] = value
+        with pytest.raises(ag.SchemaError) as err:
+            parse_graph_document(bad)
+        assert err.value.problems == problems
+
+    def test_unknown_keys_of_mixed_types_are_listed(self):
+        bad = json.loads(SG_DOC)
+        bad.update({1: 2, "zz": 3, "a": 4})
+        bad["vertices"][0].update({2: 3, "zz": 1, None: 0})
+        with pytest.raises(ag.SchemaError) as err:
+            parse_graph_document(bad)
+        assert err.value.problems == (
+            ("a", "unknown key"),
+            ("zz", "unknown key"),
+            ("1", "unknown key"),
+            ("vertices[0]", "unknown keys ['zz', 2, None]"),
+        )
+
     @pytest.mark.parametrize("at", ["vertices", "length"])
     def test_nesting_past_the_json_reader_is_a_schema_error(self, at):
         # a whole document nested so deep is a CLI test

@@ -7,10 +7,12 @@ bound, and node typing, the counts and the normalization must agree with
 the one-query-at-a-time versions kept in ``_oracles``, also on mutated
 fibers: loops at chain vertices, cycles of removable vertices, fixed edges
 that do not swap their ends, clashing midpoint ids and chain vertices with
-nonzero polarization.
+nonzero polarization, and on corpus fibers whose ids are permuted at random.
 """
 
 import json
+import random
+from collections import Counter
 from fractions import Fraction
 from unittest import mock
 
@@ -150,6 +152,59 @@ class TestCorpusProperties:
         for sub, _, cfg in corpus:
             outcome = assert_pipeline_agrees(cfg)
             assert outcome[0] == "ok", (sub, outcome)
+
+    def test_renamed_corpus_agrees_with_oracles(self, corpus):
+        """A merged edge is named by its chain's union-find root, the
+        chain's smallest edge id.  With the vertex ids and the edge ids of
+        each fiber permuted at random, that id lies at an end of a chain or
+        in its middle, and on either sheet of a swapped pair of chains."""
+        places = Counter()
+        for sub, parts, _ in corpus:
+            renamed, edge_name = _renamed(parts, sub)
+            outcome = assert_pipeline_agrees(renamed.configuration())
+            assert outcome[0] == "ok", (sub, outcome)
+            for sheets in _chain_sheets(parts):
+                names = [[edge_name[e] for e in sheet] for sheet in sheets]
+                smallest = min(min(sheet) for sheet in names)
+                side = next(k for k, sheet in enumerate(names) if smallest in sheet)
+                position = names[side].index(smallest)
+                places[f"sheet {side}"] += 1
+                places["end" if position in (0, len(names[side]) - 1) else "middle"] += 1
+        assert min(places[key] for key in ("sheet 0", "sheet 1", "end", "middle")) >= 100, places
+
+
+def _renamed(parts, seed):
+    """parts with its vertex ids, and apart from them its edge ids, permuted
+    by a seeded shuffle; returns the renamed parts and the edge renaming."""
+    rng = random.Random(f"rename-{seed}")
+
+    def permutation(ids):
+        ids = sorted(ids)
+        return dict(zip(ids, rng.sample(ids, len(ids))))
+
+    v = permutation(parts.vertices)
+    e = permutation(eid for eid, _, _ in parts.edges)
+    renamed = _fibers.FiberParts(
+        [v[x] for x in parts.vertices],
+        [(e[eid], (v[a], v[b]), length) for eid, (a, b), length in parts.edges],
+        {v[x]: g for x, g in parts.genera.items()},
+        {v[x]: v[y] for x, y in parts.vmap.items()},
+        {e[x]: e[y] for x, y in parts.emap.items()},
+        [([v[x] for x in a], [v[x] for x in b]) for a, b in parts.chains],
+    )
+    return renamed, e
+
+
+def _chain_sheets(parts):
+    """The edge ids of each swapped pair of chains, each chain's from one
+    end to the other: ``_fibers`` names them "<replaced edge>/<label>" and
+    lists them in path order."""
+    sheets = {}
+    for eid, _, _ in parts.edges:
+        if "/" in eid:
+            sheets.setdefault(eid.split("/")[0], []).append(eid)
+    pairs = {name: parts.emap[sheet[0]].split("/")[0] for name, sheet in sheets.items()}
+    return [(sheets[name], sheets[image]) for name, image in pairs.items() if name < image]
 
 
 # -- mutations of the raw parts ----------------------------------------------

@@ -209,6 +209,13 @@ class TestWithLengths:
             ag.with_lengths(h, {})
         assert str(info.value) == f"no length given for edge class {shown_id(cname)}"
 
+    def test_nonpositive_length_fails_axiom_one(self):
+        h = ag.elementary_graph(2)
+        lengths = dict(h.lengths(), **{h.classes()[0]: 0})
+        with pytest.raises(ag.AxiomViolationError) as info:
+            ag.with_lengths(h, lengths)
+        assert str(info.value) == "axiom (1): edge lengths must be positive"
+
 
 def _outcome(fn, *args):
     try:

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import admgraph as ag
-from _oracles import irreducible_decomposition, one_point_sum
+from _oracles import _components_without, irreducible_decomposition, one_point_sum
+from admgraph.graph import _components
 
 
 def sg_graph(length=1):
@@ -91,6 +92,26 @@ class TestValidate:
         with pytest.raises(ag.AdmGraphError) as err:
             g.require_analytic()
         assert type(err.value) is error and str(err.value) == message
+
+
+class TestComponents:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 7), st.data())
+    def test_matches_the_oracle_with_edges_deleted(self, n, data):
+        ends = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        pairs = data.draw(st.lists(ends, max_size=10))
+        g = ag.MetrizedGraph(
+            [f"v{i}" for i in range(n)],
+            [(f"e{k}", (f"v{i}", f"v{j}"), 1) for k, (i, j) in enumerate(pairs)],
+            allow_loops=True,
+        )
+        removed = data.draw(st.sets(st.sampled_from(g.edge_ids()))) if pairs else set()
+        components = _components(g, removed)
+        # in the order of each component's first vertex, which is its smallest
+        assert [set(c) for c in components] == _components_without(g, removed)
+        assert [c[0] for c in components] == sorted(min(c) for c in components)
+        assert sorted(v for c in components for v in c) == list(g.vertices)
+        assert g.is_connected() == (len(_components_without(g, ())) == 1)
 
 
 class TestContract:

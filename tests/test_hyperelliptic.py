@@ -330,17 +330,6 @@ class TestOverlongIds:
             ag.nu_counts(ag.double_cover(spec), x)
         assert str(info.value) == f"vertex {shown_id(x)} is fixed; nu is defined on non-fixed vertices"
 
-    @pytest.mark.parametrize("length", [ECHO_LIMIT - 1, ECHO_LIMIT, 300])
-    def test_class_length_of_the_closed_form(self, length):
-        spec = ag.CoverSpec(
-            vertices=(("P", True), ("Q", True)), edges=(("e" * length, "P", "Q", Fraction(1)),)
-        )
-        h = ag.double_cover(spec)
-        (cname,) = h.classes()
-        with pytest.raises(ag.PolarizationShapeError) as info:
-            ag.epsilon_closed_form(h, ag.Divisor({}), {cname: 0})
-        assert str(info.value) == f"length of class {shown_id(cname)} must be positive"
-
 
 class TestUnknownIds:
     @pytest.mark.parametrize("call", [ag.restrict_classes, ag.contract_classes])

@@ -300,25 +300,7 @@ class TestClosedForm:
             closed = ag.epsilon_closed_form(h2, d)
             numeric, _ = ag.epsilon_numeric(h2.graph, d)
             assert closed == numeric
-            assert ag.epsilon_closed_form(h, d, h2.lengths()) == closed
-
-    def test_missing_class_is_an_unknown_id(self):
-        h = ag.ladder_graph(3)
-        d = ag.Divisor({})
-        with pytest.raises(ag.UnknownIdError) as info:
-            ag.epsilon_closed_form(h, d, {h.classes()[0]: 1})
-        assert str(info.value) == "no length given for edge class 'e1+'"
-
-    @pytest.mark.parametrize("length", [ECHO_LIMIT - 1, ECHO_LIMIT, 300])
-    def test_missing_class_is_named_by_length(self, length):
-        spec = ag.CoverSpec(
-            vertices=(("P", True), ("Q", True)), edges=(("e" * length, "P", "Q", Fraction(1)),)
-        )
-        h = ag.double_cover(spec)
-        (cname,) = h.classes()
-        with pytest.raises(ag.UnknownIdError) as info:
-            ag.epsilon_closed_form(h, ag.Divisor({}), {})
-        assert str(info.value) == f"no length given for edge class {shown_id(cname)}"
+            assert ag.epsilon_closed_form(ag.with_lengths(h, h2.lengths()), d) == closed
 
     def test_specialization_is_contraction(self, corpus):
         for h in corpus[:10]:
@@ -458,14 +440,7 @@ class TestKirchhoff:
             d = ag.random_polarization(h, 600 + k)
             lengths = ag.random_lengths(h, 600 + k)
             expect = ag.epsilon_rational_fn(h, d).evaluate(lengths)
-            assert ag.epsilon_closed_form(h, d, lengths) == expect
-
-    def test_nonpositive_length_rejected(self):
-        h = ag.elementary_graph(2)
-        d = ladder_polarization(h)
-        lengths = dict(h.lengths(), **{h.classes()[0]: 0})
-        with pytest.raises(ag.PolarizationShapeError):
-            ag.epsilon_closed_form(h, d, lengths)
+            assert ag.epsilon_closed_form(ag.with_lengths(h, lengths), d) == expect
 
     def test_independent_of_the_solver(self, corpus, monkeypatch):
         cases = []
