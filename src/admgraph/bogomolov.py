@@ -10,11 +10,12 @@ refined: a fixed node has subtype 0; for a swapped pair, deleting both edges
 must leave exactly two components and the subtype is the smaller genus.
 
 xi_0 counts *nodes* of type (0,0); xi_j for j >= 1 counts *pairs*; delta_i
-counts nodes of type i, so delta_0 = xi_0 + 2 * sum of the xi_j.  Every
-component search is one ``graph._components`` walk with the removed nodes
-deleted, and each component's genus is summed over its vertices; counting
-a fiber (and ``classify-nodes``) takes one search per node and one per
-swapped type-0 pair.
+counts nodes of type i, so delta_0 = xi_0 + 2 * sum of the xi_j.  One
+depth-first ``graph._walk`` types every node, in time linear in the fiber:
+each edge off the tree gets its own bit, and a tree edge the XOR of the bits
+of the edges leaving the subtree below it.  A node is a bridge iff its label
+is 0; two non-bridges cut the fiber iff their labels are equal, and then a
+side is a subtree, or a subtree less one below it (no cross edges).
 
 From these counts come the self-intersection of the relative dualizing
 sheaf, a per-fiber upper bound on the admissible constant (all nodes given
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 from .errors import (
     GenusBelowThreeError,
@@ -39,7 +40,7 @@ from .errors import (
     UnexpectedComponentCountError,
     _shown,
 )
-from .graph import Divisor, MetrizedGraph, _components, push_divisor, subdivide_edge
+from .graph import Divisor, MetrizedGraph, _walk, push_divisor, subdivide_edge
 from .hyperelliptic import (
     HyperellipticGraph,
     Involution,
@@ -47,9 +48,6 @@ from .hyperelliptic import (
     check_involution,
     normalize_fiber,
 )
-
-ZERO = Fraction(0)
-
 
 class FiberConfiguration:
     """Dual graph of a semistable fiber with per-component genera and an
@@ -92,35 +90,51 @@ class FiberConfiguration:
         return self.involution
 
 
-def _component_genera(cfg: FiberConfiguration, removed: Tuple[str, ...]) -> List[int]:
-    """The arithmetic genus of each component of the dual graph with the
-    removed nodes deleted, one :func:`graph._components` walk: 1 + the sum
-    of (genus - 1) over the component's vertices + the number of its edges,
-    half its vertices' edge ends (a loop is listed twice at its vertex)."""
-    incident = cfg.graph._incident()
-    out = []
-    for component in _components(cfg.graph, removed):
-        ends = sum(e.id not in removed for v in component for e in incident[v])
-        out.append(1 + sum(cfg.genera[v] - 1 for v in component) + ends // 2)
-    return out
+def _nodes(cfg: FiberConfiguration) -> Dict[str, Tuple[int, int]]:
+    """Every node's (label, weight) from one :func:`graph._walk`: a tree
+    edge's weight sums 2 * (genus - 1) + valence over the subtree below it.
+    A bridge of weight w cuts off a side of genus (w + 1) / 2, two nodes of
+    one label weighing w and w' one of genus |w - w'| / 2."""
+    g = cfg.graph
+    order, up = _walk(g, g.vertices[0])
+    tree = {eid for _, eid in up.values()}
+    label = dict.fromkeys(order, 0)
+    weight = {v: 2 * cfg.genera[v] - 2 + g.valence(v) for v in order}
+    for k, e in enumerate(g.edges):
+        if e.id not in tree:
+            u, w = e.ends
+            label[u] ^= 1 << k
+            label[w] ^= 1 << k
+    for v in reversed(order[1:]):
+        p = up[v][0]
+        label[p] ^= label[v]
+        weight[p] += weight[v]
+    nodes = {eid: (label[v], weight[v]) for v, (_, eid) in up.items()}
+    return {e.id: nodes.get(e.id, (1 << k, 0)) for k, e in enumerate(g.edges)}
 
 
-def _pair_subtype(cfg: FiberConfiguration, node_id: str, partner: str) -> int:
-    genera = _component_genera(cfg, (node_id, partner))
-    if len(genera) != 2:
+def _type(cfg: FiberConfiguration, node: Tuple[int, int]) -> int:
+    label, weight = node
+    side = (weight + 1) // 2
+    return 0 if label else min(side, cfg.genus - side)
+
+
+def _pair_subtype(cfg: FiberConfiguration, nodes, node_id: str, partner: str) -> int:
+    (label, weight), (other, partner_weight) = nodes[node_id], nodes[partner]
+    if label != other or not label:  # iota keeps bridges: two leave three components
         raise UnexpectedComponentCountError(
-            f"removing {_shown(node_id)} and {_shown(partner)} gave {len(genera)} components, "
-            "expected 2"
+            f"removing {_shown(node_id)} and {_shown(partner)} gave {1 if label else 3} "
+            "components, expected 2"
         )
-    return min(genera)
+    side = abs(weight - partner_weight) // 2
+    return min(side, cfg.genus - 1 - side)
 
 
 def node_type(cfg: FiberConfiguration, node_id: str) -> int:
     """0 if the partial normalization stays connected, else the minimum of
     the two sides' arithmetic genera."""
     cfg.graph.edge(node_id)
-    genera = _component_genera(cfg, (node_id,))
-    return 0 if len(genera) == 1 else min(genera)
+    return _type(cfg, _nodes(cfg)[node_id])
 
 
 def node_subtype(cfg: FiberConfiguration, node_id: str) -> int:
@@ -128,18 +142,20 @@ def node_subtype(cfg: FiberConfiguration, node_id: str) -> int:
     remove the node and its partner (exactly two components must result) and
     take the smaller arithmetic genus."""
     inv = cfg.require_involution()
-    if node_type(cfg, node_id) != 0:
+    cfg.graph.edge(node_id)
+    nodes = _nodes(cfg)
+    if _type(cfg, nodes[node_id]) != 0:
         raise NotTypeZeroError(f"node {_shown(node_id)} is not of type 0")
     partner = inv.edge(node_id)
-    return 0 if partner == node_id else _pair_subtype(cfg, node_id, partner)
+    return 0 if partner == node_id else _pair_subtype(cfg, nodes, node_id, partner)
 
 
 def _classify(cfg: FiberConfiguration) -> Tuple[Dict[str, int], Dict[str, int]]:
     """Every node's type and, with an involution, every type-0 node's
-    subtype, in edge order: one component search per node and one per
-    swapped type-0 pair (iota preserves types), so a failing pair raises at
-    its first node in edge order."""
-    types = {e.id: node_type(cfg, e.id) for e in cfg.graph.edges}
+    subtype, in edge order, from one :func:`_nodes` pass (iota preserves
+    types), so a failing pair raises at its first node in edge order."""
+    nodes = _nodes(cfg)
+    types = {eid: _type(cfg, node) for eid, node in nodes.items()}
     subtypes: Dict[str, int] = {}
     inv = cfg.involution
     if inv is not None:
@@ -148,7 +164,7 @@ def _classify(cfg: FiberConfiguration) -> Tuple[Dict[str, int], Dict[str, int]]:
                 continue
             partner = inv.edge(eid)
             if partner not in subtypes:  # a fixed node, or the first of its pair
-                subtypes[partner] = 0 if partner == eid else _pair_subtype(cfg, eid, partner)
+                subtypes[partner] = 0 if partner == eid else _pair_subtype(cfg, nodes, eid, partner)
             subtypes[eid] = subtypes[partner]
     return types, subtypes
 
@@ -368,7 +384,7 @@ def fiber_metrized(cfg: FiberConfiguration) -> Tuple[MetrizedGraph, Divisor]:
 
 
 def positive_type_nodes(cfg: FiberConfiguration) -> Tuple[str, ...]:
-    return tuple(e.id for e in cfg.graph.edges if node_type(cfg, e.id) >= 1)
+    return tuple(eid for eid, node in _nodes(cfg).items() if _type(cfg, node) >= 1)
 
 
 def normalized_hyperelliptic(cfg: FiberConfiguration) -> Tuple[HyperellipticGraph, Divisor]:

@@ -176,7 +176,7 @@ def _load_document(path: str) -> documents.GraphDocument:
 
 
 def _divisor(doc: documents.GraphDocument, override: Optional[str]) -> Divisor:
-    if override:
+    if override is not None:  # "" is a value, malformed JSON
         raw = documents._load_json(override, "--divisor")
         if not isinstance(raw, dict):
             raise SchemaError([("--divisor", "must be an object of rational strings")])
@@ -244,7 +244,9 @@ def _run(args) -> Dict:
 
     if args.command == "resistance":
         g = doc.to_graph()
-        if args.edge:
+        if args.edge is not None:
+            if args.endpoints:
+                raise _UsageError("resistance takes two vertex ids or --edge, not both")
             r = potential.cross_resistance(g, args.edge)
             return {"cross_resistance": "INFINITY" if r is INFINITY else format_rational(r)}
         if len(args.endpoints) != 2:
@@ -254,7 +256,7 @@ def _run(args) -> Dict:
 
     if args.command == "measure":
         g = doc.to_graph()
-        d = _divisor(doc, args.divisor) if args.divisor else doc.to_divisor()
+        d = doc.to_divisor() if args.divisor is None else _divisor(doc, args.divisor)
         if d is None:
             mu, kind = potential.canonical_measure(g), "canonical"
         else:

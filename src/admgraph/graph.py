@@ -15,12 +15,12 @@ by the potential-theory solver.
 Construction checks each edge once.  A graph keeps its vertex set and edge
 index from construction and builds its incidence lists on first use, so
 ``valence`` is O(1) and ``incident_edges`` O(deg v) after one linear pass.
-``_components`` is the one walk of them that finds components, also with
-edges deleted (``bogomolov``'s node searches); ``is_connected`` keeps the
-answer of one walk.  Graphs derived inside the package from a checked
-graph (contractions and the hyperelliptic quotient) are built without the
-checks that hold by construction; input from outside always goes through
-the checking constructor.
+``_walk``, a depth-first tree, is the one walk of them: it tests
+connectivity (``is_connected`` keeps the answer), roots the quotient tree
+in ``polynomials`` and types every fiber node at once in ``bogomolov``.
+Graphs derived inside the package from a checked graph (contractions and
+the hyperelliptic quotient) skip the checks that hold by construction;
+input from outside always goes through the checking constructor.
 """
 
 from __future__ import annotations
@@ -192,9 +192,10 @@ class MetrizedGraph:
         return tuple(e for e in self.edges if e.is_loop())
 
     def is_connected(self) -> bool:
-        """One :func:`_components` walk per graph; the answer is kept."""
+        """One :func:`_walk` per graph; the answer is kept."""
         if self._connected is None:
-            object.__setattr__(self, "_connected", len(_components(self)) == 1)
+            order, _ = _walk(self, self.vertices[0])
+            object.__setattr__(self, "_connected", len(order) == len(self.vertices))
         return self._connected
 
     def require_analytic(self) -> None:
@@ -206,28 +207,27 @@ class MetrizedGraph:
             raise (InvalidGraphError if edge_problem else DisconnectedGraphError)(report.problems[0])
 
 
-def _components(g: MetrizedGraph, removed=()) -> List[List[str]]:
-    """The vertices of each connected component of g with the edges whose
-    ids are in ``removed`` deleted, from one walk of the incidence lists;
-    the components come in the order of their first vertex."""
+def _walk(g: MetrizedGraph, root: str) -> Tuple[List[str], Dict[str, Tuple[str, str]]]:
+    """A depth-first walk of root's component: the visit order, each vertex
+    after its parent, and ``up[v] = (parent, edge id)`` for every vertex
+    but the root.  Every edge off the tree joins a vertex to one of its
+    ancestors (a loop joins its vertex to itself)."""
     incident = g._incident()
-    seen = set()
-    out = []
-    for start in g.vertices:
-        if start in seen:
-            continue
-        seen.add(start)
-        component = [start]
-        for v in component:  # grows as the walk reaches new vertices
-            for e in incident[v]:
-                if e.id not in removed:
-                    u, w = e.ends
-                    x = w if u == v else u
-                    if x not in seen:
-                        seen.add(x)
-                        component.append(x)
-        out.append(component)
-    return out
+    order, up = [root], {}
+    stack = [(root, iter(incident[root]))]
+    while stack:
+        v, edges = stack[-1]
+        for e in edges:
+            a, b = e.ends
+            w = b if a == v else a
+            if w not in up and w != root:
+                up[w] = (v, e.id)
+                order.append(w)
+                stack.append((w, iter(incident[w])))
+                break
+        else:
+            stack.pop()
+    return order, up
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ fixed vertex; its pair's valence is the number dK of classes of S at K, and
 on the tree K, dK - 2 is the sum of val a - 2 over a in K.  So M is the sum
 over the non-fixed a of val a - 2 times that of X^S over the (n+1)-sets S
 with roots F + {a}: one vertex of F + {a} in every piece of T - S.
-``_cuts`` lists these sets in one pass over a rooted walk of T.
+``_cuts`` lists these sets in one pass over the ``graph._walk`` of T.
 
 Give class c the conductance 1/X_c; let D be T's Laplacian grounded at the
 fixed vertices, D_aa that without a's row and column, C(a) = det D/det D_aa
@@ -76,7 +76,7 @@ from .errors import (
     SolverFaultError,
     _shown,
 )
-from .graph import Divisor
+from .graph import Divisor, _walk
 from .hyperelliptic import (
     HyperellipticGraph,
     _w_weight,
@@ -242,24 +242,6 @@ class RationalFn:
         return f"RationalFn({self.numerator!r} / {self.denominator!r})"
 
 
-def _rooted_quotient(h: HyperellipticGraph) -> Tuple[List[str], Dict[str, Tuple[str, str]]]:
-    """A walk of the quotient tree from its first fixed vertex: the visit
-    order, every vertex after its parent, and for every other vertex its
-    parent and the class joining them."""
-    incident = h.quotient._incident()
-    root = min(h.fixed_vertices)
-    order = [root]
-    up: Dict[str, Tuple[str, str]] = {}
-    for v in order:
-        for e in incident[v]:
-            a, b = e.ends
-            w = b if a == v else a
-            if w not in up and w != root:
-                up[w] = (v, e.id)
-                order.append(w)
-    return order, up
-
-
 def _cuts(
     order: List[str], up: Dict[str, Tuple[str, str]], roots, budget: int
 ) -> List[Monomial]:
@@ -293,7 +275,7 @@ def l_polynomial(h: HyperellipticGraph) -> MultiPoly:
     """L: homogeneous multilinear of degree sz(G); multiplicative over
     one-point-sums.  The sum over the cuts of the quotient tree that leave
     one fixed vertex in every piece."""
-    cuts = _cuts(*_rooted_quotient(h), h.fixed_vertices, MAX_TREES)
+    cuts = _cuts(*_walk(h.quotient, min(h.fixed_vertices)), h.fixed_vertices, MAX_TREES)
     return MultiPoly._trusted({mono: ONE for mono in cuts})
 
 
@@ -303,7 +285,7 @@ def m_polynomial(h: HyperellipticGraph) -> MultiPoly:
     orbits a of (val a - 2) times the cuts of the quotient tree that leave
     one vertex of the fixed ones and a in every piece.  The limit covers all
     orbits together."""
-    order, up = _rooted_quotient(h)
+    order, up = _walk(h.quotient, min(h.fixed_vertices))
     budget = MAX_TREES
     terms: Dict[Monomial, Fraction] = {}
     for a in (v for v in h.quotient.vertices if v not in h.fixed_vertices):
@@ -353,7 +335,7 @@ def _conductances(h: HyperellipticGraph, lengths: Mapping[str, Fraction]) -> Dic
     class of length X.  From the leaves up, each vertex sums its branches
     below; from the (fixed) root down, each adds the branch above it: the
     parent's C less its own branch, in series with the joining class."""
-    order, up = _rooted_quotient(h)
+    order, up = _walk(h.quotient, min(h.fixed_vertices))
     fixed = h.fixed_vertices
     down = dict.fromkeys(order, ZERO)
     branch: Dict[str, Fraction] = {}

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .errors import _shown
 
-_RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
+_RATIONAL_RE = re.compile(r"^(-?[0-9]+)(?:/([0-9]+))?$")
 
 
 class Infinity:
@@ -79,7 +79,7 @@ def _digit_limit_excess(literal: str) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p", "-p", or "p/q" with q > 0.  Anything else is an error.
+    """Parse "p", "-p", or "p/q" with q > 0 in ASCII digits; anything else is an error.
 
     p and q may have at most as many digits as CPython converts from a
     string (sys.get_int_max_str_digits(), 4300 by default); longer literals

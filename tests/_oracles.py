@@ -1186,7 +1186,7 @@ def full_parser() -> _Parser:
     return parser
 
 
-_RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
+_RATIONAL_RE = re.compile(r"^(-?[0-9]+)(?:/([0-9]+))?$")
 
 
 def _digit_limit_excess(literal: str) -> str:

@@ -528,6 +528,60 @@ class TestCli:
         _, out = run(capsys, ["green", sg_file, "P"])
         assert out["vertex_values"] == {"P": "13/96", "Q": "-11/96"}
 
+    @pytest.mark.parametrize(
+        "command, extra",
+        [("measure", []), ("green", ["P"]), ("epsilon", []), ("epsilon-closed", []),
+         ("compare", [])],
+    )
+    def test_empty_divisor_is_malformed_json(self, capsys, sg_file, command, extra):
+        # the document's divisor is not taken in place of the empty one
+        code, out = run(capsys, [command, sg_file, *extra, "--divisor", ""])
+        assert (code, out["error"]["code"]) == (1, "schema-error")
+        (problem,) = out["error"]["problems"]
+        assert problem["path"] == "--divisor"
+        assert problem["message"].startswith("malformed JSON: ")
+
+    def test_resistance_takes_endpoints_or_edge_not_both(self, capsys, sg_file):
+        code = run_command(["resistance", sg_file, "P", "Q", "--edge", "e+"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert json.loads(captured.err) == {
+            "error": {
+                "code": "usage",
+                "message": "resistance takes two vertex ids or --edge, not both",
+            }
+        }
+        # an empty edge id is a value too, not a missing --edge
+        assert run_command(["resistance", sg_file, "P", "Q", "--edge", ""]) == 2
+        capsys.readouterr()
+        code, out = run(capsys, ["resistance", sg_file, "--edge", ""])
+        assert (code, out["error"]) == (1, {"code": "unknown-id", "message": "unknown edge ''"})
+
+    @pytest.mark.parametrize("digit", ["3", "\u0663", "\uff13"])  # ASCII, Arabic-Indic, fullwidth
+    def test_rational_literals_are_ascii(self, capsys, tmp_path, sg_file, digit):
+        problem = [] if digit == "3" else [f"bad rational literal: {digit!r}"]
+        try:
+            assert ag.parse_rational(digit) == 3
+            assert not problem
+        except ValueError as exc:
+            assert [str(exc)] == problem
+        edits = {
+            "edges[0].length": lambda doc: doc["edges"][0].update(length=digit),
+            "divisor.P": lambda doc: doc["divisor"].update(P=digit),
+        }
+        for place, edit in edits.items():
+            doc = json.loads(SG_DOC)
+            edit(doc)
+            path = tmp_path / "edited.json"
+            path.write_text(json.dumps(doc))
+            code, out = run(capsys, ["epsilon", str(path)])
+            problems = out["error"]["problems"] if code else []
+            assert problems == [{"path": place, "message": m} for m in problem]
+        override = json.dumps({"P": digit, "Q": "1"})
+        code, out = run(capsys, ["epsilon", sg_file, "--divisor", override])
+        problems = out["error"]["problems"] if code else []
+        assert problems == [{"path": "--divisor.P", "message": m} for m in problem]
+
     def test_lpoly_mpoly(self, capsys, sg_file):
         _, out = run(capsys, ["lpoly", sg_file])
         assert out == {"size": 1, "polynomial": [{"monomial": ["e+"], "coefficient": "1"}]}

@@ -69,6 +69,14 @@ def _oracle_positive(cfg):
     return tuple(e.id for e in cfg.graph.edges if _oracles.node_type(cfg, e.id) >= 1)
 
 
+def _oracle_classify(cfg):
+    """``_classify`` by the oracles; the count raises at the first failing
+    pair in edge order."""
+    types = {e.id: _oracles.node_type(cfg, e.id) for e in cfg.graph.edges}
+    _oracles.count_invariants(cfg)
+    return types, {e: _oracles.node_subtype(cfg, e) for e, i in types.items() if i == 0}
+
+
 def _contracted_dual(cfg, positive):
     contracted, vmap = ag.contract(cfg.graph, positive)
     inv = cfg.involution
@@ -97,10 +105,10 @@ def assert_pipeline_agrees(cfg):
     edges = [e.id for e in cfg.graph.edges]
     types = [ag.node_type(cfg, e) for e in edges]
     assert types == [_oracles.node_type(cfg, e) for e in edges]
-    for e, i in zip(edges, types):
-        if i == 0:
-            assert _outcome(ag.node_subtype, cfg, e) == _outcome(_oracles.node_subtype, cfg, e)
+    for e in edges:
+        assert _outcome(ag.node_subtype, cfg, e) == _outcome(_oracles.node_subtype, cfg, e)
     assert _outcome(ag.count_invariants, cfg) == _outcome(_oracles.count_invariants, cfg)
+    assert _outcome(bogomolov._classify, cfg) == _outcome(_oracle_classify, cfg)
     positive = positive_type_nodes(cfg)
     assert positive == _oracle_positive(cfg)
     assert_normalization_agrees(*_contracted_dual(cfg, positive))
@@ -318,6 +326,57 @@ def _cycles(dual, inv, shapes, rng):
     return graph, ag.Involution(vmap, emap)
 
 
+@st.composite
+def involutive_fibers(draw):
+    """A connected multigraph under an involution that fixes some vertices
+    and swaps others in pairs.  Edges come in orbits: a fixed edge (between
+    fixed vertices, a loop at one, or joining a swapped pair) or a swapped
+    pair (parallel between fixed vertices, two loops, or any two edges
+    mapped to each other).  Each vertex orbit is joined to an earlier one;
+    the edge order is shuffled."""
+    vmap, genera, vertices, edges, emap = {}, {}, [], [], {}
+
+    def add(u, w, fixed):
+        k = len(edges)
+        if fixed:
+            edges.append((f"e{k}", (u, w), 1))
+            emap[f"e{k}"] = f"e{k}"
+        else:
+            edges.extend([(f"e{k}", (u, w), 1), (f"e{k + 1}", (vmap[u], vmap[w]), 1)])
+            emap[f"e{k}"], emap[f"e{k + 1}"] = f"e{k + 1}", f"e{k}"
+
+    def invariant(u, w):
+        return {vmap[u], vmap[w]} == {u, w}
+
+    for k, swapped in enumerate(draw(st.lists(st.booleans(), min_size=1, max_size=6))):
+        genus = draw(st.integers(0, 2))
+        a, b = (f"a{k}", f"b{k}") if swapped else (f"f{k}", f"f{k}")
+        vmap[a], vmap[b] = b, a
+        genera[a] = genera[b] = genus
+        if swapped and (not vertices or draw(st.booleans())):
+            add(a, b, draw(st.booleans()))
+        if vertices:
+            y = draw(st.sampled_from(vertices))
+            add(a, y, invariant(a, y) and draw(st.booleans()))
+        vertices.extend(sorted({a, b}))
+    for i, j, fixed in draw(
+        st.lists(st.tuples(st.sampled_from(vertices), st.sampled_from(vertices), st.booleans()),
+                 max_size=8)
+    ):
+        add(i, j, fixed and invariant(i, j))
+    graph = ag.MetrizedGraph(vertices, draw(st.permutations(edges)), allow_loops=True)
+    return graph, genera, ag.Involution(vmap, emap)
+
+
+class TestRandomMultigraphsAgreeWithOracles:
+    @settings(max_examples=300, deadline=None)
+    @given(involutive_fibers())
+    def test_classification_and_its_errors(self, fiber):
+        built = _outcome(ag.FiberConfiguration, *fiber)
+        assume(built[0] == "ok")  # genus below 2: no fiber to compare
+        assert_pipeline_agrees(built[1])
+
+
 class TestMutationsAgreeWithOracles:
     @settings(max_examples=150, deadline=None)
     @given(
@@ -497,34 +556,20 @@ class TestClassifyNodes:
             assert run_command(["classify-nodes", path]) == 0
             assert capsys.readouterr().out == json.dumps(_oracle_classify_nodes(read_back)) + "\n", sub
 
-    def test_one_component_search_per_node_and_per_swapped_pair(self, corpus, capsys, tmp_path):
-        searches = []
-        search = bogomolov._component_genera
+    def test_classification_walks_the_fiber_once(self, corpus):
+        walks = []
+        walk = bogomolov._walk
 
-        def counted(cfg, removed):
-            searches.append(removed)
-            return search(cfg, removed)
+        def counted(g, root):
+            walks.append(g)
+            return walk(g, root)
 
-        checked = 0
-        for sub, _, cfg in corpus:
-            types = [_oracles.node_type(cfg, e.id) for e in cfg.graph.edges]
-            pairs = {
-                frozenset((e.id, cfg.involution.edge(e.id)))
-                for e, i in zip(cfg.graph.edges, types)
-                if i == 0 and cfg.involution.edge(e.id) != e.id
-            }
-            if len(cfg.graph.edges) != 13 or not pairs:
-                continue
-            path, _ = _fiber_file(tmp_path, cfg)
-            searches.clear()
-            with mock.patch.object(bogomolov, "_component_genera", counted):
-                assert run_command(["classify-nodes", path]) == 0
-            capsys.readouterr()
-            assert sorted(map(sorted, searches)) == sorted(
-                [[e.id] for e in cfg.graph.edges] + [sorted(p) for p in pairs]
-            ), sub
-            checked += 1
-        assert checked >= 5
+        for _, _, cfg in corpus[:50]:
+            for classify in (bogomolov._classify, ag.count_invariants, positive_type_nodes):
+                walks.clear()
+                with mock.patch.object(bogomolov, "_walk", counted):
+                    classify(cfg)
+                assert walks == [cfg.graph], classify
 
     def test_failing_pair_reports_the_first_in_edge_order(self, capsys, tmp_path):
         # deleting the swapped pair (f, e) leaves A and B joined by the fixed m

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import admgraph as ag
 from _oracles import _components_without, irreducible_decomposition, one_point_sum
-from admgraph.graph import _components
+from admgraph.graph import _walk
 
 
 def sg_graph(length=1):
@@ -94,10 +94,10 @@ class TestValidate:
         assert type(err.value) is error and str(err.value) == message
 
 
-class TestComponents:
+class TestWalk:
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 7), st.data())
-    def test_matches_the_oracle_with_edges_deleted(self, n, data):
+    def test_a_depth_first_tree_of_the_oracle_component(self, n, data):
         ends = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
         pairs = data.draw(st.lists(ends, max_size=10))
         g = ag.MetrizedGraph(
@@ -105,12 +105,30 @@ class TestComponents:
             [(f"e{k}", (f"v{i}", f"v{j}"), 1) for k, (i, j) in enumerate(pairs)],
             allow_loops=True,
         )
-        removed = data.draw(st.sets(st.sampled_from(g.edge_ids()))) if pairs else set()
-        components = _components(g, removed)
-        # in the order of each component's first vertex, which is its smallest
-        assert [set(c) for c in components] == _components_without(g, removed)
-        assert [c[0] for c in components] == sorted(min(c) for c in components)
-        assert sorted(v for c in components for v in c) == list(g.vertices)
+        root = data.draw(st.sampled_from(g.vertices))
+        order, up = _walk(g, root)
+        component = next(c for c in _components_without(g, ()) if root in c)
+        # each vertex of root's component once, root first, every other
+        # after its parent and joined to it by its tree edge
+        assert len(order) == len(set(order)) and set(order) == component
+        assert order[0] == root and set(up) == component - {root}
+        position = {v: k for k, v in enumerate(order)}
+        for v, (parent, eid) in up.items():
+            assert position[parent] < position[v]
+            assert set(g.edge(eid).ends) == {v, parent}
+
+        def ancestors(v):
+            out = {v}
+            while v != root:
+                v = up[v][0]
+                out.add(v)
+            return out
+
+        tree = {eid for _, eid in up.values()}
+        for e in g.edges:
+            u, w = e.ends
+            if e.id not in tree and u in component:
+                assert u in ancestors(w) or w in ancestors(u), e.id
         assert g.is_connected() == (len(_components_without(g, ())) == 1)
 
 
