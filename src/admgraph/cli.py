@@ -20,7 +20,13 @@ from . import bogomolov, documents, generators, polynomials, potential
 from .errors import ECHO_LIMIT, AdmGraphError, SchemaError, _path_key, _shown
 from .graph import Divisor, MetrizedGraph, _self_loop, validate_graph
 from .hyperelliptic import graph_size, nu_counts, validate_hyperelliptic
-from .rationals import INFINITY, _digit_limit_excess, as_fraction, format_rational
+from .rationals import (
+    INFINITY,
+    _digit_limit_excess,
+    _parse_integer,
+    as_fraction,
+    format_rational,
+)
 
 
 class _UsageError(Exception):
@@ -88,13 +94,14 @@ def _glued_value_shown(message: str) -> str:
 
 
 def _integer(text: str) -> int:
-    """int(text) for an option, with argparse's own message for a bad value;
-    a literal past the digit limit is named by its length, not echoed."""
+    """An integer option in the grammar of rational literals, with
+    argparse's own message for a bad value; a literal past the digit limit
+    is named by its length, not echoed."""
     excess = _digit_limit_excess(text)
     if excess:
         raise argparse.ArgumentTypeError(f"value too long: {excess}")
     try:
-        return int(text)
+        return _parse_integer(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {_shown(text, 'value')}") from None
 
@@ -218,8 +225,8 @@ def _parse_indexed(pairs: List[str], flag: str) -> Dict[int, int]:
             if excess:
                 raise _UsageError(f"{flag} value too long: {excess}")
         try:
-            index, value = item.split("=", 1)
-            out[int(index)] = out.get(int(index), 0) + int(value)
+            index, value = map(_parse_integer, item.split("=", 1))
+            out[index] = out.get(index, 0) + value
         except ValueError as exc:
             raise _UsageError(f"{flag} expects i=v, got {_shown(item, 'value')}") from exc
     return out

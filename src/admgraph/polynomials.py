@@ -56,9 +56,20 @@ coefficient nu(v) - 2 at every non-fixed vertex is
 
 with w(e) the smaller pushed coefficient on the simple restriction to the
 class.  ``epsilon_closed_form`` needs only the value of M/L, which it takes
-from every C(a) in two passes over the rooted walk: O(V) Fraction
-operations, with no linear algebra, no enumeration and no limit.  The
-symbolic L, M and ``epsilon_rational_fn`` list at most MAX_TREES cuts for
+from every C(a) in two passes over the rooted walk, with no linear algebra,
+no enumeration and no limit.  The passes run on integer pairs: with B the
+lcm of the class-length denominators and x_c = X_c B, C/B obeys the same
+recursion at the integer lengths x_c.  A pair in series with a class stays
+reduced, sums are reduced by the gcd of their denominators first, and each
+C(a) is reduced once, as it becomes a Fraction: O(V) integer operations and
+one gcd of two full-size numbers per vertex, plus one wherever two large
+branches meet.  The class sum is one integer
+sum over one denominator: with s the lcm of the polarization's coefficient
+denominators, D = deg s and W = w(e) s are integers and
+
+    (2/3) q + w(deg - w)/(deg + 2) = (2Ds + 3W(D - W)) / (3s(D + 2s)).
+
+The symbolic L, M and ``epsilon_rational_fn`` list at most MAX_TREES cuts for
 each of L and M, counted as they are listed, and raise EnumerationCapError
 past it.
 """
@@ -67,6 +78,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Dict, Iterable, List, Mapping, Tuple
 
 from .errors import (
@@ -314,49 +326,118 @@ def _theorem_shape_check(h: HyperellipticGraph, d: Divisor) -> Fraction:
     return deg
 
 
+def _class_coefficients(
+    h: HyperellipticGraph, d: Divisor, deg: Fraction
+) -> Tuple[int, Dict[str, int], int]:
+    """The closed form's coefficients as integer numerators over one
+    denominator: (2/3) q of M/L and (2/3) q + w(deg - w)/(deg + 2) of every
+    class's length, q = deg/(deg + 2).  With s the lcm of d's coefficient
+    denominators, D = deg s and W = w s are integers (w sums coefficients
+    of d), and the two are 2Ds and 2Ds + 3W(D - W) over 3s(D + 2s).
+    Returns (2Ds, {class: numerator}, 3s(D + 2s))."""
+    s = lcm(*[c.denominator for c in d.coefficients.values()])
+    big_d = deg.numerator * (s // deg.denominator)
+    q_num = 2 * big_d * s
+    numerators: Dict[str, int] = {}
+    for cname in h.classes():
+        w = _w_weight(h, d, cname)
+        big_w = w.numerator * (s // w.denominator)
+        numerators[cname] = q_num + 3 * big_w * (big_d - big_w)
+    return q_num, numerators, 3 * s * (big_d + 2 * s)
+
+
 def epsilon_rational_fn(h: HyperellipticGraph, d: Divisor) -> RationalFn:
     """The admissible constant as a rational function of the class lengths."""
     deg = _theorem_shape_check(h, d)
-    q = Fraction(2, 3) * deg / (deg + 2)
     lpoly = l_polynomial(h)
     mpoly = m_polynomial(h)
     if lpoly.is_zero():
         raise SolverFaultError("L vanished on a valid hyperelliptic graph")
-    terms: Dict[Monomial, Fraction] = {}
-    for cname in h.classes():
-        w = _w_weight(h, d, cname)
-        terms[(cname,)] = q + w * (deg - w) / (deg + 2)
-    linear = MultiPoly._trusted(terms)
-    return RationalFn(linear * lpoly + MultiPoly.constant(q) * mpoly, lpoly)
+    q_num, numerators, den = _class_coefficients(h, d, deg)
+    linear = MultiPoly._trusted({(c,): Fraction(n, den) for c, n in numerators.items()})
+    return RationalFn(linear * lpoly + MultiPoly.constant(Fraction(q_num, den)) * mpoly, lpoly)
+
+
+def _common_scale(lengths: Mapping[str, Fraction]) -> Tuple[int, Dict[str, int]]:
+    """B, the lcm of the lengths' denominators, and every length times B."""
+    # a list, here and in _class_coefficients: lcm(*generator) builds its
+    # argument tuple by resizing, which strands tuples on the interpreter's
+    # free lists (about 2 MB over a closed-form benchmark run)
+    scale = lcm(*[x.denominator for x in lengths.values()])
+    return scale, {c: x.numerator * (scale // x.denominator) for c, x in lengths.items()}
+
+
+def _add(a: Tuple[int, int], b: Tuple[int, int]) -> Tuple[int, int]:
+    """The sum of two reduced fractions n/d as a reduced pair, by Henrici's
+    rule: the gcd of the denominators comes first, so a small one keeps
+    it cheap."""
+    (n1, d1), (n2, d2) = a, b
+    g = gcd(d1, d2)
+    if g == 1:
+        return n1 * d2 + n2 * d1, d1 * d2
+    d1 //= g
+    n = n1 * (d2 // g) + n2 * d1
+    g = gcd(n, g)
+    return n // g, d1 * (d2 // g)
 
 
 def _conductances(h: HyperellipticGraph, lengths: Mapping[str, Fraction]) -> Dict[str, Fraction]:
     """C(a) for every non-fixed quotient vertex a, with conductance 1/X on a
-    class of length X.  From the leaves up, each vertex sums its branches
-    below; from the (fixed) root down, each adds the branch above it: the
-    parent's C less its own branch, in series with the joining class."""
+    class of length X.  From the leaves up, each vertex sums the branches
+    of its children; from the (fixed) root down, each child gets the branch
+    above it: its parent's C less its own branch, in series with the
+    joining class.
+
+    Both passes run on reduced integer pairs n/d.  With B the lcm of the
+    length denominators and x = X B, K = C/B obeys the same recursion at
+    the integer lengths x.  A reduced K in series with x is n/(d + x n),
+    still reduced; sums are reduced by ``_add``.  A child's branch above is
+    formed from its siblings' sums before and after it, never by
+    subtraction, so the gcd of two large numbers is taken only where two
+    large branches meet.  C(a) itself is left unreduced until it becomes
+    a Fraction: one such gcd per vertex."""
     order, up = _walk(h.quotient, min(h.fixed_vertices))
     fixed = h.fixed_vertices
-    down = dict.fromkeys(order, ZERO)
-    branch: Dict[str, Fraction] = {}
+    scale, x = _common_scale(lengths)
+    kids: Dict[str, List[str]] = {v: [] for v in order if v not in fixed}
+    for v in order[1:]:
+        p = up[v][0]
+        if p not in fixed:
+            kids[p].append(v)
+    zero = (0, 1)
+    # branch[v]: K from v's parent through v's class and everything below
+    # v; after[v][i]: the sum of the branches of v's children from i on
+    branch: Dict[str, Tuple[int, int]] = {}
+    after: Dict[str, List[Tuple[int, int]]] = {}
     for v in reversed(order[1:]):
-        p, c = up[v]
-        x = lengths[c]
-        below = down[v]
-        branch[v] = 1 / x if v in fixed else below / (1 + x * below)
-        down[p] += branch[v]
+        xv = x[up[v][1]]
+        if v in fixed:
+            branch[v] = 1, xv
+            continue
+        sums = [zero]
+        for u in reversed(kids[v]):
+            sums.append(_add(branch[u], sums[-1]))
+        sums.reverse()
+        after[v] = sums
+        n, d = sums[0]
+        branch[v] = n, d + xv * n
+    above: Dict[str, Tuple[int, int]] = {}
     total: Dict[str, Fraction] = {}
     for v in order[1:]:
         if v in fixed:
             continue
         p, c = up[v]
-        x = lengths[c]
         if p in fixed:
-            above = 1 / x
-        else:
-            rest = total[p] - branch[v]
-            above = rest / (1 + x * rest)
-        total[v] = down[v] + above
+            above[v] = 1, x[c]
+        (an, ad), sums = above[v], after[v]
+        before = zero
+        for i, u in enumerate(kids[v]):
+            if u not in fixed:
+                rn, rd = _add(above[v], _add(before, sums[i + 1]))
+                above[u] = rn, rd + x[up[u][1]] * rn
+            before = _add(before, branch[u])
+        n, d = sums[0]
+        total[v] = Fraction(scale * (n * ad + an * d), d * ad)
     return total
 
 
@@ -367,11 +448,13 @@ def epsilon_closed_form(h: HyperellipticGraph, d: Divisor) -> Fraction:
     M/L is the sum over non-fixed quotient vertices a of (val a - 2)/C(a),
     with C(a) the conductance from a to the grounded fixed vertices of the
     quotient tree (see the module docstring): no linear algebra, no
-    enumeration and no call into ``potential``.
+    enumeration and no call into ``potential``.  The class sum runs in
+    integers: the numerators of ``_class_coefficients`` against the lengths
+    times B, the lcm of their denominators.  With M/L it makes the one
+    Fraction returned.
     """
     assignment = h.lengths()
     deg = _theorem_shape_check(h, d)
-    q = Fraction(2, 3) * deg / (deg + 2)
     ratio = ZERO
     for a, conductance in _conductances(h, assignment).items():
         if conductance == 0:
@@ -379,8 +462,10 @@ def epsilon_closed_form(h: HyperellipticGraph, d: Divisor) -> Fraction:
                 f"the conductance from {_shown(a)} to the fixed vertices vanished"
             )
         ratio += (h.graph.valence(a) - 2) / conductance
-    total = q * ratio
-    for cname, x in assignment.items():
-        w = _w_weight(h, d, cname)
-        total += (q + w * (deg - w) / (deg + 2)) * x
-    return total
+    q_num, numerators, den = _class_coefficients(h, d, deg)
+    scale, x = _common_scale(assignment)
+    classes = sum(n * x[c] for c, n in numerators.items())
+    return Fraction(
+        q_num * scale * ratio.numerator + classes * ratio.denominator,
+        den * scale * ratio.denominator,
+    )

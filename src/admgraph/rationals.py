@@ -14,6 +14,7 @@ from fractions import Fraction
 from .errors import _shown
 
 _RATIONAL_RE = re.compile(r"^(-?[0-9]+)(?:/([0-9]+))?$")
+_INTEGER_RE = re.compile(r"-?[0-9]+")
 
 
 class Infinity:
@@ -99,6 +100,16 @@ def parse_rational(text: str) -> Fraction:
     if den == 0:
         raise ValueError(f"bad rational literal (zero denominator): {_shown(text, 'literal')}")
     return Fraction(int(p), den)
+
+
+def _parse_integer(text: str) -> int:
+    """The integers of parse_rational's grammar: "p" or "-p" in ASCII digits,
+    surrounding whitespace allowed.  Anything else (other digits, "_", "+")
+    is a ValueError; the caller checks the digit limit first."""
+    stripped = text.strip()
+    if not _INTEGER_RE.fullmatch(stripped):
+        raise ValueError(f"bad integer literal: {_shown(text, 'literal')}")
+    return int(stripped)
 
 
 _CHUNK_DIGITS = 1000

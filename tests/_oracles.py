@@ -38,6 +38,13 @@
   Laplacian of G, and M/L = (1/2) sum (val v - 2) kappa(G/(v~iota v)) /
   kappa(G), one determinant per non-fixed pair.
 
+* The conductances C(a) of the quotient tree in Fractions, by the two
+  passes ``polynomials`` ran before they moved to integer pairs: from the
+  leaves up each vertex sums its branches below, from the fixed root down
+  each adds the branch above it, its parent's C less its own branch in
+  series with the joining class.  The tree is rooted by its own
+  breadth-first walk.
+
 The L/M oracles use the restriction and contraction of ``hyperelliptic``
 but no code of ``polynomials``.
 
@@ -586,6 +593,45 @@ def conductances_kirchhoff(h, lengths):
     return {
         v: 2 * kappa / _kirchhoff_determinant(h, lengths, (v, w)) for v, w in nonfixed_pairs(h)
     }
+
+
+def conductances_reference(h, lengths):
+    """C(a) for every non-fixed quotient vertex a, in Fractions, with
+    conductance 1/X on a class of length X."""
+    neighbours = {v: [] for v in h.quotient.vertices}
+    for e in h.quotient.edges:
+        a, b = e.ends
+        neighbours[a].append((b, e.id))
+        neighbours[b].append((a, e.id))
+    root = min(h.fixed_vertices)
+    order, up = [root], {}
+    for v in order:  # breadth first: every vertex after its parent
+        for w, c in neighbours[v]:
+            if w != root and w not in up:
+                up[w] = (v, c)
+                order.append(w)
+    fixed = h.fixed_vertices
+    down = dict.fromkeys(order, ZERO)
+    branch = {}
+    for v in reversed(order[1:]):
+        p, c = up[v]
+        x = lengths[c]
+        below = down[v]
+        branch[v] = 1 / x if v in fixed else below / (1 + x * below)
+        down[p] += branch[v]
+    total = {}
+    for v in order[1:]:
+        if v in fixed:
+            continue
+        p, c = up[v]
+        x = lengths[c]
+        if p in fixed:
+            above = 1 / x
+        else:
+            rest = total[p] - branch[v]
+            above = rest / (1 + x * rest)
+        total[v] = down[v] + above
+    return total
 
 
 def epsilon_kirchhoff(h, d, lengths):

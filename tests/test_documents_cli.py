@@ -679,6 +679,37 @@ class TestCli:
         message = json.loads(captured.err)["error"]["message"]
         assert message == "argument --seed: invalid int value: 'abc'"
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["bound", "--genus", "{}"], "argument --genus: invalid int value: {!r}"),
+            (["bound", "--genus", "3", "--xi0", "{}"], "argument --xi0: invalid int value: {!r}"),
+            (["gen", "--seed", "{}"], "argument --seed: invalid int value: {!r}"),
+            (["gen", "--seed", "1", "--min-size", "{}"], "argument --min-size: invalid int value: {!r}"),
+            (["gen", "--seed", "1", "--max-size", "{}"], "argument --max-size: invalid int value: {!r}"),
+            (["bound", "--genus", "7", "--xi", "{}=1"], "--xi expects i=v, got {!r}"),
+            (["bound", "--genus", "7", "--xi", "1={}"], "--xi expects i=v, got {!r}"),
+            (["bound", "--genus", "7", "--delta", "{}=1"], "--delta expects i=v, got {!r}"),
+            (["bound", "--genus", "7", "--delta", "1={}"], "--delta expects i=v, got {!r}"),
+        ],
+        ids=["genus", "xi0", "seed", "min-size", "max-size", "xi-index", "xi", "delta-index", "delta"],
+    )
+    @pytest.mark.parametrize(
+        "value", ["\u0663", "\uff13", "3_0", "+3", " 3 "], ids=["arabic-indic", "fullwidth", "underscore", "plus", "spaces"]
+    )
+    def test_integer_options_read_ascii_integers(self, capsys, argv, message, value):
+        # the integers of the rational grammar, -?[0-9]+ once whitespace is
+        # stripped; Python's int() reads the others too
+        argv = [a.format(value) for a in argv]
+        code = run_command(argv)
+        captured = capsys.readouterr()
+        if value == " 3 ":
+            assert code == 0 and captured.err == ""
+            return
+        assert code == 2 and captured.out == ""
+        error = json.loads(captured.err)["error"]
+        assert error == {"code": "usage", "message": message.format(argv[-1])}
+
     @pytest.mark.parametrize("genus", ["10001", "100000000"])
     def test_bound_genus_above_cap_is_domain_error(self, capsys, genus):
         code, out = run(capsys, ["bound", "--genus", genus, "--xi0", "1"])

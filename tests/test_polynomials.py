@@ -12,6 +12,7 @@ from _oracles import (
     _connects,
     component_structures,
     conductances_kirchhoff,
+    conductances_reference,
     epsilon_kirchhoff,
     kirchhoff_polynomial,
     l_by_definition,
@@ -516,6 +517,27 @@ class TestQuotientTree:
             h = ag.ladder_graph(n)
             lengths = h.lengths()
             assert ag.polynomials._conductances(h, lengths) == conductances_kirchhoff(h, lengths)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(min_value=0, max_value=100_000), st.data())
+    def test_integer_pass_matches_fraction_reference(self, seed, data):
+        # random covers at random rational lengths, the 800-digit integer
+        # and reciprocal lengths of test_long_lengths_on_corpus among them;
+        # trees this large often have a non-fixed child after a sibling
+        h = double_cover(random_cover_spec(seed, max_vertices=40))
+        length = st.one_of(
+            st.fractions(min_value=F(1, 10**6), max_value=10**6),
+            st.sampled_from([BIG, SMALL, BIG + 1, F(1, BIG + 2)]),
+        )
+        h2 = ag.with_lengths(h, {c: data.draw(length) for c in h.classes()})
+        lengths = h2.lengths()
+        assert ag.polynomials._conductances(h2, lengths) == conductances_reference(h2, lengths)
+
+    def test_integer_pass_matches_fraction_reference_on_ladders(self):
+        for n in range(2, 301):
+            h = ag.ladder_graph(n)
+            lengths = h.lengths()
+            assert ag.polynomials._conductances(h, lengths) == conductances_reference(h, lengths)
 
     def test_ladders_match_solver(self):
         for n in (40, 60):
