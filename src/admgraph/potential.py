@@ -12,12 +12,12 @@ output: on each edge g'' equals the measure's density, at each vertex the
 outgoing slopes sum to mu({v}) - [v = source], and every property is
 asserted post-hoc (a violation raises SolverFaultError, never returns).
 
-One factorization per graph serves everything.  The weighted Laplacian L
+One elimination per call serves everything.  The weighted Laplacian L
 (conductance 1/length) with the last vertex grounded (its row and column
 removed) is scaled to integers by one global scale S, the lcm of the length
 numerators, and K = S L is eliminated once, fraction-free (Bareiss, every
-division exact), against the identity: that gives Y = det K^-1 in integers,
-so L^-1 = S Y / det.
+division exact).  Y = det K^-1 is then an integer matrix and L^-1 = S Y /
+det, but no call builds all of Y: each reads only the entries it needs.
 
 K is sparse, and the elimination stays inside its band.  The non-grounded
 vertices are put in reverse Cuthill-McKee order (ties by vertex id, the
@@ -26,37 +26,61 @@ grounded vertex still last), which keeps K's nonzeros near the diagonal
 K is positive definite (the graph is connected and one vertex grounded),
 so every leading minor is positive: no pivot is zero and no row is ever
 swapped, and a pivot that is not positive is a fault.  Elimination then
-fills nothing outside K's envelope, so step k only touches the rows and
-columns that the rows up to k reach.  A row outside that reach, or with a
-zero multiplier, is in Bareiss only rescaled by the pivot over the previous
-pivot; those ratios telescope, so the row keeps a pending ratio (the steps
-it has taken) and is rescaled once, exactly, when next used.  K^-1 is
-symmetric, so one triangle of Y is back-substituted and mirrored.  Forward
-elimination costs O(V b^2) and the full inverse O(V^2 b) for bandwidth b.
-A symmetric permutation changes neither det K nor K^-1, and both are
-unique, so once Y is permuted back (S, det, Y) is bit for bit what the
-dense elimination in the graph's own order gives (tests/_oracles.py keeps
-that one as the reference).
+fills nothing outside K's envelope (hi[k], the last column any row up to k
+reaches), so step k only touches the rows and columns that the rows up to
+k reach.  A row outside that reach, or with a zero multiplier, is in
+Bareiss only rescaled by the pivot over the previous pivot; those ratios
+telescope, so the row keeps a pending ratio (the steps it has taken) and
+is rescaled once, exactly, when next used.  Forward elimination costs
+O(V b^2) for bandwidth b and keeps each step's multipliers.  From it:
 
-Every resistance, R(p, q) = S (Y_pp + Y_qq - 2 Y_pq) / det, the canonical
-and admissible measures (as integers over one denominator) and every Green
-slice are read off Y.  On an edge of length l, at arc length s from its
-first end, g(s) = (density/2) s^2 + beta s + g(start), so the only
+* the envelope of Y (Y_ij with j <= hi[i]) by back-substitution restricted
+  to the envelope, O(V b^2) (Takahashi, Fagan and Chin 1973; Erisman and
+  Tinney 1975): hi is nondecreasing, so every entry the recurrence reads
+  is itself in the envelope.  It holds the diagonal and, since K_uw != 0
+  puts w within hi[u], every edge;
+* a column Y b for any integer b, O(V b): the forward pass replayed on b
+  from the kept multipliers, with the same pending ratios, then
+  back-substitution against the eliminated rows.
+
+A symmetric permutation changes neither det K nor K^-1, and both are
+unique, so every entry read is bit for bit the one the dense elimination
+in the graph's own order gives (tests/_oracles.py keeps that one, and the
+full inverse, as references).  det and the entries of Y share a factor,
+large when the lengths are long; the Green values divide it out of det
+and of every entry they read, and a returned Fraction is reduced anyway.
+
+A resistance R(p, q) = S (x_p - x_q) / det is one column x = Y (e_p - e_q).
+The canonical and admissible measures (as integers over one denominator)
+read the envelope on the edges.  On an edge of length l, at arc length s
+from its first end, g(s) = (density/2) s^2 + beta s + g(start), so the only
 unknowns are the vertex values: flux balance is a grounded solve, and a
-constant shift then makes the integral against mu vanish.  Every slice
-g(x, .) is kept as integer vertex values over one common denominator up to
-the public boundary, the self-checks (both masses, flux at every vertex,
-the integral, symmetry and constancy) run in integers, and Fractions are
-built only for returned values (no tolerances exist; arithmetic is exact).
+constant shift then makes the integral against mu vanish.  With p = Z w
+(Z = L^-1, w the flux weights) g(x, y) = Z_xy - p_x - p_y + k0, so a slice
+g(s, .) is two columns, Y e_s and Y w.  Every slice is kept as integer
+vertex values over one common denominator up to the public boundary, the
+self-checks (both masses, flux at every vertex, the integral, symmetry and
+constancy) run in integers, and Fractions are built only for returned
+values (no tolerances exist; arithmetic is exact).
+
+The admissible constant needs only g(D, .) (column Y a for D = a / s),
+the diagonal g(y, y) (the envelope) and Y w.  It is certified by both
+total masses, flux and the integral on g(D, .) and on one full slice
+g(y0, .), the symmetry a . g(y0, .) = s g(D, y0), and g(D, y) + g(y, y)
+being constant at every vertex: the first slice pins g(D, .), the second
+pins g(y0, y0) and so the constant, and constancy then pins every other
+diagonal entry.  y0 is the graph's first vertex, never the grounded one,
+whose column of Y is zero.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, count
 from math import gcd, lcm
 from operator import mul
-from typing import Dict, Iterable, List, Mapping, NamedTuple, Tuple
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (
     ArcLengthRangeError,
@@ -70,19 +94,6 @@ from .graph import Divisor, MetrizedGraph
 from .rationals import INFINITY, as_fraction
 
 ZERO = Fraction(0)
-
-# (S, det, Y) from _factor: L^-1 = S Y / det for the grounded Laplacian L
-_Factorization = Tuple[int, int, List[List[int]]]
-
-
-def _denominator_lcm(*groups: Iterable[Fraction]) -> int:
-    """The lcm of the denominators of all the fractions in the groups."""
-    return lcm(*(x.denominator for xs in groups for x in xs))
-
-
-def _scaled(xs: Iterable[Fraction], scale: int) -> List[int]:
-    """x * scale for each x; scale must be a multiple of every denominator."""
-    return [x.numerator * (scale // x.denominator) for x in xs]
 
 
 def _band_order(g: MetrizedGraph) -> List[str]:
@@ -121,32 +132,51 @@ def _band_order(g: MetrizedGraph) -> List[str]:
     return order
 
 
-def _eliminate(a: List[List[int]]) -> Tuple[int, List[List[int]]]:
-    """det a and Y = det * a^-1 in integers for a symmetric positive
-    definite a.  Returns (det, Y).
+class _Elimination(NamedTuple):
+    """The forward pass of _eliminate on an n x n matrix.
 
-    Fraction-free (Bareiss) elimination without pivoting, kept inside a's
-    envelope: hi[k], the last column reached by any row up to k, bounds the
-    rows that step k updates, and elimination fills nothing outside it.  In
-    Bareiss a row whose multiplier is zero is still rescaled by the pivot
-    over the previous pivot; those ratios telescope, so such a row keeps
-    the number of steps it has taken instead and is brought up to date,
-    exactly, when it is next needed.  Every pivot is a leading principal
-    minor, so a pivot that is not positive means a is not positive definite
-    and raises SolverFaultError.  The last pivot is det = det a.
-    Back-substitution fills one triangle of the symmetric Y and mirrors it:
-    row k of the forward-eliminated identity is the previous pivot at
-    column k and zero to its right.  Each division is exact by Cramer's rule.
+    hi[k] is the last column any row up to k reaches.  pivots[k] is the
+    k-th leading principal minor, pivots[0] = 1, so the determinant is
+    pivots[n].  Row k of the fraction-free upper triangle U (row k after k
+    steps) is pivots[k + 1] at column k, upper[k] at columns k + 1 to hi[k]
+    and zero beyond.  steps[k] = (behind, updates) replays step k on a
+    column: row k had taken `behind` steps, and each (i, m, den) in updates
+    took row i to k + 1 steps by (row_i * pivots[k + 1] - m * row_k) // den,
+    m being row i's multiplier as the row then stood.
+    """
+
+    hi: List[int]
+    upper: List[List[int]]
+    pivots: List[int]
+    steps: List[Tuple[int, List[Tuple[int, int, int]]]]
+
+
+def _eliminate(a: List[List[int]]) -> _Elimination:
+    """Forward fraction-free (Bareiss) elimination of a symmetric positive
+    definite a, without pivoting, kept inside a's envelope.
+
+    hi[k] bounds the rows that step k updates, and elimination fills
+    nothing outside it.  The matrix after k steps is symmetric (entry ij is
+    the minor of the first k rows and columns bordered by row i and column
+    j), so each row is updated from its diagonal on only, its multiplier
+    read from the pivot row.  In Bareiss a row whose multiplier is zero is
+    still rescaled by the pivot over the previous pivot; those ratios
+    telescope, so such a row keeps the number of steps it has taken instead
+    and is brought up to date, exactly, when it is next needed.  Every
+    pivot is a leading principal minor, so a pivot that is not positive
+    means a is not positive definite and raises SolverFaultError.
     """
     n = len(a)
     hi: List[int] = []
     reach = 0
     for k, row in enumerate(a):
-        reach = max(k, next((j for j in range(n - 1, reach, -1) if row[j]), reach))
+        last = n - 1 - next(compress(count(), reversed(row)), n - 1)  # last nonzero column
+        reach = max(k, reach, last)
         hi.append(reach)
     rows = [list(r) for r in a]
     pivots = [1]  # pivots[k]: the pivot of step k - 1; a row after k steps is a minor over it
     done = [0] * n  # steps each stored row has taken
+    steps = []
     for k in range(n):
         top, end = rows[k], hi[k] + 1
         behind = done[k]
@@ -156,71 +186,188 @@ def _eliminate(a: List[List[int]]) -> Tuple[int, List[List[int]]]:
         if lead <= 0:
             raise SolverFaultError("nonpositive pivot: the matrix is not positive definite")
         pivots.append(lead)
+        updates = []
         for i in range(k + 1, end):
-            row = rows[i]
-            m = row[k]
+            m = top[i]  # row i's multiplier after k steps: the step-k matrix is symmetric
             if not m:
                 continue
-            den = pivots[done[i]]
+            row, taken = rows[i], done[i]
+            den = pivots[taken]
+            if taken < k:
+                m = m * den // pivots[k]  # as row i stands, pending ratio unresolved
             stop = hi[i] + 1
-            row[k + 1 : stop] = [
-                (x * lead - m * t) // den for x, t in zip(row[k + 1 : stop], top[k + 1 : stop])
-            ]
+            row[i:stop] = [(x * lead - m * t) // den for x, t in zip(row[i:stop], top[i:stop])]
             done[i] = k + 1
+            updates.append((i, m, den))
+        steps.append((behind, updates))
+    upper = [row[k + 1 : end + 1] for k, (row, end) in enumerate(zip(rows, hi))]
+    return _Elimination(hi, upper, pivots, steps)
+
+
+# The envelope of Y = det a^-1: y[i][j - first[i]] = Y_ij for
+# first[i] <= j <= hi[i], where first[i] is the first row whose envelope
+# reaches column i (so the stored part of each row is symmetric about it).
+_Envelope = Tuple[List[int], List[List[int]]]
+
+
+def _envelope(el: _Elimination) -> _Envelope:
+    """The entries of Y = det a^-1 inside a's envelope, in integers.
+
+    Back-substitution against U, row by row from the last, for the columns
+    c <= hi[col] of row col only: row col of the forward-eliminated
+    identity is the previous pivot at column col and zero to its right, and
+    since hi is nondecreasing every Y_jc the recurrence reads (col < j <=
+    hi[col]) lies in the envelope and is already solved.  Each division is
+    exact by Cramer's rule.
+    """
+    hi, upper, pivots, _ = el
+    n = len(hi)
     det = pivots[n]
-    y = [[0] * n for _ in range(n)]
+    first: List[int] = []
+    j = 0
+    for c in range(n):
+        while hi[j] < c:
+            j += 1
+        first.append(j)
+    y = [[0] * (hi[c] + 1 - first[c]) for c in range(n)]
     for col in range(n - 1, -1, -1):
-        top, end = rows[col], hi[col] + 1
-        upper, lead = top[col + 1 : end], top[col]
-        for c in range(n - 1, col - 1, -1):
-            # y[c][j] = y[j][c] for the rows j > col already solved
-            acc = -sum(map(mul, upper, y[c][col + 1 : end]))
+        u, end, lead = upper[col], hi[col] + 1, pivots[col + 1]
+        own, base = y[col], first[col]
+        for c in range(end - 1, col - 1, -1):
+            row, fc = y[c], first[c]
+            # Y_cj for col < j <= hi[col], those with j < c mirrored from row j
+            acc = -sum(map(mul, u, row[col + 1 - fc : end - fc]))
             if c == col:
                 acc += det * pivots[col]
-            y[col][c] = y[c][col] = acc // lead
-    return det, y
+            row[col - fc] = own[c - base] = acc // lead
+    return first, y
+
+
+def _solve(el: _Elimination, b: List[int], f: int = 1) -> Optional[List[int]]:
+    """Y b / f = det a^-1 b / f in integers for an integer column b and a
+    divisor f of det, or None if f does not divide every entry of Y b.
+
+    The forward pass is replayed on b from the kept steps: b's rows keep
+    the same pending ratios as a's (a zero row needs none), so each update
+    divides exactly.  Back-substitution against U with det / f in place of
+    det then gives Y b / f where that is integral: each division is exact
+    by Cramer's rule for f = 1, and for any f unless it leaves a remainder.
+    O(V b).  Numbers stay smaller by f's size, which matters when the
+    lengths are long: det and all of Y then share a large factor.
+    """
+    hi, upper, pivots, steps = el
+    x = list(b)
+    for k, (behind, updates) in enumerate(steps):
+        xk = x[k]
+        if xk and behind < k:
+            x[k] = xk = xk * pivots[k] // pivots[behind]
+        lead = pivots[k + 1]
+        for i, m, den in updates:
+            xi = x[i]
+            if xi or xk:
+                x[i] = (xi * lead - m * xk) // den
+    top = pivots[-1] // f
+    for k in range(len(x) - 1, -1, -1):
+        acc = top * x[k] - sum(map(mul, upper[k], x[k + 1 : hi[k] + 1]))
+        x[k], rest = divmod(acc, pivots[k + 1])
+        if rest:
+            return None
+    return x
+
+
+class _Edges(NamedTuple):
+    """A graph's edges in integers, in edge order: ends[j] holds the vertex
+    indices of edge j's ends and its length is nums[j] / dens[j]."""
+
+    ends: List[Tuple[int, int]]
+    nums: List[int]
+    dens: List[int]
+
+
+def _edges(g: MetrizedGraph) -> _Edges:
+    index = {v: i for i, v in enumerate(g.vertices)}
+    lengths = [e.length for e in g.edges]
+    return _Edges(
+        [(index[e.ends[0]], index[e.ends[1]]) for e in g.edges],
+        [x.numerator for x in lengths],
+        [x.denominator for x in lengths],
+    )
+
+
+class _Factorization(NamedTuple):
+    """One elimination of a graph's grounded Laplacian.
+
+    K = scale * L is the weighted Laplacian (conductance 1/length) scaled to
+    integers by the lcm of the length numerators, the last vertex grounded
+    (its row and column removed), its rows in the band order: place[i] is
+    the row of the graph's i-th vertex, len(elim.hi) for the grounded
+    one.  Y = det K^-1 is read through _column and _envelope, 0 in the
+    grounded vertex's row and column; L^-1 = scale * Y / det.
+    """
+
+    edges: _Edges
+    scale: int
+    place: List[int]
+    elim: _Elimination
+
+    @property
+    def det(self) -> int:
+        return self.elim.pivots[-1]
 
 
 def _factor(g: MetrizedGraph) -> _Factorization:
-    """(S, det, Y) from one elimination of the grounded Laplacian.
-
-    K = S L is the weighted Laplacian (conductance 1/length) scaled to
-    integers by S, the lcm of the length numerators, with the last vertex
-    grounded (its row and column removed).  det and Y are the elimination's
-    determinant and det K^-1 divided by their common factor, which is large
-    when the lengths are.  Y has a row and a column per vertex, the grounded
-    one 0.  So L^-1 = S Y / det.
-
-    K is eliminated in the band order and Y permuted back to the graph's
-    vertex order; a symmetric permutation changes neither det nor K^-1, so
-    the result does not depend on the order.
-    """
+    """Eliminate the grounded Laplacian of g once, in the band order; a
+    symmetric permutation changes neither det K nor K^-1."""
     order = _band_order(g)
     n = len(order) - 1
     index = {v: i for i, v in enumerate(order)}
-    scale = lcm(*(e.length.numerator for e in g.edges))
+    place = [index[v] for v in g.vertices]
+    edges = _edges(g)
+    scale = lcm(*edges.nums)
     k = [[0] * n for _ in range(n)]
-    for e in g.edges:
-        c = e.length.denominator * (scale // e.length.numerator)
-        iu, iw = index[e.ends[0]], index[e.ends[1]]
-        for a, b in ((iu, iw), (iw, iu)):
-            if a < n:
-                k[a][a] += c
-                if b < n:
-                    k[a][b] -= c
-    det, y = _eliminate(k)
-    common = gcd(det, *(x for row in y for x in row))
-    place = [index[v] for v in g.vertices[:n]]
-    y = [[y[i][j] // common for j in place] + [0] for i in place]
-    y.append([0] * (n + 1))
-    return scale, det // common, y
+    for (iu, iw), a, b in zip(edges.ends, edges.nums, edges.dens):
+        c = b * (scale // a)
+        i, j = place[iu], place[iw]
+        if i < n:
+            k[i][i] += c
+            if j < n:
+                k[i][j] -= c
+                k[j][i] -= c
+        if j < n:
+            k[j][j] += c
+    return _Factorization(edges, scale, place, _eliminate(k))
+
+
+def _column(fac: _Factorization, b: Sequence[int], f: int = 1) -> Optional[List[int]]:
+    """Y b / f for integer charges b on the vertices, in the graph's vertex
+    order in and out, or None if f does not divide it (see _solve); the
+    grounded vertex's charge is not read and its entry is 0."""
+    n = len(fac.elim.hi)
+    band = [0] * (n + 1)
+    for i, x in zip(fac.place, b):
+        band[i] = x
+    x = _solve(fac.elim, band[:n], f)
+    if x is None:
+        return None
+    x.append(0)
+    return [x[i] for i in fac.place]
+
+
+def _diagonal(fac: _Factorization, env: _Envelope) -> List[int]:
+    """Y_vv for each vertex v in the graph's order, from the envelope."""
+    first, y = env
+    n = len(y)
+    return [y[i][i - first[i]] if i < n else 0 for i in fac.place]
 
 
 def _resistance(g: MetrizedGraph, p: str, q: str) -> Fraction:
-    """R(p, q) = S (Y_pp + Y_qq - 2 Y_pq) / det, read off the factorization."""
-    scale, det, y = _factor(g)
+    """R(p, q) = S (x_p - x_q) / det for the column x = Y (e_p - e_q)."""
+    fac = _factor(g)
     i, j = g.vertices.index(p), g.vertices.index(q)
-    return Fraction(scale * (y[i][i] + y[j][j] - 2 * y[i][j]), det)
+    b = [0] * len(g.vertices)
+    b[i], b[j] = 1, -1
+    x = _column(fac, b)
+    return Fraction(fac.scale * (x[i] - x[j]), fac.det)
 
 
 def effective_resistance(g: MetrizedGraph, p: str, q: str) -> Fraction:
@@ -300,40 +447,50 @@ class _Weights(NamedTuple):
     edge_masses: List[int]
 
 
-def _require_polarization(g: MetrizedGraph, d: Divisor) -> None:
-    if d.degree == -2:
-        raise DegreeMinusTwoError("admissible measure undefined for deg(D) = -2")
+# D = a / s in integers: s the lcm of the coefficients' denominators, a the
+# integer coefficients in the graph's vertex order
+_Polarization = Tuple[int, List[int]]
+
+
+def _polarization(g: MetrizedGraph, d: Divisor, what: str = "admissible measure") -> _Polarization:
+    """D in integers, once deg D != -2 and D's support on g are checked."""
+    s = lcm(*[x.denominator for x in d.coefficients.values()])
+    scaled = {v: x.numerator * (s // x.denominator) for v, x in d.coefficients.items()}
+    if sum(scaled.values()) == -2 * s:
+        raise DegreeMinusTwoError(f"{what} undefined for deg(D) = -2")
     for v in d.support():
         g.require_vertex(v)
+    return s, [scaled.get(v, 0) for v in g.vertices]
 
 
-def _weights(g: MetrizedGraph, fac: _Factorization, d: Divisor) -> _Weights:
+def _weights(fac: _Factorization, env: _Envelope, diag: List[int], pol: _Polarization) -> _Weights:
     """The admissible measure (delta_D + 2 * canonical) / (deg D + 2) in
     integers; D = 0 gives the canonical measure.
 
     The canonical measure has mass 1 - valence/2 at each vertex and, with R
     the resistance across an edge of length l, density (l - R) / l^2, so
     mass density * length = 1 - R / l = (det - c r) / det on the edge, where
-    c = S / l is its scaled conductance and r = Y_uu + Y_ww - 2 Y_uw.  Both
-    measures are checked to have total mass exactly 1.
+    c = S / l is its scaled conductance and r = Y_uu + Y_ww - 2 Y_uw, all
+    three in the envelope (diag holds Y_vv).  Both measures are checked to
+    have total mass exactly 1; for the canonical one that is Foster's
+    theorem, sum R / l = V - 1.
     """
-    scale, det, y = fac
-    index = {v: i for i, v in enumerate(g.vertices)}
-    twice = [2 * det] * len(index)  # 2 det (1 - valence/2) at each vertex
+    (ends, nums, dens), scale, place, _ = fac
+    det = fac.det
+    first, y = env
+    n = len(y)
+    twice = [2 * det] * len(place)  # 2 det (1 - valence/2) at each vertex
     edge_masses = []
-    for e in g.edges:
-        iu, iw = index[e.ends[0]], index[e.ends[1]]
+    for (iu, iw), a, b in zip(ends, nums, dens):
         twice[iu] -= det
         twice[iw] -= det
-        r = y[iu][iu] + y[iw][iw] - 2 * y[iu][iw]
-        edge_masses.append(det - e.length.denominator * (scale // e.length.numerator) * r)
+        i, j = place[iu], place[iw]
+        r = diag[iu] + diag[iw] - (0 if i == n or j == n else 2 * y[i][j - first[i]])
+        edge_masses.append(det - b * (scale // a) * r)
     if sum(twice) + 2 * sum(edge_masses) != 2 * det:
         raise SolverFaultError("canonical measure mass != 1")
-    # D = a / s with integer a: mu({v}) = (a_v det + s twice_v) / ((sum a + 2 s) det)
-    s = _denominator_lcm(d.coefficients.values())
-    a = [0] * len(index)
-    for v, x in d.coefficients.items():
-        a[index[v]] = x.numerator * (s // x.denominator)
+    # mu({v}) = (a_v det + s twice_v) / ((sum a + 2 s) det)
+    s, a = pol
     den = (sum(a) + 2 * s) * det
     masses = [x * det + s * t for x, t in zip(a, twice)]
     edge_masses = [2 * s * t for t in edge_masses]
@@ -346,21 +503,37 @@ def _weights(g: MetrizedGraph, fac: _Factorization, d: Divisor) -> _Weights:
     return mu
 
 
+def _solved_measure(
+    g: MetrizedGraph, pol: _Polarization
+) -> Tuple[_Factorization, List[int], _Weights]:
+    """One elimination, the diagonal of Y and the admissible measure of
+    D = pol, both from the envelope."""
+    fac = _factor(g)
+    env = _envelope(fac.elim)
+    diag = _diagonal(fac, env)
+    return fac, diag, _weights(fac, env, diag, pol)
+
+
 def _measure(g: MetrizedGraph, mu: _Weights) -> Measure:
     return Measure(
         {v: Fraction(m, mu.den) for v, m in zip(g.vertices, mu.masses)},
-        {
-            e.id: Fraction(t * e.length.denominator, mu.den * e.length.numerator)
-            for e, t in zip(g.edges, mu.edge_masses)
-        },
+        _densities(g, mu),
     )
+
+
+def _densities(g: MetrizedGraph, mu: _Weights) -> Dict[str, Fraction]:
+    """The mass density on each edge, mass over length."""
+    return {
+        e.id: Fraction(t * e.length.denominator, mu.den * e.length.numerator)
+        for e, t in zip(g.edges, mu.edge_masses)
+    }
 
 
 def canonical_measure(g: MetrizedGraph) -> Measure:
     """Mass 1 - valence/2 at each vertex, density 1/(l_e + r_e) on each edge
     (0 on bridges, the r_e -> infinity limit).  Total mass is exactly 1."""
     g.require_analytic()
-    return _measure(g, _weights(g, _factor(g), Divisor()))
+    return _measure(g, _solved_measure(g, (1, [0] * len(g.vertices)))[2])
 
 
 def admissible_measure(g: MetrizedGraph, d: Divisor) -> Measure:
@@ -369,9 +542,9 @@ def admissible_measure(g: MetrizedGraph, d: Divisor) -> Measure:
     Built from the canonical measure (rather than from the L-polynomial
     form) so it applies to every connected graph, trees included.
     """
-    _require_polarization(g, d)
+    pol = _polarization(g, d)
     g.require_analytic()
-    return _measure(g, _weights(g, _factor(g), d))
+    return _measure(g, _solved_measure(g, pol)[2])
 
 
 @dataclass(frozen=True)
@@ -421,139 +594,154 @@ class PiecewisePotential:
         return total
 
 
+# A slice of a Green's function with a divisor source, in integers: the
+# charges a (graph vertex order) and the values X with
+# sum_x a_x g(x, v) = X[v] / n for a common denominator n.
+_Slice = Tuple[Sequence[int], List[int]]
+
+
 def _green_values(
-    g: MetrizedGraph, fac: _Factorization, mu: _Weights, sources: Tuple[str, ...]
-) -> Tuple[int, Dict[str, Dict[str, int]]]:
-    """Vertex values of g(source, .) for several sources from one
-    factorization, as integers over one common denominator n:
-    g(source, v) = X / n.
+    fac: _Factorization, mu: _Weights, charges: Sequence[Sequence[int]], diagonal: List[int]
+) -> Tuple[int, List[List[int]], List[int]]:
+    """Vertex values of the slices sum_x a_x g(x, .), one per charge vector
+    a, and of g(v, v) from the diagonal Y_vv, as integers over one common
+    denominator n.  Returns (n, slices, diagonal values).
 
     weights[v], mu({v}) plus half the mass of each incident edge, is the
-    constant flux at v; the integral of g(source, .) against mu is
-    sum_v weights[v] g(source, v) - c with c = sum rho^2 l^3 / 12 over the
+    constant flux at v; the integral of g(x, .) against mu is
+    sum_v weights[v] g(x, v) - c with c = sum rho^2 l^3 / 12 over the
     edges, and the weights sum to mu's mass 1.  With W / w the weights over
-    their lcm w and L^-1 = (S / det) Y, flux balance (L f)_v = [v = source]
-    - weights[v] gives f_source[v] = (S / det) (Y[v][source] - (Y W)[v] / w),
-    and adding c - sum_u weights[u] f_source[u] makes the integral vanish.
-    So g(s, v) = (S / det) Y[v][s] - p[v] - p[s] + k0 with
-    p = (S / det) Y W / w and k0 = c + W . p / w, the only Fractions built:
-    the shift by the source, (S / det) (W^T Y)[s] / w, is p[s] again since
-    Y is symmetric.  n is the lcm of their denominators and that of S / det.
+    their lcm w and Z = L^-1 = (S / det) Y, flux balance (L f)_v = [v = x]
+    - weights[v] gives f_x[v] = Z[v][x] - p[v] with p = Z W / w, and adding
+    k0 - p[x], k0 = c + W . p / w, makes the integral vanish: so
+    g(x, v) = Z[v][x] - p[v] - p[x] + k0, and a slice with charges a of
+    total A is (Z a)[v] - A p[v] - a . p + A k0.  Only the columns Y a and
+    Y W are solved.  n = lcm(delta w^2, 12 den^2 lb) with S / det =
+    sigma / delta in lowest terms and lb the lcm of the length
+    denominators covers every term.
     """
-    scale, det, y = fac
-    index = {v: i for i, v in enumerate(g.vertices)}
+    (ends, nums, dens), scale = fac.edges, fac.scale
+    det = fac.det
     flux = [2 * m for m in mu.masses]
-    for e, t in zip(g.edges, mu.edge_masses):
-        flux[index[e.ends[0]]] += t
-        flux[index[e.ends[1]]] += t
+    for (iu, iw), t in zip(ends, mu.edge_masses):
+        flux[iu] += t
+        flux[iw] += t
     w = 2 * mu.den
     common = gcd(w, *flux)
     w //= common
     flux = [x // common for x in flux]
-    # c = sum (rho l)^2 l / 12 = sum (edge mass)^2 l / (12 den^2)
-    lb = lcm(*(e.length.denominator for e in g.edges))
-    c = Fraction(
-        sum(
-            t * t * e.length.numerator * (lb // e.length.denominator)
-            for e, t in zip(g.edges, mu.edge_masses)
-        ),
-        12 * mu.den * mu.den * lb,
-    )
-    ratio = Fraction(scale, det)
-    sigma, delta = ratio.numerator, ratio.denominator
-    yw = [sum(x * f for x, f in zip(row, flux)) for row in y]
-    p = [Fraction(sigma * x, delta * w) for x in yw]
-    k0 = Fraction(sigma * sum(f * x for f, x in zip(flux, yw)), delta * w * w) + c
-    n = lcm(delta, _denominator_lcm([k0], p))
-    step = sigma * (n // delta)
-    ps = _scaled(p, n)
-    (k0n,) = _scaled([k0], n)
-    out: Dict[str, Dict[str, int]] = {}
-    for src in sources:
-        s = index[src]
-        shift = k0n - ps[s]
-        out[src] = {v: step * row[s] - pv + shift for v, row, pv in zip(index, y, ps)}
-    return n, out
+    # c = sum (rho l)^2 l / 12 = sum (edge mass)^2 l / (12 den^2) = cn / cd
+    lb = lcm(*dens)
+    cd = 12 * mu.den * mu.den * lb
+    cn = sum([t * t * a * (lb // b) for t, a, b in zip(mu.edge_masses, nums, dens)])
+    # det and the entries of Y read share a factor, large when the lengths
+    # are long.  The columns are solved divided by f = gcd(det, diagonal)
+    # when f divides every one of them, else whole; det and every entry
+    # read are then divided by what they still share.
+    f = gcd(det, *diagonal)
+    columns = [_column(fac, b, f) for b in [flux, *charges]]
+    if None in columns:
+        f = 1
+        columns = [_column(fac, b) for b in [flux, *charges]]
+    yw, *columns = columns
+    common = gcd(det // f, *yw, *[x // f for x in diagonal], *[x for c in columns for x in c])
+    det //= f * common
+    diagonal = [x // (f * common) for x in diagonal]
+    if common > 1:
+        yw = [x // common for x in yw]
+        columns = [[x // common for x in column] for column in columns]
+    common = gcd(scale, det)  # S / det = sigma / delta in lowest terms
+    sigma, delta = scale // common, det // common
+    n = lcm(delta * w * w, cd)
+    base = sigma * (n // (delta * w))  # n p[v] = base yw[v]; n Z = base w Y
+    k0 = sigma * (n // (delta * w * w)) * sum(map(mul, flux, yw)) + cn * (n // cd)  # n k0
+    slices = []
+    for a, column in zip(charges, columns):
+        total = sum(a)
+        shift = total * k0 - base * sum(map(mul, a, yw))
+        slices.append([base * (w * x - total * p) + shift for x, p in zip(column, yw)])
+    diag = [base * (w * x - 2 * p) + k0 for x, p in zip(diagonal, yw)]
+    return n, slices, diag
 
 
-def _assert_green_values(
-    g: MetrizedGraph, mu: _Weights, n: int, slices: Mapping[str, Mapping[str, int]]
-) -> None:
-    """Certify slices g(source, v) = X / n of a Green's function, in integers.
+def _assert_green_values(g: MetrizedGraph, mu: _Weights, n: int, slices: Iterable[_Slice]) -> None:
+    """Certify slices sum_x a_x g(x, v) = X[v] / n of a Green's function,
+    in integers.
 
-    Computed from the values alone.  On edge (u, w) of length l and mass
-    density rho the slope at u is beta = (X_w - X_u) / (n l) - rho l / 2.
-    The outgoing slopes at every vertex, the grounded one included, must sum
-    to mu({v}) - [v = source], and the integral against mu,
-    sum m_v X_v / n + sum rho (rho l^3 / 6 + beta l^2 / 2 + X_u l / n),
-    must vanish; violations are internal faults.  Flux is scaled by k n and
-    the integral by j n, with k and j multiples of their coefficients'
-    denominators, so each slice costs O(V + E) integer multiply-adds.
+    Computed from the values alone.  With A the total charge, the second
+    derivative on an edge (u, w) of length l and mass density rho is A rho
+    and the slope at u is beta = (X_w - X_u) / (n l) - A rho l / 2.  The
+    outgoing slopes at every vertex, the grounded one included, must sum to
+    A mu({v}) - a_v, and the integral against mu must vanish: a quadratic
+    of second derivative A rho integrates over the edge to
+    l (f(u) + f(w)) / 2 - A rho l^3 / 12, so the integral is
+    sum_v weights[v] X_v / n - A sum rho^2 l^3 / 12, weights[v] being
+    mu({v}) plus half the mass of each edge at v.  Violations are internal
+    faults.  Flux is scaled by k n and the integral by 12 q^2 lb n, with k
+    a multiple of the slopes' denominators, q = mu.den and lb the lcm of
+    the length denominators, so each slice costs O(V + E) integer
+    multiply-adds.
     """
-    order = g.vertices
-    index = {v: i for i, v in enumerate(order)}
+    ends, nums, dens = _edges(g)
     q = mu.den
     # rho l = t / q and 1 / l = b / a on an edge of length a / b
-    k = lcm(2 * q, *(e.length.numerator for e in g.edges))
-    j = lcm(6 * q * q, 2 * q * k) * lcm(*(e.length.denominator for e in g.edges))
-    k_masses = [m * (k // q) for m in mu.masses]
-    j_masses = [m * (j // q) for m in mu.masses]
-    j_const = 0  # j sum rho^2 l^3 / 6
+    k = lcm(2 * q, *nums)
+    lb = lcm(*dens)
+    kn = k * n
+    n_masses = [m * (kn // q) for m in mu.masses]
+    weights = [2 * m for m in mu.masses]  # 2 q weights[v]
+    curvature = 0  # 12 q^2 lb sum rho^2 l^3 / 12
     edges = []
-    for e, t in zip(g.edges, mu.edge_masses):
-        a, b = e.length.numerator, e.length.denominator
-        half = t * (k // (2 * q))  # k rho l / 2
-        j_const += t * t * a * (j // (6 * q * q * b))
-        # the integral's slope term takes beta * k * n as the flux computes it
-        p = t * a * (j // (2 * q * k * b))
-        ends = index[e.ends[0]], index[e.ends[1]]
-        edges.append((*ends, b * (k // a), n * half, 2 * n * half, p, t * (j // q)))
-    for src, values in slices.items():
-        x = [values[v] for v in order]
-        excess = [-n * a for a in k_masses]  # k n (flux - mu({v}) + [v = source])
-        excess[index[src]] += k * n
-        total = n * j_const + sum(a * y for a, y in zip(j_masses, x))  # j n integral
-        for iu, iw, c, nh, n2h, p, qx in edges:
-            xu = x[iu]
-            beta = (x[iw] - xu) * c - nh  # k n beta
+    for (iu, iw), t, a, b in zip(ends, mu.edge_masses, nums, dens):
+        weights[iu] += t
+        weights[iw] += t
+        curvature += t * t * a * (lb // b)
+        half = t * (kn // (2 * q))  # k n rho l / 2
+        edges.append((iu, iw, b * (k // a), half, 2 * half))  # k / l
+    weights = [6 * q * lb * x for x in weights]
+    for charges, x in slices:
+        total = sum(charges)
+        # k n (flux - A mu({v}) + a_v)
+        excess = [kn * c - total * m for c, m in zip(charges, n_masses)]
+        scaled = edges if total == 1 else [(*e[:3], total * e[3], total * e[4]) for e in edges]
+        for iu, iw, c, half, twice in scaled:
+            beta = (x[iw] - x[iu]) * c - half  # k n beta
             excess[iu] += beta
-            excess[iw] -= n2h + beta
-            total += p * beta + qx * xu
-        for v, off in zip(order, excess):
-            if off:
-                raise SolverFaultError(f"flux balance fails at {_shown(v)}")
-        if total:
+            excess[iw] -= twice + beta
+        if any(excess):
+            v = next(v for v, off in zip(g.vertices, excess) if off)
+            raise SolverFaultError(f"flux balance fails at {_shown(v)}")
+        if sum(map(mul, weights, x)) != total * n * curvature:
             raise SolverFaultError("integral of g against mu is nonzero")
 
 
-def _checked_green(
-    g: MetrizedGraph, d: Divisor, sources: Tuple[str, ...]
-) -> Tuple[_Weights, int, Dict[str, Dict[str, int]]]:
-    """The admissible measure and the slices g(source, .) for the sources,
-    as integers over one denominator, from one factorization; certified,
-    and checked to be exactly symmetric where both orders are present."""
-    fac = _factor(g)
-    mu = _weights(g, fac, d)
-    n, values = _green_values(g, fac, mu, sources)
-    _assert_green_values(g, mu, n, values)
-    if any(values[x][y] != values[y][x] for x in sources for y in sources):
-        raise SolverFaultError("Green matrix is not symmetric")
-    return mu, n, values
+def _unit(g: MetrizedGraph, v: str) -> List[int]:
+    """The charge vector of one unit at v."""
+    return [int(u == v) for u in g.vertices]
 
 
 def green_function(g: MetrizedGraph, d: Divisor, source: str) -> PiecewisePotential:
-    """The unique piecewise-quadratic y -> g(source, y); exact rational solve."""
+    """The unique piecewise-quadratic y -> g(source, y); exact rational solve.
+
+    Two columns of Y (e_source and the flux weights) and the envelope on
+    the edges (for the measure); the slice is certified before any Fraction
+    is built, one per returned value."""
     g.require_vertex(source)
     g.require_analytic()
-    _require_polarization(g, d)
-    mu, n, slices = _checked_green(g, d, (source,))
-    values = {v: Fraction(x, n) for v, x in slices[source].items()}
-    second = _measure(g, mu).edge_densities
+    fac, diagonal, mu = _solved_measure(g, _polarization(g, d))
+    a = _unit(g, source)
+    n, (x,), _ = _green_values(fac, mu, [a], diagonal)
+    _assert_green_values(g, mu, n, [(a, x)])
+    # on an edge of length a / b with mass t / den, the slope at the start
+    # is (X_w - X_u) b / (n a) - t / (2 den)
+    ends, nums, dens = fac.edges
+    q2 = 2 * mu.den
     slopes = {
-        e.id: (values[e.ends[1]] - values[e.ends[0]]) / e.length - second[e.id] * e.length / 2
-        for e in g.edges
+        e.id: Fraction(q2 * b * (x[iw] - x[iu]) - t * n * a, q2 * n * a)
+        for e, (iu, iw), t, a, b in zip(g.edges, ends, mu.edge_masses, nums, dens)
     }
-    return PiecewisePotential(g, source, values, second, slopes)
+    values = {v: Fraction(xv, n) for v, xv in zip(g.vertices, x)}
+    return PiecewisePotential(g, source, values, _densities(g, mu), slopes)
 
 
 def green_pairing(g: MetrizedGraph, d: Divisor, p: str, q: str) -> Fraction:
@@ -563,12 +751,19 @@ def green_pairing(g: MetrizedGraph, d: Divisor, p: str, q: str) -> Fraction:
 
 
 def green_matrix(g: MetrizedGraph, d: Divisor) -> Dict[str, Dict[str, Fraction]]:
-    """All vertex pair values g(x, y) from a single elimination; the matrix
-    is checked to be exactly symmetric."""
+    """All vertex pair values g(x, y) from a single elimination, a column
+    of Y per vertex; every slice is certified and the matrix is checked to
+    be exactly symmetric."""
     g.require_analytic()
-    _require_polarization(g, d)
-    _, n, values = _checked_green(g, d, g.vertices)
-    return {x: {y: Fraction(v, n) for y, v in row.items()} for x, row in values.items()}
+    fac, diagonal, mu = _solved_measure(g, _polarization(g, d))
+    charges = [_unit(g, v) for v in g.vertices]
+    n, rows, _ = _green_values(fac, mu, charges, diagonal)
+    _assert_green_values(g, mu, n, zip(charges, rows))
+    if any(row[j] != other[i] for i, row in enumerate(rows) for j, other in enumerate(rows)):
+        raise SolverFaultError("Green matrix is not symmetric")
+    return {
+        x: {y: Fraction(v, n) for y, v in zip(g.vertices, row)} for x, row in zip(g.vertices, rows)
+    }
 
 
 def epsilon_numeric(g: MetrizedGraph, d: Divisor) -> Tuple[Fraction, Fraction]:
@@ -576,22 +771,22 @@ def epsilon_numeric(g: MetrizedGraph, d: Divisor) -> Tuple[Fraction, Fraction]:
 
     c is computed as g(D, y) + g(y, y) at every vertex y and checked to be
     identical across vertices (exact equality); a mismatch signals a solver
-    bug and raises ConstancyViolationError.
+    bug and raises ConstancyViolationError.  g(D, .) and g(y0, .), y0 the
+    first vertex, are certified slices, checked to agree at (D, y0); the
+    diagonal is read off the envelope of Y, and constancy certifies it.
     """
-    deg = d.degree
-    if deg == -2:
-        raise DegreeMinusTwoError("admissible constant undefined for deg(D) = -2")
-    _require_polarization(g, d)
+    s, a = _polarization(g, d, "admissible constant")
     g.require_analytic()
-    _, n, values = _checked_green(g, d, g.vertices)
-    # D scaled to integer coefficients a, so s n c = sum_x a_x X[x][y] + s X[y][y]
-    s = _denominator_lcm(d.coefficients.values())
-    a = dict(zip(d.coefficients, _scaled(d.coefficients.values(), s)))
-    cs = [sum(b * values[x][y] for x, b in a.items()) + s * values[y][y] for y in g.vertices]
+    fac, diagonal, mu = _solved_measure(g, (s, a))
+    # D = a / s, so s n c = X_D[y] + s X[y][y] for the slice X_D of s g(D, .)
+    unit = _unit(g, g.vertices[0])
+    n, (x_d, x_0), diag = _green_values(fac, mu, [a, unit], diagonal)
+    _assert_green_values(g, mu, n, [(a, x_d), (unit, x_0)])
+    if sum(map(mul, a, x_0)) != x_d[0]:
+        raise SolverFaultError("Green matrix is not symmetric")
+    cs = [x + s * y for x, y in zip(x_d, diag)]
     if any(x != cs[0] for x in cs):
         raise ConstancyViolationError("g(D,y) + g(y,y) differs between vertices")
     c = Fraction(cs[0], s * n)
-    g_d_d = Fraction(
-        sum(b * b2 * values[x][y] for x, b in a.items() for y, b2 in a.items()), s * s * n
-    )
-    return 2 * deg * c - g_d_d, c
+    g_d_d = Fraction(sum(map(mul, a, x_d)), s * s * n)
+    return Fraction(2 * sum(a), s) * c - g_d_d, c

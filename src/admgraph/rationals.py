@@ -63,15 +63,18 @@ _CHECK_THRESHOLD = getattr(sys.int_info, "str_digits_check_threshold", 0)
 
 
 def _digit_limit_excess(literal: str) -> str:
-    """Why CPython would refuse to convert a decimal integer literal (sign
-    and surrounding whitespace allowed) that has more digits than
-    sys.get_int_max_str_digits() (4300 by default); "" if it would not,
-    without a scan when the literal is no longer than _CHECK_THRESHOLD."""
+    """Why CPython would refuse to convert a decimal integer literal in
+    ASCII digits (sign and surrounding whitespace allowed) that has more
+    digits than sys.get_int_max_str_digits() (4300 by default); "" if it
+    would not, or if the literal has other characters (other Unicode
+    digits included: they are not in the grammar, whose own check then
+    names them), without a scan when the literal is no longer than
+    _CHECK_THRESHOLD."""
     if len(literal) <= _CHECK_THRESHOLD:
         return ""
     digits = literal.strip().lstrip("+-")
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
-    if limit and len(digits) > limit and digits.isdecimal():
+    if limit and len(digits) > limit and digits.isascii() and digits.isdigit():
         return (
             f"an integer of {len(digits)} digits, "
             f"more than the {limit} digits admgraph reads per integer"

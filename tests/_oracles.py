@@ -51,7 +51,15 @@ but no code of ``polynomials``.
 * The grounded Laplacian's factorization (S, det, Y) by dense Bareiss
   elimination in the graph's own vertex order, with first-nonzero row-swap
   pivoting and back-substitution of every column; the library eliminates
-  inside the band of a reordered matrix and must give the same integers.
+  inside the band of a reordered matrix, and every entry of Y it reads
+  (the envelope, and columns Y b) must be the same integer.
+
+* The full-inverse route: the band elimination back-substituted over the
+  whole inverse, every quantity read off all of Y = det K^-1 (divided by
+  its common factor) as the library did before it read only the entries
+  each answer needs: resistances, both measures, every Green slice, and
+  epsilon from all V slices.  Every public solver entry point must equal
+  it exactly.
 
 * Green values by a different linear formulation: unknowns are the per-edge
   slope and offset (the curvature is fixed by the measure), constrained by
@@ -129,6 +137,7 @@ from admgraph.cli import _integer, _Parser
 from admgraph.documents import GraphDocument
 from admgraph.errors import _path_key, _shown
 from admgraph.hyperelliptic import is_semisimple_of_size, validate_hyperelliptic
+from admgraph.potential import _band_order
 
 ZERO = Fraction(0)
 
@@ -692,8 +701,9 @@ def dense_eliminate(a, b):
 def dense_factor(graph):
     """(S, det, Y) for the grounded Laplacian in the graph's own vertex
     order by dense_eliminate: K = S L, scaled to integers by the lcm S of the
-    length numerators, last vertex grounded; K Y = det I, det and Y divided
-    by their gcd, and a zero row and column for the grounded vertex."""
+    length numerators, last vertex grounded; K Y = det I (Y = det K^-1, the
+    adjugate, not reduced), and a zero row and column for the grounded
+    vertex."""
     order = graph.vertices
     n = len(order) - 1
     index = {v: i for i, v in enumerate(order)}
@@ -708,9 +718,172 @@ def dense_factor(graph):
                 if b < n:
                     k[a][b] -= c
     det, y = dense_eliminate(k, [[int(i == j) for j in range(n)] for i in range(n)])
-    common = gcd(det, *(x for row in y for x in row))
-    y = [[x // common for x in row] + [0] for row in y]
+    return scale, det, [row + [0] for row in y] + [[0] * (n + 1)]
+
+
+def banded_inverse(a):
+    """det a and all of Y = det * a^-1 for a symmetric positive definite a,
+    by the band elimination the library used before it read only part of
+    Y: forward Bareiss inside the envelope with pending ratios, then one
+    triangle of Y back-substituted over every column and mirrored."""
+    n = len(a)
+    hi = []
+    reach = 0
+    for k, row in enumerate(a):
+        reach = max(k, next((j for j in range(n - 1, reach, -1) if row[j]), reach))
+        hi.append(reach)
+    rows = [list(r) for r in a]
+    pivots = [1]
+    done = [0] * n
+    for k in range(n):
+        top, end = rows[k], hi[k] + 1
+        behind = done[k]
+        if behind < k:
+            top[k:end] = [x * pivots[k] // pivots[behind] for x in top[k:end]]
+        lead = top[k]
+        if lead <= 0:
+            raise SolverFaultError("nonpositive pivot: the matrix is not positive definite")
+        pivots.append(lead)
+        for i in range(k + 1, end):
+            row = rows[i]
+            m = row[k]
+            if not m:
+                continue
+            den = pivots[done[i]]
+            stop = hi[i] + 1
+            row[k + 1 : stop] = [
+                (x * lead - m * t) // den for x, t in zip(row[k + 1 : stop], top[k + 1 : stop])
+            ]
+            done[i] = k + 1
+    det = pivots[n]
+    y = [[0] * n for _ in range(n)]
+    for col in range(n - 1, -1, -1):
+        top, end = rows[col], hi[col] + 1
+        upper, lead = top[col + 1 : end], top[col]
+        for c in range(n - 1, col - 1, -1):
+            acc = -sum(a * b for a, b in zip(upper, y[c][col + 1 : end]))
+            if c == col:
+                acc += det * pivots[col]
+            y[col][c] = y[c][col] = acc // lead
+    return det, y
+
+
+def full_inverse_factor(graph):
+    """(S, det, Y) in the graph's vertex order from banded_inverse on the
+    band-ordered grounded Laplacian, det and Y divided by their common
+    factor: L^-1 = S Y / det.  Every full_inverse_* route below reads
+    this factorization."""
+    order = _band_order(graph)
+    n = len(order) - 1
+    index = {v: i for i, v in enumerate(order)}
+    scale = lcm(*[e.length.numerator for e in graph.edges])
+    k = [[0] * n for _ in range(n)]
+    for e in graph.edges:
+        c = e.length.denominator * (scale // e.length.numerator)
+        iu, iw = index[e.ends[0]], index[e.ends[1]]
+        for a, b in ((iu, iw), (iw, iu)):
+            if a < n:
+                k[a][a] += c
+                if b < n:
+                    k[a][b] -= c
+    det, y = banded_inverse(k)
+    common = gcd(det, *[x for row in y for x in row])
+    place = [index[v] for v in graph.vertices[:n]]
+    y = [[y[i][j] // common for j in place] + [0] for i in place]
     return scale, det // common, y + [[0] * (n + 1)]
+
+
+def full_inverse_resistances(graph, fac, pairs):
+    """R(p, q) = S (Y_pp + Y_qq - 2 Y_pq) / det for each pair."""
+    scale, det, y = fac
+    index = {v: i for i, v in enumerate(graph.vertices)}
+    out = []
+    for p, q in pairs:
+        i, j = index[p], index[q]
+        out.append(Fraction(scale * (y[i][i] + y[j][j] - 2 * y[i][j]), det))
+    return out
+
+
+def full_inverse_cross_resistances(graph, fac):
+    """r = l R / (l - R) across each edge from the resistance R across its
+    ends; None for a bridge (R = l)."""
+    across = full_inverse_resistances(graph, fac, [e.ends for e in graph.edges])
+    return {
+        e.id: None if r == e.length else e.length * r / (e.length - r)
+        for e, r in zip(graph.edges, across)
+    }
+
+
+def full_inverse_measure(graph, fac, d=None):
+    """(vertex masses, edge densities) of the admissible measure of d, the
+    canonical one when d is None: mass 1 - valence/2 and density
+    (l - R) / l^2 with R across each edge, combined as
+    (delta_D + 2 canonical) / (deg D + 2)."""
+    scale, det, y = fac
+    index = {v: i for i, v in enumerate(graph.vertices)}
+    masses = {v: 1 - Fraction(graph.valence(v), 2) for v in graph.vertices}
+    densities = {}
+    for e in graph.edges:
+        i, j = index[e.ends[0]], index[e.ends[1]]
+        across = Fraction(scale * (y[i][i] + y[j][j] - 2 * y[i][j]), det)
+        densities[e.id] = (e.length - across) / e.length**2
+    if d is None:
+        return masses, densities
+    scale_d = 1 / (d.degree + 2)
+    return (
+        {v: (d.coefficient(v) + 2 * m) * scale_d for v, m in masses.items()},
+        {e: 2 * x * scale_d for e, x in densities.items()},
+    )
+
+
+def _full_inverse_green(graph, fac, d):
+    """(ratio, Y, p, k0) with g(x, y) = ratio Y_xy - p_x - p_y + k0 off all
+    of Z = L^-1 = ratio Y, ratio = S / det: p = Z w for the flux weights w
+    (mu({v}) plus half the mass of each edge at v) and
+    k0 = w . p + sum rho^2 l^3 / 12."""
+    scale, det, y = fac
+    masses, densities = full_inverse_measure(graph, fac, d)
+    weights = dict(masses)
+    k0 = ZERO
+    for e in graph.edges:
+        half = densities[e.id] * e.length / 2
+        weights[e.ends[0]] += half
+        weights[e.ends[1]] += half
+        k0 += densities[e.id] ** 2 * e.length**3 / 12
+    ratio = Fraction(scale, det)
+    w = [weights[v] for v in graph.vertices]
+    den = lcm(*[x.denominator for x in w])
+    ints = [x.numerator * (den // x.denominator) for x in w]
+    p = [ratio * Fraction(sum(a * b for a, b in zip(row, ints)), den) for row in y]
+    return ratio, y, p, k0 + sum(a * b for a, b in zip(w, p))
+
+
+def full_inverse_green_matrix(graph, fac, d):
+    """g(x, y) for every vertex pair."""
+    ratio, y, p, k0 = _full_inverse_green(graph, fac, d)
+    vs = graph.vertices
+    return {
+        x: {v: ratio * y[i][j] - p[i] - p[j] + k0 for j, v in enumerate(vs)}
+        for i, x in enumerate(vs)
+    }
+
+
+def full_inverse_epsilon(graph, fac, d):
+    """(epsilon, c) = (2 deg(D) c - g(D, D), c), with c = g(D, y) + g(y, y)
+    required equal at every vertex y; with D = a / s in integers,
+    g(D, y) = ratio (Y a)_y / s - a . p / s - deg p_y + deg k0."""
+    ratio, y, p, k0 = _full_inverse_green(graph, fac, d)
+    s = lcm(*[x.denominator for x in d.coefficients.values()])
+    a = [int(d.coefficient(v) * s) for v in graph.vertices]
+    deg = d.degree
+    shift = deg * k0 - sum(x * q for x, q in zip(a, p)) / s
+    g_d = [
+        ratio * Fraction(sum(x * z for x, z in zip(row, a)), s) - deg * q + shift
+        for row, q in zip(y, p)
+    ]
+    (c,) = {x + ratio * y[i][i] - 2 * p[i] + k0 for i, x in enumerate(g_d)}
+    g_d_d = sum(x * z for x, z in zip(a, g_d)) / s
+    return 2 * deg * c - g_d_d, c
 
 
 def _rref_solve(rows, rhs):
@@ -1238,7 +1411,7 @@ _RATIONAL_RE = re.compile(r"^(-?[0-9]+)(?:/([0-9]+))?$")
 def _digit_limit_excess(literal: str) -> str:
     digits = literal.strip().lstrip("+-")
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
-    if limit and len(digits) > limit and digits.isdecimal():
+    if limit and len(digits) > limit and digits.isascii() and digits.isdigit():
         return (
             f"an integer of {len(digits)} digits, "
             f"more than the {limit} digits admgraph reads per integer"

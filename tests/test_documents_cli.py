@@ -672,6 +672,42 @@ class TestCli:
             "more than the 4300 digits admgraph reads per integer"
         )
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["bound", "--genus", "{}"], "argument --genus: invalid int value: {}"),
+            (["gen", "--seed", "{}"], "argument --seed: invalid int value: {}"),
+            (["bound", "--genus", "5", "--xi", "1={}"], "--xi expects i=v, got {}"),
+            (["bound", "--genus", "5", "--xi", "{}=1"], "--xi expects i=v, got {}"),
+            (["bound", "--genus", "5", "--delta", "1={}"], "--delta expects i=v, got {}"),
+            (["bound", "--genus", "5", "--delta", "{}=1"], "--delta expects i=v, got {}"),
+        ],
+        ids=["genus", "seed", "xi-value", "xi-index", "delta-value", "delta-index"],
+    )
+    @pytest.mark.parametrize("digit", ["٣", "3"], ids=["arabic-indic", "ascii"])
+    def test_digit_limit_counts_ascii_digits_only(self, capsys, argv, message, digit):
+        # 5000 digits of another script are not an integer of the grammar:
+        # the grammar's message, the value named by its length; 5000 ASCII
+        # digits are one past the digit limit
+        argv = [a.format(digit * 5000) for a in argv]
+        code = run_command(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        error = json.loads(captured.err)["error"]
+        if digit == "3":
+            flag = next(a for a in reversed(argv) if a.startswith("--"))
+            prefix = f"{flag} " if flag in ("--xi", "--delta") else f"argument {flag}: "
+            assert error["message"] == (
+                f"{prefix}value too long: an integer of 5000 digits, "
+                "more than the 4300 digits admgraph reads per integer"
+            )
+        else:
+            length = len(argv[-1])
+            assert error == {
+                "code": "usage",
+                "message": message.format(f"<a value of {length} characters>"),
+            }
+
     def test_bad_integer_option_keeps_the_argparse_message(self, capsys):
         code = run_command(["gen", "--seed", "abc"])
         captured = capsys.readouterr()

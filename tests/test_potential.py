@@ -9,7 +9,8 @@ independent oracles in _oracles.py.
 import random
 import re
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -17,8 +18,15 @@ from hypothesis import strategies as st
 
 import admgraph as ag
 from _oracles import (
+    banded_inverse,
     dense_eliminate,
     dense_factor,
+    full_inverse_cross_resistances,
+    full_inverse_epsilon,
+    full_inverse_factor,
+    full_inverse_green_matrix,
+    full_inverse_measure,
+    full_inverse_resistances,
     green_values_oracle,
     one_point_sum,
     tree_resistance,
@@ -29,14 +37,23 @@ from admgraph.potential import (
     _Weights,
     _assert_green_values,
     _band_order,
+    _column,
     _eliminate,
+    _envelope,
     _factor,
     _green_values,
-    _scaled,
-    _weights,
+    _polarization,
+    _solve,
+    _solved_measure,
+    _unit,
 )
 
 F = Fraction
+
+
+def _scaled(xs, scale):
+    """x * scale for each x; scale must be a multiple of every denominator."""
+    return [x.numerator * (scale // x.denominator) for x in xs]
 
 
 def sg(length=1):
@@ -191,9 +208,16 @@ def _integer_weights(g, mu):
 
 
 def _green_slices(g, d):
-    """(n, integer slices) of every source from the library's factorization."""
-    fac = _factor(g)
-    return _green_values(g, fac, _weights(g, fac, d), g.vertices)
+    """(n, integer slices) of every source from the library's factorization,
+    each slice a mapping vertex -> X with g(source, v) = X / n."""
+    fac, diagonal, mu = _solved_measure(g, _polarization(g, d))
+    n, rows, _ = _green_values(fac, mu, [_unit(g, v) for v in g.vertices], diagonal)
+    return n, {s: dict(zip(g.vertices, row)) for s, row in zip(g.vertices, rows)}
+
+
+def _check_slice(g, mu, n, source, values):
+    """The library's checker on one slice g(source, .) given as a mapping."""
+    _assert_green_values(g, mu, n, [(_unit(g, source), [values[v] for v in g.vertices])])
 
 
 @pytest.fixture(scope="module")
@@ -220,9 +244,9 @@ def _assert_checks_agree(g, mu, source, n, values):
         _reference_green_check(g, mu, source, {v: F(x, n) for v, x in values.items()})
     except ag.SolverFaultError as err:
         with pytest.raises(ag.SolverFaultError, match=re.escape(str(err))):
-            _assert_green_values(g, _integer_weights(g, mu), n, {source: values})
+            _check_slice(g, _integer_weights(g, mu), n, source, values)
         return False
-    _assert_green_values(g, _integer_weights(g, mu), n, {source: values})
+    _check_slice(g, _integer_weights(g, mu), n, source, values)
     return True
 
 
@@ -264,31 +288,112 @@ class TestGreenCheck:
             moved = dict(slices[source])
             moved[last] += 1
             with pytest.raises(ag.SolverFaultError, match="flux balance"):
-                _assert_green_values(g, mu, n, {source: moved})
+                _check_slice(g, mu, n, source, moved)
             shifted = {v: x + 1 for v, x in slices[source].items()}
             with pytest.raises(ag.SolverFaultError, match="integral"):
-                _assert_green_values(g, mu, n, {source: shifted})
+                _check_slice(g, mu, n, source, shifted)
             masses = dict(measure.vertex_masses)
             masses[last] = measure.mass_at(last) + 1
             heavier = _integer_weights(g, ag.Measure(masses, measure.edge_densities))
             n2, recentred = _shifted(n, slices[source], -F(slices[source][last], 2 * n))
             with pytest.raises(ag.SolverFaultError, match=re.escape(f"flux balance fails at {last!r}")):
-                _assert_green_values(g, heavier, n2, {source: recentred})
+                _check_slice(g, heavier, n2, source, recentred)
 
     def test_corrupted_matrix_entry_raises(self, monkeypatch):
         h = ag.ladder_graph(6)
         g, d = h.graph, ag.random_polarization(h, 6)
-        n, slices = _green_slices(g, d)
+        fac, diagonal, mu = _solved_measure(g, _polarization(g, d))
+        n, rows, _ = _green_values(fac, mu, [_unit(g, v) for v in g.vertices], diagonal)
         rng = random.Random(6)
         for _ in range(40):
-            x, y = rng.choice(g.vertices), rng.choice(g.vertices)
-            bad = {s: dict(row) for s, row in slices.items()}
+            x, y = rng.randrange(len(rows)), rng.randrange(len(rows))
+            bad = [list(row) for row in rows]
             bad[x][y] += rng.choice([-1, 1]) * rng.randint(1, n)
-            monkeypatch.setattr(potential, "_green_values", lambda *args: (n, bad))
+            monkeypatch.setattr(potential, "_green_values", lambda *args: (n, bad, []))
             with pytest.raises(ag.SolverFaultError):
                 ag.green_matrix(g, d)
-            with pytest.raises(ag.SolverFaultError):
-                ag.epsilon_numeric(g, d)
+
+
+def _fault_cases(corpus):
+    """(graph, divisor) pairs: ladders and small corpus covers."""
+    cases = []
+    for n in (2, 3, 6):
+        h = ag.ladder_graph(n)
+        cases.append((h.graph, ag.random_polarization(h, n)))
+    for k, h in enumerate(corpus[:6]):
+        cases.append((h.graph, ag.random_polarization(h, 700 + k)))
+    return cases
+
+
+def _corrupt(monkeypatch, name, which, rng, period=1):
+    """Wrap potential.<name> so that its result on call number `which`
+    (from 0), modulo `period`, has one entry moved by a nonzero integer.
+    The Green values solve their columns in one round (retried whole when
+    the shared factor does not divide one), so `period` is the number of
+    columns in a round."""
+    original = getattr(potential, name)
+    calls = []
+
+    def corrupted(*args):
+        out = original(*args)
+        calls.append(None)
+        if out is not None and (len(calls) - 1) % period == which:
+            out = list(out)
+            out[rng.randrange(len(out))] += rng.choice([-1, 1]) * rng.randint(1, 10**6)
+        return out
+
+    monkeypatch.setattr(potential, name, corrupted)
+
+
+class TestFaultInjection:
+    """A fault in any entry of Y that an entry point reads is caught by its
+    certificate.  The column solves run in a fixed order: the flux weights
+    w first, then one column per slice (epsilon: D, then the first vertex
+    y0)."""
+
+    # epsilon's solves: Y w, Y a for D = a / s, and the y0 column
+    @pytest.mark.parametrize("which", [0, 1, 2], ids=["flux", "divisor", "y0"])
+    def test_epsilon_catches_a_corrupted_column(self, monkeypatch, corpus, which):
+        rng = random.Random(which)
+        for g, d in _fault_cases(corpus):
+            for _ in range(5):
+                with monkeypatch.context() as m:
+                    _corrupt(m, "_solve", which, rng, period=3)
+                    with pytest.raises(ag.SolverFaultError):
+                        ag.epsilon_numeric(g, d)
+
+    def test_epsilon_catches_a_corrupted_diagonal_entry(self, monkeypatch, corpus):
+        rng = random.Random(7)
+        for g, d in _fault_cases(corpus):
+            for _ in range(5):
+                with monkeypatch.context() as m:
+                    _corrupt(m, "_diagonal", 0, rng)
+                    with pytest.raises((ag.ConstancyViolationError, ag.SolverFaultError)):
+                        ag.epsilon_numeric(g, d)
+
+    def test_green_catches_a_corrupted_column(self, monkeypatch, corpus):
+        rng = random.Random(8)
+        for g, d in _fault_cases(corpus):
+            for which in range(2):
+                with monkeypatch.context() as m:
+                    _corrupt(m, "_solve", which, rng, period=2)
+                    with pytest.raises(ag.SolverFaultError):
+                        ag.green_function(g, d, rng.choice(g.vertices[:-1]))
+            with monkeypatch.context() as m:
+                period = len(g.vertices) + 1
+                _corrupt(m, "_solve", rng.randrange(period), rng, period)
+                with pytest.raises(ag.SolverFaultError):
+                    ag.green_matrix(g, d)
+
+    def test_measure_catches_a_corrupted_diagonal_entry(self, monkeypatch, corpus):
+        # the canonical mass is Foster's sum over the edges' resistances, so
+        # one wrong diagonal entry moves it off V - 1
+        rng = random.Random(9)
+        for g, d in _fault_cases(corpus):
+            with monkeypatch.context() as m:
+                _corrupt(m, "_diagonal", 0, rng)
+                with pytest.raises(ag.SolverFaultError, match="canonical measure mass"):
+                    ag.admissible_measure(g, d)
 
 
 def _reference_laplacian(g):
@@ -468,9 +573,46 @@ def _assert_resistances_match_dense(g, pairs, edges):
         assert ag.cross_resistance(g, e.id) == expected, e.id
 
 
+def _assert_reads_match_dense(g, charges):
+    """det, every envelope entry of Y = det K^-1 and the column Y b for
+    each charge vector b equal the dense elimination's."""
+    scale, det, y = dense_factor(g)
+    fac = _factor(g)
+    assert (fac.scale, fac.det) == (scale, det)
+    first, env = _envelope(fac.elim)
+    vertex = {row: i for i, row in enumerate(fac.place)}  # band row -> vertex index
+    for i, hi in enumerate(fac.elim.hi):
+        for j in range(first[i], hi + 1):
+            assert env[i][j - first[i]] == y[vertex[i]][vertex[j]], (i, j)
+    for b in charges:
+        assert _column(fac, b) == [sum(map(mul, row, b)) for row in y]
+
+
+def _assert_matrix_reads_match_dense(a, columns):
+    """_eliminate's det, envelope and solves against dense_eliminate."""
+    n = len(a)
+    det, y = dense_eliminate(a, [[int(i == j) for j in range(n)] for i in range(n)])
+    el = _eliminate(a)
+    assert el.pivots[-1] == det
+    first, env = _envelope(el)
+    for i, hi in enumerate(el.hi):
+        assert env[i] == y[i][first[i] : hi + 1]
+    for b in columns:
+        yb = [sum(map(mul, row, b)) for row in y]
+        assert _solve(el, b) == yb
+        # divided by a divisor f of det where f divides Y b, else None
+        for f in {gcd(det, 6), gcd(det, sum(b) + 7), det}:
+            divided = [x // f for x in yb] if all(x % f == 0 for x in yb) else None
+            assert _solve(el, b, f) == divided, f
+
+
+CHARGES = st.integers(-(10**6), 10**6)
+
+
 class TestBandedElimination:
-    """The library eliminates inside the band of the reordered Laplacian;
-    the dense elimination in the graph's own order is the reference."""
+    """The library eliminates inside the band of the reordered Laplacian
+    and reads the envelope of Y and columns Y b from it; the dense
+    elimination in the graph's own order is the reference."""
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
@@ -483,25 +625,35 @@ class TestBandedElimination:
         g = ag.MetrizedGraph(
             g.vertices, [(e.id, e.ends, data.draw(BAND_LENGTHS)) for e in g.edges]
         )
-        assert _factor(g) == dense_factor(g)
+        size = len(g.vertices)
+        charges = data.draw(
+            st.lists(st.lists(CHARGES, min_size=size, max_size=size), min_size=1, max_size=3)
+        )
+        _assert_reads_match_dense(g, charges + [_unit(g, v) for v in g.vertices])
         vertex = st.sampled_from(g.vertices)
         pairs = data.draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=3))
         edges = data.draw(st.lists(st.sampled_from(g.edges), min_size=1, max_size=3))
         _assert_resistances_match_dense(g, pairs, edges)
 
     def test_ladders_match_dense_elimination(self):
+        rng = random.Random(30)
         for n in range(2, 31):
             g = ag.ladder_graph(n).graph
-            assert _factor(g) == dense_factor(g), n
+            size = len(g.vertices)
+            charges = [[rng.randint(-9, 9) for _ in range(size)], _unit(g, g.vertices[n])]
+            _assert_reads_match_dense(g, charges)
             pairs = [g.edges[0].ends, (g.vertices[1], g.vertices[-2])]
             _assert_resistances_match_dense(g, pairs, g.edges[:2])
 
     @settings(max_examples=150, deadline=None)
-    @given(spd_matrices())
-    def test_positive_definite_matches_dense_elimination(self, a):
+    @given(data=st.data())
+    def test_positive_definite_matches_dense_elimination(self, data):
+        a = data.draw(spd_matrices())
         n = len(a)
         identity = [[int(i == j) for j in range(n)] for i in range(n)]
-        assert _eliminate(a) == dense_eliminate(a, identity)
+        assert banded_inverse(a) == dense_eliminate(a, identity)
+        columns = data.draw(st.lists(st.lists(CHARGES, min_size=n, max_size=n), max_size=3))
+        _assert_matrix_reads_match_dense(a, columns + identity)
 
     def test_ladder_bandwidth_is_three(self):
         g = ag.ladder_graph(100).graph
@@ -526,6 +678,90 @@ class TestBandedElimination:
     def test_nonpositive_pivot_raises(self, matrix):
         with pytest.raises(ag.SolverFaultError, match="nonpositive pivot"):
             _eliminate(matrix)
+
+
+def _assert_matches_full_inverse(g, d, sources, edges=3, matrix=True):
+    """Every public solver entry point equals the full-inverse route; the
+    resistances on the first `edges` edges and two other pairs."""
+    fac = full_inverse_factor(g)
+    vertex = g.vertices
+    pairs = [(vertex[0], vertex[-1]), (vertex[-1], vertex[len(vertex) // 2])]
+    pairs += [e.ends for e in g.edges[:edges]]
+    assert [ag.effective_resistance(g, p, q) for p, q in pairs] == full_inverse_resistances(
+        g, fac, pairs
+    )
+    cross = full_inverse_cross_resistances(g, fac)
+    for e in g.edges[:edges]:
+        expected = cross[e.id]
+        assert ag.cross_resistance(g, e.id) == (ag.INFINITY if expected is None else expected)
+    can = ag.canonical_measure(g)
+    assert (can.vertex_masses, can.edge_densities) == full_inverse_measure(g, fac)
+    adm = ag.admissible_measure(g, d)
+    assert (adm.vertex_masses, adm.edge_densities) == full_inverse_measure(g, fac, d)
+    assert ag.epsilon_numeric(g, d) == full_inverse_epsilon(g, fac, d)
+    if not matrix:
+        return
+    values = full_inverse_green_matrix(g, fac, d)
+    assert ag.green_matrix(g, d) == values
+    for source in sources:
+        pot = ag.green_function(g, d, source)
+        assert pot.vertex_values == values[source]
+        assert pot.second_derivatives == adm.edge_densities
+        assert pot.slopes_at_start == {
+            e.id: (values[source][e.ends[1]] - values[source][e.ends[0]]) / e.length
+            - adm.edge_densities[e.id] * e.length / 2
+            for e in g.edges
+        }
+
+
+def _assert_every_slice_certified(g, d):
+    """The certificate epsilon_numeric ran before it read two slices: flux
+    and the integral on every slice g(x, .), the matrix exactly symmetric,
+    and g(D, y) + g(y, y) the same at every vertex, equal to its c."""
+    pol = _polarization(g, d)
+    fac, diagonal, mu = _solved_measure(g, pol)
+    charges = [_unit(g, v) for v in g.vertices]
+    n, rows, _ = _green_values(fac, mu, charges, diagonal)
+    _assert_green_values(g, mu, n, zip(charges, rows))
+    assert all(row[j] == other[i] for i, row in enumerate(rows) for j, other in enumerate(rows))
+    s, a = pol
+    (c,) = {sum(map(mul, a, column)) + s * column[i] for i, column in enumerate(rows)}
+    assert F(c, s * n) == ag.epsilon_numeric(g, d)[1]
+
+
+# small lengths, 800-digit integers and their reciprocals
+ALL_LENGTHS = st.one_of(LENGTHS, BAND_LENGTHS)
+
+
+class TestFullInverseRoute:
+    """Each entry point reads only the entries of Y it needs; the full
+    inverse, every quantity read off all of Y, is the reference."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_covers_match_full_inverse(self, small_graphs, data):
+        h = data.draw(st.sampled_from(small_graphs))
+        g = ag.MetrizedGraph(
+            h.graph.vertices, [(e.id, e.ends, data.draw(ALL_LENGTHS)) for e in h.graph.edges]
+        )
+        d = ag.random_polarization(h, data.draw(st.integers(0, 10**6)))
+        sources = data.draw(st.lists(st.sampled_from(g.vertices), min_size=1, max_size=2))
+        _assert_matches_full_inverse(g, d, sources)
+        _assert_every_slice_certified(g, d)
+
+    def test_corpus_matches_full_inverse(self, corpus):
+        for k, h in enumerate(corpus):
+            g = h.graph
+            d = ag.random_polarization(h, 900 + k)
+            _assert_matches_full_inverse(g, d, [g.vertices[k % len(g.vertices)]], len(g.edges))
+            _assert_every_slice_certified(g, d)
+
+    def test_ladders_match_full_inverse(self):
+        for n in range(2, 61):
+            h = ag.ladder_graph(n)
+            g, d = h.graph, ag.random_polarization(h, n)
+            _assert_matches_full_inverse(g, d, [g.vertices[n]], matrix=n % 10 == 2)
+            _assert_every_slice_certified(g, d)
 
 
 class TestResistance:
