@@ -40,7 +40,7 @@ from .errors import (
     UnexpectedComponentCountError,
     _shown,
 )
-from .graph import Divisor, MetrizedGraph, _walk, push_divisor, subdivide_edge
+from .graph import Divisor, MetrizedGraph, _subdivide, _walk, push_divisor
 from .hyperelliptic import (
     HyperellipticGraph,
     Involution,
@@ -373,12 +373,8 @@ def fiber_metrized(cfg: FiberConfiguration) -> Tuple[MetrizedGraph, Divisor]:
     """
     g = cfg.graph
     inv = cfg.involution
-    to_split = [
-        e.id for e in g.edges if e.is_loop() or (inv is not None and inv.edge(e.id) == e.id)
-    ]
-    out = g
-    for eid in sorted(to_split):
-        out = subdivide_edge(out, eid, out.edge(eid).length / 2)
+    split = [e for e in g.edges if e.is_loop() or (inv is not None and inv.edge(e.id) == e.id)]
+    out = _subdivide(g, {e.id: e.length / 2 for e in split})
     out = MetrizedGraph(out.vertices, out.edges)  # loop markers must be gone
     return out, omega_divisor(cfg)
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Tuple
 
 from .errors import (
     ArcLengthRangeError,
@@ -200,11 +200,12 @@ class MetrizedGraph:
 
     def require_analytic(self) -> None:
         """Guard for the potential-theory pipeline: connected, positive
-        lengths, no loops."""
-        report = validate_graph(self)
-        if not report.valid:
-            edge_problem = any(e.length <= 0 or e.is_loop() for e in self.edges)
-            raise (InvalidGraphError if edge_problem else DisconnectedGraphError)(report.problems[0])
+        lengths, no loops.  Raises the first problem validate_graph reports."""
+        problem = next(_edge_problems(self), None)
+        if problem is not None:
+            raise InvalidGraphError(problem)
+        if not self.is_connected():
+            raise DisconnectedGraphError("graph is not connected")
 
 
 def _walk(g: MetrizedGraph, root: str) -> Tuple[List[str], Dict[str, Tuple[str, str]]]:
@@ -236,15 +237,22 @@ class ValidationReport:
     problems: Tuple[str, ...]
 
 
+def _edge_problems(g: MetrizedGraph) -> Iterator[str]:
+    """Each edge's problems in edge order: a nonpositive length (a length's
+    denominator is positive, so its numerator carries the sign), then a
+    loop."""
+    for e in g.edges:
+        if e.length.numerator <= 0:
+            yield f"edge {_shown(e.id)}: nonpositive length {format_rational(e.length)}"
+        u, w = e.ends
+        if u == w:
+            yield f"edge {_shown(e.id)}: self-loop at {_shown(u)}"
+
+
 def validate_graph(g: MetrizedGraph) -> ValidationReport:
     """Report all invariant violations; a valid report certifies the graph
     for analytic use."""
-    problems = []
-    for e in g.edges:
-        if e.length <= 0:
-            problems.append(f"edge {_shown(e.id)}: nonpositive length {format_rational(e.length)}")
-        if e.is_loop():
-            problems.append(f"edge {_shown(e.id)}: self-loop at {_shown(e.ends[0])}")
+    problems = list(_edge_problems(g))
     if not g.is_connected():
         problems.append("graph is not connected")
     return ValidationReport(valid=not problems, problems=tuple(problems))
@@ -360,17 +368,30 @@ def subdivide_edge(g: MetrizedGraph, edge_id: str, t: Fraction) -> MetrizedGraph
     fresh degree-2 vertex; as a metric space the graph is unchanged.
     Deterministic names: vertex "<id>.m", edges "<id>.a"/"<id>.b".
     """
-    e = g.edge(edge_id)
-    t = as_fraction(t)
-    if not (0 < t < e.length):
-        raise ArcLengthRangeError(f"t out of range: need 0 < {t} < {e.length}")
-    mid, first, second = f"{edge_id}.m", f"{edge_id}.a", f"{edge_id}.b"
-    if mid in g._vertex_set:
-        raise InvalidGraphError(f"vertex id {_shown(mid)} already taken")
-    if first in g._edge_by_id or second in g._edge_by_id:
-        raise InvalidGraphError("subdivision edge ids already taken")
-    u, w = e.ends
-    edges = [x for x in g.edges if x.id != edge_id]
-    edges.append(Edge(first, (u, mid), t))
-    edges.append(Edge(second, (mid, w), e.length - t))
-    return MetrizedGraph(list(g.vertices) + [mid], edges, allow_loops=g.allow_loops)
+    return _subdivide(g, {edge_id: t})
+
+
+def _subdivide(g: MetrizedGraph, cuts: Mapping[str, object]) -> MetrizedGraph:
+    """Split each edge cuts names at arc length cuts[id], in one rebuild:
+    the graph, or the first error, of subdivide_edge one edge at a time in
+    sorted id order.  Checking each cut against g's own ids is enough: a
+    cut x < y adds "x.m", "x.a" and "x.b", none of them one of y's new
+    ids, and removes x, which is not "y.a" or "y.b" (they sort after y)."""
+    mids, halves = [], []
+    for edge_id in sorted(cuts):
+        e = g.edge(edge_id)
+        t = as_fraction(cuts[edge_id])
+        if not (0 < t < e.length):
+            raise ArcLengthRangeError(f"t out of range: need 0 < {t} < {e.length}")
+        mid, first, second = f"{edge_id}.m", f"{edge_id}.a", f"{edge_id}.b"
+        if mid in g._vertex_set:
+            raise InvalidGraphError(f"vertex id {_shown(mid)} already taken")
+        if first in g._edge_by_id or second in g._edge_by_id:
+            raise InvalidGraphError("subdivision edge ids already taken")
+        u, w = e.ends
+        mids.append(mid)
+        halves.append(Edge._trusted(first, (u, mid), t))
+        halves.append(Edge._trusted(second, (mid, w), e.length - t))
+    edges = [e for e in g.edges if e.id not in cuts] + halves
+    vertices = tuple(sorted(g.vertices + tuple(mids)))
+    return MetrizedGraph._trusted(vertices, tuple(edges), g.allow_loops)

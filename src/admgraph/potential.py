@@ -46,9 +46,14 @@ O(V b^2) for bandwidth b and keeps each step's multipliers.  From it:
 A symmetric permutation changes neither det K nor K^-1, and both are
 unique, so every entry read is bit for bit the one the dense elimination
 in the graph's own order gives (tests/_oracles.py keeps that one, and the
-full inverse, as references).  det and the entries of Y share a factor,
-large when the lengths are long; the Green values divide it out of det
-and of every entry they read, and a returned Fraction is reduced anyway.
+full inverse, as references).  The band order is decided once, in
+_factor, and is the one index space of the module: every integer vector
+over the vertices (charges, masses, columns of Y, Green slices, the
+diagonal) is indexed by band position, the grounded vertex last, and only
+the public entry points, building Fractions, key them by vertex id in the
+graph's order.  det and the entries of Y share a factor, large when the
+lengths are long; the Green values divide it out of det and of every
+entry they read, and a returned Fraction is reduced anyway.
 
 A resistance R(p, q) = S (x_p - x_q) / det is one column x = Y (e_p - e_q).
 The canonical and admissible measures (as integers over one denominator)
@@ -244,19 +249,23 @@ def _envelope(el: _Elimination) -> _Envelope:
 
 
 def _solve(el: _Elimination, b: List[int], f: int = 1) -> Optional[List[int]]:
-    """Y b / f = det a^-1 b / f in integers for an integer column b and a
+    """Y b / f = det a^-1 b / f in integers for an integer vector b and a
     divisor f of det, or None if f does not divide every entry of Y b.
 
-    The forward pass is replayed on b from the kept steps: b's rows keep
-    the same pending ratios as a's (a zero row needs none), so each update
-    divides exactly.  Back-substitution against U with det / f in place of
-    det then gives Y b / f where that is integral: each division is exact
-    by Cramer's rule for f = 1, and for any f unless it leaves a remainder.
-    O(V b).  Numbers stay smaller by f's size, which matters when the
-    lengths are long: det and all of Y then share a large factor.
+    b has one entry more than a has rows, for the grounded vertex: it is
+    not read, and the entry returned there is 0 (Y's grounded row and
+    column are zero).  The forward pass is replayed on b from the kept
+    steps: b's rows keep the same pending ratios as a's (a zero row needs
+    none), so each update divides exactly.  Back-substitution against U
+    with det / f in place of det then gives Y b / f where that is integral:
+    each division is exact by Cramer's rule for f = 1, and for any f unless
+    it leaves a remainder.  O(V b).  Numbers stay smaller by f's size,
+    which matters when the lengths are long: det and all of Y then share a
+    large factor.
     """
     hi, upper, pivots, steps = el
-    x = list(b)
+    n = len(hi)
+    x = b[:n]
     for k, (behind, updates) in enumerate(steps):
         xk = x[k]
         if xk and behind < k:
@@ -267,47 +276,33 @@ def _solve(el: _Elimination, b: List[int], f: int = 1) -> Optional[List[int]]:
             if xi or xk:
                 x[i] = (xi * lead - m * xk) // den
     top = pivots[-1] // f
-    for k in range(len(x) - 1, -1, -1):
+    for k in range(n - 1, -1, -1):
         acc = top * x[k] - sum(map(mul, upper[k], x[k + 1 : hi[k] + 1]))
         x[k], rest = divmod(acc, pivots[k + 1])
         if rest:
             return None
+    x.append(0)
     return x
 
 
-class _Edges(NamedTuple):
-    """A graph's edges in integers, in edge order: ends[j] holds the vertex
-    indices of edge j's ends and its length is nums[j] / dens[j]."""
+class _Factorization(NamedTuple):
+    """One elimination of a graph's grounded Laplacian, and the one index
+    space of the module: every integer vector over the vertices is indexed
+    by position in order, the band order (grounded vertex last), and
+    index[v] is the position of v.  Edge j, in the graph's edge order,
+    joins the positions ends[j] and has length nums[j] / dens[j].
+    K = scale * L is the weighted Laplacian (conductance 1/length) scaled to
+    integers by the lcm of the length numerators, the grounded row and
+    column removed.  Y = det K^-1 is read through _solve and _envelope;
+    L^-1 = scale * Y / det.
+    """
 
+    order: List[str]
+    index: Dict[str, int]
     ends: List[Tuple[int, int]]
     nums: List[int]
     dens: List[int]
-
-
-def _edges(g: MetrizedGraph) -> _Edges:
-    index = {v: i for i, v in enumerate(g.vertices)}
-    lengths = [e.length for e in g.edges]
-    return _Edges(
-        [(index[e.ends[0]], index[e.ends[1]]) for e in g.edges],
-        [x.numerator for x in lengths],
-        [x.denominator for x in lengths],
-    )
-
-
-class _Factorization(NamedTuple):
-    """One elimination of a graph's grounded Laplacian.
-
-    K = scale * L is the weighted Laplacian (conductance 1/length) scaled to
-    integers by the lcm of the length numerators, the last vertex grounded
-    (its row and column removed), its rows in the band order: place[i] is
-    the row of the graph's i-th vertex, len(elim.hi) for the grounded
-    one.  Y = det K^-1 is read through _column and _envelope, 0 in the
-    grounded vertex's row and column; L^-1 = scale * Y / det.
-    """
-
-    edges: _Edges
     scale: int
-    place: List[int]
     elim: _Elimination
 
     @property
@@ -321,13 +316,13 @@ def _factor(g: MetrizedGraph) -> _Factorization:
     order = _band_order(g)
     n = len(order) - 1
     index = {v: i for i, v in enumerate(order)}
-    place = [index[v] for v in g.vertices]
-    edges = _edges(g)
-    scale = lcm(*edges.nums)
+    ends = [(index[e.ends[0]], index[e.ends[1]]) for e in g.edges]
+    nums = [e.length.numerator for e in g.edges]
+    dens = [e.length.denominator for e in g.edges]
+    scale = lcm(*nums)
     k = [[0] * n for _ in range(n)]
-    for (iu, iw), a, b in zip(edges.ends, edges.nums, edges.dens):
+    for (i, j), a, b in zip(ends, nums, dens):
         c = b * (scale // a)
-        i, j = place[iu], place[iw]
         if i < n:
             k[i][i] += c
             if j < n:
@@ -335,38 +330,23 @@ def _factor(g: MetrizedGraph) -> _Factorization:
                 k[j][i] -= c
         if j < n:
             k[j][j] += c
-    return _Factorization(edges, scale, place, _eliminate(k))
+    return _Factorization(order, index, ends, nums, dens, scale, _eliminate(k))
 
 
-def _column(fac: _Factorization, b: Sequence[int], f: int = 1) -> Optional[List[int]]:
-    """Y b / f for integer charges b on the vertices, in the graph's vertex
-    order in and out, or None if f does not divide it (see _solve); the
-    grounded vertex's charge is not read and its entry is 0."""
-    n = len(fac.elim.hi)
-    band = [0] * (n + 1)
-    for i, x in zip(fac.place, b):
-        band[i] = x
-    x = _solve(fac.elim, band[:n], f)
-    if x is None:
-        return None
-    x.append(0)
-    return [x[i] for i in fac.place]
-
-
-def _diagonal(fac: _Factorization, env: _Envelope) -> List[int]:
-    """Y_vv for each vertex v in the graph's order, from the envelope."""
-    first, y = env
-    n = len(y)
-    return [y[i][i - first[i]] if i < n else 0 for i in fac.place]
+def _unit(fac: _Factorization, v: str) -> List[int]:
+    """The charge vector of one unit at v."""
+    b = [0] * len(fac.order)
+    b[fac.index[v]] = 1
+    return b
 
 
 def _resistance(g: MetrizedGraph, p: str, q: str) -> Fraction:
     """R(p, q) = S (x_p - x_q) / det for the column x = Y (e_p - e_q)."""
     fac = _factor(g)
-    i, j = g.vertices.index(p), g.vertices.index(q)
-    b = [0] * len(g.vertices)
-    b[i], b[j] = 1, -1
-    x = _column(fac, b)
+    i, j = fac.index[p], fac.index[q]
+    b = _unit(fac, p)
+    b[j] = -1
+    x = _solve(fac.elim, b)
     return Fraction(fac.scale * (x[i] - x[j]), fac.det)
 
 
@@ -420,10 +400,15 @@ class Measure:
         return self.edge_densities.get(edge_id, ZERO)
 
     def total_mass(self, g: MetrizedGraph) -> Fraction:
-        total = sum(self.vertex_masses.values(), ZERO)
+        """The vertex masses plus density * length on each edge of g, summed
+        over one common denominator."""
+        terms = [(m.numerator, m.denominator) for m in self.vertex_masses.values()]
         for e in g.edges:
-            total += self.density_on(e.id) * e.length
-        return total
+            rho, l = self.edge_densities.get(e.id), e.length
+            if rho:
+                terms.append((rho.numerator * l.numerator, rho.denominator * l.denominator))
+        den = lcm(*[b for _, b in terms])
+        return Fraction(sum([a * (den // b) for a, b in terms]), den)
 
     def __eq__(self, other):
         if not isinstance(other, Measure):
@@ -439,8 +424,8 @@ class Measure:
 
 class _Weights(NamedTuple):
     """A measure as integers over one denominator: mu({v}) = masses[i] / den
-    for the i-th vertex, and the mass density * length on the j-th edge is
-    edge_masses[j] / den (vertex and edge order of the graph)."""
+    for the vertex at band position i, and the mass density * length on
+    the j-th edge (the graph's edge order) is edge_masses[j] / den."""
 
     den: int
     masses: List[int]
@@ -448,8 +433,8 @@ class _Weights(NamedTuple):
 
 
 # D = a / s in integers: s the lcm of the coefficients' denominators, a the
-# integer coefficients in the graph's vertex order
-_Polarization = Tuple[int, List[int]]
+# integer coefficients by vertex id
+_Polarization = Tuple[int, Dict[str, int]]
 
 
 def _polarization(g: MetrizedGraph, d: Divisor, what: str = "admissible measure") -> _Polarization:
@@ -460,37 +445,42 @@ def _polarization(g: MetrizedGraph, d: Divisor, what: str = "admissible measure"
         raise DegreeMinusTwoError(f"{what} undefined for deg(D) = -2")
     for v in d.support():
         g.require_vertex(v)
-    return s, [scaled.get(v, 0) for v in g.vertices]
+    return s, scaled
 
 
-def _weights(fac: _Factorization, env: _Envelope, diag: List[int], pol: _Polarization) -> _Weights:
-    """The admissible measure (delta_D + 2 * canonical) / (deg D + 2) in
-    integers; D = 0 gives the canonical measure.
+def _solved_measure(
+    g: MetrizedGraph, pol: _Polarization
+) -> Tuple[_Factorization, List[int], List[int], _Weights]:
+    """One elimination; the coefficients a of D = a / s, placed in band
+    order; the diagonal of Y, read off the envelope; and the admissible
+    measure (delta_D + 2 * canonical) / (deg D + 2) in integers (D = 0
+    gives the canonical measure).
 
     The canonical measure has mass 1 - valence/2 at each vertex and, with R
     the resistance across an edge of length l, density (l - R) / l^2, so
     mass density * length = 1 - R / l = (det - c r) / det on the edge, where
     c = S / l is its scaled conductance and r = Y_uu + Y_ww - 2 Y_uw, all
-    three in the envelope (diag holds Y_vv).  Both measures are checked to
-    have total mass exactly 1; for the canonical one that is Foster's
-    theorem, sum R / l = V - 1.
+    three in the envelope.  Both measures are checked to have total mass
+    exactly 1; for the canonical one that is Foster's theorem,
+    sum R / l = V - 1.
     """
-    (ends, nums, dens), scale, place, _ = fac
+    fac = _factor(g)
     det = fac.det
-    first, y = env
+    s, scaled = pol
+    a = [scaled.get(v, 0) for v in fac.order]
+    first, y = _envelope(fac.elim)
     n = len(y)
-    twice = [2 * det] * len(place)  # 2 det (1 - valence/2) at each vertex
+    diag = [row[i - f] for i, (f, row) in enumerate(zip(first, y))] + [0]
+    twice = [2 * det] * (n + 1)  # 2 det (1 - valence/2) at each vertex
     edge_masses = []
-    for (iu, iw), a, b in zip(ends, nums, dens):
-        twice[iu] -= det
-        twice[iw] -= det
-        i, j = place[iu], place[iw]
-        r = diag[iu] + diag[iw] - (0 if i == n or j == n else 2 * y[i][j - first[i]])
-        edge_masses.append(det - b * (scale // a) * r)
+    for (i, j), p, q in zip(fac.ends, fac.nums, fac.dens):  # an edge of length p / q
+        twice[i] -= det
+        twice[j] -= det
+        r = diag[i] + diag[j] - (0 if i == n or j == n else 2 * y[i][j - first[i]])
+        edge_masses.append(det - q * (fac.scale // p) * r)
     if sum(twice) + 2 * sum(edge_masses) != 2 * det:
         raise SolverFaultError("canonical measure mass != 1")
     # mu({v}) = (a_v det + s twice_v) / ((sum a + 2 s) det)
-    s, a = pol
     den = (sum(a) + 2 * s) * det
     masses = [x * det + s * t for x, t in zip(a, twice)]
     edge_masses = [2 * s * t for t in edge_masses]
@@ -500,25 +490,13 @@ def _weights(fac: _Factorization, env: _Envelope, diag: List[int], pol: _Polariz
     mu = _Weights(den // common, [x // common for x in masses], [x // common for x in edge_masses])
     if sum(mu.masses) + sum(mu.edge_masses) != mu.den:
         raise SolverFaultError("admissible measure mass != 1")
-    return mu
+    return fac, a, diag, mu
 
 
-def _solved_measure(
-    g: MetrizedGraph, pol: _Polarization
-) -> Tuple[_Factorization, List[int], _Weights]:
-    """One elimination, the diagonal of Y and the admissible measure of
-    D = pol, both from the envelope."""
-    fac = _factor(g)
-    env = _envelope(fac.elim)
-    diag = _diagonal(fac, env)
-    return fac, diag, _weights(fac, env, diag, pol)
-
-
-def _measure(g: MetrizedGraph, mu: _Weights) -> Measure:
-    return Measure(
-        {v: Fraction(m, mu.den) for v, m in zip(g.vertices, mu.masses)},
-        _densities(g, mu),
-    )
+def _measure(g: MetrizedGraph, pol: _Polarization) -> Measure:
+    fac, _, _, mu = _solved_measure(g, pol)
+    masses = {v: Fraction(mu.masses[fac.index[v]], mu.den) for v in g.vertices}
+    return Measure(masses, _densities(g, mu))
 
 
 def _densities(g: MetrizedGraph, mu: _Weights) -> Dict[str, Fraction]:
@@ -533,7 +511,7 @@ def canonical_measure(g: MetrizedGraph) -> Measure:
     """Mass 1 - valence/2 at each vertex, density 1/(l_e + r_e) on each edge
     (0 on bridges, the r_e -> infinity limit).  Total mass is exactly 1."""
     g.require_analytic()
-    return _measure(g, _solved_measure(g, (1, [0] * len(g.vertices)))[2])
+    return _measure(g, (1, {}))
 
 
 def admissible_measure(g: MetrizedGraph, d: Divisor) -> Measure:
@@ -544,7 +522,7 @@ def admissible_measure(g: MetrizedGraph, d: Divisor) -> Measure:
     """
     pol = _polarization(g, d)
     g.require_analytic()
-    return _measure(g, _solved_measure(g, pol)[2])
+    return _measure(g, pol)
 
 
 @dataclass(frozen=True)
@@ -595,54 +573,60 @@ class PiecewisePotential:
 
 
 # A slice of a Green's function with a divisor source, in integers: the
-# charges a (graph vertex order) and the values X with
-# sum_x a_x g(x, v) = X[v] / n for a common denominator n.
-_Slice = Tuple[Sequence[int], List[int]]
+# charges a and the values X with sum_x a_x g(x, v) = X[v] / n for a common
+# denominator n, both by band position.
+_Slice = Tuple[List[int], List[int]]
+
+
+def _flux(fac: _Factorization, mu: _Weights) -> Tuple[List[int], int, int]:
+    """(flux, lb, curvature) of mu: flux[v] = 2 den weights[v], weights[v]
+    being mu({v}) plus half the mass of each edge at v (the constant flux
+    at v; they sum to 1); lb the lcm of the length denominators; and
+    curvature = den^2 lb sum rho^2 l^3 = sum t^2 a lb / b over the edges,
+    of length a / b, mass t / den and mass density rho."""
+    flux = [2 * m for m in mu.masses]
+    for (i, j), t in zip(fac.ends, mu.edge_masses):
+        flux[i] += t
+        flux[j] += t
+    lb = lcm(*fac.dens)
+    curvature = sum([t * t * a * (lb // b) for t, a, b in zip(mu.edge_masses, fac.nums, fac.dens)])
+    return flux, lb, curvature
 
 
 def _green_values(
-    fac: _Factorization, mu: _Weights, charges: Sequence[Sequence[int]], diagonal: List[int]
+    fac: _Factorization, mu: _Weights, charges: Sequence[List[int]], diagonal: List[int]
 ) -> Tuple[int, List[List[int]], List[int]]:
     """Vertex values of the slices sum_x a_x g(x, .), one per charge vector
     a, and of g(v, v) from the diagonal Y_vv, as integers over one common
     denominator n.  Returns (n, slices, diagonal values).
 
-    weights[v], mu({v}) plus half the mass of each incident edge, is the
-    constant flux at v; the integral of g(x, .) against mu is
-    sum_v weights[v] g(x, v) - c with c = sum rho^2 l^3 / 12 over the
-    edges, and the weights sum to mu's mass 1.  With W / w the weights over
-    their lcm w and Z = L^-1 = (S / det) Y, flux balance (L f)_v = [v = x]
-    - weights[v] gives f_x[v] = Z[v][x] - p[v] with p = Z W / w, and adding
-    k0 - p[x], k0 = c + W . p / w, makes the integral vanish: so
-    g(x, v) = Z[v][x] - p[v] - p[x] + k0, and a slice with charges a of
-    total A is (Z a)[v] - A p[v] - a . p + A k0.  Only the columns Y a and
-    Y W are solved.  n = lcm(delta w^2, 12 den^2 lb) with S / det =
-    sigma / delta in lowest terms and lb the lcm of the length
-    denominators covers every term.
+    The integral of g(x, .) against mu is sum_v weights[v] g(x, v) - c with
+    c = sum rho^2 l^3 / 12 over the edges (see _flux).  With W / w the
+    weights over their lcm w and Z = L^-1 = (S / det) Y, flux balance
+    (L f)_v = [v = x] - weights[v] gives f_x[v] = Z[v][x] - p[v] with
+    p = Z W / w, and adding k0 - p[x], k0 = c + W . p / w, makes the
+    integral vanish: so g(x, v) = Z[v][x] - p[v] - p[x] + k0, and a slice
+    with charges a of total A is (Z a)[v] - A p[v] - a . p + A k0.  Only
+    the columns Y a and Y W are solved.  n = lcm(delta w^2, 12 den^2 lb)
+    with S / det = sigma / delta in lowest terms and lb the lcm of the
+    length denominators covers every term.
     """
-    (ends, nums, dens), scale = fac.edges, fac.scale
     det = fac.det
-    flux = [2 * m for m in mu.masses]
-    for (iu, iw), t in zip(ends, mu.edge_masses):
-        flux[iu] += t
-        flux[iw] += t
+    flux, lb, cn = _flux(fac, mu)
     w = 2 * mu.den
     common = gcd(w, *flux)
     w //= common
     flux = [x // common for x in flux]
-    # c = sum (rho l)^2 l / 12 = sum (edge mass)^2 l / (12 den^2) = cn / cd
-    lb = lcm(*dens)
-    cd = 12 * mu.den * mu.den * lb
-    cn = sum([t * t * a * (lb // b) for t, a, b in zip(mu.edge_masses, nums, dens)])
+    cd = 12 * mu.den * mu.den * lb  # c = cn / cd
     # det and the entries of Y read share a factor, large when the lengths
     # are long.  The columns are solved divided by f = gcd(det, diagonal)
     # when f divides every one of them, else whole; det and every entry
     # read are then divided by what they still share.
     f = gcd(det, *diagonal)
-    columns = [_column(fac, b, f) for b in [flux, *charges]]
+    columns = [_solve(fac.elim, b, f) for b in [flux, *charges]]
     if None in columns:
         f = 1
-        columns = [_column(fac, b) for b in [flux, *charges]]
+        columns = [_solve(fac.elim, b) for b in [flux, *charges]]
     yw, *columns = columns
     common = gcd(det // f, *yw, *[x // f for x in diagonal], *[x for c in columns for x in c])
     det //= f * common
@@ -650,8 +634,8 @@ def _green_values(
     if common > 1:
         yw = [x // common for x in yw]
         columns = [[x // common for x in column] for column in columns]
-    common = gcd(scale, det)  # S / det = sigma / delta in lowest terms
-    sigma, delta = scale // common, det // common
+    common = gcd(fac.scale, det)  # S / det = sigma / delta in lowest terms
+    sigma, delta = fac.scale // common, det // common
     n = lcm(delta * w * w, cd)
     base = sigma * (n // (delta * w))  # n p[v] = base yw[v]; n Z = base w Y
     k0 = sigma * (n // (delta * w * w)) * sum(map(mul, flux, yw)) + cn * (n // cd)  # n k0
@@ -664,7 +648,9 @@ def _green_values(
     return n, slices, diag
 
 
-def _assert_green_values(g: MetrizedGraph, mu: _Weights, n: int, slices: Iterable[_Slice]) -> None:
+def _assert_green_values(
+    fac: _Factorization, mu: _Weights, n: int, slices: Iterable[_Slice]
+) -> None:
     """Certify slices sum_x a_x g(x, v) = X[v] / n of a Green's function,
     in integers.
 
@@ -675,49 +661,38 @@ def _assert_green_values(g: MetrizedGraph, mu: _Weights, n: int, slices: Iterabl
     A mu({v}) - a_v, and the integral against mu must vanish: a quadratic
     of second derivative A rho integrates over the edge to
     l (f(u) + f(w)) / 2 - A rho l^3 / 12, so the integral is
-    sum_v weights[v] X_v / n - A sum rho^2 l^3 / 12, weights[v] being
-    mu({v}) plus half the mass of each edge at v.  Violations are internal
-    faults.  Flux is scaled by k n and the integral by 12 q^2 lb n, with k
-    a multiple of the slopes' denominators, q = mu.den and lb the lcm of
-    the length denominators, so each slice costs O(V + E) integer
-    multiply-adds.
+    sum_v weights[v] X_v / n - A sum rho^2 l^3 / 12 (see _flux).
+    Violations are internal faults; a flux fault names the first failing
+    vertex in the graph's order, which sorts by id.  Flux is scaled by k n
+    and the integral by 12 q^2 lb n, with k a multiple of the slopes'
+    denominators, q = mu.den and lb the lcm of the length denominators, so
+    each slice costs O(V + E) integer multiply-adds.
     """
-    ends, nums, dens = _edges(g)
     q = mu.den
     # rho l = t / q and 1 / l = b / a on an edge of length a / b
-    k = lcm(2 * q, *nums)
-    lb = lcm(*dens)
+    k = lcm(2 * q, *fac.nums)
     kn = k * n
     n_masses = [m * (kn // q) for m in mu.masses]
-    weights = [2 * m for m in mu.masses]  # 2 q weights[v]
-    curvature = 0  # 12 q^2 lb sum rho^2 l^3 / 12
+    flux, lb, curvature = _flux(fac, mu)
+    weights = [6 * q * lb * x for x in flux]
     edges = []
-    for (iu, iw), t, a, b in zip(ends, mu.edge_masses, nums, dens):
-        weights[iu] += t
-        weights[iw] += t
-        curvature += t * t * a * (lb // b)
+    for (i, j), t, a, b in zip(fac.ends, mu.edge_masses, fac.nums, fac.dens):
         half = t * (kn // (2 * q))  # k n rho l / 2
-        edges.append((iu, iw, b * (k // a), half, 2 * half))  # k / l
-    weights = [6 * q * lb * x for x in weights]
+        edges.append((i, j, b * (k // a), half, 2 * half))  # k / l
     for charges, x in slices:
         total = sum(charges)
         # k n (flux - A mu({v}) + a_v)
         excess = [kn * c - total * m for c, m in zip(charges, n_masses)]
         scaled = edges if total == 1 else [(*e[:3], total * e[3], total * e[4]) for e in edges]
-        for iu, iw, c, half, twice in scaled:
-            beta = (x[iw] - x[iu]) * c - half  # k n beta
-            excess[iu] += beta
-            excess[iw] -= twice + beta
+        for i, j, c, half, twice in scaled:
+            beta = (x[j] - x[i]) * c - half  # k n beta
+            excess[i] += beta
+            excess[j] -= twice + beta
         if any(excess):
-            v = next(v for v, off in zip(g.vertices, excess) if off)
+            v = min(v for v, off in zip(fac.order, excess) if off)
             raise SolverFaultError(f"flux balance fails at {_shown(v)}")
         if sum(map(mul, weights, x)) != total * n * curvature:
             raise SolverFaultError("integral of g against mu is nonzero")
-
-
-def _unit(g: MetrizedGraph, v: str) -> List[int]:
-    """The charge vector of one unit at v."""
-    return [int(u == v) for u in g.vertices]
 
 
 def green_function(g: MetrizedGraph, d: Divisor, source: str) -> PiecewisePotential:
@@ -728,19 +703,18 @@ def green_function(g: MetrizedGraph, d: Divisor, source: str) -> PiecewisePotent
     is built, one per returned value."""
     g.require_vertex(source)
     g.require_analytic()
-    fac, diagonal, mu = _solved_measure(g, _polarization(g, d))
-    a = _unit(g, source)
+    fac, _, diagonal, mu = _solved_measure(g, _polarization(g, d))
+    a = _unit(fac, source)
     n, (x,), _ = _green_values(fac, mu, [a], diagonal)
-    _assert_green_values(g, mu, n, [(a, x)])
+    _assert_green_values(fac, mu, n, [(a, x)])
     # on an edge of length a / b with mass t / den, the slope at the start
     # is (X_w - X_u) b / (n a) - t / (2 den)
-    ends, nums, dens = fac.edges
     q2 = 2 * mu.den
     slopes = {
-        e.id: Fraction(q2 * b * (x[iw] - x[iu]) - t * n * a, q2 * n * a)
-        for e, (iu, iw), t, a, b in zip(g.edges, ends, mu.edge_masses, nums, dens)
+        e.id: Fraction(q2 * b * (x[j] - x[i]) - t * n * a, q2 * n * a)
+        for e, (i, j), t, a, b in zip(g.edges, fac.ends, mu.edge_masses, fac.nums, fac.dens)
     }
-    values = {v: Fraction(xv, n) for v, xv in zip(g.vertices, x)}
+    values = {v: Fraction(x[fac.index[v]], n) for v in g.vertices}
     return PiecewisePotential(g, source, values, _densities(g, mu), slopes)
 
 
@@ -755,14 +729,16 @@ def green_matrix(g: MetrizedGraph, d: Divisor) -> Dict[str, Dict[str, Fraction]]
     of Y per vertex; every slice is certified and the matrix is checked to
     be exactly symmetric."""
     g.require_analytic()
-    fac, diagonal, mu = _solved_measure(g, _polarization(g, d))
-    charges = [_unit(g, v) for v in g.vertices]
+    fac, _, diagonal, mu = _solved_measure(g, _polarization(g, d))
+    charges = [_unit(fac, v) for v in fac.order]
     n, rows, _ = _green_values(fac, mu, charges, diagonal)
-    _assert_green_values(g, mu, n, zip(charges, rows))
+    _assert_green_values(fac, mu, n, zip(charges, rows))
     if any(row[j] != other[i] for i, row in enumerate(rows) for j, other in enumerate(rows)):
         raise SolverFaultError("Green matrix is not symmetric")
+    pos = [fac.index[v] for v in g.vertices]
     return {
-        x: {y: Fraction(v, n) for y, v in zip(g.vertices, row)} for x, row in zip(g.vertices, rows)
+        x: {y: Fraction(rows[i][j], n) for y, j in zip(g.vertices, pos)}
+        for x, i in zip(g.vertices, pos)
     }
 
 
@@ -775,14 +751,15 @@ def epsilon_numeric(g: MetrizedGraph, d: Divisor) -> Tuple[Fraction, Fraction]:
     first vertex, are certified slices, checked to agree at (D, y0); the
     diagonal is read off the envelope of Y, and constancy certifies it.
     """
-    s, a = _polarization(g, d, "admissible constant")
+    s, _ = pol = _polarization(g, d, "admissible constant")
     g.require_analytic()
-    fac, diagonal, mu = _solved_measure(g, (s, a))
+    fac, a, diagonal, mu = _solved_measure(g, pol)
     # D = a / s, so s n c = X_D[y] + s X[y][y] for the slice X_D of s g(D, .)
-    unit = _unit(g, g.vertices[0])
+    unit = _unit(fac, g.vertices[0])
+    y0 = fac.index[g.vertices[0]]
     n, (x_d, x_0), diag = _green_values(fac, mu, [a, unit], diagonal)
-    _assert_green_values(g, mu, n, [(a, x_d), (unit, x_0)])
-    if sum(map(mul, a, x_0)) != x_d[0]:
+    _assert_green_values(fac, mu, n, [(a, x_d), (unit, x_0)])
+    if sum(map(mul, a, x_0)) != x_d[y0]:
         raise SolverFaultError("Green matrix is not symmetric")
     cs = [x + s * y for x, y in zip(x_d, diag)]
     if any(x != cs[0] for x in cs):

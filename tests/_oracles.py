@@ -68,9 +68,11 @@ but no code of ``polynomials``.
 
 * Graph construction and the hyperelliptic checks check by check, each as
   its own scan: the graph constructor, ``validate_graph`` with a sorted
-  adjacency walk, ``check_involution`` with set comparisons, the four
-  axioms with a valence scan per vertex, the quotient through the checking
-  constructor, and ``CoverSpec.validate`` with a degree scan per vertex.
+  adjacency walk, ``require_analytic`` from its whole report, an edge
+  split by one rebuild through the checking constructor,
+  ``check_involution`` with set comparisons, the four axioms with a
+  valence scan per vertex, the quotient through the checking constructor,
+  and ``CoverSpec.validate`` with a degree scan per vertex.
   They raise the library's exceptions with the library's messages, so
   the library's one-pass versions must agree with them exactly.
 
@@ -106,6 +108,7 @@ from math import gcd, lcm
 from typing import Dict, List
 
 from admgraph import (
+    ArcLengthRangeError,
     AxiomViolationError,
     DisconnectedGraphError,
     Edge,
@@ -1060,6 +1063,56 @@ def graph_problems(g):
     if not is_connected(g):
         problems.append("graph is not connected")
     return problems
+
+
+def require_analytic(g):
+    """``MetrizedGraph.require_analytic`` from the whole report: the first
+    problem, raised as InvalidGraphError if any edge has one, else as
+    DisconnectedGraphError."""
+    problems = graph_problems(g)
+    if problems:
+        edge_problem = any(e.length <= 0 or e.is_loop() for e in g.edges)
+        raise (InvalidGraphError if edge_problem else DisconnectedGraphError)(problems[0])
+
+
+def split_edge(g, edge_id, t):
+    """``subdivide_edge`` as one rebuild of the whole graph through the
+    checking constructor per split edge."""
+    e = g.edge(edge_id)
+    t = as_fraction(t)
+    if not (0 < t < e.length):
+        raise ArcLengthRangeError(f"t out of range: need 0 < {t} < {e.length}")
+    mid, first, second = f"{edge_id}.m", f"{edge_id}.a", f"{edge_id}.b"
+    if mid in g.vertices:
+        raise InvalidGraphError(f"vertex id {_shown(mid)} already taken")
+    if first in g.edge_ids() or second in g.edge_ids():
+        raise InvalidGraphError("subdivision edge ids already taken")
+    u, w = e.ends
+    edges = [x for x in g.edges if x.id != edge_id]
+    edges.append(Edge(first, (u, mid), t))
+    edges.append(Edge(second, (mid, w), e.length - t))
+    return MetrizedGraph(list(g.vertices) + [mid], edges, allow_loops=g.allow_loops)
+
+
+def split_edges(g, cuts):
+    """Each edge cuts names split at cuts[id] by split_edge, one at a time
+    in sorted id order."""
+    for edge_id in sorted(cuts):
+        g = split_edge(g, edge_id, cuts[edge_id])
+    return g
+
+
+def fiber_graph(cfg):
+    """The graph of ``fiber_metrized``: loops and iota-fixed edges split at
+    their midpoints one at a time, then rebuilt without loops allowed."""
+    inv = cfg.involution
+    cuts = {
+        e.id: e.length / 2
+        for e in cfg.graph.edges
+        if e.is_loop() or (inv is not None and inv.edge(e.id) == e.id)
+    }
+    g = split_edges(cfg.graph, cuts)
+    return MetrizedGraph(g.vertices, g.edges)
 
 
 def check_involution(g, inv, allow_fixed_edges=False):

@@ -100,8 +100,9 @@ def assert_normalization_agrees(dual, inv):
 
 
 def assert_pipeline_agrees(cfg):
-    """Types, subtypes, counts, positive nodes and both normalizations
-    agree with the oracles; returns the library's normalization outcome."""
+    """Types, subtypes, counts, positive nodes, both normalizations and the
+    metrized fiber agree with the oracles; returns the library's
+    normalization outcome."""
     edges = [e.id for e in cfg.graph.edges]
     types = [ag.node_type(cfg, e) for e in edges]
     assert types == [_oracles.node_type(cfg, e) for e in edges]
@@ -112,6 +113,16 @@ def assert_pipeline_agrees(cfg):
     positive = positive_type_nodes(cfg)
     assert positive == _oracle_positive(cfg)
     assert_normalization_agrees(*_contracted_dual(cfg, positive))
+
+    # every edge split in one rebuild, as if split one at a time
+    metrized = _outcome(ag.fiber_metrized, cfg)
+    expected = _outcome(_oracles.fiber_graph, cfg)
+    if expected[0] == "raised":
+        assert metrized == expected
+    else:
+        assert metrized[0] == "ok", metrized
+        graph, expected = metrized[1][0], expected[1]
+        assert (graph.vertices, graph.edges) == (expected.vertices, expected.edges)
 
     got = _outcome(bogomolov.normalized_hyperelliptic, cfg)
     with mock.patch.object(bogomolov, "positive_type_nodes", _oracle_positive), mock.patch.object(

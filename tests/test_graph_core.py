@@ -2,15 +2,18 @@
 block oracles kept next to the tests."""
 
 import random
+import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _oracles
 import admgraph as ag
 from _oracles import _components_without, irreducible_decomposition, one_point_sum
-from admgraph.graph import _walk
+from admgraph.graph import _subdivide, _walk
 
 
 def sg_graph(length=1):
@@ -92,6 +95,43 @@ class TestValidate:
         with pytest.raises(ag.AdmGraphError) as err:
             g.require_analytic()
         assert type(err.value) is error and str(err.value) == message
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except Exception as exc:  # the exception itself is the outcome compared
+        return "raised", (type(exc), str(exc))
+
+
+# (edge with a nonpositive length, where a loop is listed, disconnected)
+_COMBINATIONS = [
+    (nonpositive, loop, disconnected)
+    for nonpositive in (None, "e", "l", "f")
+    for loop in (None, "first", "second")
+    for disconnected in (False, True)
+    if loop or nonpositive != "l"
+]
+
+
+@pytest.mark.parametrize("nonpositive, loop, disconnected", _COMBINATIONS)
+def test_require_analytic_on_every_combination(nonpositive, loop, disconnected):
+    """Each combination of a nonpositive length (on a plain edge, on the
+    loop or on a later edge), a loop listed first or second, and a second
+    component raises what the whole report gave: its first problem, as
+    InvalidGraphError if an edge has one, else as DisconnectedGraphError."""
+    lengths = {"e": 1, "l": 1, "f": 2}
+    if nonpositive:
+        lengths[nonpositive] = Fraction(-1, 3) if nonpositive == "f" else 0
+    edges = [("e", ("P", "Q")), ("f", ("Q", "R"))]
+    if loop:
+        edges.insert(0 if loop == "first" else 1, ("l", ("Q", "Q")))
+    vertices = ["P", "Q", "R"] + ["S"] * disconnected
+    g = ag.MetrizedGraph(vertices, [(i, ends, lengths[i]) for i, ends in edges], allow_loops=True)
+    assert list(ag.validate_graph(g).problems) == _oracles.graph_problems(g)
+    expected = _outcome(_oracles.require_analytic, g)
+    assert _outcome(g.require_analytic) == expected
+    assert (expected[0] == "ok") == (not nonpositive and not loop and not disconnected)
 
 
 class TestWalk:
@@ -284,6 +324,78 @@ class TestSubdivide:
         s = ag.subdivide_edge(triangle(), "a", 1)
         assert len(s.vertices) == 4
         assert sum(e.length for e in s.edges) == sum(e.length for e in triangle().edges)
+
+
+def assert_subdivision_agrees(g, cuts):
+    """_subdivide gives the graph, or raises the error, of splitting one
+    edge at a time; returns its outcome's kind."""
+    got = _outcome(_subdivide, g, cuts)
+    expected = _outcome(_oracles.split_edges, g, cuts)
+    if expected[0] == "raised":
+        assert got == expected
+    else:
+        assert got[0] == "ok", got
+        fields = [(x.vertices, x.edges, x.allow_loops) for x in (got[1], expected[1])]
+        assert fields[0] == fields[1]
+    if len(cuts) == 1:
+        ((edge_id, t),) = cuts.items()
+        assert _outcome(ag.subdivide_edge, g, edge_id, t) == got
+    return got[0]
+
+
+class TestSubdivideAll:
+    """Splitting every cut edge in one rebuild equals splitting them one at
+    a time, collisions and errors included."""
+
+    @pytest.mark.parametrize(
+        "vertices, edges, cuts, message",
+        [
+            # an existing "x.a" or "x.m" when x splits
+            (["P", "Q"], [("x", ("P", "Q")), ("x.a", ("P", "Q"))], {"x": 1},
+             "subdivision edge ids already taken"),
+            (["P", "Q"], [("x", ("P", "Q")), ("x.b", ("Q", "P"))], {"x": 1},
+             "subdivision edge ids already taken"),
+            (["P", "Q", "x.m"], [("x", ("P", "Q")), ("y", ("Q", "x.m"))], {"x": 1},
+             "vertex id 'x.m' already taken"),
+            # two split edges whose new ids meet: x's halves are named like y
+            (["P", "Q"], [("x", ("P", "Q")), ("x.a", ("P", "Q"))], {"x": 1, "x.a": 1},
+             "subdivision edge ids already taken"),
+            (["P", "Q"], [("x.b", ("P", "Q")), ("x", ("P", "Q"))], {"x.b": 1, "x": 1},
+             "subdivision edge ids already taken"),
+            # x splits first, and y's new ids are clear
+            (["P", "Q"], [("x", ("P", "Q")), ("x.m", ("P", "Q"))], {"x": 1, "x.m": 1}, None),
+            (["P", "Q", "x.a"], [("x", ("P", "Q")), ("y", ("Q", "x.a"))], {"x": 1, "y": 1}, None),
+            # the first failing cut in id order is reported
+            (["P", "Q", "y.m"], [("y", ("P", "Q")), ("x", ("Q", "P"))], {"y": 1, "x": 5},
+             "t out of range: need 0 < 5 < 2"),
+            (["P", "Q"], [("x", ("P", "Q"))], {"x": 1, "z": 1}, "unknown edge 'z'"),
+        ],
+    )
+    def test_collisions(self, vertices, edges, cuts, message):
+        g = ag.MetrizedGraph(vertices, [(i, ends, 2) for i, ends in edges])
+        outcome = assert_subdivision_agrees(g, cuts)
+        assert outcome == ("ok" if message is None else "raised")
+        if message is not None:
+            with pytest.raises(ag.AdmGraphError, match=re.escape(message)):
+                _subdivide(g, cuts)
+
+    def test_random_ids_agree(self):
+        """Ids drawn from a small pool of names and of the names splitting
+        gives them, so that cuts meet existing ids and each other."""
+        rng = random.Random(25)
+        names = ["a", "b", "a.a", "a.b", "a.m", "b.a", "a.a.a", "a.m.b"]
+        kinds = Counter()
+        for _ in range(600):
+            vertices = rng.sample(["u", "v", "w"] + [f"{x}.m" for x in names], rng.randint(2, 5))
+            edges = [
+                (x, (rng.choice(vertices), rng.choice(vertices)), rng.randint(1, 3))
+                for x in rng.sample(names, rng.randint(1, 6))
+            ]
+            g = ag.MetrizedGraph(vertices, edges, allow_loops=True)
+            cut = rng.sample(edges, rng.randint(0, len(edges)))
+            cuts = {x: rng.choice([Fraction(length, 2), Fraction(1, 3), "1/2", length]) for x, _, length in cut}
+            kinds[assert_subdivision_agrees(g, cuts)] += 1
+        assert min(kinds["ok"], kinds["raised"]) >= 100, kinds
 
 
 @settings(max_examples=40, deadline=None)

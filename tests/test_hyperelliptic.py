@@ -576,6 +576,7 @@ def assert_agrees_with_oracle(raw, form="tuples"):
     assert all(g.edge(e.id) is e for e in g.edges)
     assert [g.valence(v) for v in g.vertices] == [_oracles.valence(g, v) for v in g.vertices]
     assert list(ag.validate_graph(g).problems) == _oracles.graph_problems(g)
+    assert _outcome(g.require_analytic) == _outcome(_oracles.require_analytic, g)
 
     inv = ag.Involution(raw["vmap"], raw["emap"])
     assert _outcome(ag.hyperelliptic.check_involution, g, inv) == (

@@ -37,7 +37,6 @@ from admgraph.potential import (
     _Weights,
     _assert_green_values,
     _band_order,
-    _column,
     _eliminate,
     _envelope,
     _factor,
@@ -194,11 +193,12 @@ def _reference_green_check(g, mu, source, values):
         raise ag.SolverFaultError("integral of g against mu is nonzero")
 
 
-def _integer_weights(g, mu):
-    """A Measure as the integer form the checker takes: masses and the mass
-    on each edge (density * length) over one denominator."""
+def _integer_weights(g, fac, mu):
+    """A Measure as the integer form the checker takes: masses by band
+    position and the mass on each edge (density * length) over one
+    denominator."""
     edge_masses = [mu.density_on(e.id) * e.length for e in g.edges]
-    masses = [mu.mass_at(v) for v in g.vertices]
+    masses = [mu.mass_at(v) for v in fac.order]
     den = lcm(*(x.denominator for x in masses + edge_masses))
     return _Weights(
         den,
@@ -208,29 +208,31 @@ def _integer_weights(g, mu):
 
 
 def _green_slices(g, d):
-    """(n, integer slices) of every source from the library's factorization,
-    each slice a mapping vertex -> X with g(source, v) = X / n."""
-    fac, diagonal, mu = _solved_measure(g, _polarization(g, d))
-    n, rows, _ = _green_values(fac, mu, [_unit(g, v) for v in g.vertices], diagonal)
-    return n, {s: dict(zip(g.vertices, row)) for s, row in zip(g.vertices, rows)}
+    """(factorization, n, integer slices) of every source from the
+    library's factorization, each slice a mapping vertex -> X with
+    g(source, v) = X / n."""
+    fac, _, diagonal, mu = _solved_measure(g, _polarization(g, d))
+    n, rows, _ = _green_values(fac, mu, [_unit(fac, v) for v in fac.order], diagonal)
+    return fac, n, {s: dict(zip(fac.order, row)) for s, row in zip(fac.order, rows)}
 
 
-def _check_slice(g, mu, n, source, values):
+def _check_slice(fac, mu, n, source, values):
     """The library's checker on one slice g(source, .) given as a mapping."""
-    _assert_green_values(g, mu, n, [(_unit(g, source), [values[v] for v in g.vertices])])
+    _assert_green_values(fac, mu, n, [(_unit(fac, source), [values[v] for v in fac.order])])
 
 
 @pytest.fixture(scope="module")
 def green_cases(corpus):
-    """(graph, admissible measure, n, integer slices) for small corpus graphs."""
+    """(graph, factorization, admissible measure, n, integer slices) for
+    small corpus graphs."""
     cases = []
     for k, h in enumerate(corpus):
         g = h.graph
         if len(g.edges) > 12:
             continue
         d = ag.random_polarization(h, 500 + k)
-        n, slices = _green_slices(g, d)
-        cases.append((g, ag.admissible_measure(g, d), n, slices))
+        fac, n, slices = _green_slices(g, d)
+        cases.append((g, fac, ag.admissible_measure(g, d), n, slices))
     return cases
 
 
@@ -239,14 +241,14 @@ def _shifted(n, values, t):
     return n * t.denominator, {v: x * t.denominator + t.numerator * n for v, x in values.items()}
 
 
-def _assert_checks_agree(g, mu, source, n, values):
+def _assert_checks_agree(g, fac, mu, source, n, values):
     try:
         _reference_green_check(g, mu, source, {v: F(x, n) for v, x in values.items()})
     except ag.SolverFaultError as err:
         with pytest.raises(ag.SolverFaultError, match=re.escape(str(err))):
-            _check_slice(g, _integer_weights(g, mu), n, source, values)
+            _check_slice(fac, _integer_weights(g, fac, mu), n, source, values)
         return False
-    _check_slice(g, _integer_weights(g, mu), n, source, values)
+    _check_slice(fac, _integer_weights(g, fac, mu), n, source, values)
     return True
 
 
@@ -257,7 +259,7 @@ class TestGreenCheck:
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_integer_check_agrees_with_reference(self, green_cases, data):
-        g, mu, n, slices = data.draw(st.sampled_from(green_cases))
+        g, fac, mu, n, slices = data.draw(st.sampled_from(green_cases))
         source = data.draw(st.sampled_from(g.vertices))
         values = slices[source]
         kind = data.draw(st.sampled_from(["none", "entry", "shift", "grounded mass"]))
@@ -279,31 +281,31 @@ class TestGreenCheck:
             masses[last] = mu.mass_at(last) + delta
             mu = ag.Measure(masses, mu.edge_densities)
             n, values = _shifted(n, values, -delta * F(values[last], n) / (1 + delta))
-        assert _assert_checks_agree(g, mu, source, n, values) == (kind == "none")
+        assert _assert_checks_agree(g, fac, mu, source, n, values) == (kind == "none")
 
     def test_each_kind_is_caught_by_its_check(self, green_cases):
-        for g, measure, n, slices in green_cases:
-            mu = _integer_weights(g, measure)
+        for g, fac, measure, n, slices in green_cases:
+            mu = _integer_weights(g, fac, measure)
             source, last = g.vertices[0], g.vertices[-1]
             moved = dict(slices[source])
             moved[last] += 1
             with pytest.raises(ag.SolverFaultError, match="flux balance"):
-                _check_slice(g, mu, n, source, moved)
+                _check_slice(fac, mu, n, source, moved)
             shifted = {v: x + 1 for v, x in slices[source].items()}
             with pytest.raises(ag.SolverFaultError, match="integral"):
-                _check_slice(g, mu, n, source, shifted)
+                _check_slice(fac, mu, n, source, shifted)
             masses = dict(measure.vertex_masses)
             masses[last] = measure.mass_at(last) + 1
-            heavier = _integer_weights(g, ag.Measure(masses, measure.edge_densities))
+            heavier = _integer_weights(g, fac, ag.Measure(masses, measure.edge_densities))
             n2, recentred = _shifted(n, slices[source], -F(slices[source][last], 2 * n))
             with pytest.raises(ag.SolverFaultError, match=re.escape(f"flux balance fails at {last!r}")):
-                _check_slice(g, heavier, n2, source, recentred)
+                _check_slice(fac, heavier, n2, source, recentred)
 
     def test_corrupted_matrix_entry_raises(self, monkeypatch):
         h = ag.ladder_graph(6)
         g, d = h.graph, ag.random_polarization(h, 6)
-        fac, diagonal, mu = _solved_measure(g, _polarization(g, d))
-        n, rows, _ = _green_values(fac, mu, [_unit(g, v) for v in g.vertices], diagonal)
+        fac, _, diagonal, mu = _solved_measure(g, _polarization(g, d))
+        n, rows, _ = _green_values(fac, mu, [_unit(fac, v) for v in fac.order], diagonal)
         rng = random.Random(6)
         for _ in range(40):
             x, y = rng.randrange(len(rows)), rng.randrange(len(rows))
@@ -345,11 +347,25 @@ def _corrupt(monkeypatch, name, which, rng, period=1):
     monkeypatch.setattr(potential, name, corrupted)
 
 
+def _corrupt_diagonal(monkeypatch, rng):
+    """Wrap potential._envelope so that one diagonal entry Y_vv of its
+    result is moved by a nonzero integer."""
+    original = potential._envelope
+
+    def corrupted(el):
+        first, y = original(el)
+        i = rng.randrange(len(y))
+        y[i][i - first[i]] += rng.choice([-1, 1]) * rng.randint(1, 10**6)
+        return first, y
+
+    monkeypatch.setattr(potential, "_envelope", corrupted)
+
+
 class TestFaultInjection:
     """A fault in any entry of Y that an entry point reads is caught by its
     certificate.  The column solves run in a fixed order: the flux weights
     w first, then one column per slice (epsilon: D, then the first vertex
-    y0)."""
+    y0).  The diagonal is read off the envelope."""
 
     # epsilon's solves: Y w, Y a for D = a / s, and the y0 column
     @pytest.mark.parametrize("which", [0, 1, 2], ids=["flux", "divisor", "y0"])
@@ -367,7 +383,7 @@ class TestFaultInjection:
         for g, d in _fault_cases(corpus):
             for _ in range(5):
                 with monkeypatch.context() as m:
-                    _corrupt(m, "_diagonal", 0, rng)
+                    _corrupt_diagonal(m, rng)
                     with pytest.raises((ag.ConstancyViolationError, ag.SolverFaultError)):
                         ag.epsilon_numeric(g, d)
 
@@ -391,7 +407,7 @@ class TestFaultInjection:
         rng = random.Random(9)
         for g, d in _fault_cases(corpus):
             with monkeypatch.context() as m:
-                _corrupt(m, "_diagonal", 0, rng)
+                _corrupt_diagonal(m, rng)
                 with pytest.raises(ag.SolverFaultError, match="canonical measure mass"):
                     ag.admissible_measure(g, d)
 
@@ -575,17 +591,20 @@ def _assert_resistances_match_dense(g, pairs, edges):
 
 def _assert_reads_match_dense(g, charges):
     """det, every envelope entry of Y = det K^-1 and the column Y b for
-    each charge vector b equal the dense elimination's."""
+    each charge vector b (in the graph's vertex order) equal the dense
+    elimination's."""
     scale, det, y = dense_factor(g)
     fac = _factor(g)
     assert (fac.scale, fac.det) == (scale, det)
+    assert fac.index == {v: i for i, v in enumerate(fac.order)}
     first, env = _envelope(fac.elim)
-    vertex = {row: i for i, row in enumerate(fac.place)}  # band row -> vertex index
+    vertex = [g.vertices.index(v) for v in fac.order]  # band position -> vertex index
     for i, hi in enumerate(fac.elim.hi):
         for j in range(first[i], hi + 1):
             assert env[i][j - first[i]] == y[vertex[i]][vertex[j]], (i, j)
     for b in charges:
-        assert _column(fac, b) == [sum(map(mul, row, b)) for row in y]
+        band = [b[k] for k in vertex]
+        assert _solve(fac.elim, band) == [sum(map(mul, y[k], b)) for k in vertex]
 
 
 def _assert_matrix_reads_match_dense(a, columns):
@@ -598,12 +617,14 @@ def _assert_matrix_reads_match_dense(a, columns):
     for i, hi in enumerate(el.hi):
         assert env[i] == y[i][first[i] : hi + 1]
     for b in columns:
-        yb = [sum(map(mul, row, b)) for row in y]
-        assert _solve(el, b) == yb
+        # b's grounded entry, one past a's rows, is not read: Y b is 0 there
+        yb = [sum(map(mul, row, b)) for row in y] + [0]
+        grounded = b + [sum(b) + 5]
+        assert _solve(el, grounded) == yb
         # divided by a divisor f of det where f divides Y b, else None
         for f in {gcd(det, 6), gcd(det, sum(b) + 7), det}:
             divided = [x // f for x in yb] if all(x % f == 0 for x in yb) else None
-            assert _solve(el, b, f) == divided, f
+            assert _solve(el, grounded, f) == divided, f
 
 
 CHARGES = st.integers(-(10**6), 10**6)
@@ -629,7 +650,8 @@ class TestBandedElimination:
         charges = data.draw(
             st.lists(st.lists(CHARGES, min_size=size, max_size=size), min_size=1, max_size=3)
         )
-        _assert_reads_match_dense(g, charges + [_unit(g, v) for v in g.vertices])
+        units = [[int(i == j) for j in range(size)] for i in range(size)]
+        _assert_reads_match_dense(g, charges + units)
         vertex = st.sampled_from(g.vertices)
         pairs = data.draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=3))
         edges = data.draw(st.lists(st.sampled_from(g.edges), min_size=1, max_size=3))
@@ -640,7 +662,7 @@ class TestBandedElimination:
         for n in range(2, 31):
             g = ag.ladder_graph(n).graph
             size = len(g.vertices)
-            charges = [[rng.randint(-9, 9) for _ in range(size)], _unit(g, g.vertices[n])]
+            charges = [[rng.randint(-9, 9) for _ in range(size)], [int(i == n) for i in range(size)]]
             _assert_reads_match_dense(g, charges)
             pairs = [g.edges[0].ends, (g.vertices[1], g.vertices[-2])]
             _assert_resistances_match_dense(g, pairs, g.edges[:2])
@@ -718,13 +740,12 @@ def _assert_every_slice_certified(g, d):
     """The certificate epsilon_numeric ran before it read two slices: flux
     and the integral on every slice g(x, .), the matrix exactly symmetric,
     and g(D, y) + g(y, y) the same at every vertex, equal to its c."""
-    pol = _polarization(g, d)
-    fac, diagonal, mu = _solved_measure(g, pol)
-    charges = [_unit(g, v) for v in g.vertices]
+    s, _ = pol = _polarization(g, d)
+    fac, a, diagonal, mu = _solved_measure(g, pol)
+    charges = [_unit(fac, v) for v in fac.order]
     n, rows, _ = _green_values(fac, mu, charges, diagonal)
-    _assert_green_values(g, mu, n, zip(charges, rows))
+    _assert_green_values(fac, mu, n, zip(charges, rows))
     assert all(row[j] == other[i] for i, row in enumerate(rows) for j, other in enumerate(rows))
-    s, a = pol
     (c,) = {sum(map(mul, a, column)) + s * column[i] for i, column in enumerate(rows)}
     assert F(c, s * n) == ag.epsilon_numeric(g, d)[1]
 
@@ -762,6 +783,25 @@ class TestFullInverseRoute:
             g, d = h.graph, ag.random_polarization(h, n)
             _assert_matches_full_inverse(g, d, [g.vertices[n]], matrix=n % 10 == 2)
             _assert_every_slice_certified(g, d)
+
+    def test_public_dicts_follow_the_graph_order(self, small_graphs):
+        """The solver works in band positions; every dict an entry point
+        returns is keyed in the graph's vertex and edge order."""
+        reordered = 0
+        for k, h in enumerate(small_graphs):
+            g = h.graph
+            reordered += _band_order(g) != list(g.vertices)
+            d = ag.random_polarization(h, 1100 + k)
+            vertices, edges = list(g.vertices), list(g.edge_ids())
+            for mu in (ag.canonical_measure(g), ag.admissible_measure(g, d)):
+                assert (list(mu.vertex_masses), list(mu.edge_densities)) == (vertices, edges)
+            pot = ag.green_function(g, d, g.vertices[k % len(g.vertices)])
+            assert list(pot.vertex_values) == vertices
+            assert list(pot.second_derivatives) == list(pot.slopes_at_start) == edges
+            matrix = ag.green_matrix(g, d)
+            assert list(matrix) == vertices
+            assert all(list(row) == vertices for row in matrix.values())
+        assert reordered >= len(small_graphs) // 2, (reordered, len(small_graphs))
 
 
 class TestResistance:
@@ -888,6 +928,39 @@ class TestAdmissibleMeasure:
             d = ag.random_polarization(h, 5)
             mu = ag.admissible_measure(h.graph, d)
             assert mu.total_mass(h.graph) == 1
+
+
+def _fraction_sum(mu, g):
+    """The total mass as the Fractions' own sum, one term at a time."""
+    total = sum(mu.vertex_masses.values(), F(0))
+    for e in g.edges:
+        total += mu.density_on(e.id) * e.length
+    return total
+
+
+class TestTotalMass:
+    def test_corpus_measures(self, corpus):
+        for k, h in enumerate(corpus):
+            g = h.graph
+            d = ag.random_polarization(h, 1200 + k)
+            for mu in (ag.canonical_measure(g), ag.admissible_measure(g, d)):
+                assert mu.total_mass(g) == _fraction_sum(mu, g) == 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_fraction_sum(self, small_graphs, data):
+        """Zero densities and masses, edges without a density, ids the
+        graph lacks, negative values and long denominators."""
+        g = data.draw(st.sampled_from(small_graphs)).graph
+        g = ag.MetrizedGraph(
+            g.vertices, [(e.id, e.ends, data.draw(ALL_LENGTHS)) for e in g.edges]
+        )
+        values = st.one_of(st.just(F(0)), ALL_LENGTHS, ALL_LENGTHS.map(lambda x: -x))
+        masses = data.draw(st.dictionaries(st.sampled_from(g.vertices + ("elsewhere",)), values))
+        densities = data.draw(st.dictionaries(st.sampled_from(g.edge_ids() + ("nowhere",)), values))
+        mu = ag.Measure(masses, densities)
+        total = mu.total_mass(g)
+        assert type(total) is F and total == _fraction_sum(mu, g)
 
 
 class TestGreenFunction:
