@@ -274,9 +274,7 @@ def _require_bound_genus(g: int) -> None:
 
 def omega_self_intersection(counts: InvariantCounts) -> Fraction:
     """(omega, omega) from the node counts via Noether's formula."""
-    g = counts.genus
-    if g < 2:
-        raise GenusRangeError("genus >= 2 required")
+    g = counts.genus  # >= 2: InvariantCounts refuses a smaller genus
     total = Fraction(g - 1, 2 * g + 1) * counts.xi_j(0)
     for j in range(1, (g - 1) // 2 + 1):
         total += Fraction(6 * j * (g - 1 - j) + 2 * (g - 1), 2 * g + 1) * counts.xi_j(j)

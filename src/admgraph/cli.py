@@ -11,22 +11,18 @@ from __future__ import annotations
 
 import argparse
 import ast
+import collections
 import json
 import os
 import sys
+from functools import partial
 from typing import Dict, List, Optional
 
 from . import bogomolov, documents, generators, polynomials, potential
 from .errors import ECHO_LIMIT, AdmGraphError, SchemaError, _path_key, _shown
-from .graph import Divisor, MetrizedGraph, _self_loop, validate_graph
+from .graph import Divisor, _self_loop, validate_graph
 from .hyperelliptic import graph_size, nu_counts, validate_hyperelliptic
-from .rationals import (
-    INFINITY,
-    _digit_limit_excess,
-    _parse_integer,
-    as_fraction,
-    format_rational,
-)
+from .rationals import INFINITY, _digit_limit_excess, _parse_integer, as_fraction, format_rational
 
 
 class _UsageError(Exception):
@@ -37,17 +33,11 @@ class _HelpRequested(Exception):
     pass
 
 
-class _Formatter(argparse.HelpFormatter):
-    """argparse's formatter at the width it takes when there is no terminal
-    (80 columns less 2), so that help does not depend on COLUMNS."""
-
-    def __init__(self, prog):
-        super().__init__(prog, width=78)
-
-
 class _Parser(argparse.ArgumentParser):
     def __init__(self, **kwargs):
-        super().__init__(formatter_class=_Formatter, **kwargs)
+        # argparse's help at the width it takes when there is no terminal (80
+        # columns less 2), so that help does not depend on COLUMNS
+        super().__init__(formatter_class=partial(argparse.HelpFormatter, width=78), **kwargs)
 
     def error(self, message):
         raise _UsageError(_glued_value_shown(message))
@@ -106,22 +96,22 @@ def _integer(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {_shown(text, 'value')}") from None
 
 
-_COMMANDS = {
-    "validate": "check graph (and hyperelliptic) invariants",
-    "resistance": "effective resistance between two vertices or across an edge",
-    "measure": "canonical or admissible measure",
-    "green": "Green's function slice from a source vertex",
-    "epsilon": "admissible constant by the exact solver",
-    "epsilon-closed": "admissible constant by the closed form",
-    "lpoly": "the L polynomial",
-    "mpoly": "the M polynomial",
-    "classify-edges": "edge classification and size",
-    "classify-nodes": "node types and invariant counts of a fiber",
-    "compare": "closed form vs exact solver",
-    "bound": "effective lower bound from invariant counts",
-    "gen": "emit a seeded random hyperelliptic graph document",
-}
-_DIVISOR_COMMANDS = ("measure", "green", "epsilon", "epsilon-closed", "compare")
+_Command = collections.namedtuple("_Command", "help inputs arguments handler")
+_COMMANDS: Dict[str, _Command] = {}  # in the order of the help and the choice check
+
+
+def _command(name: str, help_text: str, *inputs: str, arguments: Optional[dict] = None):
+    """Declare a command: its help line, the inputs it reads from its graph
+    document (_READERS), in the order that fixes which fault of a document
+    is reported, and its other arguments, flag -> add_argument options.  It
+    takes the ``graph`` argument if it has inputs, and ``--divisor`` if it
+    reads a divisor.  Its handler maps (args, *inputs) to (payload, exit code)."""
+
+    def register(handler):
+        _COMMANDS[name] = _Command(help_text, inputs, arguments or {}, handler)
+        return handler
+
+    return register
 
 
 def _build_parser(command: Optional[str]) -> _Parser:
@@ -130,44 +120,21 @@ def _build_parser(command: Optional[str]) -> _Parser:
     top-level help list all 13.  Only ``command``, the one argparse will
     dispatch on, gets ``-h`` and its arguments; the other commands are stubs
     that carry only their help line, with no action, and are never parsed.
-    Building them in full cost more than the rest of a typical call.  A
-    parser of the invoked command alone, without the stubs, would be faster
-    still; it waits for a benchmark whose memory figure does not grow with
-    throughput (ROADMAP item 1)."""
+    Building them in full cost more than the rest of a typical call; a
+    parser without the stubs waits for ROADMAP item 1."""
     parser = _Parser(prog="admgraph", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in _COMMANDS.items():
-        if name == command:
-            _add_arguments(sub.add_parser(name, help=help_text), name)
-        else:
-            sub.add_parser(name, help=help_text, add_help=False)
+    for name, spec in _COMMANDS.items():
+        p = sub.add_parser(name, help=spec.help, add_help=name == command)
+        if name != command:
+            continue
+        if spec.inputs:
+            p.add_argument("graph", help="graph document (JSON file)")
+        if "divisor" in spec.inputs or "divisor or none" in spec.inputs:
+            p.add_argument("--divisor", help="inline JSON divisor override")
+        for flag, options in spec.arguments.items():
+            p.add_argument(flag, **options)
     return parser
-
-
-def _add_arguments(p: _Parser, command: str) -> None:
-    if command == "bound":
-        p.add_argument("--genus", type=_integer, required=True)
-        p.add_argument("--xi0", type=_integer, default=0, help="count of type-(0,0) nodes")
-        p.add_argument(
-            "--xi", action="append", default=[], metavar="j=v", help="pairs of subtype j"
-        )
-        p.add_argument(
-            "--delta", action="append", default=[], metavar="i=v", help="nodes of type i"
-        )
-        return
-    if command == "gen":
-        p.add_argument("--seed", type=_integer, required=True)
-        p.add_argument("--min-size", type=_integer, default=1)
-        p.add_argument("--max-size", type=_integer, default=5)
-        return
-    p.add_argument("graph", help="graph document (JSON file)")
-    if command in _DIVISOR_COMMANDS:
-        p.add_argument("--divisor", help="inline JSON divisor override")
-    if command == "resistance":
-        p.add_argument("endpoints", nargs="*", help="two vertex ids")
-        p.add_argument("--edge", help="edge id for the cross resistance instead")
-    elif command == "green":
-        p.add_argument("source", help="source vertex id")
 
 
 def _load_document(path: str) -> documents.GraphDocument:
@@ -182,9 +149,16 @@ def _load_document(path: str) -> documents.GraphDocument:
     return documents.parse_graph_document(data)
 
 
-def _divisor(doc: documents.GraphDocument, override: Optional[str]) -> Divisor:
-    if override is not None:  # "" is a value, malformed JSON
-        raw = documents._load_json(override, "--divisor")
+def _hyperelliptic(doc: documents.GraphDocument):
+    inv = doc.to_involution()
+    if inv is None:
+        raise SchemaError([("involution", "this command needs an involution")])
+    return validate_hyperelliptic(doc.to_graph(), inv)
+
+
+def _divisor(doc, args, required: bool = True) -> Optional[Divisor]:
+    if args.divisor is not None:  # "" is a value, malformed JSON
+        raw = documents._load_json(args.divisor, "--divisor")
         if not isinstance(raw, dict):
             raise SchemaError([("--divisor", "must be an object of rational strings")])
         coefficients, problems = {}, []
@@ -197,24 +171,25 @@ def _divisor(doc: documents.GraphDocument, override: Optional[str]) -> Divisor:
             raise SchemaError(problems)
         return Divisor(coefficients)
     d = doc.to_divisor()
-    if d is None:
+    if d is None and required:
         raise SchemaError([("divisor", "no divisor in the document and no --divisor given")])
     return d
 
 
-def _hyperelliptic(doc: documents.GraphDocument, g: Optional[MetrizedGraph] = None):
-    """``g``, the document's graph built with loops allowed, is reused; its
-    first loop is reported as the loop-free constructor reports it."""
-    inv = doc.to_involution()
-    if inv is None:
-        raise SchemaError([("involution", "this command needs an involution")])
-    if g is None:
-        g = doc.to_graph()
-    else:
-        loops = g.loops()
-        if loops:
-            raise _self_loop(loops[0].id)
-    return validate_hyperelliptic(g, inv)
+# What a command can read from its document, each as read(doc, args).
+_READERS = {
+    "document": lambda doc, args: doc,
+    "graph": lambda doc, args: doc.to_graph(),
+    "graph with loops": lambda doc, args: doc.to_graph(allow_loops=True),
+    "hyperelliptic": lambda doc, args: _hyperelliptic(doc),
+    "fiber": lambda doc, args: doc.to_fiber(),
+    "divisor": _divisor,
+    "divisor or none": lambda doc, args: _divisor(doc, args, required=False),
+}
+
+
+def _rationals(values: Dict) -> Dict[str, str]:
+    return {k: format_rational(x) for k, x in sorted(values.items())}
 
 
 def _parse_indexed(pairs: List[str], flag: str) -> Dict[int, int]:
@@ -232,145 +207,172 @@ def _parse_indexed(pairs: List[str], flag: str) -> Dict[int, int]:
     return out
 
 
-def _run(args) -> Dict:
-    if args.command not in ("bound", "gen"):
-        doc = _load_document(args.graph)
+@_command("validate", "check graph (and hyperelliptic) invariants", "graph with loops", "document")
+def _validate(args, g, doc):
+    report = validate_graph(g)
+    out = {"valid": report.valid, "problems": list(report.problems)}
+    if doc.has_involution():
+        try:
+            inv = doc.to_involution()
+            if g.loops():  # reported as the loop-free constructor reports it
+                raise _self_loop(g.loops()[0].id)
+            h = validate_hyperelliptic(g, inv)
+            out["hyperelliptic"] = {"valid": True, "size": graph_size(h)}
+        except AdmGraphError as exc:
+            out["valid"] = False
+            out["hyperelliptic"] = {"valid": False, "problem": str(exc)}
+    return out, 0
 
-    if args.command == "validate":
-        g = doc.to_graph(allow_loops=True)
-        report = validate_graph(g)
-        out = {"valid": report.valid, "problems": list(report.problems)}
-        if doc.has_involution():
-            try:
-                h = _hyperelliptic(doc, g)
-                out["hyperelliptic"] = {"valid": True, "size": graph_size(h)}
-            except AdmGraphError as exc:
-                out["valid"] = False
-                out["hyperelliptic"] = {"valid": False, "problem": str(exc)}
-        return out
 
-    if args.command == "resistance":
-        g = doc.to_graph()
-        if args.edge is not None:
-            if args.endpoints:
-                raise _UsageError("resistance takes two vertex ids or --edge, not both")
-            r = potential.cross_resistance(g, args.edge)
-            return {"cross_resistance": "INFINITY" if r is INFINITY else format_rational(r)}
-        if len(args.endpoints) != 2:
-            raise _UsageError("resistance needs two vertex ids (or --edge)")
-        p, q = args.endpoints
-        return {"resistance": format_rational(potential.effective_resistance(g, p, q))}
+@_command(
+    "resistance",
+    "effective resistance between two vertices or across an edge",
+    "graph",
+    arguments={
+        "endpoints": dict(nargs="*", help="two vertex ids"),
+        "--edge": dict(help="edge id for the cross resistance instead"),
+    },
+)
+def _resistance(args, g):
+    if args.edge is not None:
+        if args.endpoints:
+            raise _UsageError("resistance takes two vertex ids or --edge, not both")
+        r = potential.cross_resistance(g, args.edge)
+        return {"cross_resistance": "INFINITY" if r is INFINITY else format_rational(r)}, 0
+    if len(args.endpoints) != 2:
+        raise _UsageError("resistance needs two vertex ids (or --edge)")
+    p, q = args.endpoints
+    return {"resistance": format_rational(potential.effective_resistance(g, p, q))}, 0
 
-    if args.command == "measure":
-        g = doc.to_graph()
-        d = doc.to_divisor() if args.divisor is None else _divisor(doc, args.divisor)
-        if d is None:
-            mu, kind = potential.canonical_measure(g), "canonical"
-        else:
-            mu, kind = potential.admissible_measure(g, d), "admissible"
-        return {
-            "kind": kind,
-            "vertex_masses": {v: format_rational(m) for v, m in sorted(mu.vertex_masses.items())},
-            "edge_densities": {
-                e: format_rational(x) for e, x in sorted(mu.edge_densities.items())
-            },
-            "total_mass": format_rational(mu.total_mass(g)),
+
+@_command("measure", "canonical or admissible measure", "graph", "divisor or none")
+def _measure(args, g, d):
+    kind = "canonical" if d is None else "admissible"
+    mu = potential.canonical_measure(g) if d is None else potential.admissible_measure(g, d)
+    return {
+        "kind": kind,
+        "vertex_masses": _rationals(mu.vertex_masses),
+        "edge_densities": _rationals(mu.edge_densities),
+        "total_mass": format_rational(mu.total_mass(g)),
+    }, 0
+
+
+@_command(
+    "green",
+    "Green's function slice from a source vertex",
+    "graph",
+    "divisor",
+    arguments={"source": dict(help="source vertex id")},
+)
+def _green(args, g, d):
+    pot = potential.green_function(g, d, args.source)
+    edges = {
+        e.id: {
+            "second_derivative": format_rational(pot.second_derivatives[e.id]),
+            "slope_at_start": format_rational(pot.slopes_at_start[e.id]),
         }
+        for e in g.edges
+    }
+    values = _rationals(pot.vertex_values)
+    return {"source": args.source, "vertex_values": values, "edges": edges}, 0
 
-    if args.command == "green":
-        g = doc.to_graph()
-        pot = potential.green_function(g, _divisor(doc, args.divisor), args.source)
-        return {
-            "source": args.source,
-            "vertex_values": {
-                v: format_rational(x) for v, x in sorted(pot.vertex_values.items())
-            },
-            "edges": {
-                e.id: {
-                    "second_derivative": format_rational(pot.second_derivatives[e.id]),
-                    "slope_at_start": format_rational(pot.slopes_at_start[e.id]),
-                }
-                for e in g.edges
-            },
+
+@_command("epsilon", "admissible constant by the exact solver", "graph", "divisor")
+def _epsilon(args, g, d):
+    eps, c = potential.epsilon_numeric(g, d)
+    return {"epsilon": format_rational(eps), "c": format_rational(c)}, 0
+
+
+@_command("epsilon-closed", "admissible constant by the closed form", "hyperelliptic", "divisor")
+def _epsilon_closed(args, h, d):
+    return {"epsilon": format_rational(polynomials.epsilon_closed_form(h, d))}, 0
+
+
+@_command("lpoly", "the L polynomial", "hyperelliptic")
+def _polynomial(args, h):
+    poly = (polynomials.l_polynomial if args.command == "lpoly" else polynomials.m_polynomial)(h)
+    return {"size": graph_size(h), "polynomial": documents.serialize_polynomial(poly)}, 0
+
+
+_command("mpoly", "the M polynomial", "hyperelliptic")(_polynomial)
+
+
+@_command("classify-edges", "edge classification and size", "hyperelliptic")
+def _classify_edges(args, h):
+    nu = {v: dict(zip(("nu0", "nu1", "nu"), nu_counts(h, v))) for v in sorted(h.nonfixed_vertices)}
+    return {
+        "edges": {e: kind.value for e, kind in sorted(h.edge_kinds.items())},
+        "classes": {c: list(h.class_members[c]) for c in h.classes()},
+        "size": graph_size(h),
+        "nu": nu,
+    }, 0
+
+
+@_command("classify-nodes", "node types and invariant counts of a fiber", "fiber")
+def _classify_nodes(args, fiber):
+    types, subtypes = bogomolov._classify(fiber)
+    nodes = {
+        eid: {"type": i, "subtype": subtypes[eid]} if eid in subtypes else {"type": i}
+        for eid, i in types.items()
+    }
+    out = {"genus": fiber.genus, "nodes": nodes}
+    if fiber.involution is not None:
+        counts = bogomolov._counts(fiber, types, subtypes)
+        out["counts"] = {
+            "xi": {str(j): counts.xi_j(j) for j in range(len(counts.xi))},
+            "delta": {str(i): counts.delta_i(i) for i in range(1, len(counts.delta) + 1)},
+            "delta0": counts.delta0,
         }
+    return out, 0
 
-    if args.command == "epsilon":
-        eps, c = potential.epsilon_numeric(doc.to_graph(), _divisor(doc, args.divisor))
-        return {"epsilon": format_rational(eps), "c": format_rational(c)}
 
-    if args.command == "epsilon-closed":
-        h = _hyperelliptic(doc)
-        eps = polynomials.epsilon_closed_form(h, _divisor(doc, args.divisor))
-        return {"epsilon": format_rational(eps)}
+@_command("compare", "closed form vs exact solver", "hyperelliptic", "divisor")
+def _compare(args, h, d):
+    numeric, _ = potential.epsilon_numeric(h.graph, d)
+    closed = polynomials.epsilon_closed_form(h, d)
+    out = {"epsilon_numeric": format_rational(numeric), "epsilon_closed": format_rational(closed)}
+    return {**out, "agree": numeric == closed}, 0 if numeric == closed else 1
 
-    if args.command in ("lpoly", "mpoly"):
-        h = _hyperelliptic(doc)
-        fn = polynomials.l_polynomial if args.command == "lpoly" else polynomials.m_polynomial
-        poly = fn(h)
-        return {"size": graph_size(h), "polynomial": documents.serialize_polynomial(poly)}
 
-    if args.command == "classify-edges":
-        h = _hyperelliptic(doc)
-        nus = {
-            v: dict(zip(("nu0", "nu1", "nu"), nu_counts(h, v)))
-            for v in sorted(h.nonfixed_vertices)
-        }
-        return {
-            "edges": {e: kind.value for e, kind in sorted(h.edge_kinds.items())},
-            "classes": {c: list(h.class_members[c]) for c in h.classes()},
-            "size": graph_size(h),
-            "nu": nus,
-        }
+@_command(
+    "bound",
+    "effective lower bound from invariant counts",
+    arguments={
+        "--genus": dict(type=_integer, required=True),
+        "--xi0": dict(type=_integer, default=0, help="count of type-(0,0) nodes"),
+        "--xi": dict(action="append", default=[], metavar="j=v", help="pairs of subtype j"),
+        "--delta": dict(action="append", default=[], metavar="i=v", help="nodes of type i"),
+    },
+)
+def _bound(args):
+    xi = _parse_indexed(args.xi, "--xi")
+    if args.xi0:
+        xi[0] = xi.get(0, 0) + args.xi0
+    delta = _parse_indexed(args.delta, "--delta")
+    counts = bogomolov.InvariantCounts.from_maps(args.genus, xi, delta)
+    radicand, report = bogomolov.pairing_radicand(counts)
+    return {
+        "r0": format_rational(report["r0_theorem"]),
+        "radicand": format_rational(radicand),
+        "omega_self_intersection": format_rational(report["omega_self_intersection"]),
+        "epsilon_upper_total": format_rational(report["epsilon_upper_total"]),
+        "warnings": report["warnings"],
+    }, 0
 
-    if args.command == "classify-nodes":
-        fiber = doc.to_fiber()
-        types, subtypes = bogomolov._classify(fiber)
-        nodes = {}
-        for eid, i in types.items():
-            entry: Dict[str, int] = {"type": i}
-            if eid in subtypes:
-                entry["subtype"] = subtypes[eid]
-            nodes[eid] = entry
-        out = {"genus": fiber.genus, "nodes": nodes}
-        if fiber.involution is not None:
-            counts = bogomolov._counts(fiber, types, subtypes)
-            out["counts"] = {
-                "xi": {str(j): counts.xi_j(j) for j in range(len(counts.xi))},
-                "delta": {str(i): counts.delta_i(i) for i in range(1, len(counts.delta) + 1)},
-                "delta0": counts.delta0,
-            }
-        return out
 
-    if args.command == "compare":
-        h = _hyperelliptic(doc)
-        d = _divisor(doc, args.divisor)
-        eps_num, _ = potential.epsilon_numeric(h.graph, d)
-        eps_closed = polynomials.epsilon_closed_form(h, d)
-        return {
-            "epsilon_numeric": format_rational(eps_num),
-            "epsilon_closed": format_rational(eps_closed),
-            "agree": eps_num == eps_closed,
-        }
-
-    if args.command == "bound":
-        xi = _parse_indexed(args.xi, "--xi")
-        if args.xi0:
-            xi[0] = xi.get(0, 0) + args.xi0
-        delta = _parse_indexed(args.delta, "--delta")
-        counts = bogomolov.InvariantCounts.from_maps(args.genus, xi, delta)
-        radicand, report = bogomolov.pairing_radicand(counts)
-        return {
-            "r0": format_rational(report["r0_theorem"]),
-            "radicand": format_rational(radicand),
-            "omega_self_intersection": format_rational(report["omega_self_intersection"]),
-            "epsilon_upper_total": format_rational(report["epsilon_upper_total"]),
-            "warnings": report["warnings"],
-        }
-
-    # gen, the one command left
+@_command(
+    "gen",
+    "emit a seeded random hyperelliptic graph document",
+    arguments={
+        "--seed": dict(type=_integer, required=True),
+        "--min-size": dict(type=_integer, default=1),
+        "--max-size": dict(type=_integer, default=5),
+    },
+)
+def _gen(args):
     h = generators.random_hyperelliptic(args.seed, args.min_size, args.max_size)
     d = generators.random_polarization(h, args.seed)
-    return documents.document_object(documents.document_from(h.graph, h.involution, d))
+    return documents.document_object(documents.document_from(h.graph, h.involution, d)), 0
 
 
 def _outcome(argv):
@@ -381,23 +383,19 @@ def _outcome(argv):
     parser = _build_parser(next((a for a in argv if not a.startswith("-")), None))
     try:
         args = parser.parse_args(argv)
-        result = _run(args)
+        spec = _COMMANDS[args.command]
+        doc = _load_document(args.graph) if spec.inputs else None
+        result, code = spec.handler(args, *[_READERS[kind](doc, args) for kind in spec.inputs])
     except _HelpRequested as exc:
         return 0, json.dumps({"help": str(exc)}), sys.stdout
     except _UsageError as exc:
         return 2, json.dumps({"error": {"code": "usage", "message": str(exc)}}), sys.stderr
     except SchemaError as exc:
-        payload = {
-            "error": {
-                "code": exc.code,
-                "message": str(exc),
-                "problems": [{"path": p, "message": m} for p, m in exc.problems],
-            }
-        }
-        return 1, json.dumps(payload), sys.stdout
+        problems = [{"path": p, "message": m} for p, m in exc.problems]
+        error = {"code": exc.code, "message": str(exc), "problems": problems}
+        return 1, json.dumps({"error": error}), sys.stdout
     except AdmGraphError as exc:
         return 1, json.dumps({"error": {"code": exc.code, "message": str(exc)}}), sys.stdout
-    code = 1 if args.command == "compare" and not result.get("agree", True) else 0
     return code, json.dumps(result), sys.stdout
 
 

@@ -59,9 +59,6 @@ class CoverSpec:
     edges: Tuple[Tuple[str, str, str, Fraction], ...]  # (id, u, v, length)
     seed: int = 0
 
-    def degree(self, v: str) -> int:
-        return sum((u == v) + (w == v) for _, u, w, _ in self.edges)
-
     def validate(self) -> None:
         ids = [v for v, _ in self.vertices]
         fixed = dict(self.vertices)

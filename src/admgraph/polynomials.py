@@ -76,6 +76,7 @@ past it.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
@@ -347,15 +348,31 @@ def _class_coefficients(
 
 
 def epsilon_rational_fn(h: HyperellipticGraph, d: Divisor) -> RationalFn:
-    """The admissible constant as a rational function of the class lengths."""
+    """The admissible constant as a rational function of the class lengths.
+
+    The numerator is sum_c n_c X_c L + q M over the one denominator of
+    _class_coefficients, added up in integers: L is multilinear with every
+    coefficient 1, so X_c times a monomial of L inserts c into it (a square
+    where c is already there), and M's coefficients are integers.  One
+    Fraction is built per distinct coefficient."""
     deg = _theorem_shape_check(h, d)
     lpoly = l_polynomial(h)
     mpoly = m_polynomial(h)
     if lpoly.is_zero():
         raise SolverFaultError("L vanished on a valid hyperelliptic graph")
     q_num, numerators, den = _class_coefficients(h, d, deg)
-    linear = MultiPoly._trusted({(c,): Fraction(n, den) for c, n in numerators.items()})
-    return RationalFn(linear * lpoly + MultiPoly.constant(Fraction(q_num, den)) * mpoly, lpoly)
+    terms: Dict[Monomial, int] = {}
+    for c, n in numerators.items():
+        if n:
+            for mono in lpoly.terms:
+                i = bisect_left(mono, c)
+                mono = mono[:i] + (c,) + mono[i:]
+                terms[mono] = terms.get(mono, 0) + n
+    terms = {mono: x for mono, x in terms.items() if x}
+    for mono, coeff in mpoly.terms.items():
+        terms[mono] = terms.get(mono, 0) + q_num * coeff.numerator
+    values = {x: Fraction(x, den) for x in set(terms.values())}
+    return RationalFn(MultiPoly._trusted({m: values[x] for m, x in terms.items()}), lpoly)
 
 
 def _common_scale(lengths: Mapping[str, Fraction]) -> Tuple[int, Dict[str, int]]:

@@ -17,7 +17,8 @@ One elimination per call serves everything.  The weighted Laplacian L
 removed) is scaled to integers by one global scale S, the lcm of the length
 numerators, and K = S L is eliminated once, fraction-free (Bareiss, every
 division exact).  Y = det K^-1 is then an integer matrix and L^-1 = S Y /
-det, but no call builds all of Y: each reads only the entries it needs.
+det.  Each call reads only the entries of Y it needs; only green_matrix,
+which needs them all, builds all of Y.
 
 K is sparse, and the elimination stays inside its band.  The non-grounded
 vertices are put in reverse Cuthill-McKee order (ties by vertex id, the
@@ -38,7 +39,8 @@ O(V b^2) for bandwidth b and keeps each step's multipliers.  From it:
   to the envelope, O(V b^2) (Takahashi, Fagan and Chin 1973; Erisman and
   Tinney 1975): hi is nondecreasing, so every entry the recurrence reads
   is itself in the envelope.  It holds the diagonal and, since K_uw != 0
-  puts w within hi[u], every edge;
+  puts w within hi[u], every edge.  The same recurrence run for every
+  column gives all of Y, O(V^2 b), for green_matrix;
 * a column Y b for any integer b, O(V b): the forward pass replayed on b
   from the kept multipliers, with the same pending ratios, then
   back-substitution against the eliminated rows.
@@ -215,30 +217,32 @@ def _eliminate(a: List[List[int]]) -> _Elimination:
 _Envelope = Tuple[List[int], List[List[int]]]
 
 
-def _envelope(el: _Elimination) -> _Envelope:
-    """The entries of Y = det a^-1 inside a's envelope, in integers.
+def _envelope(el: _Elimination, full: bool = False) -> _Envelope:
+    """The entries of Y = det a^-1 inside a's envelope, or all of Y if
+    full (first is then all 0), in integers.
 
     Back-substitution against U, row by row from the last, for the columns
-    c <= hi[col] of row col only: row col of the forward-eliminated
-    identity is the previous pivot at column col and zero to its right, and
-    since hi is nondecreasing every Y_jc the recurrence reads (col < j <=
-    hi[col]) lies in the envelope and is already solved.  Each division is
-    exact by Cramer's rule.
+    c <= hi[col] of row col only (c <= n - 1 if full): row col of the
+    forward-eliminated identity is the previous pivot at column col and
+    zero to its right, and since hi is nondecreasing every Y_jc the
+    recurrence reads (col < j <= hi[col]) lies in the envelope and is
+    already solved.  Each division is exact by Cramer's rule.
     """
     hi, upper, pivots, _ = el
     n = len(hi)
     det = pivots[n]
+    last = [n - 1] * n if full else hi
     first: List[int] = []
     j = 0
     for c in range(n):
-        while hi[j] < c:
+        while last[j] < c:
             j += 1
         first.append(j)
-    y = [[0] * (hi[c] + 1 - first[c]) for c in range(n)]
+    y = [[0] * (last[c] + 1 - first[c]) for c in range(n)]
     for col in range(n - 1, -1, -1):
         u, end, lead = upper[col], hi[col] + 1, pivots[col + 1]
         own, base = y[col], first[col]
-        for c in range(end - 1, col - 1, -1):
+        for c in range(last[col], col - 1, -1):
             row, fc = y[c], first[c]
             # Y_cj for col < j <= hi[col], those with j < c mirrored from row j
             acc = -sum(map(mul, u, row[col + 1 - fc : end - fc]))
@@ -449,12 +453,13 @@ def _polarization(g: MetrizedGraph, d: Divisor, what: str = "admissible measure"
 
 
 def _solved_measure(
-    g: MetrizedGraph, pol: _Polarization
-) -> Tuple[_Factorization, List[int], List[int], _Weights]:
+    g: MetrizedGraph, pol: _Polarization, full: bool = False
+) -> Tuple[_Factorization, List[int], List[int], _Weights, List[List[int]]]:
     """One elimination; the coefficients a of D = a / s, placed in band
-    order; the diagonal of Y, read off the envelope; and the admissible
+    order; the diagonal of Y, read off the envelope; the admissible
     measure (delta_D + 2 * canonical) / (deg D + 2) in integers (D = 0
-    gives the canonical measure).
+    gives the canonical measure); and the rows of the envelope, or of all
+    of Y if full (see _envelope).
 
     The canonical measure has mass 1 - valence/2 at each vertex and, with R
     the resistance across an edge of length l, density (l - R) / l^2, so
@@ -468,7 +473,7 @@ def _solved_measure(
     det = fac.det
     s, scaled = pol
     a = [scaled.get(v, 0) for v in fac.order]
-    first, y = _envelope(fac.elim)
+    first, y = _envelope(fac.elim, full)
     n = len(y)
     diag = [row[i - f] for i, (f, row) in enumerate(zip(first, y))] + [0]
     twice = [2 * det] * (n + 1)  # 2 det (1 - valence/2) at each vertex
@@ -490,11 +495,11 @@ def _solved_measure(
     mu = _Weights(den // common, [x // common for x in masses], [x // common for x in edge_masses])
     if sum(mu.masses) + sum(mu.edge_masses) != mu.den:
         raise SolverFaultError("admissible measure mass != 1")
-    return fac, a, diag, mu
+    return fac, a, diag, mu, y
 
 
 def _measure(g: MetrizedGraph, pol: _Polarization) -> Measure:
-    fac, _, _, mu = _solved_measure(g, pol)
+    fac, _, _, mu, _ = _solved_measure(g, pol)
     masses = {v: Fraction(mu.masses[fac.index[v]], mu.den) for v in g.vertices}
     return Measure(masses, _densities(g, mu))
 
@@ -594,11 +599,16 @@ def _flux(fac: _Factorization, mu: _Weights) -> Tuple[List[int], int, int]:
 
 
 def _green_values(
-    fac: _Factorization, mu: _Weights, charges: Sequence[List[int]], diagonal: List[int]
+    fac: _Factorization,
+    mu: _Weights,
+    charges: Sequence[List[int]],
+    diagonal: List[int],
+    columns: Optional[List[List[int]]] = None,
 ) -> Tuple[int, List[List[int]], List[int]]:
     """Vertex values of the slices sum_x a_x g(x, .), one per charge vector
     a, and of g(v, v) from the diagonal Y_vv, as integers over one common
-    denominator n.  Returns (n, slices, diagonal values).
+    denominator n.  Returns (n, slices, diagonal values).  The columns
+    Y a are solved here unless given.
 
     The integral of g(x, .) against mu is sum_v weights[v] g(x, v) - c with
     c = sum rho^2 l^3 / 12 over the edges (see _flux).  With W / w the
@@ -622,29 +632,48 @@ def _green_values(
     # are long.  The columns are solved divided by f = gcd(det, diagonal)
     # when f divides every one of them, else whole; det and every entry
     # read are then divided by what they still share.
-    f = gcd(det, *diagonal)
-    columns = [_solve(fac.elim, b, f) for b in [flux, *charges]]
-    if None in columns:
-        f = 1
-        columns = [_solve(fac.elim, b) for b in [flux, *charges]]
-    yw, *columns = columns
+    symmetric = columns is not None
+    if symmetric:
+        # Y's rows, which stand for its columns as Y is symmetric: Y W is
+        # read off them, and their lower triangle holds every entry
+        f, yw = 1, [sum(map(mul, row, flux)) for row in columns]
+        columns = [row[: i + 1] for i, row in enumerate(columns)]
+    else:
+        f = gcd(det, *diagonal)
+        solved = [_solve(fac.elim, b, f) for b in [flux, *charges]]
+        if None in solved:
+            f = 1
+            solved = [_solve(fac.elim, b) for b in [flux, *charges]]
+        yw, *columns = solved
     common = gcd(det // f, *yw, *[x // f for x in diagonal], *[x for c in columns for x in c])
     det //= f * common
     diagonal = [x // (f * common) for x in diagonal]
     if common > 1:
         yw = [x // common for x in yw]
         columns = [[x // common for x in column] for column in columns]
+    if symmetric:
+        columns = [row + [c[i] for c in columns[i + 1 :]] for i, row in enumerate(columns)]
     common = gcd(fac.scale, det)  # S / det = sigma / delta in lowest terms
     sigma, delta = fac.scale // common, det // common
     n = lcm(delta * w * w, cd)
     base = sigma * (n // (delta * w))  # n p[v] = base yw[v]; n Z = base w Y
     k0 = sigma * (n // (delta * w * w)) * sum(map(mul, flux, yw)) + cn * (n // cd)  # n k0
+    # With q[v] = base yw[v], e[v] = q[v] - q[0] and t0 = k0 - 2 q[0], n
+    # times a slice's value at v is bw (Y a)[v] - A e[v] + A t0 - a . e for
+    # bw = base w, and n g(v, v) is bw Y[v][v] - 2 e[v] + t0.  What n, bw,
+    # t0 and e share divides out before any value is built.
+    bw, q0 = base * w, base * yw[0]
+    t0 = k0 - 2 * q0
+    e = [base * p - q0 for p in yw]
+    common = gcd(n, bw, t0, *e)
+    n, bw, t0 = n // common, bw // common, t0 // common
+    e = [x // common for x in e]
     slices = []
     for a, column in zip(charges, columns):
         total = sum(a)
-        shift = total * k0 - base * sum(map(mul, a, yw))
-        slices.append([base * (w * x - total * p) + shift for x, p in zip(column, yw)])
-    diag = [base * (w * x - 2 * p) + k0 for x, p in zip(diagonal, yw)]
+        shift = total * t0 - sum(map(mul, a, e))
+        slices.append([bw * x - total * ev + shift for x, ev in zip(column, e)])
+    diag = [bw * x - 2 * ev + t0 for x, ev in zip(diagonal, e)]
     return n, slices, diag
 
 
@@ -703,7 +732,7 @@ def green_function(g: MetrizedGraph, d: Divisor, source: str) -> PiecewisePotent
     is built, one per returned value."""
     g.require_vertex(source)
     g.require_analytic()
-    fac, _, diagonal, mu = _solved_measure(g, _polarization(g, d))
+    fac, _, diagonal, mu, _ = _solved_measure(g, _polarization(g, d))
     a = _unit(fac, source)
     n, (x,), _ = _green_values(fac, mu, [a], diagonal)
     _assert_green_values(fac, mu, n, [(a, x)])
@@ -725,19 +754,23 @@ def green_pairing(g: MetrizedGraph, d: Divisor, p: str, q: str) -> Fraction:
 
 
 def green_matrix(g: MetrizedGraph, d: Divisor) -> Dict[str, Dict[str, Fraction]]:
-    """All vertex pair values g(x, y) from a single elimination, a column
-    of Y per vertex; every slice is certified and the matrix is checked to
-    be exactly symmetric."""
+    """All vertex pair values g(x, y) from a single elimination and one
+    back-substitution for all of Y, whose rows are the columns of the unit
+    charges (the grounded vertex's is zero); every slice is certified and
+    the matrix is checked to be exactly symmetric."""
     g.require_analytic()
-    fac, _, diagonal, mu = _solved_measure(g, _polarization(g, d))
+    fac, _, diagonal, mu, y = _solved_measure(g, _polarization(g, d), full=True)
     charges = [_unit(fac, v) for v in fac.order]
-    n, rows, _ = _green_values(fac, mu, charges, diagonal)
+    columns = [row + [0] for row in y] + [[0] * len(fac.order)]
+    n, rows, _ = _green_values(fac, mu, charges, diagonal, columns)
     _assert_green_values(fac, mu, n, zip(charges, rows))
     if any(row[j] != other[i] for i, row in enumerate(rows) for j, other in enumerate(rows)):
         raise SolverFaultError("Green matrix is not symmetric")
+    # one Fraction per pair, the matrix being symmetric
+    lower = [[Fraction(x, n) for x in row[: i + 1]] for i, row in enumerate(rows)]
     pos = [fac.index[v] for v in g.vertices]
     return {
-        x: {y: Fraction(rows[i][j], n) for y, j in zip(g.vertices, pos)}
+        x: {y: lower[max(i, j)][min(i, j)] for y, j in zip(g.vertices, pos)}
         for x, i in zip(g.vertices, pos)
     }
 
@@ -753,7 +786,7 @@ def epsilon_numeric(g: MetrizedGraph, d: Divisor) -> Tuple[Fraction, Fraction]:
     """
     s, _ = pol = _polarization(g, d, "admissible constant")
     g.require_analytic()
-    fac, a, diagonal, mu = _solved_measure(g, pol)
+    fac, a, diagonal, mu, _ = _solved_measure(g, pol)
     # D = a / s, so s n c = X_D[y] + s X[y][y] for the slice X_D of s g(D, .)
     unit = _unit(fac, g.vertices[0])
     y0 = fac.index[g.vertices[0]]

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ import pytest
 
 import _oracles
 import admgraph as ag
-from admgraph import documents
+from admgraph import cli, documents
 from admgraph.bogomolov import MAX_GENUS
 from admgraph.cli import run_command
 from admgraph.documents import (
@@ -387,6 +388,39 @@ class TestCli:
         code, out = run(capsys, argv)
         assert code == 0
         assert list(out) == ["help"] and out["help"].startswith("usage: admgraph")
+
+    # sha256 of the help of the top level and of each command, in the order
+    # of the command table.  argparse lays help out differently across
+    # Python versions, so the pins hold for the version they were taken on.
+    HELP_SHA256 = {
+        None: "f7bd58d7accdbff3aa92e555d631a94bc17ba6398d50627271038ac7daa0ea18",
+        "validate": "96064c39c2f7939ba05e81ec189e1403f5c4976919ee3e81c0108e74efc1dacb",
+        "resistance": "7160cf3922d366899c585c0d8551bc875a768733be1cc5436d18e884467b3554",
+        "measure": "e59550bbc1d2d2813b4adfefe811481587dafaf55b940502657aae3f27139c53",
+        "green": "62730c84672f7f3abd2d81f0731905638d70706d7b8f9631aee1055b4f3c75b2",
+        "epsilon": "28a70a2f4d57e33fd93b229f625b53e2f804b42c622d23da834aa0e6c0d37bbf",
+        "epsilon-closed": "9ed9e0ecce08c00abe4ddc736d4c21ae5f802de950190b982dc53a8651967af7",
+        "lpoly": "2e0f00ebacb0baab43c4b4b8e850d979877c7560db1001e7f92af1d66b7805a4",
+        "mpoly": "143f88bcc48318c88d82fd7108f0025f3a18622b9fa16920805523dde2874288",
+        "classify-edges": "136a9fc55b59f284f7c2c4c9dab948aa2ae6ba17d0494153789d4a8bd6efd7c3",
+        "classify-nodes": "76bf62d5d83d800d1463248219dd0e92560619f90a40515124abdc23dfd00853",
+        "compare": "e59b0d1afa7bb21d756d16cfb5974f93883665572c102e72e93dc5696642e047",
+        "bound": "efedc57c4344309cdb40d69932b13dbb017cbaf46526d65a53b47cf21291ba86",
+        "gen": "12ac35d4a38325a33c7b94b39cd09820b1579f10ebea9ef3bddc7a8c94d44bde",
+    }
+
+    @pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="help pinned on Python 3.11")
+    @pytest.mark.parametrize("command", list(HELP_SHA256))
+    def test_help_texts_are_pinned(self, capsys, command):
+        code, out = run(capsys, ([command] if command else []) + ["-h"])
+        assert code == 0
+        assert hashlib.sha256(out["help"].encode()).hexdigest() == self.HELP_SHA256[command]
+
+    def test_invalid_choice_lists_the_commands_in_table_order(self, capsys):
+        assert run_command(["nope"]) == 2
+        message = json.loads(capsys.readouterr().err)["error"]["message"]
+        listed = re.findall(r"[\w-]+", message.split("choose from", 1)[1])
+        assert listed == [c for c in self.HELP_SHA256 if c] == list(cli._COMMANDS)
 
     def test_epsilon(self, capsys, sg_file):
         code, out = run(capsys, ["epsilon", sg_file])

@@ -24,7 +24,7 @@ from _oracles import (
     nonfixed_pairs,
     substitute_zero,
 )
-from admgraph import EdgeKind, MultiPoly
+from admgraph import EdgeKind, MultiPoly, polynomials
 from admgraph.errors import ECHO_LIMIT
 from admgraph.generators import double_cover, random_cover_spec
 from conftest import shown_id
@@ -312,6 +312,21 @@ class TestClosedForm:
                 h2 = ag.validate_hyperelliptic(g2, inv2)
                 d2 = ag.push_divisor(d, vmap)
                 assert substitute_zero(fn, cname) == ag.epsilon_rational_fn(h2, d2)
+
+    def test_rational_fn_is_the_products_of_its_parts(self, corpus):
+        # the numerator added up in integers equals sum_c n_c X_c L + q M
+        # formed by MultiPoly products, term for term and in the same order
+        cases = [(h, ag.random_polarization(h, 43)) for h in corpus[:12]]
+        cases.append((ag.ladder_graph(6), ag.random_polarization(ag.ladder_graph(6), 6)))
+        for h, d in cases:
+            deg = polynomials._theorem_shape_check(h, d)
+            q_num, numerators, den = polynomials._class_coefficients(h, d, deg)
+            linear = MultiPoly({(c,): F(n, den) for c, n in numerators.items()})
+            lpoly, mpoly = ag.l_polynomial(h), ag.m_polynomial(h)
+            expected = linear * lpoly + MultiPoly.constant(F(q_num, den)) * mpoly
+            fn = ag.epsilon_rational_fn(h, d)
+            assert list(fn.numerator.terms.items()) == list(expected.terms.items())
+            assert fn.denominator.terms == lpoly.terms
 
 
 class TestPolarizationCheck:

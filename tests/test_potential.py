@@ -211,7 +211,7 @@ def _green_slices(g, d):
     """(factorization, n, integer slices) of every source from the
     library's factorization, each slice a mapping vertex -> X with
     g(source, v) = X / n."""
-    fac, _, diagonal, mu = _solved_measure(g, _polarization(g, d))
+    fac, _, diagonal, mu, _ = _solved_measure(g, _polarization(g, d))
     n, rows, _ = _green_values(fac, mu, [_unit(fac, v) for v in fac.order], diagonal)
     return fac, n, {s: dict(zip(fac.order, row)) for s, row in zip(fac.order, rows)}
 
@@ -304,7 +304,7 @@ class TestGreenCheck:
     def test_corrupted_matrix_entry_raises(self, monkeypatch):
         h = ag.ladder_graph(6)
         g, d = h.graph, ag.random_polarization(h, 6)
-        fac, _, diagonal, mu = _solved_measure(g, _polarization(g, d))
+        fac, _, diagonal, mu, _ = _solved_measure(g, _polarization(g, d))
         n, rows, _ = _green_values(fac, mu, [_unit(fac, v) for v in fac.order], diagonal)
         rng = random.Random(6)
         for _ in range(40):
@@ -347,15 +347,20 @@ def _corrupt(monkeypatch, name, which, rng, period=1):
     monkeypatch.setattr(potential, name, corrupted)
 
 
-def _corrupt_diagonal(monkeypatch, rng):
+def _corrupt_diagonal(monkeypatch, rng, anywhere=False):
     """Wrap potential._envelope so that one diagonal entry Y_vv of its
-    result is moved by a nonzero integer."""
+    result, or if anywhere one entry Y_ij of all it holds, is moved by a
+    nonzero integer (both Y_ij and Y_ji where it stores both)."""
     original = potential._envelope
 
-    def corrupted(el):
-        first, y = original(el)
+    def corrupted(el, *full):
+        first, y = original(el, *full)
         i = rng.randrange(len(y))
-        y[i][i - first[i]] += rng.choice([-1, 1]) * rng.randint(1, 10**6)
+        j = rng.randrange(first[i], first[i] + len(y[i])) if anywhere else i
+        step = rng.choice([-1, 1]) * rng.randint(1, 10**6)
+        y[i][j - first[i]] += step
+        if j != i and first[j] <= i < first[j] + len(y[j]):
+            y[j][i - first[j]] += step
         return first, y
 
     monkeypatch.setattr(potential, "_envelope", corrupted)
@@ -365,7 +370,8 @@ class TestFaultInjection:
     """A fault in any entry of Y that an entry point reads is caught by its
     certificate.  The column solves run in a fixed order: the flux weights
     w first, then one column per slice (epsilon: D, then the first vertex
-    y0).  The diagonal is read off the envelope."""
+    y0).  The diagonal is read off the envelope, and green_matrix reads
+    all of Y off one back-substitution."""
 
     # epsilon's solves: Y w, Y a for D = a / s, and the y0 column
     @pytest.mark.parametrize("which", [0, 1, 2], ids=["flux", "divisor", "y0"])
@@ -395,9 +401,9 @@ class TestFaultInjection:
                     _corrupt(m, "_solve", which, rng, period=2)
                     with pytest.raises(ag.SolverFaultError):
                         ag.green_function(g, d, rng.choice(g.vertices[:-1]))
+            # green_matrix reads every entry of Y off one back-substitution
             with monkeypatch.context() as m:
-                period = len(g.vertices) + 1
-                _corrupt(m, "_solve", rng.randrange(period), rng, period)
+                _corrupt_diagonal(m, rng, anywhere=True)
                 with pytest.raises(ag.SolverFaultError):
                     ag.green_matrix(g, d)
 
@@ -741,7 +747,7 @@ def _assert_every_slice_certified(g, d):
     and the integral on every slice g(x, .), the matrix exactly symmetric,
     and g(D, y) + g(y, y) the same at every vertex, equal to its c."""
     s, _ = pol = _polarization(g, d)
-    fac, a, diagonal, mu = _solved_measure(g, pol)
+    fac, a, diagonal, mu, _ = _solved_measure(g, pol)
     charges = [_unit(fac, v) for v in fac.order]
     n, rows, _ = _green_values(fac, mu, charges, diagonal)
     _assert_green_values(fac, mu, n, zip(charges, rows))
