@@ -123,7 +123,7 @@ def _build_parser(command: Optional[str]) -> _Parser:
     Building them in full cost more than the rest of a typical call; a
     parser without the stubs waits for ROADMAP item 1."""
     parser = _Parser(prog="admgraph", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(prog="admgraph", dest="command", required=True)
     for name, spec in _COMMANDS.items():
         p = sub.add_parser(name, help=spec.help, add_help=name == command)
         if name != command:

@@ -61,9 +61,9 @@ no enumeration and no limit.  The passes run on integer pairs: with B the
 lcm of the class-length denominators and x_c = X_c B, C/B obeys the same
 recursion at the integer lengths x_c.  A pair in series with a class stays
 reduced, sums are reduced by the gcd of their denominators first, and each
-C(a) is reduced once, as it becomes a Fraction: O(V) integer operations and
-one gcd of two full-size numbers per vertex, plus one wherever two large
-branches meet.  The class sum is one integer
+C(a) is reduced once, then summed into B M/L as a pair: O(V) integer
+operations and one gcd of two full-size numbers per vertex, plus one
+wherever two large branches meet.  The class sum is one integer
 sum over one denominator: with s the lcm of the polarization's coefficient
 denominators, D = deg s and W = w(e) s are integers and
 
@@ -93,7 +93,6 @@ from .graph import Divisor, _walk
 from .hyperelliptic import (
     HyperellipticGraph,
     _w_weight,
-    divisor_is_invariant,
     nu_counts,
 )
 from .rationals import as_fraction
@@ -300,44 +299,54 @@ def m_polynomial(h: HyperellipticGraph) -> MultiPoly:
     orbits together."""
     order, up = _walk(h.quotient, min(h.fixed_vertices))
     budget = MAX_TREES
-    terms: Dict[Monomial, Fraction] = {}
+    terms: Dict[Monomial, int] = {}
     for a in (v for v in h.quotient.vertices if v not in h.fixed_vertices):
-        weight = Fraction(h.graph.valence(a) - 2)
+        weight = h.graph.valence(a) - 2
         cuts = _cuts(order, up, h.fixed_vertices | {a}, budget)
         budget -= len(cuts)
         for mono in cuts:
-            terms[mono] = terms.get(mono, ZERO) + weight
-    return MultiPoly._trusted(terms)
+            terms[mono] = terms.get(mono, 0) + weight
+    values = {x: Fraction(x) for x in set(terms.values())}
+    return MultiPoly._trusted({mono: values[x] for mono, x in terms.items()})
 
 
-def _theorem_shape_check(h: HyperellipticGraph, d: Divisor) -> Fraction:
+def _theorem_shape_check(h: HyperellipticGraph, d: Divisor) -> Tuple[int, int]:
+    """Check that d has the closed form's shape, on d scaled once to
+    integers: with s the lcm of its coefficient denominators, a_v = c_v s.
+    The support's vertices exist, d is iota-invariant, its coefficient at
+    every non-fixed vertex is nu - 2, and deg d != -2.  Returns (s, D), D =
+    deg(d) s."""
+    coefficients = d.coefficients
+    # a list: see _common_scale
+    s = lcm(*[c.denominator for c in coefficients.values()])
+    a = {v: c.numerator * (s // c.denominator) for v, c in coefficients.items()}
     for v in d.support():
         h.graph.require_vertex(v)
-    if not divisor_is_invariant(d, h.involution):
+    image = h.involution.vertex
+    if any(a.get(image(v), 0) != x for v, x in a.items()):
         raise PolarizationShapeError("polarization must be iota-invariant")
     for v in sorted(h.nonfixed_vertices):
         _, _, nu = nu_counts(h, v)
-        if d.coefficient(v) != nu - 2:
+        if a.get(v, 0) != (nu - 2) * s:
             raise PolarizationShapeError(
                 f"coefficient at non-fixed vertex {_shown(v)} must be nu - 2 = {nu - 2}"
             )
-    deg = d.degree
-    if deg == -2:
+    big_d = sum(a.values())
+    if big_d == -2 * s:
         raise DegreeMinusTwoError("closed form undefined for deg(D) = -2")
-    return deg
+    return s, big_d
 
 
 def _class_coefficients(
-    h: HyperellipticGraph, d: Divisor, deg: Fraction
+    h: HyperellipticGraph, d: Divisor, s: int, big_d: int
 ) -> Tuple[int, Dict[str, int], int]:
     """The closed form's coefficients as integer numerators over one
     denominator: (2/3) q of M/L and (2/3) q + w(deg - w)/(deg + 2) of every
     class's length, q = deg/(deg + 2).  With s the lcm of d's coefficient
-    denominators, D = deg s and W = w s are integers (w sums coefficients
-    of d), and the two are 2Ds and 2Ds + 3W(D - W) over 3s(D + 2s).
-    Returns (2Ds, {class: numerator}, 3s(D + 2s))."""
-    s = lcm(*[c.denominator for c in d.coefficients.values()])
-    big_d = deg.numerator * (s // deg.denominator)
+    denominators, D = deg s (both from _theorem_shape_check) and W = w s
+    are integers (w sums coefficients of d), and the two are 2Ds and
+    2Ds + 3W(D - W) over 3s(D + 2s).  Returns (2Ds, {class: numerator},
+    3s(D + 2s))."""
     q_num = 2 * big_d * s
     numerators: Dict[str, int] = {}
     for cname in h.classes():
@@ -355,12 +364,12 @@ def epsilon_rational_fn(h: HyperellipticGraph, d: Divisor) -> RationalFn:
     coefficient 1, so X_c times a monomial of L inserts c into it (a square
     where c is already there), and M's coefficients are integers.  One
     Fraction is built per distinct coefficient."""
-    deg = _theorem_shape_check(h, d)
+    scaling = _theorem_shape_check(h, d)
     lpoly = l_polynomial(h)
     mpoly = m_polynomial(h)
     if lpoly.is_zero():
         raise SolverFaultError("L vanished on a valid hyperelliptic graph")
-    q_num, numerators, den = _class_coefficients(h, d, deg)
+    q_num, numerators, den = _class_coefficients(h, d, *scaling)
     terms: Dict[Monomial, int] = {}
     for c, n in numerators.items():
         if n:
@@ -377,7 +386,7 @@ def epsilon_rational_fn(h: HyperellipticGraph, d: Divisor) -> RationalFn:
 
 def _common_scale(lengths: Mapping[str, Fraction]) -> Tuple[int, Dict[str, int]]:
     """B, the lcm of the lengths' denominators, and every length times B."""
-    # a list, here and in _class_coefficients: lcm(*generator) builds its
+    # a list, here and in _theorem_shape_check: lcm(*generator) builds its
     # argument tuple by resizing, which strands tuples on the interpreter's
     # free lists (about 2 MB over a closed-form benchmark run)
     scale = lcm(*[x.denominator for x in lengths.values()])
@@ -398,24 +407,23 @@ def _add(a: Tuple[int, int], b: Tuple[int, int]) -> Tuple[int, int]:
     return n // g, d1 * (d2 // g)
 
 
-def _conductances(h: HyperellipticGraph, lengths: Mapping[str, Fraction]) -> Dict[str, Fraction]:
-    """C(a) for every non-fixed quotient vertex a, with conductance 1/X on a
-    class of length X.  From the leaves up, each vertex sums the branches
-    of its children; from the (fixed) root down, each child gets the branch
-    above it: its parent's C less its own branch, in series with the
-    joining class.
+def _conductance_pairs(h: HyperellipticGraph, x: Mapping[str, int]) -> Dict[str, Tuple[int, int]]:
+    """K(a) = C(a)/B for every non-fixed quotient vertex a, as an unreduced
+    pair n/d, at the integer class lengths x = X B (B the lcm of the length
+    denominators), with conductance 1/X on a class of length X.  From the
+    leaves up, each vertex sums the branches of its children; from the
+    (fixed) root down, each child gets the branch above it: its parent's K
+    less its own branch, in series with the joining class.
 
-    Both passes run on reduced integer pairs n/d.  With B the lcm of the
-    length denominators and x = X B, K = C/B obeys the same recursion at
-    the integer lengths x.  A reduced K in series with x is n/(d + x n),
-    still reduced; sums are reduced by ``_add``.  A child's branch above is
-    formed from its siblings' sums before and after it, never by
-    subtraction, so the gcd of two large numbers is taken only where two
-    large branches meet.  C(a) itself is left unreduced until it becomes
-    a Fraction: one such gcd per vertex."""
+    Both passes run on reduced integer pairs: K = C/B obeys the recursion
+    of C at the integer lengths x.  A reduced K in series with x is
+    n/(d + x n), still reduced; sums are reduced by ``_add``.  A child's
+    branch above is formed from its siblings' sums before and after it,
+    never by subtraction, so the gcd of two large numbers is taken only
+    where two large branches meet.  K(a) itself is left unreduced, so that
+    its caller reduces it once: one such gcd per vertex."""
     order, up = _walk(h.quotient, min(h.fixed_vertices))
     fixed = h.fixed_vertices
-    scale, x = _common_scale(lengths)
     kids: Dict[str, List[str]] = {v: [] for v in order if v not in fixed}
     for v in order[1:]:
         p = up[v][0]
@@ -439,7 +447,7 @@ def _conductances(h: HyperellipticGraph, lengths: Mapping[str, Fraction]) -> Dic
         n, d = sums[0]
         branch[v] = n, d + xv * n
     above: Dict[str, Tuple[int, int]] = {}
-    total: Dict[str, Fraction] = {}
+    total: Dict[str, Tuple[int, int]] = {}
     for v in order[1:]:
         if v in fixed:
             continue
@@ -454,8 +462,15 @@ def _conductances(h: HyperellipticGraph, lengths: Mapping[str, Fraction]) -> Dic
                 above[u] = rn, rd + x[up[u][1]] * rn
             before = _add(before, branch[u])
         n, d = sums[0]
-        total[v] = Fraction(scale * (n * ad + an * d), d * ad)
+        total[v] = n * ad + an * d, d * ad
     return total
+
+
+def _conductances(h: HyperellipticGraph, lengths: Mapping[str, Fraction]) -> Dict[str, Fraction]:
+    """C(a) = B K(a) for every non-fixed quotient vertex a (see
+    ``_conductance_pairs``), each reduced once as it becomes a Fraction."""
+    scale, x = _common_scale(lengths)
+    return {a: Fraction(scale * n, d) for a, (n, d) in _conductance_pairs(h, x).items()}
 
 
 def epsilon_closed_form(h: HyperellipticGraph, d: Divisor) -> Fraction:
@@ -465,24 +480,27 @@ def epsilon_closed_form(h: HyperellipticGraph, d: Divisor) -> Fraction:
     M/L is the sum over non-fixed quotient vertices a of (val a - 2)/C(a),
     with C(a) the conductance from a to the grounded fixed vertices of the
     quotient tree (see the module docstring): no linear algebra, no
-    enumeration and no call into ``potential``.  The class sum runs in
-    integers: the numerators of ``_class_coefficients`` against the lengths
-    times B, the lcm of their denominators.  With M/L it makes the one
-    Fraction returned.
+    enumeration and no call into ``potential``.  With B the lcm of the
+    length denominators, B M/L is the sum of (val a - 2)/K(a) over the
+    integer pairs K(a) = C(a)/B of ``_conductance_pairs``, each reduced
+    once, added up by ``_add``.  The class sum runs in integers too: the
+    numerators of ``_class_coefficients`` against the lengths times B.
+    With B M/L it makes the one Fraction returned.
     """
-    assignment = h.lengths()
-    deg = _theorem_shape_check(h, d)
-    ratio = ZERO
-    for a, conductance in _conductances(h, assignment).items():
-        if conductance == 0:
+    s, big_d = _theorem_shape_check(h, d)
+    scale, x = _common_scale(h.lengths())
+    ratio = 0, 1  # B M/L
+    for a, (kn, kd) in _conductance_pairs(h, x).items():
+        if not kn:
             raise SolverFaultError(
                 f"the conductance from {_shown(a)} to the fixed vertices vanished"
             )
-        ratio += (h.graph.valence(a) - 2) / conductance
-    q_num, numerators, den = _class_coefficients(h, d, deg)
-    scale, x = _common_scale(assignment)
-    classes = sum(n * x[c] for c, n in numerators.items())
-    return Fraction(
-        q_num * scale * ratio.numerator + classes * ratio.denominator,
-        den * scale * ratio.denominator,
-    )
+        k = h.graph.valence(a) - 2
+        if k:
+            g = gcd(kn, kd)
+            kn, kd = kn // g, kd // g
+            g = gcd(k, kn)
+            ratio = _add(ratio, (k // g * kd, kn // g))
+    q_num, numerators, den = _class_coefficients(h, d, s, big_d)
+    classes = sum(c * x[cname] for cname, c in numerators.items())
+    return Fraction(q_num * ratio[0] + classes * ratio[1], den * scale * ratio[1])

@@ -32,7 +32,9 @@ reaches), so step k only touches the rows and columns that the rows up to
 k reach.  A row outside that reach, or with a zero multiplier, is in
 Bareiss only rescaled by the pivot over the previous pivot; those ratios
 telescope, so the row keeps a pending ratio (the steps it has taken) and
-is rescaled once, exactly, when next used.  Forward elimination costs
+is rescaled once, exactly, when next used.  K is assembled in its band
+straight from the edge list, row k from its diagonal to hi[k]; no V x V
+matrix is built, so memory is O(V b).  Forward elimination costs
 O(V b^2) for bandwidth b and keeps each step's multipliers.  From it:
 
 * the envelope of Y (Y_ij with j <= hi[i]) by back-substitution restricted
@@ -84,7 +86,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, count
+from itertools import accumulate
 from math import gcd, lcm
 from operator import mul
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
@@ -158,29 +160,27 @@ class _Elimination(NamedTuple):
     steps: List[Tuple[int, List[Tuple[int, int, int]]]]
 
 
-def _eliminate(a: List[List[int]]) -> _Elimination:
+def _eliminate(rows: List[List[int]], hi: List[int]) -> _Elimination:
     """Forward fraction-free (Bareiss) elimination of a symmetric positive
     definite a, without pivoting, kept inside a's envelope.
 
-    hi[k] bounds the rows that step k updates, and elimination fills
-    nothing outside it.  The matrix after k steps is symmetric (entry ij is
-    the minor of the first k rows and columns bordered by row i and column
-    j), so each row is updated from its diagonal on only, its multiplier
-    read from the pivot row.  In Bareiss a row whose multiplier is zero is
-    still rescaled by the pivot over the previous pivot; those ratios
-    telescope, so such a row keeps the number of steps it has taken instead
-    and is brought up to date, exactly, when it is next needed.  Every
-    pivot is a leading principal minor, so a pivot that is not positive
-    means a is not positive definite and raises SolverFaultError.
+    a is given by its band: rows[k] holds row k from its diagonal to
+    column hi[k], the last column any row up to k reaches (so hi is
+    nondecreasing and hi[k] >= k), and a is zero beyond.  The rows are
+    eliminated in place.  hi[k] bounds the rows that step k updates, and
+    elimination fills nothing outside it.  The matrix after k steps is
+    symmetric (entry ij is the minor of the first k rows and columns
+    bordered by row i and column j), so each row is updated from its
+    diagonal on only, its multiplier read from the pivot row.  Past hi[k]
+    the pivot row is zero, so there a row's update is the rescale by the
+    pivot over the previous pivot alone, exact like every Bareiss step.  In
+    Bareiss a row whose multiplier is zero is still rescaled so; those
+    ratios telescope, so such a row keeps the number of steps it has taken
+    instead and is brought up to date, exactly, when it is next needed.
+    Every pivot is a leading principal minor, so a pivot that is not
+    positive means a is not positive definite and raises SolverFaultError.
     """
-    n = len(a)
-    hi: List[int] = []
-    reach = 0
-    for k, row in enumerate(a):
-        last = n - 1 - next(compress(count(), reversed(row)), n - 1)  # last nonzero column
-        reach = max(k, reach, last)
-        hi.append(reach)
-    rows = [list(r) for r in a]
+    n = len(rows)
     pivots = [1]  # pivots[k]: the pivot of step k - 1; a row after k steps is a minor over it
     done = [0] * n  # steps each stored row has taken
     steps = []
@@ -188,26 +188,28 @@ def _eliminate(a: List[List[int]]) -> _Elimination:
         top, end = rows[k], hi[k] + 1
         behind = done[k]
         if behind < k:
-            top[k:end] = [x * pivots[k] // pivots[behind] for x in top[k:end]]
-        lead = top[k]
+            top[:] = [x * pivots[k] // pivots[behind] for x in top]
+        lead = top[0]
         if lead <= 0:
             raise SolverFaultError("nonpositive pivot: the matrix is not positive definite")
         pivots.append(lead)
         updates = []
         for i in range(k + 1, end):
-            m = top[i]  # row i's multiplier after k steps: the step-k matrix is symmetric
+            m = top[i - k]  # row i's multiplier after k steps: the step-k matrix is symmetric
             if not m:
                 continue
             row, taken = rows[i], done[i]
             den = pivots[taken]
             if taken < k:
                 m = m * den // pivots[k]  # as row i stands, pending ratio unresolved
-            stop = hi[i] + 1
-            row[i:stop] = [(x * lead - m * t) // den for x, t in zip(row[i:stop], top[i:stop])]
+            cut = end - i  # row i's columns up to hi[k]
+            row[:cut] = [(x * lead - m * t) // den for x, t in zip(row, top[i - k :])]
+            if len(row) > cut:
+                row[cut:] = [x * lead // den for x in row[cut:]]
             done[i] = k + 1
             updates.append((i, m, den))
         steps.append((behind, updates))
-    upper = [row[k + 1 : end + 1] for k, (row, end) in enumerate(zip(rows, hi))]
+    upper = [row[1:] for row in rows]
     return _Elimination(hi, upper, pivots, steps)
 
 
@@ -324,17 +326,24 @@ def _factor(g: MetrizedGraph) -> _Factorization:
     nums = [e.length.numerator for e in g.edges]
     dens = [e.length.denominator for e in g.edges]
     scale = lcm(*nums)
-    k = [[0] * n for _ in range(n)]
-    for (i, j), a, b in zip(ends, nums, dens):
+    # K's band, straight from the edge list: row k runs from column k to
+    # hi[k], the farthest end of an edge from a vertex up to k
+    spans = [(min(i, j), max(i, j)) for i, j in ends]
+    hi = list(range(n))
+    for lo, far in spans:
+        if far < n and hi[lo] < far:
+            hi[lo] = far
+    hi = list(accumulate(hi, max))
+    rows = [[0] * (last + 1 - k) for k, last in enumerate(hi)]
+    for (lo, far), a, b in zip(spans, nums, dens):
+        if lo == far:
+            continue  # a loop carries no current
         c = b * (scale // a)
-        if i < n:
-            k[i][i] += c
-            if j < n:
-                k[i][j] -= c
-                k[j][i] -= c
-        if j < n:
-            k[j][j] += c
-    return _Factorization(order, index, ends, nums, dens, scale, _eliminate(k))
+        rows[lo][0] += c
+        if far < n:
+            rows[far][0] += c
+            rows[lo][far - lo] -= c
+    return _Factorization(order, index, ends, nums, dens, scale, _eliminate(rows, hi))
 
 
 def _unit(fac: _Factorization, v: str) -> List[int]:

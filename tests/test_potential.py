@@ -8,6 +8,7 @@ independent oracles in _oracles.py.
 
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -539,9 +540,9 @@ class TestFactorization:
         rows = []
         eliminate = potential._eliminate
 
-        def counted(a):
-            rows.append(len(a))
-            return eliminate(a)
+        def counted(band, hi):
+            rows.append(len(band))
+            return eliminate(band, hi)
 
         monkeypatch.setattr(potential, "_eliminate", counted)
         calls = [
@@ -613,11 +614,22 @@ def _assert_reads_match_dense(g, charges):
         assert _solve(fac.elim, band) == [sum(map(mul, y[k], b)) for k in vertex]
 
 
+def _band(a):
+    """A dense symmetric matrix cut to the band _eliminate takes: hi[k], the
+    last column any row up to k reaches, and each row k from column k to
+    hi[k]."""
+    hi, reach = [], 0
+    for k, row in enumerate(a):
+        reach = max([k, reach] + [j for j, x in enumerate(row) if x])
+        hi.append(reach)
+    return [row[k : last + 1] for k, (row, last) in enumerate(zip(a, hi))], hi
+
+
 def _assert_matrix_reads_match_dense(a, columns):
     """_eliminate's det, envelope and solves against dense_eliminate."""
     n = len(a)
     det, y = dense_eliminate(a, [[int(i == j) for j in range(n)] for i in range(n)])
-    el = _eliminate(a)
+    el = _eliminate(*_band(a))
     assert el.pivots[-1] == det
     first, env = _envelope(el)
     for i, hi in enumerate(el.hi):
@@ -705,7 +717,19 @@ class TestBandedElimination:
     )
     def test_nonpositive_pivot_raises(self, matrix):
         with pytest.raises(ag.SolverFaultError, match="nonpositive pivot"):
-            _eliminate(matrix)
+            _eliminate(*_band(matrix))
+
+    def test_factor_memory_is_linear_in_the_vertices(self):
+        # K is assembled in its band: a V x V list for ladder300's 901
+        # grounded rows alone took 13 MiB
+        g = ag.ladder_graph(300).graph
+        tracemalloc.start()
+        try:
+            _factor(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20, peak
 
 
 def _assert_matches_full_inverse(g, d, sources, edges=3, matrix=True):
