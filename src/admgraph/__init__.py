@@ -45,7 +45,6 @@ from .errors import (
     MissingInvolutionError,
     NotHyperellipticConfigurationError,
     NotTypeZeroError,
-    NotSimpleRestrictionError,
     PolarizationShapeError,
     SchemaError,
     SolverFaultError,
@@ -82,7 +81,6 @@ from .hyperelliptic import (
     graph_size,
     normalize_fiber,
     nu_counts,
-    restrict_classes,
     validate_hyperelliptic,
     w_weight,
 )

@@ -149,12 +149,6 @@ class FixedVertexError(AdmGraphError):
     code = "fixed-vertex"
 
 
-class NotSimpleRestrictionError(AdmGraphError):
-    """Restricting to a single edge class did not yield the simple graph."""
-
-    code = "not-simple-restriction"
-
-
 class NotHyperellipticConfigurationError(AdmGraphError):
     code = "not-hyperelliptic-configuration"
 

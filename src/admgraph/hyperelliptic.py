@@ -43,8 +43,8 @@ from .errors import (
     FixedVertexError,
     InvolutionMalformedError,
     NotHyperellipticConfigurationError,
-    NotSimpleRestrictionError,
     PolarizationShapeError,
+    SolverFaultError,
     UnknownIdError,
     _shown,
 )
@@ -145,10 +145,6 @@ def check_involution(g: MetrizedGraph, inv: Involution) -> None:
     endpoint- and length-compatible; fixed edges and loops are allowed, as
     in a fiber's dual graph.  Raises InvolutionMalformedError."""
     _edge_pass(g, inv.vertex_map, inv.edge_map)
-
-
-def class_name(inv: Involution, edge_id: str) -> str:
-    return min(edge_id, inv.edge(edge_id))
 
 
 @dataclass(frozen=True, eq=False)
@@ -268,33 +264,6 @@ def _contract_involution(
     return contracted, transported, vmap
 
 
-def restrict_classes(
-    h: HyperellipticGraph, class_names: Iterable[str]
-) -> Tuple[MetrizedGraph, Involution, Dict[str, str]]:
-    """Contract the complement of the given classes (G^S)."""
-    keep = set(class_names)
-    for c in keep:
-        if c not in h.class_members:
-            raise UnknownIdError(f"unknown edge class {_shown(c)}")
-    edge_ids = [e for c, pair in h.class_members.items() if c not in keep for e in pair]
-    return _contract_involution(h.graph, h.involution, edge_ids)
-
-
-def is_semisimple_of_size(g: MetrizedGraph, inv: Involution, n: int) -> bool:
-    """Is (g, inv) a semisimple hyperelliptic graph with n simple components?
-
-    Semisimple graphs consist of two-jointed parallel pairs only, so every
-    vertex is fixed; with n classes on n+1 vertices the class graph is a
-    tree, which makes each pair a simple component.
-    """
-    if g.loops():
-        return False
-    if any(inv.vertex(v) != v for v in g.vertices):
-        return False
-    classes = {class_name(inv, e.id) for e in g.edges}
-    return len(classes) == n and len(g.vertices) == n + 1
-
-
 def graph_size(h: HyperellipticGraph) -> int:
     """sz(G): 1 for a simple component, #one-jointed classes - 1 otherwise,
     summed over irreducible components; this is b1 = #fixed vertices - 1.
@@ -336,16 +305,21 @@ def w_weight(h: HyperellipticGraph, d: Divisor, cname: str) -> Fraction:
         h.graph.require_vertex(v)
     if not divisor_is_invariant(d, h.involution):
         raise PolarizationShapeError("w is defined for iota-invariant divisors")
+    if cname not in h.class_members:
+        raise UnknownIdError(f"unknown edge class {_shown(cname)}")
     return _w_weight(h, d, cname)
 
 
 def _w_weight(h: HyperellipticGraph, d: Divisor, cname: str) -> Fraction:
-    """w_weight for a divisor already known to be iota-invariant."""
-    restricted, rinv, vmap = restrict_classes(h, [cname])
-    if not is_semisimple_of_size(restricted, rinv, 1):
-        raise NotSimpleRestrictionError(
-            f"restriction to class {_shown(cname)} is not the simple graph"
-        )
+    """w_weight for a known class and a divisor already known to be
+    iota-invariant: one contraction of every other class.  By the axioms
+    every leaf of the quotient tree is fixed, so each side of the class
+    contracts to one fixed vertex and the restriction is the simple graph
+    on the two vertices left."""
+    others = [e for c, pair in h.class_members.items() if c != cname for e in pair]
+    restricted, vmap = contract(h.graph, others)
+    if len(restricted.vertices) != 2:
+        raise SolverFaultError(f"restriction to class {_shown(cname)} is not the simple graph")
     pushed = push_divisor(d, vmap)
     p, q = restricted.vertices
     return min(pushed.coefficient(p), pushed.coefficient(q))

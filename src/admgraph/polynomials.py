@@ -466,13 +466,6 @@ def _conductance_pairs(h: HyperellipticGraph, x: Mapping[str, int]) -> Dict[str,
     return total
 
 
-def _conductances(h: HyperellipticGraph, lengths: Mapping[str, Fraction]) -> Dict[str, Fraction]:
-    """C(a) = B K(a) for every non-fixed quotient vertex a (see
-    ``_conductance_pairs``), each reduced once as it becomes a Fraction."""
-    scale, x = _common_scale(lengths)
-    return {a: Fraction(scale * n, d) for a, (n, d) in _conductance_pairs(h, x).items()}
-
-
 def epsilon_closed_form(h: HyperellipticGraph, d: Divisor) -> Fraction:
     """Evaluate the closed form at the class lengths h carries (other lengths
     go through ``with_lengths``).  Exact; equal to the potential-theory value.

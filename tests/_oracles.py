@@ -45,8 +45,19 @@
   series with the joining class.  The tree is rooted by its own
   breadth-first walk.
 
-The L/M oracles use the restriction and contraction of ``hyperelliptic``
-but no code of ``polynomials``.
+The L/M oracles use the restriction below and the contraction of
+``hyperelliptic`` but no code of ``polynomials``.
+
+* The restriction G^S: the complement of the class set S contracted with
+  the involution transported, and the test that it is semisimple with n
+  simple components.  w(e) by definition restricts to e's class, checks
+  that the result is the simple graph and takes the smaller coefficient of
+  D pushed onto it; the library contracts the other classes and takes the
+  two vertices left, as the axioms make that restriction simple.
+
+* w(e) by side sums: one walk of the quotient tree from its smallest fixed
+  vertex, s_c the degree of D over the orbits on the side of class c away
+  from the root, and w(c) = min(s_c, deg D - s_c).
 
 * The grounded Laplacian's factorization (S, det, Y) by dense Bareiss
   elimination in the graph's own vertex order, with first-nonzero row-swap
@@ -132,14 +143,16 @@ from admgraph import (
     contract_classes,
     format_rational,
     graph_size,
-    restrict_classes,
+    push_divisor,
     w_weight,
 )
 from admgraph import cli
 from admgraph.cli import _integer, _Parser
 from admgraph.documents import GraphDocument
-from admgraph.errors import _path_key, _shown
-from admgraph.hyperelliptic import is_semisimple_of_size, validate_hyperelliptic
+from admgraph.errors import AdmGraphError, _path_key, _shown
+from admgraph.graph import _walk
+from admgraph.hyperelliptic import _contract_involution, validate_hyperelliptic
+from admgraph.polynomials import _common_scale, _conductance_pairs
 from admgraph.potential import _band_order
 
 ZERO = Fraction(0)
@@ -337,6 +350,82 @@ def tree_resistance(graph, p, q):
     for subset in combinations(edges, n - 2):
         forests += _spanning_weight(vertices, edges, subset, forbidden_pair=(p, q))
     return forests / trees
+
+
+# -- restrictions and w -------------------------------------------------
+
+
+class NotSimpleRestrictionError(AdmGraphError):
+    """Restricting to a single edge class did not yield the simple graph."""
+
+    code = "not-simple-restriction"
+
+
+def restrict_classes(h, class_names):
+    """Contract the complement of the given classes (G^S), transporting the
+    involution: (graph, involution, vertex map)."""
+    keep = set(class_names)
+    for c in keep:
+        if c not in h.class_members:
+            raise UnknownIdError(f"unknown edge class {_shown(c)}")
+    edge_ids = [e for c, pair in h.class_members.items() if c not in keep for e in pair]
+    return _contract_involution(h.graph, h.involution, edge_ids)
+
+
+def is_semisimple_of_size(g, inv, n) -> bool:
+    """Is (g, inv) a semisimple hyperelliptic graph with n simple components?
+
+    Semisimple graphs consist of two-jointed parallel pairs only, so every
+    vertex is fixed; with n classes on n+1 vertices the class graph is a
+    tree, which makes each pair a simple component.
+    """
+    if g.loops():
+        return False
+    if any(inv.vertex(v) != v for v in g.vertices):
+        return False
+    classes = {min(e.id, inv.edge(e.id)) for e in g.edges}
+    return len(classes) == n and len(g.vertices) == n + 1
+
+
+def w_by_restriction(h, d, cname):
+    """w(cname): the smaller coefficient of d pushed onto the restriction to
+    the class, which must be the simple graph."""
+    restricted, rinv, vmap = restrict_classes(h, [cname])
+    if not is_semisimple_of_size(restricted, rinv, 1):
+        raise NotSimpleRestrictionError(
+            f"restriction to class {_shown(cname)} is not the simple graph"
+        )
+    pushed = push_divisor(d, vmap)
+    p, q = restricted.vertices
+    return min(pushed.coefficient(p), pushed.coefficient(q))
+
+
+def w_by_side_sums(h, d):
+    """w of every class from one walk of the quotient tree: s_c is d's
+    degree over the orbits below class c (away from the smallest fixed
+    vertex), and w(c) = min(s_c, deg d - s_c)."""
+    order, up = _walk(h.quotient, min(h.fixed_vertices))
+    image = h.involution.vertex
+    below = {}
+    for a in order:
+        b = image(a)
+        below[a] = d.coefficient(a) + (d.coefficient(b) if b != a else 0)
+    w = {}
+    for a in reversed(order[1:]):
+        parent, c = up[a]
+        s = below[a]
+        below[parent] += s
+        w[c] = min(s, d.degree - s)
+    return w
+
+
+def conductances(h, lengths):
+    """C(a) for every non-fixed quotient vertex a as Fractions, read off the
+    library's integer pairs (``polynomials._conductance_pairs``, C = B K with
+    B the lcm of the length denominators).  Not an oracle: the value the
+    oracles below are compared with."""
+    scale, x = _common_scale(lengths)
+    return {a: Fraction(scale * n, d) for a, (n, d) in _conductance_pairs(h, x).items()}
 
 
 def kirchhoff_polynomial(vertices, edges):

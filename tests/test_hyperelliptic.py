@@ -306,19 +306,44 @@ class TestNormalizeFiber:
         assert ag.epsilon_numeric(raw, d) == ag.epsilon_numeric(h.graph, d)
 
 
+def restriction_corpus(corpus):
+    """The corpus and 500 random covers of at most 12 quotient vertices."""
+    covers = [ag.double_cover(ag.generators.random_cover_spec(s, 12)) for s in range(500)]
+    return list(corpus) + covers
+
+
 class TestRestrictionSimplicity:
     def test_elementary_class_restricts_to_sg(self):
-        g2, inv2, _ = ag.restrict_classes(ag.elementary_graph(2), ["e1+"])
+        g2, inv2, _ = _oracles.restrict_classes(ag.elementary_graph(2), ["e1+"])
         h2 = ag.validate_hyperelliptic(g2, inv2)
         assert _oracles.is_simple(h2)
         assert set(g2.vertices) == {"P1", "P2"}  # everything else merged
 
     def test_every_class_restricts_to_simple(self, corpus):
-        # asserted by the theory without proof; we validate it at runtime
-        for h in corpus:
-            d = ag.random_polarization(h, 7)
+        # w_weight takes the simple restriction from the axioms and does
+        # not check it; the oracle restricts, raises unless the result is
+        # semisimple of size 1, and pushes d onto it
+        for k, h in enumerate(restriction_corpus(corpus)):
+            d = ag.random_polarization(h, 7 + k)
             for cname in h.classes():
-                ag.w_weight(h, d, cname)  # raises NotSimpleRestriction on failure
+                assert ag.w_weight(h, d, cname) == _oracles.w_by_restriction(h, d, cname)
+
+    def test_side_sums(self, corpus):
+        # w(c) = min(s_c, deg D - s_c), s_c the degree of D below c in the
+        # walk of the quotient tree
+        graphs = restriction_corpus(corpus) + [ag.ladder_graph(n) for n in range(2, 9)]
+        for k, h in enumerate(graphs):
+            d = ag.random_polarization(h, 11 + k)
+            sums = _oracles.w_by_side_sums(h, d)
+            assert sums == {c: ag.w_weight(h, d, c) for c in h.classes()}
+
+    def test_a_broken_restriction_is_a_solver_fault(self, monkeypatch):
+        # the axioms leave two vertices; anything else is a fault, not a value
+        h = ag.elementary_graph(2)
+        monkeypatch.setattr(ag.hyperelliptic, "contract", lambda g, ids: ag.contract(g, []))
+        with pytest.raises(ag.SolverFaultError) as info:
+            ag.w_weight(h, ag.Divisor({}), "e1+")
+        assert str(info.value) == "restriction to class 'e1+' is not the simple graph"
 
 
 class TestOverlongIds:
@@ -331,8 +356,13 @@ class TestOverlongIds:
         assert str(info.value) == f"vertex {shown_id(x)} is fixed; nu is defined on non-fixed vertices"
 
 
+def w_of_last(h, names):
+    """w_weight at the last of the names, for an invariant divisor."""
+    return ag.w_weight(h, ag.random_polarization(h, 1), names[-1])
+
+
 class TestUnknownIds:
-    @pytest.mark.parametrize("call", [ag.restrict_classes, ag.contract_classes])
+    @pytest.mark.parametrize("call", [w_of_last, ag.contract_classes])
     @pytest.mark.parametrize(
         "names, message",
         [
@@ -345,6 +375,16 @@ class TestUnknownIds:
         with pytest.raises(ag.UnknownIdError) as info:
             call(ag.elementary_graph(2), names)
         assert str(info.value) == message
+
+    def test_w_weight_checks_the_class_last(self):
+        # the divisor's support, then its invariance, then the class name
+        h = ag.elementary_graph(2)
+        with pytest.raises(ag.UnknownIdError) as info:
+            ag.w_weight(h, ag.Divisor({"nope": 1}), "nope")
+        assert str(info.value) == "unknown vertex 'nope'"
+        with pytest.raises(ag.PolarizationShapeError) as info:
+            ag.w_weight(h, ag.Divisor({"Q+": 1}), "nope")
+        assert str(info.value) == "w is defined for iota-invariant divisors"
 
     @pytest.mark.parametrize(
         "edge_ids, message",

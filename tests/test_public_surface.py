@@ -1,5 +1,10 @@
 """The package's public names, listed: adding or removing one changes this
-list on purpose."""
+list on purpose.  And the package's objects outlive a re-import of it."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import admgraph as ag
 
@@ -32,7 +37,6 @@ PUBLIC = [
     "MissingInvolutionError",
     "MultiPoly",
     "NotHyperellipticConfigurationError",
-    "NotSimpleRestrictionError",
     "NotTypeZeroError",
     "PiecewisePotential",
     "PolarizationShapeError",
@@ -91,7 +95,6 @@ PUBLIC = [
     "random_lengths",
     "random_polarization",
     "rationals",
-    "restrict_classes",
     "serialize_document",
     "serialize_polynomial",
     "simple_graph",
@@ -105,3 +108,64 @@ PUBLIC = [
 
 def test_public_names_are_listed():
     assert sorted(ag.__all__) == PUBLIC
+
+
+# Run in a fresh interpreter: objects built with one import of admgraph
+# must give the same results through that import once admgraph has been
+# purged from sys.modules and imported again, as a benchmark set-up that
+# re-imports the package per run does.  A lazily loading package breaks
+# this: a name first looked up after a re-import comes from another module
+# generation than the objects it is given.
+REIMPORT = """
+import contextlib, importlib, io, sys
+
+def fresh():
+    for name in [m for m in sys.modules if m == "admgraph" or m.startswith("admgraph.")]:
+        del sys.modules[name]
+    ag = importlib.import_module("admgraph")
+    importlib.import_module("admgraph.cli")
+    return ag
+
+def build(ag):
+    h = ag.ladder_graph(3)
+    d = ag.Divisor(
+        {v: ag.nu_counts(h, v)[2] - 2 if v in h.nonfixed_vertices else 1 for v in h.graph.vertices}
+    )
+    return h, d
+
+def outcome(ag, h, d, path):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        codes = [ag.cli.run_command([c, path]) for c in ("epsilon", "epsilon-closed", "compare")]
+    values = ag.epsilon_closed_form(h, d), ag.epsilon_numeric(h.graph, d)
+    return values, codes, out.getvalue(), err.getvalue()
+
+first = fresh()
+h, d = build(first)
+path = sys.argv[1]
+with open(path, "w", encoding="utf-8") as handle:
+    handle.write(first.serialize_document(first.document_from(h.graph, h.involution, d)))
+for _ in range(6):
+    last = fresh()
+assert last is not first and last.ladder_graph is not first.ladder_graph
+got = outcome(first, h, d, path)
+want = outcome(last, *build(last), path)
+print(repr(got))
+sys.exit(0 if got == want else 1)
+"""
+
+
+def test_objects_survive_a_reimport(tmp_path):
+    src = str(Path(ag.__file__).resolve().parent.parent)
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    path = tmp_path / "ladder3.json"
+    result = subprocess.run(
+        [sys.executable, "-W", "error", "-c", REIMPORT, str(path)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert "10462/819" in result.stdout
