@@ -25,7 +25,16 @@ fixed vertex; its pair's valence is the number dK of classes of S at K, and
 on the tree K, dK - 2 is the sum of val a - 2 over a in K.  So M is the sum
 over the non-fixed a of val a - 2 times that of X^S over the (n+1)-sets S
 with roots F + {a}: one vertex of F + {a} in every piece of T - S.
-``_cuts`` lists these sets in one pass over the ``graph._walk`` of T.
+
+One recurrence, ``_forests``, sums over such sets in one leaf-to-root pass
+over the ``graph._walk`` of T from its smallest fixed vertex.  Every vertex
+carries (B, A), the sets below it whose top piece holds no root yet (B) or
+one (A).  A child over class c joins with U = B + X_c A (c kept under a
+loose piece, or cut under a rooted one) and G = A (c kept under a rooted
+piece), and the parent becomes (B U, A U + B G).  A root starts at (0, 1),
+any other vertex at (1, 0), and the sum is the walk root's A.  It has three
+instances: L listed as monomials, M listed the same way once per non-fixed
+orbit a with a a root too, and the values L(x) and M(x) below.
 
 Give class c the conductance 1/X_c; let D be T's Laplacian grounded at the
 fixed vertices, D_aa that without a's row and column, C(a) = det D/det D_aa
@@ -55,23 +64,22 @@ coefficient nu(v) - 2 at every non-fixed vertex is
           + (2/3) q * M/L,       q = deg/(deg + 2),
 
 with w(e) the smaller pushed coefficient on the simple restriction to the
-class.  ``epsilon_closed_form`` needs only the value of M/L, which it takes
-from every C(a) in two passes over the rooted walk, with no linear algebra,
-no enumeration and no limit.  The passes run on integer pairs: with B the
-lcm of the class-length denominators and x_c = X_c B, C/B obeys the same
-recursion at the integer lengths x_c.  A pair in series with a class stays
-reduced, sums are reduced by the gcd of their denominators first, and each
-C(a) is reduced once, then summed into B M/L as a pair: O(V) integer
-operations and one gcd of two full-size numbers per vertex, plus one
-wherever two large branches meet.  The class sum is one integer
+class.  ``epsilon_closed_form`` needs only the value of M/L.  With B the
+lcm of the class-length denominators and x_c = X_c B, L(x) and M(x) are
+integers, and M(x)/L(x) = B M/L as L and M are homogeneous of degrees n
+and n + 1.  One ``_forests`` pass over dual integers r + d t (t^2 = 0)
+gives both: a fixed vertex starts at (0, 1) and a non-fixed orbit a at
+(1, (val a - 2) t).  The pass is multilinear in every vertex's start, so
+the t part of the result is M(x): O(V) integer operations, no gcd, no
+linear algebra, no enumeration and no limit.  The class sum is one integer
 sum over one denominator: with s the lcm of the polarization's coefficient
 denominators, D = deg s and W = w(e) s are integers and
 
     (2/3) q + w(deg - w)/(deg + 2) = (2Ds + 3W(D - W)) / (3s(D + 2s)).
 
 The symbolic L, M and ``epsilon_rational_fn`` list at most MAX_TREES cuts for
-each of L and M, counted as they are listed, and raise EnumerationCapError
-past it.
+each of L and M, counted as they are listed (for M over all orbits), and
+raise EnumerationCapError before a list that would pass it is built.
 """
 
 from __future__ import annotations
@@ -79,7 +87,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Dict, Iterable, List, Mapping, Tuple
 
 from .errors import (
@@ -104,6 +112,8 @@ ONE = Fraction(1)
 # stored monomial, so this bounds time and memory by the output.  ladder11's
 # M (221016 trees) fits; ladder12's M (632916) does not.
 MAX_TREES = 1 << 18
+
+_L_VANISHED = "L vanished on a valid hyperelliptic graph"
 
 Monomial = Tuple[str, ...]
 
@@ -254,41 +264,66 @@ class RationalFn:
         return f"RationalFn({self.numerator!r} / {self.denominator!r})"
 
 
-def _cuts(
-    order: List[str], up: Dict[str, Tuple[str, str]], roots, budget: int
-) -> List[Monomial]:
-    """The class sets whose deletion leaves every piece of the quotient tree
-    with exactly one vertex of ``roots`` (the walk's root among them).
+def _forests(h: HyperellipticGraph, start, cut, add, mul):
+    """The sum over the forests of the quotient tree T, in the arithmetic of
+    ``cut``, ``add`` and ``mul``: one leaf-to-root pass over the walk of T
+    from its smallest fixed vertex.
 
-    Children come before parents.  A subtree's partial cuts are kept in two
-    lists, by whether the piece at its top holds a root yet; each class
-    joins a child's lists into its parent's.  Every partial cut extends
-    through the root to a distinct full one, so no branch dies and no list
-    outgrows the result; a join that would pass ``budget`` raises."""
-    rooted = {v: [()] if v in roots else [] for v in order}
-    loose = {v: [] if v in roots else [()] for v in order}
+    Every vertex carries (B, A) = ``start(v)``, the weights of the forests
+    below it whose top piece has no root yet (B) or has one (A).  A child
+    over class c joins with U = B + cut(A, c), the class kept under a loose
+    piece or cut under a rooted one, and G = A, the class kept under a
+    rooted piece; the parent becomes (B U, A U + B G).  Returns the root's
+    A.  A root starts at (0, 1) and keeps only A U."""
+    order, up = _walk(h.quotient, min(h.fixed_vertices))
+    state = {v: start(v) for v in order}
     for v in reversed(order[1:]):
         p, c = up[v]
-        rx, ux, ry, uy = rooted[p], loose[p], rooted.pop(v), loose.pop(v)
-        # the class cut under a rooted piece, kept under a loose one: the
-        # parent's piece gains no root (keeping it under a rooted one does)
-        settled = [b + (c,) for b in ry] + uy
-        if (len(rx) + len(ux)) * len(settled) + len(ux) * len(ry) > budget:
+        b, a = state.pop(v)
+        u = add(cut(a, c), b)
+        pb, pa = state[p]
+        state[p] = mul(pb, u), add(mul(pa, u), mul(pb, a))
+    return state[order[0]][1]
+
+
+def _listed(h: HyperellipticGraph, roots, budget: int) -> List[Monomial]:
+    """The class sets whose deletion leaves every piece of the quotient tree
+    with exactly one vertex of ``roots`` (the walk's root among them), as
+    ``_forests`` over lists of monomials: a sum concatenates, a product
+    joins every pair and a cut appends the class.  Every partial cut
+    extends through the root to a distinct full one, so no list outgrows
+    the result; one that would pass ``budget`` raises before it is built."""
+
+    def fits(n: int) -> None:
+        if n > budget:
             raise EnumerationCapError(
                 f"more than {MAX_TREES} spanning trees to list; "
                 "the symbolic L and M are limited to that many"
             )
-        rooted[p] = [a + b for a in rx for b in settled] + [a + b for a in ux for b in ry]
-        loose[p] = [a + b for a in ux for b in settled]
-    return [tuple(sorted(a)) for a in rooted[order[0]]]
+
+    def add(x, y):
+        fits(len(x) + len(y))
+        return x + y
+
+    def mul(x, y):
+        fits(len(x) * len(y))
+        return [a + b for a in x for b in y]
+
+    cuts = _forests(
+        h,
+        lambda v: ([], [()]) if v in roots else ([()], []),
+        lambda a, c: [m + (c,) for m in a],
+        add,
+        mul,
+    )
+    return [tuple(sorted(m)) for m in cuts]
 
 
 def l_polynomial(h: HyperellipticGraph) -> MultiPoly:
     """L: homogeneous multilinear of degree sz(G); multiplicative over
     one-point-sums.  The sum over the cuts of the quotient tree that leave
     one fixed vertex in every piece."""
-    cuts = _cuts(*_walk(h.quotient, min(h.fixed_vertices)), h.fixed_vertices, MAX_TREES)
-    return MultiPoly._trusted({mono: ONE for mono in cuts})
+    return MultiPoly._trusted({mono: ONE for mono in _listed(h, h.fixed_vertices, MAX_TREES)})
 
 
 def m_polynomial(h: HyperellipticGraph) -> MultiPoly:
@@ -297,12 +332,11 @@ def m_polynomial(h: HyperellipticGraph) -> MultiPoly:
     orbits a of (val a - 2) times the cuts of the quotient tree that leave
     one vertex of the fixed ones and a in every piece.  The limit covers all
     orbits together."""
-    order, up = _walk(h.quotient, min(h.fixed_vertices))
     budget = MAX_TREES
     terms: Dict[Monomial, int] = {}
     for a in (v for v in h.quotient.vertices if v not in h.fixed_vertices):
         weight = h.graph.valence(a) - 2
-        cuts = _cuts(order, up, h.fixed_vertices | {a}, budget)
+        cuts = _listed(h, h.fixed_vertices | {a}, budget)
         budget -= len(cuts)
         for mono in cuts:
             terms[mono] = terms.get(mono, 0) + weight
@@ -368,7 +402,7 @@ def epsilon_rational_fn(h: HyperellipticGraph, d: Divisor) -> RationalFn:
     lpoly = l_polynomial(h)
     mpoly = m_polynomial(h)
     if lpoly.is_zero():
-        raise SolverFaultError("L vanished on a valid hyperelliptic graph")
+        raise SolverFaultError(_L_VANISHED)
     q_num, numerators, den = _class_coefficients(h, d, *scaling)
     terms: Dict[Monomial, int] = {}
     for c, n in numerators.items():
@@ -393,107 +427,43 @@ def _common_scale(lengths: Mapping[str, Fraction]) -> Tuple[int, Dict[str, int]]
     return scale, {c: x.numerator * (scale // x.denominator) for c, x in lengths.items()}
 
 
-def _add(a: Tuple[int, int], b: Tuple[int, int]) -> Tuple[int, int]:
-    """The sum of two reduced fractions n/d as a reduced pair, by Henrici's
-    rule: the gcd of the denominators comes first, so a small one keeps
-    it cheap."""
-    (n1, d1), (n2, d2) = a, b
-    g = gcd(d1, d2)
-    if g == 1:
-        return n1 * d2 + n2 * d1, d1 * d2
-    d1 //= g
-    n = n1 * (d2 // g) + n2 * d1
-    g = gcd(n, g)
-    return n // g, d1 * (d2 // g)
+def _l_m_at(h: HyperellipticGraph, x: Mapping[str, int]) -> Tuple[int, int]:
+    """(L(x), M(x)) at the integer class lengths x, from one ``_forests``
+    pass over dual integers r + d t (t^2 = 0), a cut multiplying by x_c.
+    A fixed vertex starts at (0, 1) and a non-fixed orbit a at
+    (1, (val a - 2) t): the pass is multilinear in every start, so the
+    t part sums, over a, val a - 2 times the forests with a a root too."""
 
+    def add(p, q):
+        return p[0] + q[0], p[1] + q[1]
 
-def _conductance_pairs(h: HyperellipticGraph, x: Mapping[str, int]) -> Dict[str, Tuple[int, int]]:
-    """K(a) = C(a)/B for every non-fixed quotient vertex a, as an unreduced
-    pair n/d, at the integer class lengths x = X B (B the lcm of the length
-    denominators), with conductance 1/X on a class of length X.  From the
-    leaves up, each vertex sums the branches of its children; from the
-    (fixed) root down, each child gets the branch above it: its parent's K
-    less its own branch, in series with the joining class.
+    def mul(p, q):
+        return p[0] * q[0], p[0] * q[1] + p[1] * q[0]
 
-    Both passes run on reduced integer pairs: K = C/B obeys the recursion
-    of C at the integer lengths x.  A reduced K in series with x is
-    n/(d + x n), still reduced; sums are reduced by ``_add``.  A child's
-    branch above is formed from its siblings' sums before and after it,
-    never by subtraction, so the gcd of two large numbers is taken only
-    where two large branches meet.  K(a) itself is left unreduced, so that
-    its caller reduces it once: one such gcd per vertex."""
-    order, up = _walk(h.quotient, min(h.fixed_vertices))
-    fixed = h.fixed_vertices
-    kids: Dict[str, List[str]] = {v: [] for v in order if v not in fixed}
-    for v in order[1:]:
-        p = up[v][0]
-        if p not in fixed:
-            kids[p].append(v)
-    zero = (0, 1)
-    # branch[v]: K from v's parent through v's class and everything below
-    # v; after[v][i]: the sum of the branches of v's children from i on
-    branch: Dict[str, Tuple[int, int]] = {}
-    after: Dict[str, List[Tuple[int, int]]] = {}
-    for v in reversed(order[1:]):
-        xv = x[up[v][1]]
-        if v in fixed:
-            branch[v] = 1, xv
-            continue
-        sums = [zero]
-        for u in reversed(kids[v]):
-            sums.append(_add(branch[u], sums[-1]))
-        sums.reverse()
-        after[v] = sums
-        n, d = sums[0]
-        branch[v] = n, d + xv * n
-    above: Dict[str, Tuple[int, int]] = {}
-    total: Dict[str, Tuple[int, int]] = {}
-    for v in order[1:]:
-        if v in fixed:
-            continue
-        p, c = up[v]
-        if p in fixed:
-            above[v] = 1, x[c]
-        (an, ad), sums = above[v], after[v]
-        before = zero
-        for i, u in enumerate(kids[v]):
-            if u not in fixed:
-                rn, rd = _add(above[v], _add(before, sums[i + 1]))
-                above[u] = rn, rd + x[up[u][1]] * rn
-            before = _add(before, branch[u])
-        n, d = sums[0]
-        total[v] = n * ad + an * d, d * ad
-    return total
+    def start(v):
+        if v in h.fixed_vertices:
+            return (0, 0), (1, 0)
+        return (1, 0), (0, h.graph.valence(v) - 2)
+
+    return _forests(h, start, lambda p, c: (x[c] * p[0], x[c] * p[1]), add, mul)
 
 
 def epsilon_closed_form(h: HyperellipticGraph, d: Divisor) -> Fraction:
     """Evaluate the closed form at the class lengths h carries (other lengths
     go through ``with_lengths``).  Exact; equal to the potential-theory value.
 
-    M/L is the sum over non-fixed quotient vertices a of (val a - 2)/C(a),
-    with C(a) the conductance from a to the grounded fixed vertices of the
-    quotient tree (see the module docstring): no linear algebra, no
-    enumeration and no call into ``potential``.  With B the lcm of the
-    length denominators, B M/L is the sum of (val a - 2)/K(a) over the
-    integer pairs K(a) = C(a)/B of ``_conductance_pairs``, each reduced
-    once, added up by ``_add``.  The class sum runs in integers too: the
-    numerators of ``_class_coefficients`` against the lengths times B.
-    With B M/L it makes the one Fraction returned.
+    With B the lcm of the length denominators and x = X B the integer
+    lengths, L(x) and M(x) are integers from one ``_forests`` pass
+    (``_l_m_at``), and M(x)/L(x) = B M/L: no linear algebra, no enumeration
+    and no call into ``potential``.  The class sum runs in integers too:
+    the numerators of ``_class_coefficients`` against x.  The value is the
+    one Fraction (q_num M(x) + sum_c n_c x_c L(x)) / (den B L(x)).
     """
     s, big_d = _theorem_shape_check(h, d)
     scale, x = _common_scale(h.lengths())
-    ratio = 0, 1  # B M/L
-    for a, (kn, kd) in _conductance_pairs(h, x).items():
-        if not kn:
-            raise SolverFaultError(
-                f"the conductance from {_shown(a)} to the fixed vertices vanished"
-            )
-        k = h.graph.valence(a) - 2
-        if k:
-            g = gcd(kn, kd)
-            kn, kd = kn // g, kd // g
-            g = gcd(k, kn)
-            ratio = _add(ratio, (k // g * kd, kn // g))
+    l_value, m_value = _l_m_at(h, x)
+    if not l_value:
+        raise SolverFaultError(_L_VANISHED)
     q_num, numerators, den = _class_coefficients(h, d, s, big_d)
     classes = sum(c * x[cname] for cname, c in numerators.items())
-    return Fraction(q_num * ratio[0] + classes * ratio[1], den * scale * ratio[1])
+    return Fraction(q_num * m_value + classes * l_value, den * scale * l_value)

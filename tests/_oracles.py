@@ -38,12 +38,12 @@
   Laplacian of G, and M/L = (1/2) sum (val v - 2) kappa(G/(v~iota v)) /
   kappa(G), one determinant per non-fixed pair.
 
-* The conductances C(a) of the quotient tree in Fractions, by the two
-  passes ``polynomials`` ran before they moved to integer pairs: from the
-  leaves up each vertex sums its branches below, from the fixed root down
-  each adds the branch above it, its parent's C less its own branch in
-  series with the joining class.  The tree is rooted by its own
-  breadth-first walk.
+* The conductances C(a) of the quotient tree in Fractions, by two passes
+  of series and parallel rules (the closed form once took M/L = sum
+  (val a - 2)/C(a) from them): from the leaves up each vertex sums its
+  branches below, from the fixed root down each adds the branch above it,
+  its parent's C less its own branch in series with the joining class.
+  The tree is rooted by its own breadth-first walk.
 
 The L/M oracles use the restriction below and the contraction of
 ``hyperelliptic`` but no code of ``polynomials``.
@@ -152,7 +152,6 @@ from admgraph.documents import GraphDocument
 from admgraph.errors import AdmGraphError, _path_key, _shown
 from admgraph.graph import _walk
 from admgraph.hyperelliptic import _contract_involution, validate_hyperelliptic
-from admgraph.polynomials import _common_scale, _conductance_pairs
 from admgraph.potential import _band_order
 
 ZERO = Fraction(0)
@@ -406,6 +405,7 @@ def w_by_side_sums(h, d):
     vertex), and w(c) = min(s_c, deg d - s_c)."""
     order, up = _walk(h.quotient, min(h.fixed_vertices))
     image = h.involution.vertex
+    degree = d.degree
     below = {}
     for a in order:
         b = image(a)
@@ -415,17 +415,8 @@ def w_by_side_sums(h, d):
         parent, c = up[a]
         s = below[a]
         below[parent] += s
-        w[c] = min(s, d.degree - s)
+        w[c] = min(s, degree - s)
     return w
-
-
-def conductances(h, lengths):
-    """C(a) for every non-fixed quotient vertex a as Fractions, read off the
-    library's integer pairs (``polynomials._conductance_pairs``, C = B K with
-    B the lcm of the length denominators).  Not an oracle: the value the
-    oracles below are compared with."""
-    scale, x = _common_scale(lengths)
-    return {a: Fraction(scale * n, d) for a, (n, d) in _conductance_pairs(h, x).items()}
 
 
 def kirchhoff_polynomial(vertices, edges):

@@ -11,7 +11,6 @@ import admgraph as ag
 from _oracles import (
     _connects,
     component_structures,
-    conductances,
     conductances_kirchhoff,
     conductances_reference,
     epsilon_kirchhoff,
@@ -495,10 +494,25 @@ BIG = int("9" * 800)
 SMALL = F(1, int("7" * 800))
 
 
+def integer_m_over_l(h):
+    """M/L from the library's integer pass: M(x)/L(x) over B, at the
+    integer lengths x = X B (B the lcm of the length denominators)."""
+    scale, x = polynomials._common_scale(h.lengths())
+    l_value, m_value = polynomials._l_m_at(h, x)
+    return F(m_value, l_value * scale)
+
+
+def m_over_l(h, conductance):
+    """The sum over the non-fixed orbits a of (val a - 2)/C(a)."""
+    return sum(((h.graph.valence(a) - 2) / c for a, c in conductance.items()), F(0))
+
+
 class TestQuotientTree:
-    """The closed form's M/L from the conductances C(a) of the quotient tree
-    against two oracles: Kirchhoff determinants (C(a) = 2 kappa(G) /
-    kappa(G/(v~iota v)), one Bareiss elimination each) and the solver."""
+    """The closed form's M/L from the integer forest pass over the quotient
+    tree against the conductances C(a) of two oracles (Kirchhoff
+    determinants, C(a) = 2 kappa(G) / kappa(G/(v~iota v)), one Bareiss
+    elimination each, and Fraction series-parallel passes), and the closed
+    form against the solver."""
 
     @settings(max_examples=12, deadline=None)
     @given(st.integers(min_value=0, max_value=33), st.data())
@@ -510,6 +524,9 @@ class TestQuotientTree:
         )
         h2 = ag.with_lengths(h, {c: data.draw(length) for c in h.classes()})
         lengths = h2.lengths()
+        ratio = integer_m_over_l(h2)
+        assert ratio == m_over_l(h2, conductances_kirchhoff(h2, lengths))
+        assert ratio == m_over_l(h2, conductances_reference(h2, lengths))
         d = ag.random_polarization(h2, index)
         closed = ag.epsilon_closed_form(h2, d)
         assert closed == epsilon_kirchhoff(h2, d, lengths)
@@ -533,14 +550,14 @@ class TestQuotientTree:
         for n in list(range(2, 21)) + [30]:
             h = ag.ladder_graph(n)
             lengths = h.lengths()
-            assert conductances(h, lengths) == conductances_kirchhoff(h, lengths)
+            assert integer_m_over_l(h) == m_over_l(h, conductances_kirchhoff(h, lengths))
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(min_value=0, max_value=100_000), st.data())
     def test_integer_pass_matches_fraction_reference(self, seed, data):
         # random covers at random rational lengths, the 800-digit integer
         # and reciprocal lengths of test_long_lengths_on_corpus among them;
-        # trees this large often have a non-fixed child after a sibling
+        # trees this large often have a fixed vertex below a non-fixed one
         h = double_cover(random_cover_spec(seed, max_vertices=40))
         length = st.one_of(
             st.fractions(min_value=F(1, 10**6), max_value=10**6),
@@ -548,13 +565,25 @@ class TestQuotientTree:
         )
         h2 = ag.with_lengths(h, {c: data.draw(length) for c in h.classes()})
         lengths = h2.lengths()
-        assert conductances(h2, lengths) == conductances_reference(h2, lengths)
+        assert integer_m_over_l(h2) == m_over_l(h2, conductances_reference(h2, lengths))
 
     def test_integer_pass_matches_fraction_reference_on_ladders(self):
         for n in range(2, 301):
             h = ag.ladder_graph(n)
             lengths = h.lengths()
-            assert conductances(h, lengths) == conductances_reference(h, lengths)
+            assert integer_m_over_l(h) == m_over_l(h, conductances_reference(h, lengths))
+
+    def test_integer_pass_is_l_and_m_on_corpus_and_ladders(self, corpus):
+        # L(x) and M(x) of the pass against the listed L and M evaluated at
+        # the same integer lengths
+        graphs = list(corpus) + [ag.ladder_graph(n) for n in range(2, 8)]
+        for k, h in enumerate(graphs):
+            h2 = ag.with_lengths(h, ag.random_lengths(h, 700 + k))
+            _, x = polynomials._common_scale(h2.lengths())
+            assert polynomials._l_m_at(h2, x) == (
+                ag.l_polynomial(h).evaluate(x),
+                ag.m_polynomial(h).evaluate(x),
+            )
 
     def test_ladders_match_solver(self):
         for n in (40, 60):
@@ -562,12 +591,18 @@ class TestQuotientTree:
             d = ladder_polarization(h)
             assert ag.epsilon_closed_form(h, d) == ag.epsilon_numeric(h.graph, d)[0]
 
-    def test_vanishing_conductance_is_a_fault(self, monkeypatch):
+    def test_vanishing_l_is_a_fault(self, monkeypatch):
+        # one message for L(x) = 0 in the closed form and L = 0 in the
+        # rational function
         h = ag.elementary_graph(2)
         d = ladder_polarization(h)
-        monkeypatch.setattr(ag.polynomials, "_conductance_pairs", lambda h, x: {"Q+": (0, 1)})
-        with pytest.raises(ag.SolverFaultError, match="conductance from 'Q\\+'"):
+        monkeypatch.setattr(ag.polynomials, "_l_m_at", lambda h, x: (0, 0))
+        with pytest.raises(ag.SolverFaultError, match="^L vanished") as closed:
             ag.epsilon_closed_form(h, d)
+        monkeypatch.setattr(ag.polynomials, "l_polynomial", lambda h: MultiPoly())
+        with pytest.raises(ag.SolverFaultError) as symbolic:
+            ag.epsilon_rational_fn(h, d)
+        assert str(closed.value) == str(symbolic.value)
 
 
 class TestInequalities:
