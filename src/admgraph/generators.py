@@ -25,7 +25,6 @@ from .hyperelliptic import (
     HyperellipticGraph,
     Involution,
     graph_size,
-    nu_counts,
     validate_hyperelliptic,
 )
 from .rationals import as_fraction
@@ -222,14 +221,15 @@ def random_hyperelliptic(seed: int, min_size: int = 1, max_size: int = 5) -> Hyp
 
 
 def random_polarization(h: HyperellipticGraph, seed: int, nonnegative: bool = False) -> Divisor:
-    """nu - 2 at non-fixed vertices, iota-symmetric small rationals at fixed
-    ones, resampled while the degree is -2 (the excluded value)."""
+    """val - 2 (= nu - 2, see ``nu_counts``) at non-fixed vertices,
+    iota-symmetric small rationals at fixed ones, resampled while the degree
+    is -2 (the excluded value)."""
     rng = random.Random(("polarization", seed).__repr__())
     choices = [c for c in _COEFF_CHOICES if not nonnegative or c >= 0]
     for _ in range(100):
         coeffs: Dict[str, Fraction] = {}
         for v in sorted(h.nonfixed_vertices):
-            coeffs[v] = Fraction(nu_counts(h, v)[2] - 2)
+            coeffs[v] = Fraction(h.graph.valence(v) - 2)
         for v in sorted(h.fixed_vertices):
             coeffs[v] = rng.choice(choices)
         d = Divisor(coeffs)

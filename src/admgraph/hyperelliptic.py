@@ -280,18 +280,18 @@ def graph_size(h: HyperellipticGraph) -> int:
 
 def nu_counts(h: HyperellipticGraph, v: str) -> Tuple[int, int, int]:
     """(nu0, nu1, nu) at a non-fixed vertex: numbers of disjoint and
-    one-jointed edges starting from v, and their sum."""
+    one-jointed edges starting from v, and their sum.
+
+    The sum is the valence of v: there is no loop at v (axiom 1), and a
+    two-jointed edge at v would share both ends with its image, so join v
+    to iota v, and its class would be a loop of the quotient (axiom 4).  So
+    every edge at v is disjoint or one-jointed."""
     h.graph.require_vertex(v)
     if v in h.fixed_vertices:
         raise FixedVertexError(f"vertex {_shown(v)} is fixed; nu is defined on non-fixed vertices")
-    nu0 = nu1 = 0
-    for e in h.graph.incident_edges(v):
-        kind = h.edge_kinds[e.id]
-        if kind is EdgeKind.DISJOINT:
-            nu0 += 1
-        elif kind is EdgeKind.ONE_JOINTED:
-            nu1 += 1
-    return nu0, nu1, nu0 + nu1
+    nu = h.graph.valence(v)
+    nu0 = sum(h.edge_kinds[e.id] is EdgeKind.DISJOINT for e in h.graph.incident_edges(v))
+    return nu0, nu - nu0, nu
 
 
 def divisor_is_invariant(d: Divisor, inv: Involution) -> bool:

@@ -57,6 +57,8 @@ the conductance from a to the fixed vertices, kappa the spanning-tree sum.
   kappa(G/(v~iota v)) = R(v, iota v) kappa(G), 2^(g+1) M is the sum over
   non-fixed pairs of (val v - 2) Psi_{G/(v~iota v)}.
 
+At a non-fixed vertex v, nu(v) is the valence (``nu_counts``), so the
+shape check reads val a - 2, the weight of M, once per non-fixed orbit a.
 The closed form of the admissible constant for a polarization with
 coefficient nu(v) - 2 at every non-fixed vertex is
 
@@ -98,11 +100,7 @@ from .errors import (
     _shown,
 )
 from .graph import Divisor, _walk
-from .hyperelliptic import (
-    HyperellipticGraph,
-    _w_weight,
-    nu_counts,
-)
+from .hyperelliptic import HyperellipticGraph, _w_weight
 from .rationals import as_fraction
 
 ZERO = Fraction(0)
@@ -348,8 +346,11 @@ def _theorem_shape_check(h: HyperellipticGraph, d: Divisor) -> Tuple[int, int]:
     """Check that d has the closed form's shape, on d scaled once to
     integers: with s the lcm of its coefficient denominators, a_v = c_v s.
     The support's vertices exist, d is iota-invariant, its coefficient at
-    every non-fixed vertex is nu - 2, and deg d != -2.  Returns (s, D), D =
-    deg(d) s."""
+    every non-fixed vertex is nu - 2, and deg d != -2.  nu is the valence
+    (see ``nu_counts``), which iota preserves, so on an invariant d one
+    check per non-fixed orbit a, against val a - 2, the weight of M, covers
+    both lifts; a is the smaller lift, so the first failure named is the
+    smallest failing vertex.  Returns (s, D), D = deg(d) s."""
     coefficients = d.coefficients
     # a list: see _common_scale
     s = lcm(*[c.denominator for c in coefficients.values()])
@@ -359,11 +360,11 @@ def _theorem_shape_check(h: HyperellipticGraph, d: Divisor) -> Tuple[int, int]:
     image = h.involution.vertex
     if any(a.get(image(v), 0) != x for v, x in a.items()):
         raise PolarizationShapeError("polarization must be iota-invariant")
-    for v in sorted(h.nonfixed_vertices):
-        _, _, nu = nu_counts(h, v)
-        if a.get(v, 0) != (nu - 2) * s:
+    for v in sorted(h.nonfixed_vertices.intersection(h.quotient.vertices)):
+        weight = h.graph.valence(v) - 2
+        if a.get(v, 0) != weight * s:
             raise PolarizationShapeError(
-                f"coefficient at non-fixed vertex {_shown(v)} must be nu - 2 = {nu - 2}"
+                f"coefficient at non-fixed vertex {_shown(v)} must be nu - 2 = {weight}"
             )
     big_d = sum(a.values())
     if big_d == -2 * s:

@@ -182,6 +182,20 @@ class TestNuCounts:
         with pytest.raises(ag.FixedVertexError):
             ag.nu_counts(sg(), "P")
 
+    def test_nu_is_the_valence(self):
+        # no edge at a non-fixed vertex is two-jointed (it would be a loop
+        # of the quotient), so the shape check may read val - 2 for nu - 2
+        graphs = [ag.ladder_graph(n) for n in range(2, 13)]
+        graphs += [ag.elementary_graph(n) for n in range(2, 8)]
+        graphs += [ag.double_cover(ag.generators.random_cover_spec(s, 12)) for s in range(500)]
+        for h in graphs:
+            for v in h.nonfixed_vertices:
+                kinds = [h.edge_kinds[e.id] for e in h.graph.incident_edges(v)]
+                nu0, nu1, nu = ag.nu_counts(h, v)
+                assert kinds.count(EdgeKind.DISJOINT) == nu0
+                assert kinds.count(EdgeKind.ONE_JOINTED) == nu1
+                assert nu == h.graph.valence(v) == len(kinds)
+
 
 class TestWWeight:
     def test_sg(self):

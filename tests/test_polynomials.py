@@ -347,6 +347,12 @@ class TestPolarizationCheck:
                 ag.PolarizationShapeError,
                 "coefficient at non-fixed vertex 'P1+' must be nu - 2 = 1",
             ),
+            # both orbits off: the first in order, named by its smaller lift
+            "wrong shape at two orbits": (
+                dict(d.coefficients, **{"P3-": 0, "P3+": 0, "P2-": 0, "P2+": 0}),
+                ag.PolarizationShapeError,
+                "coefficient at non-fixed vertex 'P2+' must be nu - 2 = 1",
+            ),
             "degree -2": (shift, ag.DegreeMinusTwoError, "closed form undefined for deg(D) = -2"),
             "unknown vertex": (
                 dict(d.coefficients, nope=1),
@@ -356,7 +362,8 @@ class TestPolarizationCheck:
         }
 
     @pytest.mark.parametrize(
-        "case", ["non-invariant", "wrong shape", "degree -2", "unknown vertex"]
+        "case",
+        ["non-invariant", "wrong shape", "wrong shape at two orbits", "degree -2", "unknown vertex"],
     )
     def test_errors_and_messages(self, case):
         h = ag.ladder_graph(3)
