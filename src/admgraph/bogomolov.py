@@ -38,9 +38,10 @@ from .errors import (
     NotHyperellipticConfigurationError,
     NotTypeZeroError,
     UnexpectedComponentCountError,
+    _digits,
     _shown,
 )
-from .graph import Divisor, MetrizedGraph, _subdivide, _walk, push_divisor
+from .graph import Divisor, MetrizedGraph, _Frozen, _subdivide, _walk, push_divisor
 from .hyperelliptic import (
     HyperellipticGraph,
     Involution,
@@ -48,10 +49,14 @@ from .hyperelliptic import (
     check_involution,
     normalize_fiber,
 )
+from .rationals import _digit_limit
 
-class FiberConfiguration:
+
+class FiberConfiguration(_Frozen):
     """Dual graph of a semistable fiber with per-component genera and an
-    optional involution."""
+    optional involution.  The arithmetic genus has at most as many digits
+    as admgraph reads per integer (``GenusRangeError`` otherwise), so the
+    genus and every node type can be written as JSON."""
 
     __slots__ = ("graph", "genera", "involution", "genus")
 
@@ -71,6 +76,13 @@ class FiberConfiguration:
         genus = sum(full.values()) + len(graph.edges) - len(graph.vertices) + 1
         if genus < 2:
             raise InvalidGraphError(f"fiber genus {genus} < 2 is not semistable of general type")
+        limit = _digit_limit()
+        # a genus of at most 3 * limit bits is below 8^limit, so below 10^limit
+        if limit and genus.bit_length() > 3 * limit and genus >= 10**limit:
+            raise GenusRangeError(
+                f"fiber genus of {_digits(genus)} digits, more than the {limit} digits "
+                "admgraph reads per integer"
+            )
         if involution is not None:
             check_involution(graph, involution)
             for v in graph.vertices:
@@ -80,9 +92,6 @@ class FiberConfiguration:
         object.__setattr__(self, "genera", full)
         object.__setattr__(self, "involution", involution)
         object.__setattr__(self, "genus", genus)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FiberConfiguration is immutable")
 
     def require_involution(self) -> Involution:
         if self.involution is None:
@@ -182,7 +191,7 @@ def _require_count_genus(genus: int) -> None:
         raise GenusRangeError(f"counts are defined for genus <= {MAX_GENUS}")
 
 
-class InvariantCounts:
+class InvariantCounts(_Frozen):
     """xi and delta vectors for one fiber or a whole family (the counts are
     additive over fibers)."""
 
@@ -206,9 +215,6 @@ class InvariantCounts:
         object.__setattr__(self, "xi", xi)
         object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "delta0", implied)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("InvariantCounts is immutable")
 
     @classmethod
     def from_maps(

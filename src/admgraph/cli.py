@@ -22,7 +22,7 @@ from . import bogomolov, documents, generators, polynomials, potential
 from .errors import ECHO_LIMIT, AdmGraphError, SchemaError, _path_key, _shown
 from .graph import Divisor, _self_loop, validate_graph
 from .hyperelliptic import graph_size, nu_counts, validate_hyperelliptic
-from .rationals import INFINITY, _digit_limit_excess, _parse_integer, as_fraction, format_rational
+from .rationals import INFINITY, _digit_limit_excess, _parse_integer, format_rational
 
 
 class _UsageError(Exception):
@@ -161,12 +161,11 @@ def _divisor(doc, args, required: bool = True) -> Optional[Divisor]:
         raw = documents._load_json(args.divisor, "--divisor")
         if not isinstance(raw, dict):
             raise SchemaError([("--divisor", "must be an object of rational strings")])
-        coefficients, problems = {}, []
-        for v, c in raw.items():
-            try:
-                coefficients[v] = as_fraction(c)
-            except (TypeError, ValueError) as exc:
-                problems.append((f"--divisor.{_path_key(v)}", str(exc)))
+        literals: dict = {}  # as in the document: each distinct literal parsed once
+        coefficients = {v: documents._rational(c, literals) for v, c in raw.items()}
+        problems = [
+            (f"--divisor.{_path_key(v)}", c) for v, c in coefficients.items() if isinstance(c, str)
+        ]
         if problems:
             raise SchemaError(problems)
         return Divisor(coefficients)

@@ -27,7 +27,7 @@ from .hyperelliptic import (
     graph_size,
     validate_hyperelliptic,
 )
-from .rationals import as_fraction
+from .rationals import _decimal, as_fraction
 
 _LENGTH_CHOICES = (
     Fraction(1),
@@ -173,7 +173,7 @@ def ladder_graph(n: int) -> HyperellipticGraph:
 
 def random_cover_spec(seed: int, max_vertices: int = _MAX_QUOTIENT_VERTICES) -> CoverSpec:
     """A random labeled quotient tree; deterministic in the seed."""
-    rng = random.Random(("cover", seed).__repr__())
+    rng = random.Random(f"('cover', {_decimal(seed)})")
     n = rng.randint(2, max_vertices)
     parents = [rng.randrange(i) for i in range(1, n)]
     degree = [0] * n
@@ -224,7 +224,7 @@ def random_polarization(h: HyperellipticGraph, seed: int, nonnegative: bool = Fa
     """val - 2 (= nu - 2, see ``nu_counts``) at non-fixed vertices,
     iota-symmetric small rationals at fixed ones, resampled while the degree
     is -2 (the excluded value)."""
-    rng = random.Random(("polarization", seed).__repr__())
+    rng = random.Random(f"('polarization', {_decimal(seed)})")
     choices = [c for c in _COEFF_CHOICES if not nonnegative or c >= 0]
     for _ in range(100):
         coeffs: Dict[str, Fraction] = {}
@@ -241,7 +241,7 @@ def random_polarization(h: HyperellipticGraph, seed: int, nonnegative: bool = Fa
 def random_lengths(h: HyperellipticGraph, seed: int) -> Dict[str, Fraction]:
     """Random positive rational length per edge class (iota-invariant by
     construction)."""
-    rng = random.Random(("lengths", seed).__repr__())
+    rng = random.Random(f"('lengths', {_decimal(seed)})")
     return {c: rng.choice(_LENGTH_CHOICES) for c in h.classes()}
 
 

@@ -3,9 +3,10 @@
 This is the ambient object of all the potential theory in this package: a
 finite connected multigraph whose edges carry exact rational lengths, viewed
 as a metric space.  Vertex and edge ids are opaque strings; every operation
-is a pure function returning new values, and contraction, which renames
-vertices, returns the explicit vertex surjection so divisors and involutions
-can be transported deterministically.
+is a pure function returning new values (the value types derive from
+``_Frozen``, which refuses assignment and deletion), and contraction, which
+renames vertices, returns the explicit vertex surjection so divisors and
+involutions can be transported deterministically.
 
 Self-loops are rejected at construction for analytic use.  Contraction may
 create them; such "loop markers" are retained (the result is built with
@@ -68,7 +69,20 @@ def _self_loop(eid: str) -> InvalidGraphError:
     return InvalidGraphError(f"edge {_shown(eid)} is a self-loop")
 
 
-class MetrizedGraph:
+class _Frozen:
+    """Base of the package's hand-written value types: an instance refuses
+    assignment and deletion; its constructors set its slots through
+    ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, *_):  # (name, value), or (name) as __delattr__
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+
+class MetrizedGraph(_Frozen):
     """Immutable multigraph with rational edge lengths.
 
     Construction enforces referential integrity (edge ends must be declared
@@ -140,9 +154,6 @@ class MetrizedGraph:
         init(self, "_edge_by_id", edge_by_id)
         init(self, "_incidence", None)
         init(self, "_connected", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MetrizedGraph is immutable")
 
     def __eq__(self, other):
         if not isinstance(other, MetrizedGraph):
@@ -258,7 +269,7 @@ def validate_graph(g: MetrizedGraph) -> ValidationReport:
     return ValidationReport(valid=not problems, problems=tuple(problems))
 
 
-class Divisor:
+class Divisor(_Frozen):
     """Formal rational-coefficient sum of vertices (a polarization).
 
     Zero coefficients are dropped at construction; the degree is the exact
@@ -274,9 +285,6 @@ class Divisor:
             if c != 0:
                 coeffs[v] = c
         object.__setattr__(self, "coefficients", coeffs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Divisor is immutable")
 
     def coefficient(self, v: str) -> Fraction:
         return self.coefficients.get(v, Fraction(0))

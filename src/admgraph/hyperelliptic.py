@@ -52,13 +52,14 @@ from .graph import (
     Divisor,
     Edge,
     MetrizedGraph,
+    _Frozen,
     _UnionFind,
     contract,
     push_divisor,
 )
 
 
-class Involution:
+class Involution(_Frozen):
     """Order-<=2 symmetry: permutations of vertex and edge ids."""
 
     __slots__ = ("vertex_map", "edge_map")
@@ -66,9 +67,6 @@ class Involution:
     def __init__(self, vertex_map: Mapping[str, str], edge_map: Mapping[str, str]):
         object.__setattr__(self, "vertex_map", dict(vertex_map))
         object.__setattr__(self, "edge_map", dict(edge_map))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Involution is immutable")
 
     def vertex(self, v: str) -> str:
         try:

@@ -99,7 +99,7 @@ from .errors import (
     SolverFaultError,
     _shown,
 )
-from .graph import Divisor, _walk
+from .graph import Divisor, _Frozen, _walk
 from .hyperelliptic import HyperellipticGraph, _w_weight
 from .rationals import as_fraction
 
@@ -120,7 +120,7 @@ def _grlex_key(mono: Monomial):
     return (len(mono), mono)
 
 
-class MultiPoly:
+class MultiPoly(_Frozen):
     """Sparse polynomial over exact rationals; zero coefficients are never
     stored and terms are ordered graded-lexicographically."""
 
@@ -143,9 +143,6 @@ class MultiPoly:
         poly = object.__new__(cls)
         object.__setattr__(poly, "terms", {m: c for m, c in terms.items() if c})
         return poly
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MultiPoly is immutable")
 
     @staticmethod
     def constant(value) -> "MultiPoly":
@@ -232,7 +229,7 @@ class MultiPoly:
         )
 
 
-class RationalFn:
+class RationalFn(_Frozen):
     """Quotient of two polynomials; equality is decided by the
     cross-multiplied polynomial identity, never by sampling."""
 
@@ -243,9 +240,6 @@ class RationalFn:
             raise ZeroDivisionError("identically-zero denominator")
         object.__setattr__(self, "numerator", numerator)
         object.__setattr__(self, "denominator", denominator)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalFn is immutable")
 
     def evaluate(self, assignment: Mapping[str, object]) -> Fraction:
         den = self.denominator.evaluate(assignment)
@@ -351,10 +345,7 @@ def _theorem_shape_check(h: HyperellipticGraph, d: Divisor) -> Tuple[int, int]:
     check per non-fixed orbit a, against val a - 2, the weight of M, covers
     both lifts; a is the smaller lift, so the first failure named is the
     smallest failing vertex.  Returns (s, D), D = deg(d) s."""
-    coefficients = d.coefficients
-    # a list: see _common_scale
-    s = lcm(*[c.denominator for c in coefficients.values()])
-    a = {v: c.numerator * (s // c.denominator) for v, c in coefficients.items()}
+    s, a = _common_scale(d.coefficients)
     for v in d.support():
         h.graph.require_vertex(v)
     image = h.involution.vertex
@@ -419,13 +410,15 @@ def epsilon_rational_fn(h: HyperellipticGraph, d: Divisor) -> RationalFn:
     return RationalFn(MultiPoly._trusted({m: values[x] for m, x in terms.items()}), lpoly)
 
 
-def _common_scale(lengths: Mapping[str, Fraction]) -> Tuple[int, Dict[str, int]]:
-    """B, the lcm of the lengths' denominators, and every length times B."""
-    # a list, here and in _theorem_shape_check: lcm(*generator) builds its
-    # argument tuple by resizing, which strands tuples on the interpreter's
-    # free lists (about 2 MB over a closed-form benchmark run)
-    scale = lcm(*[x.denominator for x in lengths.values()])
-    return scale, {c: x.numerator * (scale // x.denominator) for c, x in lengths.items()}
+def _common_scale(values: Mapping[str, Fraction]) -> Tuple[int, Dict[str, int]]:
+    """B, the lcm of the values' denominators, and every value times B:
+    the class lengths of the closed form, or a polarization's
+    coefficients."""
+    # a list: lcm(*generator) builds its argument tuple by resizing, which
+    # strands tuples on the interpreter's free lists (about 2 MB over a
+    # closed-form benchmark run)
+    scale = lcm(*[x.denominator for x in values.values()])
+    return scale, {k: x.numerator * (scale // x.denominator) for k, x in values.items()}
 
 
 def _l_m_at(h: HyperellipticGraph, x: Mapping[str, int]) -> Tuple[int, int]:

@@ -99,7 +99,7 @@ from .errors import (
     UnknownIdError,
     _shown,
 )
-from .graph import Divisor, MetrizedGraph
+from .graph import Divisor, MetrizedGraph, _Frozen
 from .rationals import INFINITY, as_fraction
 
 ZERO = Fraction(0)
@@ -389,7 +389,7 @@ def cross_resistance(g: MetrizedGraph, edge_id: str):
     return e.length * across / (e.length - across)
 
 
-class Measure:
+class Measure(_Frozen):
     """Measure with rational point masses at vertices and uniform densities
     (mass per unit length) on edges."""
 
@@ -402,9 +402,6 @@ class Measure:
         object.__setattr__(
             self, "edge_densities", {e: as_fraction(d) for e, d in edge_densities.items()}
         )
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Measure is immutable")
 
     def mass_at(self, v: str) -> Fraction:
         return self.vertex_masses.get(v, ZERO)

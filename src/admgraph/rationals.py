@@ -62,6 +62,11 @@ def as_fraction(value) -> Fraction:
 _CHECK_THRESHOLD = getattr(sys.int_info, "str_digits_check_threshold", 0)
 
 
+def _digit_limit() -> int:
+    """sys.get_int_max_str_digits(), 4300 by default; 0 for no limit."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
 def _digit_limit_excess(literal: str) -> str:
     """Why CPython would refuse to convert a decimal integer literal in
     ASCII digits (sign and surrounding whitespace allowed) that has more
@@ -73,7 +78,7 @@ def _digit_limit_excess(literal: str) -> str:
     if len(literal) <= _CHECK_THRESHOLD:
         return ""
     digits = literal.strip().lstrip("+-")
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    limit = _digit_limit()
     if limit and len(digits) > limit and digits.isascii() and digits.isdigit():
         return (
             f"an integer of {len(digits)} digits, "

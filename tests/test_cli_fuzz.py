@@ -289,6 +289,8 @@ def test_random_argv_keeps_the_contract(doc_path, argv, with_doc):
 
 
 INTEGER_OPTIONS = {"bound": ["--genus", "--xi0"], "gen": ["--seed", "--min-size", "--max-size"]}
+# at the digit limit and just below it: read, used and still not echoed
+AT_LIMIT = [sign + "9" * n for n in (4298, 4300) for sign in ("", "-")]
 
 
 @FUZZ
@@ -296,7 +298,8 @@ INTEGER_OPTIONS = {"bound": ["--genus", "--xi0"], "gen": ["--seed", "--min-size"
 def test_overlong_integer_options_are_not_echoed(data):
     command = data.draw(st.sampled_from(sorted(INTEGER_OPTIONS)))
     flag = data.draw(st.sampled_from(INTEGER_OPTIONS[command]))
-    value = data.draw(st.sampled_from([DIGITS, "-" + DIGITS, "+" + DIGITS, " " + DIGITS]))
+    over = [DIGITS, "-" + DIGITS, "+" + DIGITS, " " + DIGITS]
+    value = data.draw(st.sampled_from(over + AT_LIMIT))
     # after "--" argparse takes the value for an unrecognized positional and
     # echoes it in that message instead
     before = data.draw(st.lists(TOKENS.filter(lambda t: t != "--"), max_size=2))
@@ -872,6 +875,26 @@ def test_results_longer_than_the_int_string_limit(doc_path):
     expected = ag.effective_resistance(g, "O", "P1+")
     assert json.loads(out) == {"resistance": ag.format_rational(expected)}
     assert max(expected.numerator, expected.denominator) > 10**4300
+
+
+def test_fiber_genus_longer_than_the_int_string_limit(doc_path):
+    # two components of genus 10^4300 - 1, each genus a literal the reader
+    # reads, make a fiber of genus 2 * 10^4300 - 2: 4301 digits, past what
+    # json.dumps writes of an int
+    genus = 10**4300 - 1
+    doc = {
+        "vertices": [{"id": "a", "genus": genus}, {"id": "b", "genus": genus}],
+        "edges": [{"id": "e", "ends": ["a", "b"], "length": "1"}],
+    }
+    doc_path.write_text(json.dumps(doc), encoding="utf-8")
+    assert checked_invoke(["validate", str(doc_path)])[0] == 0
+    code, printed = checked_invoke(["classify-nodes", str(doc_path)])
+    assert code == 1
+    error = json.loads(printed)["error"]
+    assert error["code"] == "genus-range"
+    assert error["message"] == (
+        "fiber genus of 4301 digits, more than the 4300 digits admgraph reads per integer"
+    )
 
 
 def test_closed_stdout_prints_no_traceback(tmp_path):

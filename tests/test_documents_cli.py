@@ -840,7 +840,7 @@ class TestCli:
         assert code == 1
         assert out["error"] == {"code": "unknown-id", "message": "unknown vertex 'nope'"}
 
-    @pytest.mark.parametrize("value", ["0.5", "true"])
+    @pytest.mark.parametrize("value", ["0.5", "true", "1"])
     def test_non_rational_divisor_override_is_schema_error(self, capsys, sg_file, value):
         code = run_command(["epsilon", sg_file, "--divisor", '{"P": %s}' % value])
         captured = capsys.readouterr()
@@ -848,6 +848,29 @@ class TestCli:
         out = json.loads(captured.out)
         assert out["error"]["code"] == "schema-error"
         assert [p["path"] for p in out["error"]["problems"]] == ["--divisor.P"]
+
+    @pytest.mark.parametrize(
+        "value", [1, 1.5, True, None, [1], {"a": 1}, "1", " 1 ", "+1", "1/0"], ids=json.dumps
+    )
+    def test_divisor_override_reads_the_documents_grammar(self, capsys, tmp_path, sg_file, value):
+        # the same outcome, and the same problems apart from the path prefix
+        doc = json.loads(SG_DOC)
+        doc["divisor"]["P"] = value
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(doc))
+        outcomes = []
+        for argv, prefix in (
+            ([str(path)], "divisor."),
+            ([sg_file, "--divisor", json.dumps(doc["divisor"])], "--divisor."),
+        ):
+            code, out = run(capsys, ["epsilon", *argv])
+            if code:
+                problems = out["error"]["problems"]
+                assert all(p["path"].startswith(prefix) for p in problems)
+                out = [(p["path"][len(prefix):], p["message"]) for p in problems]
+            outcomes.append((code, out))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == (0 if value in ("1", " 1 ") else 1)
 
     @pytest.mark.parametrize(
         "length",

@@ -1,10 +1,14 @@
 """The package's public names, listed: adding or removing one changes this
-list on purpose.  And the package's objects outlive a re-import of it."""
+list on purpose.  The package's objects outlive a re-import of it, and its
+hand-written value types refuse assignment and deletion as its frozen
+dataclasses do."""
 
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import admgraph as ag
 
@@ -169,3 +173,34 @@ def test_objects_survive_a_reimport(tmp_path):
     )
     assert result.returncode == 0, result.stdout + result.stderr
     assert "10462/819" in result.stdout
+
+
+def _values():
+    g = ag.MetrizedGraph(["a", "b"], [("e", ("a", "b"), 1)])
+    x = ag.MultiPoly({("x",): 1})
+    return [
+        g,
+        ag.Divisor({"a": 1}),
+        ag.Involution({"a": "a", "b": "b"}, {"e": "e"}),
+        x,
+        ag.RationalFn(x, ag.MultiPoly({(): 1})),
+        ag.Measure({"a": 1}, {"e": 0}),
+        ag.FiberConfiguration(ag.MetrizedGraph(["v"], []), {"v": 2}),
+        ag.InvariantCounts(3, [0, 0], [0]),
+    ]
+
+
+@pytest.mark.parametrize("value", _values(), ids=lambda value: type(value).__name__)
+def test_value_types_refuse_assignment_and_deletion(value):
+    name = type(value).__name__
+    assert not hasattr(value, "__dict__")
+    slots = [s for cls in type(value).__mro__ for s in getattr(cls, "__slots__", ())]
+    assert slots
+    for slot in slots + ["unknown"]:
+        before = getattr(value, slot, None)
+        with pytest.raises(AttributeError) as assigned:
+            setattr(value, slot, None)
+        with pytest.raises(AttributeError) as deleted:
+            delattr(value, slot)
+        assert str(assigned.value) == str(deleted.value) == f"{name} is immutable"
+        assert getattr(value, slot, None) is before
